@@ -14,7 +14,7 @@ import argparse
 import os
 import sys
 
-__version__ = "0.1.0"
+from . import __version__
 
 
 class _UsageError(Exception):
@@ -127,7 +127,6 @@ def _scenario_from_config(cfg, seed):
     g0 = _metric_from_config(cfg.get("recipe", {}), chart, seed)
     ctrl_cfg = cfg.get("control", {})
     control = StepControl(
-        dt_init=float(ctrl_cfg.get("dt_init", 1e-3)),
         safety=float(ctrl_cfg.get("safety", 0.8)),
         eps_pd=float(ctrl_cfg.get("eps_pd", 1e-8)),
     )
@@ -186,6 +185,7 @@ def _cmd_verify_identities(args):
 
 def _cmd_run_flow(args):
     from .flow import read_checkpoint, ricci_sup_norm, run, write_checkpoint
+    from .geometry import HermitianMatrixField
     from .io import load_config, write_manifest
 
     cfg = load_config(args.scenario)["scenario"]
@@ -199,17 +199,16 @@ def _cmd_run_flow(args):
     t_end = float(cfg.get("t_end", scenario.T0))
 
     ckpt_path = os.path.join(args.out, "checkpoint.snap")
-    count = [0]
 
     def callback(st, record):
-        count[0] += 1
-        if args.checkpoint_every and count[0] % args.checkpoint_every == 0:
+        steps = len(record.rows) - 1
+        if args.checkpoint_every and steps % args.checkpoint_every == 0:
             write_checkpoint(ckpt_path, st, record.rows[-1][1])
 
     record, state = run(scenario, t_end, state=state, callback=callback)
     record.to_csv(os.path.join(args.out, "trajectory.csv"))
     write_checkpoint(ckpt_path, state, record.rows[-1][1])
-    ric = ricci_sup_norm(state.omega)
+    ric = ricci_sup_norm(HermitianMatrixField(state.chart, state.omega))
     print(f"t_end = {state.t:.6g}  steps = {len(record.rows) - 1}  "
           f"ricci_sup = {ric:.3e}")
     if "converged_at" in record.meta:
@@ -218,7 +217,6 @@ def _cmd_run_flow(args):
 
 
 def _cmd_run_normalized(args):
-    from .geometry import HermitianMatrixField
     from .flow import run_normalized
     from .io import load_config, write_manifest
 
@@ -228,8 +226,7 @@ def _cmd_run_normalized(args):
                    scenario_path=args.scenario)
     scenario, cfg = _scenario_from_config(cfg, seed)
     t_end = float(cfg.get("t_end", 2.0))
-    target = HermitianMatrixField(scenario.chart, scenario.g0.values)
-    record, state, _ = run_normalized(scenario, t_end, target_form=target)
+    record, state, _ = run_normalized(scenario, t_end, target_form=scenario.g0)
     record.to_csv(os.path.join(args.out, "trajectory.csv"))
     print(f"t_end = {state.t:.6g}  steps = {len(record.rows) - 1}  "
           f"note = {record.meta['target_note']}")

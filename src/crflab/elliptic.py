@@ -129,7 +129,7 @@ def _solve_gill_flow(problem, tol, max_steps):
         state = step(state, scenario)
         steps += 1
         if steps % 25 == 0:
-            pd = state.phidot.values
+            pd = state.phidot
             osc = float(pd.max() - pd.min())
             if osc <= 0.5 * tol:
                 break
@@ -137,7 +137,7 @@ def _solve_gill_flow(problem, tol, max_steps):
         raise NonConvergence(
             f"gill-flow oscillation {osc:.3e} after {steps} steps (tol {tol:.1e})"
         )
-    phi = _normalize(problem, state.phi.values)
+    phi = _normalize(problem, state.phi)
     res0, _ = _residual_field(problem, phi, 0.0)
     b = float(res0.mean())
     res = float(np.max(np.abs(res0 - b)))

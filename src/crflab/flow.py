@@ -15,14 +15,22 @@ related by omega_norm(t) = omega(s)/(s+1) at t = log(s+1).
 
 Stepping is explicit fourth-order Runge-Kutta with a diffusion-limited
 adaptive step: dt <= safety * 2.7 / max_nodes( lambda_max(g^{-1}) *
-sum_active k_max^2 / 4 ), the stability interval of the classical scheme on
-the negative real axis against the largest symbol of the complex Laplacian.
+sum_active k_max^2 / 4 + d ), the stability interval of the classical scheme
+on the negative real axis against the largest symbol of the complex
+Laplacian, where d is the coefficient of the -phi term (0 or 1).
 Positivity of omega is asserted after every accepted step; dropping below
 the eigenvalue floor signals the approach to the maximal existence time.
+
+`step` alone picks dt, runs RK4 and checks the floor; one loop drives it for
+`run`, `run_normalized` and `equivalence_check`, landing on t_end and on
+sample times and writing one monitor row per state, whose ``dt`` is
+t_k - t_{k-1}. A `FlowState` holds raw arrays (phi, d_t phi, omega), the
+chart and omega's eigenvalue bounds, computed once per state; fields are
+validated only where data enters or leaves the engine.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,12 +44,12 @@ from .errors import (
 from .geometry import (
     HermitianMatrixField,
     ScalarField,
+    TorusChart,
     VolumeField,
     herm_det,
     herm_eig_bounds,
     herm_logdet,
     i_ddbar,
-    metric_volume,
     min_eigenvalue,
 )
 from .tensors import _check_closed, chern_ricci
@@ -51,7 +59,6 @@ _RK4_STABILITY = 2.7
 
 @dataclass
 class StepControl:
-    dt_init: float = 1e-3
     safety: float = 0.8
     eps_pd: float = 1e-8
     dt_min: float = 1e-12
@@ -113,6 +120,9 @@ class FlowScenario:
     control : StepControl.
     """
 
+    # coefficient of the -phi term on the right side; it adds to the CFL rate
+    phi_decay = 0.0
+
     def __init__(
         self,
         g0,
@@ -140,18 +150,17 @@ class FlowScenario:
 
         _check_closed(chart, chi.values, closedness_tol, "chi")
         self._log_density = np.log(omega_density.values)
-        for ts in np.linspace(0.0, self.T0, 17):
+        # lambda_min(g0 + t chi) is concave in t, so the endpoints decide
+        for ts in (0.0, self.T0):
             lo, _ = herm_eig_bounds(self.reference_metric(ts))
-            if lo <= 0.0:
+            if not lo > 0.0:
                 raise PositivityUnreachable(
                     f"reference family loses positivity at t = {ts:.4g}"
                 )
         # constant for the drift monitor max_M(phi - A t)
         a = -np.inf
         for ts in np.linspace(0.0, self.T0, 9):
-            val = herm_logdet(
-                HermitianMatrixField(chart, self.reference_metric(ts)).values
-            )
+            val = herm_logdet(self.reference_metric(ts))
             a = max(a, float(np.max(val - self._log_density)))
         self.monitor_A = a + 0.1
         self._ksum = sum(
@@ -162,40 +171,49 @@ class FlowScenario:
     def reference_metric(self, t):
         return self.g0.values + t * self.chi.values
 
-    def rhs(self, phi_values, t):
-        """log(det(ghat_t + Hess phi)/Omega0); raises on loss of positivity."""
-        G = self.reference_metric(t) + self.chart.complex_hessian(phi_values)
+    def rhs(self, phi, t):
+        """(log(det(ghat_t + Hess phi)/Omega0), metric); raises on loss of positivity."""
+        return self._log_volume_ratio(phi, t)
+
+    def _log_volume_ratio(self, phi, t):
+        G = self.reference_metric(t) + self.chart.complex_hessian(phi)
         det = herm_det(G)
-        tr = np.einsum("...ii->...", G).real
-        if det.min() <= 0.0 or tr.min() <= 0.0:
+        if G.shape[-1] <= 2:
+            # det > 0 and tr > 0 force every eigenvalue positive only for n <= 2
+            positive = det.min() > 0.0 and np.einsum("...ii->...", G).real.min() > 0.0
+        else:
+            positive = np.isfinite(det).all() and herm_eig_bounds(G)[0] > 0.0
+        if not positive:  # NaN fails as well
             raise PositivityLost("interior stage lost positivity", t=t)
         return np.log(det) - self._log_density, G
 
-    def cfl_dt(self, omega_values):
-        lo, _ = herm_eig_bounds(omega_values)
-        if lo <= 0.0:
-            raise PositivityLost("metric not positive at step start")
-        rate = 0.25 * self._ksum / lo
-        return self.control.safety * _RK4_STABILITY / rate
+    def state_at(self, t, phi):
+        """The FlowState of potential values ``phi`` at time ``t``."""
+        phidot, omega = self.rhs(phi, t)
+        lo, hi = herm_eig_bounds(omega)
+        return FlowState(t, phi, phidot, omega, self.chart, lo, hi)
 
 
 @dataclass
 class FlowState:
-    t: float
-    phi: ScalarField
-    phidot: ScalarField
-    omega: HermitianMatrixField
+    """phi, d_t phi and omega as raw arrays on ``chart``, with omega's
+    smallest and largest eigenvalue over all nodes."""
 
-    @classmethod
-    def initial(cls, scenario, phi=None):
-        chart = scenario.chart
-        phi = phi if phi is not None else ScalarField.zeros(chart)
-        pd_vals, G = scenario.rhs(phi.values, 0.0)
-        omega = HermitianMatrixField(chart, G)
-        low = min_eigenvalue(omega)
-        if low < scenario.control.eps_pd:
-            raise NotPositiveDefinite(f"initial metric eigenvalue {low:.3e}")
-        return cls(0.0, phi, ScalarField(chart, pd_vals), omega)
+    t: float
+    phi: np.ndarray
+    phidot: np.ndarray
+    omega: np.ndarray
+    chart: TorusChart
+    eig_min: float
+    eig_max: float
+
+    @staticmethod
+    def initial(scenario):
+        """The state at t = 0 with phi = 0."""
+        state = scenario.state_at(0.0, np.zeros(scenario.chart.shape))
+        if not state.eig_min >= scenario.control.eps_pd:
+            raise NotPositiveDefinite(f"initial metric eigenvalue {state.eig_min:.3e}")
+        return state
 
 
 def scenario_from_metric(g0, T0, f_T0=None, **kwargs):
@@ -221,10 +239,8 @@ def scenario_from_metric(g0, T0, f_T0=None, **kwargs):
     else:
         chart.require_same(f_T0.chart)
     hess_f = i_ddbar(f_T0)
-    alpha_T0 = HermitianMatrixField(
-        chart, g0.values - T0 * ric0.values + hess_f.values
-    )
-    if min_eigenvalue(alpha_T0) <= 0.0:
+    alpha_T0 = g0.values - T0 * ric0.values + hess_f.values
+    if herm_eig_bounds(alpha_T0)[0] <= 0.0:
         raise PositivityUnreachable(
             "alpha_T0 + i ddbar f_T0 is not positive definite"
         )
@@ -245,41 +261,41 @@ def _rk4(rhs, phi, t, dt):
 
 def step(state, scenario, dt_max=None):
     """One accepted explicit step; returns the new FlowState."""
-    dt = scenario.cfl_dt(state.omega.values)
+    if not state.eig_min > 0.0:
+        raise PositivityLost("metric not positive at step start", t=state.t)
+    rate = 0.25 * scenario._ksum / state.eig_min + scenario.phi_decay
+    dt = scenario.control.safety * _RK4_STABILITY / rate
     if dt_max is not None:
         dt = min(dt, dt_max)
     if dt < scenario.control.dt_min:
         raise StepUnderflow(f"dt = {dt:.3e} underflow at t = {state.t:.6g}")
-    chart = scenario.chart
-    phi_new = _rk4(scenario.rhs, state.phi.values, state.t, dt)
     t_new = state.t + dt
-    pd_vals, G = scenario.rhs(phi_new, t_new)
-    omega = HermitianMatrixField(chart, G)
-    low = min_eigenvalue(omega)
-    if low < scenario.control.eps_pd:
+    new = scenario.state_at(t_new, _rk4(scenario.rhs, state.phi, state.t, dt))
+    if not new.eig_min >= scenario.control.eps_pd:
         raise PositivityLost(
-            f"metric eigenvalue {low:.3e} below floor at t = {t_new:.6g}",
+            f"metric eigenvalue {new.eig_min:.3e} below floor at t = {t_new:.6g}",
             t=t_new,
             last_state=state,
         )
-    return FlowState(t_new, ScalarField(chart, phi_new), ScalarField(chart, pd_vals), omega)
+    return new
 
 
 def _monitor_row(state, scenario, dt):
-    omega = state.omega
-    lo, hi = herm_eig_bounds(omega.values)
-    phi = state.phi.values
-    pd = state.phidot.values
+    phi = state.phi
+    pd = state.phidot
     t = state.t
-    q0 = (scenario.T0 - t) * pd + phi + scenario.chart.n * t
-    q1 = t * pd - phi - scenario.chart.n * t
-    u = herm_det(scenario.g0.values) / herm_det(omega.values)
+    n = state.chart.n
+    det = herm_det(state.omega)
+    q0 = (scenario.T0 - t) * pd + phi + n * t
+    q1 = t * pd - phi - n * t
+    u = herm_det(scenario.g0.values) / det
     return dict(
         t=t,
         dt=dt,
-        volume=metric_volume(omega),
-        eig_min=lo,
-        eig_max=hi,
+        # omega^n = n! 2^n det(g) dLeb, as in geometry.metric_volume
+        volume=math.factorial(n) * 2.0 ** n * state.chart.integral(det),
+        eig_min=state.eig_min,
+        eig_max=state.eig_max,
         phi_sup=phi.max(),
         phi_inf=phi.min(),
         phidot_sup=pd.max(),
@@ -288,6 +304,30 @@ def _monitor_row(state, scenario, dt):
         q0_min=q0.min(),
         schwarz_u_sup=u.max(),
     )
+
+
+def _integrate(scenario, state, t_end, record, samples=None):
+    """Yield each accepted state after ``state`` up to t_end, each state
+    adding a monitor row to ``record``. Steps land on t_end and on each key
+    of ``samples`` (to 1e-12), which is set to the metric there; keys never
+    reached are dropped."""
+    stops = sorted(samples or ())
+    record.append(**_monitor_row(state, scenario, 0.0))
+    while True:
+        while stops and state.t >= stops[0] - 1e-12:
+            samples[stops.pop(0)] = state.omega
+        if not state.t < t_end - 1e-12:
+            break
+        prev = state
+        try:
+            state = step(prev, scenario, dt_max=min(stops[:1] + [t_end]) - prev.t)
+        except PositivityLost as err:
+            err.record, err.last_state = record, prev
+            raise
+        record.append(**_monitor_row(state, scenario, state.t - prev.t))
+        yield state
+    for s in stops:
+        del samples[s]
 
 
 def run(scenario, t_end, state=None, callback=None):
@@ -303,22 +343,14 @@ def run(scenario, t_end, state=None, callback=None):
         raise ValueError("t_end exceeds the scenario horizon T0")
     state = state or FlowState.initial(scenario)
     record = TrajectoryRecord(meta={"mode": "unnormalized"})
-    record.append(**_monitor_row(state, scenario, 0.0))
     quiet_since = None
-    while state.t < t_end - 1e-12:
-        prev = state
-        try:
-            state = step(state, scenario, dt_max=t_end - state.t)
-        except PositivityLost as err:
-            err.record = record
-            err.last_state = err.last_state or prev
-            raise
-        dt = state.t - prev.t
+    prev = state
+    for state in _integrate(scenario, state, t_end, record):
         # rate of the mean-free update: the spatial mean of phi is gauge
         # (it drops out of i ddbar phi) and drifts linearly in general
-        dphi = state.phi.values - prev.phi.values
-        rate = float(np.max(np.abs(dphi - dphi.mean()))) / dt
-        record.append(**_monitor_row(state, scenario, dt))
+        dphi = state.phi - prev.phi
+        rate = float(np.max(np.abs(dphi - dphi.mean()))) / (state.t - prev.t)
+        prev = state
         if callback is not None:
             callback(state, record)
         if rate < scenario.convergence_tol:
@@ -340,7 +372,7 @@ def ricci_sup_norm(omega):
 # -- normalized mode -----------------------------------------------------------
 
 
-class NormalizedScenario:
+class NormalizedScenario(FlowScenario):
     """Reference family of the normalized flow built over a FlowScenario.
 
     The limiting form of the family is the scenario's chi; on charts with
@@ -350,10 +382,10 @@ class NormalizedScenario:
     c1(M) < 0 of the long-time convergence statement is unavailable here).
     """
 
+    phi_decay = 1.0
+
     def __init__(self, base, target_form=None):
-        self.base = base
-        self.chart = base.chart
-        self.control = base.control
+        vars(self).update(vars(base))
         limit_lo, _ = herm_eig_bounds(base.chi.values)
         if limit_lo <= 0.0:
             if target_form is None:
@@ -368,27 +400,14 @@ class NormalizedScenario:
             self.target_note = "degenerate reference; user target form recorded"
         else:
             self.target_note = "positive limiting reference"
-        self._log_density = base._log_density
-        self._ksum = base._ksum
 
     def reference_metric(self, t):
         decay = math.exp(-t)
-        return self.base.chi.values * (1.0 - decay) + decay * self.base.g0.values
+        return self.chi.values * (1.0 - decay) + decay * self.g0.values
 
-    def rhs(self, phi_values, t):
-        G = self.reference_metric(t) + self.chart.complex_hessian(phi_values)
-        det = herm_det(G)
-        tr = np.einsum("...ii->...", G).real
-        if det.min() <= 0.0 or tr.min() <= 0.0:
-            raise PositivityLost("interior stage lost positivity", t=t)
-        return np.log(det) - self._log_density - phi_values, G
-
-    def cfl_dt(self, omega_values):
-        lo, _ = herm_eig_bounds(omega_values)
-        if lo <= 0.0:
-            raise PositivityLost("metric not positive at step start")
-        rate = 0.25 * self._ksum / lo + 1.0
-        return self.control.safety * _RK4_STABILITY / rate
+    def rhs(self, phi, t):
+        log_ratio, G = self._log_volume_ratio(phi, t)
+        return log_ratio - phi, G
 
 
 def run_normalized(scenario, t_end, target_form=None, sample_times=()):
@@ -396,48 +415,13 @@ def run_normalized(scenario, t_end, target_form=None, sample_times=()):
     (TrajectoryRecord, FlowState, samples) where samples maps requested
     times to metric values."""
     norm = NormalizedScenario(scenario, target_form)
-    chart = scenario.chart
-    phi = np.zeros(chart.shape)
-    t = 0.0
-    pd_vals, G = norm.rhs(phi, t)
-    state = FlowState(
-        0.0,
-        ScalarField(chart, phi),
-        ScalarField(chart, pd_vals),
-        HermitianMatrixField(chart, G),
-    )
     record = TrajectoryRecord(
         meta={"mode": "normalized", "target_note": norm.target_note}
     )
-    record.append(**_monitor_row(state, scenario, 0.0))
-    samples = {}
-    targets = sorted(float(s) for s in sample_times)
-    while targets and targets[0] <= state.t + 1e-12:
-        samples[targets.pop(0)] = state.omega.values.copy()
-    while state.t < t_end - 1e-12:
-        dt = norm.cfl_dt(state.omega.values)
-        dt = min(dt, t_end - state.t)
-        if targets:
-            dt = min(dt, targets[0] - state.t)
-        if dt < norm.control.dt_min:
-            raise StepUnderflow(f"dt underflow at t = {state.t:.6g}")
-        phi_new = _rk4(norm.rhs, state.phi.values, state.t, dt)
-        t_new = state.t + dt
-        pd_vals, G = norm.rhs(phi_new, t_new)
-        omega = HermitianMatrixField(chart, G)
-        low = min_eigenvalue(omega)
-        if low < norm.control.eps_pd:
-            raise PositivityLost(
-                f"normalized metric eigenvalue {low:.3e} below floor",
-                t=t_new,
-                last_state=state,
-            )
-        state = FlowState(
-            t_new, ScalarField(chart, phi_new), ScalarField(chart, pd_vals), omega
-        )
-        record.append(**_monitor_row(state, scenario, dt))
-        while targets and state.t >= targets[0] - 1e-12:
-            samples[targets.pop(0)] = state.omega.values.copy()
+    samples = dict.fromkeys(float(s) for s in sample_times)
+    state = FlowState.initial(norm)
+    for state in _integrate(norm, state, float(t_end), record, samples):
+        pass
     return record, state, samples
 
 
@@ -451,19 +435,13 @@ def equivalence_check(scenario, s_end=5.0, samples=21):
     t_samples = np.linspace(0.0, math.log(s_end + 1.0), samples)
     s_samples = np.expm1(t_samples)
 
-    stored = {}
+    stored = dict.fromkeys(float(s) for s in s_samples)
     state = FlowState.initial(scenario)
-    stored[0.0] = state.omega.values.copy()
-    for s_target in s_samples[1:]:
-        while state.t < s_target - 1e-12:
-            state = step(state, scenario, dt_max=s_target - state.t)
-        stored[float(s_target)] = state.omega.values.copy()
+    for _ in _integrate(scenario, state, s_samples[-1], TrajectoryRecord(), stored):
+        pass
 
     record, _, nsamples = run_normalized(
-        scenario,
-        float(t_samples[-1]),
-        target_form=HermitianMatrixField(scenario.chart, scenario.g0.values),
-        sample_times=[float(t) for t in t_samples],
+        scenario, t_samples[-1], target_form=scenario.g0, sample_times=t_samples
     )
     disc = 0.0
     for t_j, s_j in zip(t_samples, s_samples):
@@ -479,7 +457,7 @@ def equivalence_check(scenario, s_end=5.0, samples=21):
 def write_checkpoint(path, state, dt_hint):
     from .io import write_snapshot
 
-    write_snapshot(path, state.phi, footer=(state.t, dt_hint))
+    write_snapshot(path, ScalarField(state.chart, state.phi), footer=(state.t, dt_hint))
 
 
 def read_checkpoint(path, scenario):
@@ -487,10 +465,4 @@ def read_checkpoint(path, scenario):
 
     phi, footer = read_snapshot(path, chart=scenario.chart, want_footer=True)
     t, _ = footer
-    pd_vals, G = scenario.rhs(phi.values, t)
-    return FlowState(
-        t,
-        phi,
-        ScalarField(scenario.chart, pd_vals),
-        HermitianMatrixField(scenario.chart, G),
-    )
+    return scenario.state_at(t, phi.values)

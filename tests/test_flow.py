@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -10,10 +12,13 @@ from crflab.errors import (
 from crflab.geometry import (
     HermitianMatrixField,
     ScalarField,
+    TorusChart,
+    VolumeField,
     i_ddbar,
     metric_volume,
 )
 from crflab.flow import (
+    FlowScenario,
     FlowState,
     StepControl,
     equivalence_check,
@@ -74,6 +79,13 @@ class TestScenarioConstruction:
         with pytest.raises(PositivityUnreachable):
             scenario_from_metric(n1_metric, 5.0, f_T0=f_bad)
 
+    def test_reference_family_checked_at_horizon(self, chart1):
+        # g0 + t chi = 1 - t is positive at t = 0 and indefinite at T0 = 2
+        g0 = HermitianMatrixField.constant(chart1, np.array([[1.0]]))
+        chi = HermitianMatrixField.constant(chart1, np.array([[-1.0]]))
+        with pytest.raises(PositivityUnreachable):
+            FlowScenario(g0, 2.0, chi, VolumeField(chart1, 1.0))
+
 
 class TestStepping:
     def test_flat_scenario_is_stationary(self, chart2):
@@ -82,7 +94,7 @@ class TestStepping:
         state = FlowState.initial(sc)
         for _ in range(3):
             state = step(state, sc)
-        assert np.max(np.abs(state.phi.values)) <= 1e-14
+        assert np.max(np.abs(state.phi)) <= 1e-14
 
     def test_rk4_reversibility_order(self, chart1, n1_metric):
         sc = scenario_from_metric(n1_metric, 50.0)
@@ -99,8 +111,8 @@ class TestStepping:
 
         from crflab.flow import _rk4
 
-        back = _rk4(Reversed(sc).rhs, forward.phi.values, state.t, 1e-3)
-        assert np.max(np.abs(back - state.phi.values)) <= 1e-3 ** 5
+        back = _rk4(Reversed(sc).rhs, forward.phi, state.t, 1e-3)
+        assert np.max(np.abs(back - state.phi)) <= 1e-3 ** 5
 
     def test_area_conserved_per_unit_time(self, chart1, n1_metric):
         sc = scenario_from_metric(n1_metric, 50.0)
@@ -112,8 +124,8 @@ class TestStepping:
     def test_exactness_of_potential_decomposition(self, chart1, n1_metric):
         sc = scenario_from_metric(n1_metric, 50.0)
         _, state = run(sc, 0.5)
-        diff = state.omega.values - sc.reference_metric(state.t)
-        assert np.max(np.abs(state.phi.chart.mean(diff))) <= 1e-13
+        diff = state.omega - sc.reference_metric(state.t)
+        assert np.max(np.abs(state.chart.mean(diff))) <= 1e-13
 
     def test_step_underflow(self, chart1, n1_metric):
         from crflab.errors import StepUnderflow
@@ -134,9 +146,7 @@ class TestStepping:
             chart1, g0.values + chart1.complex_hessian(phi_vals)
         )
         assert 0 < np.min(omega.values[..., 0, 0].real) < 1e-2
-        state = FlowState(
-            0.0, ScalarField(chart1, phi_vals), ScalarField.zeros(chart1), omega
-        )
+        state = sc.state_at(0.0, phi_vals)
         with pytest.raises(PositivityLost):
             step(state, sc)
 
@@ -146,6 +156,27 @@ class TestStepping:
         x = chart1.axis_coordinates(0)
         with pytest.raises(PositivityLost):
             sc.rhs(-8.0 * np.cos(x) * np.ones(chart1.shape), 0.0)
+
+    def test_interior_stage_guard_beyond_n2(self):
+        chart3 = TorusChart(3, 8, active_axes=(0,))
+        g0 = HermitianMatrixField.identity(chart3)
+        chi = HermitianMatrixField.constant(chart3, np.zeros((3, 3)))
+        sc = FlowScenario(g0, 1.0, chi, VolumeField(chart3, 1.0))
+        phi = np.zeros(chart3.shape)
+        assert np.all(sc.rhs(phi, 0.0)[0] == 0.0)
+        # det > 0 and tr > 0, yet two eigenvalues are negative
+        bad = np.diag([-1.0, -1.0, 5.0]).astype(complex)
+        sc.reference_metric = lambda t: np.broadcast_to(bad, chart3.shape + (3, 3))
+        with pytest.raises(PositivityLost):
+            sc.rhs(phi, 0.0)
+
+    def test_non_finite_potential_loses_positivity(self, chart1, n1_metric):
+        sc = scenario_from_metric(n1_metric, 50.0)
+        state = FlowState.initial(sc)
+        phi = state.phi.copy()
+        phi[3] = np.nan
+        with pytest.raises(PositivityLost):
+            step(dataclasses.replace(state, phi=phi), sc)
 
 
 class TestRun:
@@ -157,8 +188,8 @@ class TestRun:
         minus = step(state, sc, dt_max=dt)
         center = step(minus, sc, dt_max=dt)
         plus = step(center, sc, dt_max=dt)
-        fd = (plus.omega.values - minus.omega.values) / (plus.t - minus.t)
-        ric = chern_ricci(center.omega).values
+        fd = (plus.omega - minus.omega) / (plus.t - minus.t)
+        ric = chern_ricci(HermitianMatrixField(center.chart, center.omega)).values
         assert np.max(np.abs(fd + ric)) <= 1e-6
 
     def test_monitors_monotone(self, chart1, n1_metric):
@@ -170,6 +201,26 @@ class TestRun:
         assert np.min(np.diff(q0)) >= -1e-8
         drift = record.column("phi_sup") - sc.monitor_A * record.column("t")
         assert np.max(np.diff(drift)) <= 1e-8
+
+    def test_n3_monitors_monotone(self):
+        from crflab.models import random_metric_recipe
+
+        chart3 = TorusChart(3, 8, active_axes=(0, 2, 4))
+        rng = np.random.default_rng(3)
+        g0 = random_metric_recipe(rng, 3, scale=0.1, peaked=False).build(chart3)
+        sc = scenario_from_metric(g0, 10.0)
+        record, state = run(sc, 1.0)
+        assert state.t >= 1.0 - 1e-9
+        assert np.max(np.diff(record.column("q1_max"))) <= 1e-8
+        assert np.min(np.diff(record.column("q0_min"))) >= -1e-8
+
+    def test_dt_column_is_time_difference(self, chart1, n1_metric):
+        sc = scenario_from_metric(n1_metric, 50.0)
+        plain, _ = run(sc, 0.3)
+        normalized, _, _ = run_normalized(sc, 0.3, target_form=n1_metric)
+        for record in (plain, normalized):
+            t = record.column("t")
+            assert np.array_equal(record.column("dt"), np.diff(t, prepend=t[0]))
 
     def test_horizon_validation(self, chart1, n1_metric):
         sc = scenario_from_metric(n1_metric, 2.0)
@@ -189,12 +240,7 @@ class TestRun:
         sc = scenario_from_metric(g0, 10.0, control=StepControl(eps_pd=1e-2))
         x = chart1.axis_coordinates(0)
         phi_vals = -3.97 * np.cos(x) * np.ones(chart1.shape)
-        omega = HermitianMatrixField(
-            chart1, g0.values + chart1.complex_hessian(phi_vals)
-        )
-        state = FlowState(
-            0.0, ScalarField(chart1, phi_vals), ScalarField.zeros(chart1), omega
-        )
+        state = sc.state_at(0.0, phi_vals)
         with pytest.raises(PositivityLost) as info:
             run(sc, 1.0, state=state)
         assert info.value.last_state is not None
@@ -207,8 +253,8 @@ class TestRun:
         write_checkpoint(path, state, dt_hint=1e-3)
         loaded = read_checkpoint(path, sc)
         assert abs(loaded.t - state.t) <= 1e-15
-        assert np.max(np.abs(loaded.phi.values - state.phi.values)) <= 1e-15
-        assert np.max(np.abs(loaded.omega.values - state.omega.values)) <= 1e-13
+        assert np.max(np.abs(loaded.phi - state.phi)) <= 1e-15
+        assert np.max(np.abs(loaded.omega - state.omega)) <= 1e-13
 
 
 class TestNormalized:
@@ -252,4 +298,5 @@ class TestTrajectoryRecord:
     def test_volume_matches_direct_integral(self, chart1, n1_metric):
         sc = scenario_from_metric(n1_metric, 50.0)
         record, state = run(sc, 0.1)
-        assert abs(record.column("volume")[-1] - metric_volume(state.omega)) <= 1e-12
+        omega = HermitianMatrixField(state.chart, state.omega)
+        assert abs(record.column("volume")[-1] - metric_volume(omega)) <= 1e-12
