@@ -128,11 +128,10 @@ def _solve_gill_flow(problem, tol, max_steps):
     while steps < max_steps:
         state = step(state, scenario)
         steps += 1
-        if steps % 25 == 0:
-            pd = state.phidot
-            osc = float(pd.max() - pd.min())
-            if osc <= 0.5 * tol:
-                break
+        pd = state.phidot
+        osc = float(pd.max() - pd.min())
+        if osc <= 0.5 * tol:
+            break
     else:
         raise NonConvergence(
             f"gill-flow oscillation {osc:.3e} after {steps} steps (tol {tol:.1e})"
@@ -149,9 +148,7 @@ def _solve_gill_flow(problem, tol, max_steps):
 
 def _flat_inverse_factory(chart, Gbar):
     """Spectral inverse of the constant-coefficient Laplacian tr(Gbar^-1 H)."""
-    Gib = np.linalg.inv(Gbar)
-    mult = chart.ddbar_multipliers()  # [i, j, grid]
-    sym = np.einsum("ji,ij...->...", Gib, mult).real
+    sym = chart.laplacian_symbol(np.linalg.inv(Gbar))
     sym = np.where(sym == 0.0, 1.0, sym)
 
     def apply(rhs):

@@ -13,20 +13,33 @@ with i ddbar log Omega0 = chi. The normalized variant integrates
 whose metric solves d_t omega = -Ric(omega) - omega; the two runs are
 related by omega_norm(t) = omega(s)/(s+1) at t = log(s+1).
 
-Stepping is explicit fourth-order Runge-Kutta with a diffusion-limited
-adaptive step: dt <= safety * 2.7 / max_nodes( lambda_max(g^{-1}) *
-sum_active k_max^2 / 4 + d ), the stability interval of the classical scheme
-on the negative real axis against the largest symbol of the complex
-Laplacian, where d is the coefficient of the -phi term (0 or 1).
+Stepping is exponential time differencing (Cox-Matthews ETDRK4) in Fourier
+space over the active axes. The right side splits as L phi + N(phi, t) with
+the diagonal operator L = (1/lambda_min) sum_i d_i d_ibar - d, where
+lambda_min is omega's smallest eigenvalue at the step start and d the
+coefficient of the -phi term (0 or 1). Since omega^{-1} <= 1/lambda_min, L
+dominates the linearization tr(omega^{-1} ddbar) - d at every node, so the
+stiff diffusion is integrated exactly and N keeps only the dominated rest:
+no diffusion CFL limit binds dt. The phi-function coefficients are evaluated
+elementwise on the grid, by recurrence for |z| >= 1 and by Taylor series
+below, where the recurrence cancels. Every stage goes through the guarded
+right side, so an interior stage that loses positivity raises.
+
+dt is error-controlled and no step is rejected: the embedded order-2
+exponential trapezoid, fed by the right side the new state evaluates anyway,
+gives err, and the next step is dt * min(2, safety * (tol/err)^(1/3)). The
+first step of a run takes safety * 2.7 / max|L|, where classical RK4 would
+be stable on L; `_rk4` stays as the reference the tests compare against.
 Positivity of omega is asserted after every accepted step; dropping below
 the eigenvalue floor signals the approach to the maximal existence time.
 
-`step` alone picks dt, runs RK4 and checks the floor; one loop drives it for
-`run`, `run_normalized` and `equivalence_check`, landing on t_end and on
+`step` alone picks dt, runs ETDRK4 and checks the floor; one loop drives it
+for `run`, `run_normalized` and `equivalence_check`, landing on t_end and on
 sample times and writing one monitor row per state, whose ``dt`` is
 t_k - t_{k-1}. A `FlowState` holds raw arrays (phi, d_t phi, omega), the
-chart and omega's eigenvalue bounds, computed once per state; fields are
-validated only where data enters or leaves the engine.
+chart, omega's eigenvalue bounds, computed once per state, and the
+controller's next step; fields are validated only where data enters or
+leaves the engine.
 """
 
 import math
@@ -54,7 +67,14 @@ from .geometry import (
 )
 from .tensors import _check_closed, chern_ricci
 
+# stability interval of classical RK4 on the negative real axis
 _RK4_STABILITY = 2.7
+# error tolerance of the step-size controller: sup-norm distance between the
+# ETDRK4 update and the order-2 exponential trapezoid over one step
+_STEP_TOL = 1e-6
+# Taylor coefficients 1/(j + 3)! of phi_3 at |z| < 1; the remainder is below
+# 1/20!, under 1e-17 relative to phi_3 >= 0.11 there
+_PHI3_TAYLOR = tuple(1.0 / math.factorial(j + 3) for j in range(17))
 
 
 @dataclass
@@ -120,7 +140,7 @@ class FlowScenario:
     control : StepControl.
     """
 
-    # coefficient of the -phi term on the right side; it adds to the CFL rate
+    # coefficient of the -phi term on the right side; the stiff operator L carries it
     phi_decay = 0.0
 
     def __init__(
@@ -163,10 +183,8 @@ class FlowScenario:
             val = herm_logdet(self.reference_metric(ts))
             a = max(a, float(np.max(val - self._log_density)))
         self.monitor_A = a + 0.1
-        self._ksum = sum(
-            ((chart.resolution[ax] // 2 - 1) * 2.0 * np.pi / chart.periods[ax]) ** 2
-            for ax in chart.active_axes
-        )
+        # Fourier symbol of sum_i d_i d_ibar, the flat part of the stiff operator
+        self._laplacian = chart.laplacian_symbol(np.eye(chart.n))
 
     def reference_metric(self, t):
         return self.g0.values + t * self.chi.values
@@ -197,7 +215,8 @@ class FlowScenario:
 @dataclass
 class FlowState:
     """phi, d_t phi and omega as raw arrays on ``chart``, with omega's
-    smallest and largest eigenvalue over all nodes."""
+    smallest and largest eigenvalue over all nodes, and the step size the
+    controller proposes from here (None before the first step)."""
 
     t: float
     phi: np.ndarray
@@ -206,6 +225,7 @@ class FlowState:
     chart: TorusChart
     eig_min: float
     eig_max: float
+    dt_next: float | None = None
 
     @staticmethod
     def initial(scenario):
@@ -259,24 +279,114 @@ def _rk4(rhs, phi, t, dt):
     return phi + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
+def _phi_functions(z):
+    """phi_1, phi_2, phi_3 of real z <= 0, elementwise, stacked on axis 0.
+
+    phi_k(z) = sum_j z^j / (j + k)! and phi_{k+1} = (phi_k - 1/k!) / z. For
+    |z| >= 1 that recurrence, started from phi_1 = expm1(z)/z, divides by
+    |z| >= 1 and loses no digits; below that it cancels, so there phi_3 is
+    summed as a Taylor series and phi_2, phi_1 follow from
+    phi_k = z phi_{k+1} + 1/k!, which multiplies by |z| < 1.
+    """
+    out = np.empty((3,) + z.shape)
+    small = np.abs(z) < 1.0
+    big = ~small
+    zb = z[big]
+    p = np.expm1(zb) / zb
+    for k in range(3):
+        out[k][big] = p
+        p = (p - 1.0 / math.factorial(k + 1)) / zb
+    zs = z[small]
+    p = np.zeros_like(zs)
+    for coef in _PHI3_TAYLOR[::-1]:
+        p = p * zs + coef
+    for k in (3, 2, 1):
+        out[k - 1][small] = p
+        p = p * zs + 1.0 / math.factorial(k - 1)
+    return out
+
+
+def _etdrk4(rhs, phi, t, dt, chart, symbol):
+    """One Cox-Matthews ETDRK4 step of d_t phi = L phi + N(phi, t).
+
+    L is diagonal in Fourier space over the active axes with the real
+    ``symbol`` (on the grid, even in the wavevector), and N = rhs - L phi.
+    Every stage goes through ``rhs``. Returns phi at t + dt and a function
+    that maps the right side there to the order-2 exponential trapezoid
+    e^{hL} phi + h (phi_1 - phi_2)(hL) N(phi, t) + h phi_2(hL) N(new, t + h),
+    the embedded solution of the error estimate.
+    """
+    axes = chart.active_axes
+
+    def fft(v):
+        return np.fft.fftn(v, axes=axes)
+
+    def ifft(spec):
+        return np.fft.ifftn(spec, axes=axes).real
+
+    def nonlinear(spec, s):
+        return fft(rhs(ifft(spec), s)[0]) - symbol * spec
+
+    z = dt * symbol
+    e, e2 = np.exp(z), np.exp(0.5 * z)
+    q = 0.5 * dt * _phi_functions(0.5 * z)[0]
+    p1, p2, p3 = dt * _phi_functions(z)
+    t2 = t + 0.5 * dt
+
+    u = fft(phi)
+    nu = fft(rhs(phi, t)[0]) - symbol * u
+    a = e2 * u + q * nu
+    na = nonlinear(a, t2)
+    b = e2 * u + q * na
+    nb = nonlinear(b, t2)
+    c = e2 * a + q * (2.0 * nb - nu)
+    nc = nonlinear(c, t + dt)
+    new = (
+        e * u
+        + (p1 - 3.0 * p2 + 4.0 * p3) * nu
+        + 2.0 * (p2 - 2.0 * p3) * (na + nb)
+        + (4.0 * p3 - p2) * nc
+    )
+
+    def trapezoid(rhs_new):
+        n_new = fft(rhs_new) - symbol * new
+        return ifft(e * u + (p1 - p2) * nu + p2 * n_new)
+
+    return ifft(new), trapezoid
+
+
 def step(state, scenario, dt_max=None):
-    """One accepted explicit step; returns the new FlowState."""
+    """One accepted ETDRK4 step; returns the new FlowState.
+
+    The stiff operator L = (1/lambda_min) sum_i d_i d_ibar - phi_decay is
+    refrozen from the state's smallest eigenvalue, so it dominates the
+    linearization tr(omega^-1 ddbar) - phi_decay at every node. With no
+    error estimate yet, the first step of a run takes safety * 2.7 / max|L|,
+    where classical RK4 would be stable on L; each step then proposes the
+    next, never rejecting one: dt * min(2, safety * (tol/err)^(1/3)), err
+    being the sup-norm gap to the embedded order-2 solution. A step
+    shortened by ``dt_max`` proposes no more than it was given.
+    """
     if not state.eig_min > 0.0:
         raise PositivityLost("metric not positive at step start", t=state.t)
-    rate = 0.25 * scenario._ksum / state.eig_min + scenario.phi_decay
-    dt = scenario.control.safety * _RK4_STABILITY / rate
-    if dt_max is not None:
-        dt = min(dt, dt_max)
-    if dt < scenario.control.dt_min:
+    control = scenario.control
+    symbol = scenario._laplacian / state.eig_min - scenario.phi_decay
+    wanted = state.dt_next or control.safety * _RK4_STABILITY / -symbol.min()
+    dt = wanted if dt_max is None else min(wanted, dt_max)
+    if dt < control.dt_min:
         raise StepUnderflow(f"dt = {dt:.3e} underflow at t = {state.t:.6g}")
     t_new = state.t + dt
-    new = scenario.state_at(t_new, _rk4(scenario.rhs, state.phi, state.t, dt))
-    if not new.eig_min >= scenario.control.eps_pd:
+    phi, trapezoid = _etdrk4(scenario.rhs, state.phi, state.t, dt, scenario.chart, symbol)
+    new = scenario.state_at(t_new, phi)
+    if not new.eig_min >= control.eps_pd:
         raise PositivityLost(
             f"metric eigenvalue {new.eig_min:.3e} below floor at t = {t_new:.6g}",
             t=t_new,
             last_state=state,
         )
+    err = max(float(np.max(np.abs(phi - trapezoid(new.phidot)))), 1e-300)
+    cap = 2.0 * dt if dt == wanted else wanted
+    new.dt_next = min(cap, dt * control.safety * (_STEP_TOL / err) ** (1.0 / 3.0))
     return new
 
 

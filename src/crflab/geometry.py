@@ -165,6 +165,11 @@ class TorusChart:
             self._ddbar_mult = mult
         return self._ddbar_mult
 
+    def laplacian_symbol(self, A):
+        """Real Fourier symbol, on the grid, of the constant-coefficient
+        operator sum_ij A_ji d_i d_jbar for a Hermitian n x n matrix A."""
+        return np.einsum("ji,ij...->...", A, self.ddbar_multipliers()).real
+
     def complex_hessian(self, values):
         """Matrix of second Wirtinger derivatives d_i d_jbar of a real field.
 

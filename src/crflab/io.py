@@ -74,17 +74,26 @@ def write_snapshot(path, field, footer=None):
 def read_snapshot(path, chart=None, want_footer=False):
     with open(path, "rb") as fh:
         raw = fh.read()
-    magic, version, kind, n, naxes, flags = struct.unpack_from("<4sHHHHI", raw, 0)
+
+    def unpack(fmt, off):
+        try:
+            return struct.unpack_from(fmt, raw, off)
+        except struct.error:
+            raise ValueError(
+                f"{path}: snapshot truncated at {len(raw)} bytes"
+            ) from None
+
+    magic, version, kind, n, naxes, flags = unpack("<4sHHHHI", 0)
     if magic != _MAGIC:
         raise ValueError(f"{path}: not a field snapshot")
     if version != _VERSION:
         raise ValueError(f"{path}: unsupported snapshot version {version}")
     off = 16
-    resolution = struct.unpack_from(f"<{naxes}I", raw, off)
+    resolution = unpack(f"<{naxes}I", off)
     off += 4 * naxes
-    periods = struct.unpack_from(f"<{naxes}d", raw, off)
+    periods = unpack(f"<{naxes}d", off)
     off += 8 * naxes
-    (mask,) = struct.unpack_from("<I", raw, off)
+    (mask,) = unpack("<I", off)
     off += 4
     active = tuple(a for a in range(naxes) if mask & (1 << a))
     file_chart = TorusChart(n, resolution, periods, active)
@@ -107,7 +116,7 @@ def read_snapshot(path, chart=None, want_footer=False):
     if want_footer:
         if not flags & 1:
             raise ValueError(f"{path}: snapshot has no footer")
-        footer = struct.unpack_from("<dd", raw, off)
+        footer = unpack("<dd", off)
         return field, footer
     return field
 

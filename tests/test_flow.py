@@ -179,6 +179,87 @@ class TestStepping:
             step(dataclasses.replace(state, phi=phi), sc)
 
 
+class TestExponentialStepper:
+    """ETDRK4 against the classical RK4 reference."""
+
+    @staticmethod
+    def _rk4_reference(sc, t_end, dt=1e-3):
+        from crflab.flow import _rk4
+
+        phi = FlowState.initial(sc).phi
+        for k in range(int(round(t_end / dt))):
+            phi = _rk4(sc.rhs, phi, k * dt, dt)
+        return phi
+
+    @staticmethod
+    def _fixed_steps(sc, dt, t_end):
+        state = FlowState.initial(sc)
+        for _ in range(int(round(t_end / dt))):
+            state = step(dataclasses.replace(state, dt_next=dt), sc)
+        return state
+
+    def test_phi_functions_on_both_branches(self):
+        import math
+
+        from crflab.flow import _phi_functions
+
+        z = np.array([0.0, -1e-9, -1e-4, -0.5, -1.0 + 1e-12, -1.0, -1.7, -40.0])
+        got = _phi_functions(z)
+        for k in (1, 2, 3):
+            for zi, value in zip(z, got[k - 1]):
+                if zi > -2.0:  # the series, summed far past rounding
+                    exact = math.fsum(zi ** j / math.factorial(j + k) for j in range(40))
+                else:  # the closed form, free of cancellation here
+                    head = sum(zi ** j / math.factorial(j) for j in range(k))
+                    exact = (math.exp(zi) - head) / zi ** k
+                assert abs(value - exact) <= 1e-15 * abs(exact)
+
+    def test_agrees_with_rk4_at_small_dt(self, n2_metric):
+        from crflab.flow import _etdrk4, _rk4
+
+        sc = scenario_from_metric(n2_metric, 50.0)
+        state = step(FlowState.initial(sc), sc)
+        symbol = sc._laplacian / state.eig_min
+        etd, _ = _etdrk4(sc.rhs, state.phi, state.t, 1e-3, sc.chart, symbol)
+        rk4 = _rk4(sc.rhs, state.phi, state.t, 1e-3)
+        assert np.max(np.abs(etd - rk4)) <= 1e-14
+
+    def test_embedded_estimate_is_third_order_per_step(self, n2_metric):
+        # the controller's exponent 1/3 assumes the gap to the order-2
+        # exponential trapezoid shrinks like dt^3 over one step
+        from crflab.flow import _etdrk4
+
+        sc = scenario_from_metric(n2_metric, 50.0)
+        state = FlowState.initial(sc)
+        symbol = sc._laplacian / state.eig_min
+        gaps = []
+        for dt in (0.1, 0.05, 0.025):
+            phi, trapezoid = _etdrk4(sc.rhs, state.phi, 0.0, dt, sc.chart, symbol)
+            gaps.append(np.max(np.abs(phi - trapezoid(sc.rhs(phi, dt)[0]))))
+        assert all(coarse >= 6.0 * fine for coarse, fine in zip(gaps, gaps[1:]))
+
+    @pytest.mark.parametrize("metric", ["n1_metric", "n2_metric"])
+    def test_fourth_order_in_dt(self, request, metric):
+        sc = scenario_from_metric(request.getfixturevalue(metric), 50.0)
+        reference = self._rk4_reference(sc, 0.2)
+        errors = [
+            np.max(np.abs(self._fixed_steps(sc, dt, 0.2).phi - reference))
+            for dt in (0.2, 0.1, 0.05, 0.025)
+        ]
+        assert all(coarse >= 12.0 * fine for coarse, fine in zip(errors, errors[1:]))
+
+    def test_step_far_beyond_rk4_stability(self, n2_metric):
+        from crflab.flow import _RK4_STABILITY
+
+        sc = scenario_from_metric(n2_metric, 50.0)
+        state = FlowState.initial(sc)
+        rate = -np.min(sc._laplacian) / state.eig_min
+        assert 0.2 >= 45.0 * sc.control.safety * _RK4_STABILITY / rate
+        new = self._fixed_steps(sc, 0.2, 0.2)
+        assert new.eig_min >= sc.control.eps_pd
+        assert np.max(np.abs(new.phi - self._rk4_reference(sc, 0.2))) <= 1e-6
+
+
 class TestRun:
     def test_gauge_consistency_fd_in_time(self, chart1, n1_metric):
         # evolving phi then forming omega agrees with evolving omega by -Ric

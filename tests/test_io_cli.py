@@ -292,17 +292,35 @@ class TestCli:
         capsys.readouterr()
 
     def test_positivity_lost_exits_3(self, tmp_path, capsys):
-        # the flow cannot lose positivity on these charts when stepped
-        # stably, so the numerical-failure path is exercised by pushing
-        # the step size far past the explicit stability limit
+        # the exponential stepper keeps these charts positive at any step
+        # size, so the numerical-failure path is reached by resuming from a
+        # metric whose smallest eigenvalue (5.0e-3) is below the floor
         scen = _write(
             tmp_path,
             "s.cfg",
             FLOW_N1.replace(
                 "monitors { tolerance = 1e-7  patience = 5 }",
-                "control { safety = 40.0 }",
+                "control { eps_pd = 1e-2 }",
             ),
         )
-        rc = main(["run-flow", "--scenario", scen, "--out", str(tmp_path / "f")])
+        chart = TorusChart(1, 64, active_axes=(0,))
+        phi = 4.38 * np.cos(chart.axis_coordinates(0)) * np.ones(chart.shape)
+        snap = str(tmp_path / "low.snap")
+        write_snapshot(snap, ScalarField(chart, phi), footer=(0.0, 1e-3))
+        rc = main(["run-flow", "--scenario", scen, "--out", str(tmp_path / "f"),
+                   "--resume", snap])
         assert rc == 3
-        capsys.readouterr()
+        assert "below floor" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("cut", [8, 20, 40, -4])
+    def test_truncated_checkpoint_exits_2(self, tmp_path, capsys, cut):
+        scen = _write(tmp_path, "s.cfg", FLOW_N1)
+        chart = TorusChart(1, 64, active_axes=(0,))
+        snap = str(tmp_path / "ckpt.snap")
+        write_snapshot(snap, ScalarField.zeros(chart), footer=(0.0, 1e-3))
+        raw = open(snap, "rb").read()
+        open(snap, "wb").write(raw[:cut])
+        rc = main(["run-flow", "--scenario", scen, "--out", str(tmp_path / "t"),
+                   "--resume", snap])
+        assert rc == 2
+        assert snap in capsys.readouterr().err
