@@ -6,8 +6,9 @@ any heavy compute; identical manifests reproduce identical CSV bytes
 (seeded generators, fixed float formatting, fixed iteration order).
 
 Exit codes: 0 success, 2 validation error, 3 numerical failure,
-64 usage error. ``CRFLAB_THREADS`` caps library thread pools (applied
-before the numerical modules are imported).
+64 usage error. Thread pools follow the standard variables
+(``OMP_NUM_THREADS``, ``OPENBLAS_NUM_THREADS``), which must be set before
+the process starts.
 """
 
 import argparse
@@ -24,15 +25,6 @@ class _UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise _UsageError(message)
-
-
-def _apply_thread_cap():
-    cap = os.environ.get("CRFLAB_THREADS")
-    if not cap:
-        return
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
-                "NUMEXPR_NUM_THREADS"):
-        os.environ.setdefault(var, cap)
 
 
 # -- config -> objects ------------------------------------------------------------
@@ -203,11 +195,12 @@ def _cmd_run_flow(args):
     def callback(st, record):
         steps = len(record.rows) - 1
         if args.checkpoint_every and steps % args.checkpoint_every == 0:
-            write_checkpoint(ckpt_path, st, record.rows[-1][1])
+            write_checkpoint(ckpt_path, st, st.dt_next)
 
     record, state = run(scenario, t_end, state=state, callback=callback)
     record.to_csv(os.path.join(args.out, "trajectory.csv"))
-    write_checkpoint(ckpt_path, state, record.rows[-1][1])
+    # the controller's next step, so a resumed run continues with it
+    write_checkpoint(ckpt_path, state, state.dt_next or record.rows[-1][1])
     ric = ricci_sup_norm(HermitianMatrixField(state.chart, state.omega))
     print(f"t_end = {state.t:.6g}  steps = {len(record.rows) - 1}  "
           f"ricci_sup = {ric:.3e}")
@@ -467,7 +460,6 @@ def _build_parser():
 
 
 def main(argv=None):
-    _apply_thread_cap()
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

@@ -13,7 +13,9 @@ to stationarity (phi drifts linearly with slope b; the spatial oscillation
 of d_t phi bounds the residual), or by damped Newton on (phi, b) with the
 linearized operator Delta' (the complex Laplacian of the updated metric)
 applied matrix-free and inverted by a flat-Laplacian-preconditioned
-BiCGStab iteration on the mean-zero subspace.
+BiCGStab iteration on the mean-zero subspace. Both come from `geometry`:
+the preconditioner is `TorusChart.laplacian_inverse`, and `herm_logdet`
+rejects every trial metric that is not positive definite, also at det > 0.
 
 `certify_estimates` measures the oscillation bound and the second-order
 statistic C(A) = sup tr_g g' e^{-A(phi - inf phi)}, re-solving on a
@@ -33,8 +35,8 @@ from .geometry import (
     herm_det,
     herm_inv,
     herm_logdet,
-    min_eigenvalue,
     refine_field,
+    require_positive,
 )
 
 
@@ -46,8 +48,7 @@ class EllipticProblem:
 
     def __post_init__(self):
         self.omega.chart.require_same(self.F.chart)
-        if min_eigenvalue(self.omega) <= 0.0:
-            raise NotPositiveDefinite("background metric must be positive")
+        require_positive(self.omega, what="background metric")
         if self.normalization not in ("mean", "sup"):
             raise ValueError("normalization must be 'mean' or 'sup'")
 
@@ -91,13 +92,9 @@ def _normalize(problem, phi_values):
 
 
 def _residual_field(problem, phi_values, b):
-    chart = problem.chart
     G = problem.omega.values
-    Gp = G + chart.complex_hessian(phi_values)
-    det = herm_det(Gp)
-    if det.min() <= 0.0:
-        raise NotPositiveDefinite("updated metric lost positivity")
-    return np.log(det) - herm_logdet(G) - problem.F.values - b, Gp
+    Gp = G + problem.chart.complex_hessian(phi_values)
+    return herm_logdet(Gp) - herm_logdet(G) - problem.F.values - b, Gp
 
 
 def solve_elliptic(problem, method="newton-continuation", tol=None, max_steps=None):
@@ -144,20 +141,6 @@ def _solve_gill_flow(problem, tol, max_steps):
         problem, ScalarField(chart, phi), b, res, "gill-flow", steps,
         extras={"t_end": state.t},
     )
-
-
-def _flat_inverse_factory(chart, Gbar):
-    """Spectral inverse of the constant-coefficient Laplacian tr(Gbar^-1 H)."""
-    sym = chart.laplacian_symbol(np.linalg.inv(Gbar))
-    sym = np.where(sym == 0.0, 1.0, sym)
-
-    def apply(rhs):
-        spec = np.fft.fftn(rhs, axes=chart.active_axes) / sym
-        idx = (0,) * chart.naxes
-        spec[idx] = 0.0
-        return np.fft.ifftn(spec, axes=chart.active_axes).real
-
-    return apply
 
 
 def _bicgstab(op, rhs, precond, tol, max_iter=400):
@@ -220,8 +203,8 @@ def _solve_newton(problem, tol, max_steps):
 
         proj = lambda v: v - v.mean()
         rhs = -proj(res_field)
-        Gbar = chart.mean(Gp)
-        precond = _flat_inverse_factory(chart, Gbar)
+        # the flat Laplacian tr(Gbar^-1 H) of the mean metric
+        precond = chart.laplacian_inverse(np.linalg.inv(chart.mean(Gp)))
         lin_tol = max(1e-12, min(1e-2, 0.05 * res))
         dphi, _ = _bicgstab(lambda v: proj(lap(proj(v))), rhs, precond, lin_tol)
         dphi = proj(dphi)

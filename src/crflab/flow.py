@@ -63,7 +63,7 @@ from .geometry import (
     herm_eig_bounds,
     herm_logdet,
     i_ddbar,
-    min_eigenvalue,
+    require_positive,
 )
 from .tensors import _check_closed, chern_ricci
 
@@ -82,6 +82,12 @@ class StepControl:
     safety: float = 0.8
     eps_pd: float = 1e-8
     dt_min: float = 1e-12
+
+    def __post_init__(self):
+        for name in ("safety", "eps_pd", "dt_min"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0.0):
+                raise ValueError(f"control {name} = {value!r} must be positive and finite")
 
 
 TRAJECTORY_COLUMNS = (
@@ -195,15 +201,11 @@ class FlowScenario:
 
     def _log_volume_ratio(self, phi, t):
         G = self.reference_metric(t) + self.chart.complex_hessian(phi)
-        det = herm_det(G)
-        if G.shape[-1] <= 2:
-            # det > 0 and tr > 0 force every eigenvalue positive only for n <= 2
-            positive = det.min() > 0.0 and np.einsum("...ii->...", G).real.min() > 0.0
-        else:
-            positive = np.isfinite(det).all() and herm_eig_bounds(G)[0] > 0.0
-        if not positive:  # NaN fails as well
-            raise PositivityLost("interior stage lost positivity", t=t)
-        return np.log(det) - self._log_density, G
+        try:
+            logdet = herm_logdet(G)
+        except NotPositiveDefinite:
+            raise PositivityLost("interior stage lost positivity", t=t) from None
+        return logdet - self._log_density, G
 
     def state_at(self, t, phi):
         """The FlowState of potential values ``phi`` at time ``t``."""
@@ -254,7 +256,7 @@ def scenario_from_metric(g0, T0, f_T0=None, **kwargs):
     if f_T0 is None:
         target = T0 * ric0.values
         trace = np.einsum("...ii->...", target).real
-        f_vals = chart.solve_flat_poisson(4.0 * trace)
+        f_vals = chart.laplacian_inverse(np.eye(chart.n))(trace)
         f_T0 = ScalarField(chart, f_vals)
     else:
         chart.require_same(f_T0.chart)
@@ -316,13 +318,8 @@ def _etdrk4(rhs, phi, t, dt, chart, symbol):
     e^{hL} phi + h (phi_1 - phi_2)(hL) N(phi, t) + h phi_2(hL) N(new, t + h),
     the embedded solution of the error estimate.
     """
-    axes = chart.active_axes
-
-    def fft(v):
-        return np.fft.fftn(v, axes=axes)
-
-    def ifft(spec):
-        return np.fft.ifftn(spec, axes=axes).real
+    fft = chart.fft
+    ifft = lambda spec: chart.ifft(spec).real
 
     def nonlinear(spec, s):
         return fft(rhs(ifft(spec), s)[0]) - symbol * spec
@@ -505,8 +502,7 @@ class NormalizedScenario(FlowScenario):
                     "target_form to run the degenerate normalized flow"
                 )
             self.chart.require_same(target_form.chart)
-            if min_eigenvalue(target_form) <= 0.0:
-                raise NotPositiveDefinite("target_form must be positive definite")
+            require_positive(target_form, what="target_form")
             self.target_note = "degenerate reference; user target form recorded"
         else:
             self.target_note = "positive limiting reference"
@@ -571,8 +567,18 @@ def write_checkpoint(path, state, dt_hint):
 
 
 def read_checkpoint(path, scenario):
+    """The stored state, continuing with the footer's step; raises
+    PositivityLost below the eigenvalue floor."""
     from .io import read_snapshot
 
     phi, footer = read_snapshot(path, chart=scenario.chart, want_footer=True)
-    t, _ = footer
-    return scenario.state_at(t, phi.values)
+    t, dt = footer
+    state = scenario.state_at(t, phi.values)
+    if not state.eig_min >= scenario.control.eps_pd:
+        raise PositivityLost(
+            f"checkpoint metric eigenvalue {state.eig_min:.3e} below floor at t = {t:.6g}",
+            t=t,
+        )
+    if math.isfinite(dt) and dt > 0.0:
+        state.dt_next = dt
+    return state

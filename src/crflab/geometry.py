@@ -16,6 +16,9 @@ mode is zeroed in every derivative factor so that discrete derivatives
 commute exactly and second-order operators equal the composition of
 first-order ones; all generated test data keeps the top third of the
 spectrum empty, where this convention is invisible.
+
+This is the one module that transforms (on numpy, the only backend) and
+decides positivity: `herm_logdet` is the test that runs before every log det.
 """
 
 import math
@@ -120,7 +123,15 @@ class TorusChart:
         shape[axis] = m
         return k.reshape(shape)
 
-    # -- differentiation ---------------------------------------------------
+    # -- transforms and differentiation ---------------------------------------
+
+    def fft(self, values):
+        """Discrete Fourier transform over the active axes."""
+        return np.fft.fftn(values, axes=self.active_axes)
+
+    def ifft(self, spec):
+        """Inverse of `fft`, complex-valued."""
+        return np.fft.ifftn(spec, axes=self.active_axes)
 
     def deriv(self, values, axis, order=1):
         """Fourier derivative of ``values`` along one real axis.
@@ -170,19 +181,34 @@ class TorusChart:
         operator sum_ij A_ji d_i d_jbar for a Hermitian n x n matrix A."""
         return np.einsum("ji,ij...->...", A, self.ddbar_multipliers()).real
 
+    def laplacian_inverse(self, A):
+        """The inverse of sum_ij A_ji d_i d_jbar (A positive Hermitian) as a
+        function; it zeroes the modes the symbol annihilates, the mean and
+        those whose every wavenumber is zero or Nyquist."""
+        sym = self.laplacian_symbol(A)
+        kernel = sym == 0.0
+        sym = np.where(kernel, 1.0, sym)
+
+        def apply(rhs):
+            spec = self.fft(rhs) / sym
+            spec[kernel] = 0.0
+            return self.ifft(spec).real
+
+        return apply
+
     def complex_hessian(self, values):
         """Matrix of second Wirtinger derivatives d_i d_jbar of a real field.
 
         Returns an array of shape ``(*grid, n, n)``; it is Hermitian to
         rounding and each component has exactly zero grid mean.
         """
-        spec = np.fft.fftn(np.asarray(values), axes=self.active_axes)
+        spec = self.fft(np.asarray(values))
         mult = self.ddbar_multipliers()
         out = np.empty(self.shape + (self.n, self.n), dtype=complex)
         for i in range(self.n):
-            out[..., i, i] = np.fft.ifftn(mult[i, i] * spec, axes=self.active_axes).real
+            out[..., i, i] = self.ifft(mult[i, i] * spec).real
             for j in range(i + 1, self.n):
-                hij = np.fft.ifftn(mult[i, j] * spec, axes=self.active_axes)
+                hij = self.ifft(mult[i, j] * spec)
                 out[..., i, j] = hij
                 out[..., j, i] = np.conj(hij)
         return out
@@ -195,30 +221,12 @@ class TorusChart:
         field that only enters through derivatives; stripping them picks
         the canonical band-limited representative.
         """
-        spec = np.fft.fftn(np.asarray(values, dtype=float), axes=self.active_axes)
+        spec = self.fft(np.asarray(values, dtype=float))
         for a in self.active_axes:
             sel = [slice(None)] * spec.ndim
             sel[a] = self.shape[a] // 2
             spec[tuple(sel)] = 0.0
-        return np.fft.ifftn(spec, axes=self.active_axes).real
-
-    def solve_flat_poisson(self, rhs):
-        """Mean-zero solution of (sum of active second derivatives) u = rhs.
-
-        Standard-Laplacian inversion in Fourier space; the rhs mean is
-        projected out.
-        """
-        rhs = np.asarray(rhs, dtype=float)
-        spec = np.fft.fftn(rhs, axes=self.active_axes)
-        sym = np.zeros(self.shape)
-        for a in self.active_axes:
-            sym = sym - np.broadcast_to(self._k[a] ** 2, self.shape)
-        sym = sym.copy()
-        zero = sym == 0.0
-        sym[zero] = 1.0
-        spec = spec / sym
-        spec[zero] = 0.0
-        return np.fft.ifftn(spec, axes=self.active_axes).real
+        return self.ifft(spec).real
 
     # -- reductions ----------------------------------------------------------
 
@@ -282,8 +290,15 @@ def herm_eig_bounds(values):
 
 
 def herm_logdet(values):
+    """log det of a Hermitian matrix field; raises NotPositiveDefinite unless
+    every node is positive definite (NaN fails)."""
     det = herm_det(values)
-    if det.min() <= 0.0:
+    if values.shape[-1] <= 2:
+        # det > 0 and tr > 0 force every eigenvalue positive only for n <= 2
+        positive = det.min() > 0.0 and np.einsum("...ii->...", values).real.min() > 0.0
+    else:
+        positive = np.isfinite(det).all() and herm_eig_bounds(values)[0] > 0.0
+    if not positive:
         raise NotPositiveDefinite("log det of a non-positive matrix field")
     return np.log(det)
 
@@ -409,7 +424,7 @@ def metric_volume(g):
 def spectral_energy_report(field):
     """Fraction of non-mean spectral energy in the top third per active axis."""
     chart = field.chart
-    spec = np.fft.fftn(field.values, axes=chart.active_axes)
+    spec = chart.fft(field.values)
     power = np.abs(spec) ** 2
     power[(0,) * chart.naxes] = 0.0
     total = power.sum()
@@ -435,7 +450,7 @@ def refine_chart(chart, factor=2):
 
 
 def _refine_values(chart, fine, values):
-    spec = np.fft.fftn(values, axes=chart.active_axes)
+    spec = chart.fft(values)
     for a in chart.active_axes:
         m = chart.shape[a]
         mf = fine.shape[a]
@@ -458,7 +473,7 @@ def _refine_values(chart, fine, values):
         padded[tuple(top)] = 0.5 * spec[tuple(ny)]
         spec = padded
     scale = fine.grid_count / chart.grid_count
-    out = np.fft.ifftn(spec * scale, axes=fine.active_axes)
+    out = fine.ifft(spec * scale)
     if np.isrealobj(values):
         return out.real
     return out

@@ -16,7 +16,7 @@ quotient-manifold PDE discretization is involved.
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import roots_legendre
+from numpy.polynomial.legendre import leggauss
 
 from .errors import NotPositiveDefinite, UnsupportedIntegrand
 from .geometry import (
@@ -24,7 +24,7 @@ from .geometry import (
     ScalarField,
     herm_inv,
     i_ddbar,
-    min_eigenvalue,
+    require_positive,
 )
 
 
@@ -634,7 +634,7 @@ def integrate_hopf(alpha_modulus, integrand, order=32):
     R = float(alpha_modulus)
     if R < 1.0:
         R = 1.0 / R
-    xs, ws = roots_legendre(order)
+    xs, ws = leggauss(order)
 
     u = 0.5 * np.log(R) * (xs + 1.0)
     wu = ws * 0.5 * np.log(R)
@@ -756,9 +756,7 @@ class TorusMetricRecipe:
                     values[..., p.i, p.j] += wave
                     values[..., p.j, p.i] += wave
             g = HermitianMatrixField(chart, values)
-        low = min_eigenvalue(g)
-        if low <= 0.0:
-            raise NotPositiveDefinite(f"recipe metric has min eigenvalue {low:.3e}")
+        require_positive(g, what="recipe metric")
         return g
 
 

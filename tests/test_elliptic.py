@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from crflab.errors import NonConvergence
+from crflab.errors import NonConvergence, NotPositiveDefinite
 from crflab.elliptic import (
     EllipticProblem,
+    _residual_field,
     certify_estimates,
     solve_elliptic,
 )
@@ -144,6 +145,17 @@ class TestSolve:
         prob, _ = manufactured_problem(chart1, np.array([[1.2]]), 11, 0.2)
         with pytest.raises(NonConvergence):
             solve_elliptic(prob, "gill-flow", max_steps=10)
+
+    def test_residual_rejects_negative_definite_metric(self, chart2):
+        # diag(-1, -1) has det = 1 > 0; the line search must see it fail
+        problem = EllipticProblem(
+            HermitianMatrixField.identity(chart2), ScalarField.zeros(chart2)
+        )
+        vals = problem.omega.values.copy()
+        vals[3, 0, 5, 0] = -np.eye(2)
+        problem.omega = HermitianMatrixField(chart2, vals)
+        with pytest.raises(NotPositiveDefinite):
+            _residual_field(problem, np.zeros(chart2.shape), 0.0)
 
     def test_unknown_method_rejected(self, chart1):
         prob, _ = manufactured_problem(chart1, np.array([[1.2]]), 12, 0.1)

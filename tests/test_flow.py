@@ -1,4 +1,5 @@
 import dataclasses
+import os
 
 import numpy as np
 import pytest
@@ -32,6 +33,8 @@ from crflab.flow import (
 from crflab.tensors import chern_ricci, closedness_residual
 
 from conftest import bandlimited_scalar
+
+CONFIGS = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "configs")
 
 
 @pytest.fixture
@@ -336,6 +339,26 @@ class TestRun:
         assert abs(loaded.t - state.t) <= 1e-15
         assert np.max(np.abs(loaded.phi - state.phi)) <= 1e-15
         assert np.max(np.abs(loaded.omega - state.omega)) <= 1e-13
+
+    def test_resume_matches_uninterrupted_run(self, tmp_path):
+        # the checkpoint carries the controller's next step, so a resumed
+        # run takes the same steps as one that never stopped
+        from crflab.cli import _scenario_from_config
+        from crflab.io import load_config
+
+        cfg = load_config(os.path.join(CONFIGS, "flow_n1.cfg"))["scenario"]
+        sc, _ = _scenario_from_config(cfg, 0)
+        path = str(tmp_path / "step20.snap")
+
+        def callback(st, record):
+            if len(record.rows) - 1 == 20:
+                write_checkpoint(path, st, st.dt_next)
+
+        full, end = run(sc, 60.0, callback=callback)
+        assert len(full.rows) - 1 > 20
+        tail, resumed = run(sc, 60.0, state=read_checkpoint(path, sc))
+        assert np.array_equal(resumed.phi, end.phi)
+        assert tail.rows[1:] == full.rows[21:]
 
 
 class TestNormalized:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from crflab.errors import ChartMismatch
+from crflab.errors import ChartMismatch, NotPositiveDefinite
 from crflab.geometry import (
     HermitianMatrixField,
     HopfSampleSet,
@@ -10,6 +10,7 @@ from crflab.geometry import (
     eigenvalue_range,
     herm_det,
     herm_inv,
+    herm_logdet,
     i_ddbar,
     min_eigenvalue,
     refine_field,
@@ -213,6 +214,61 @@ class TestFieldInvariants:
         assert lo > 0
         assert np.all(det <= hi * hi + 1e-12)
         assert np.all(det >= lo * lo - 1e-12)
+
+
+def _field_with_node(matrix, nodes=5, bad=2):
+    """Identity at every node but ``bad``, which holds ``matrix``."""
+    n = len(matrix)
+    vals = np.broadcast_to(np.eye(n, dtype=complex), (nodes, n, n)).copy()
+    vals[bad] = matrix
+    return vals
+
+
+class TestHermLogdet:
+    @pytest.mark.parametrize(
+        "matrix",
+        [[[-1.0]], np.diag([-1.0, -1.0]), np.diag([-1.0, -1.0, 5.0])],
+        ids=["n1", "n2", "n3"],
+    )
+    def test_rejects_non_positive_node(self, matrix):
+        # diag(-1, -1) and diag(-1, -1, 5) have det > 0
+        with pytest.raises(NotPositiveDefinite):
+            herm_logdet(_field_with_node(np.asarray(matrix)))
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_rejects_nan_node(self, n):
+        matrix = np.eye(n, dtype=complex)
+        matrix[0, 0] = np.nan
+        with pytest.raises(NotPositiveDefinite):
+            herm_logdet(_field_with_node(matrix))
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_log_det_of_positive_field(self, n):
+        rng = np.random.default_rng(n)
+        a = rng.normal(size=(6, n, n)) + 1j * rng.normal(size=(6, n, n))
+        vals = np.einsum("...ab,...cb->...ac", a, np.conj(a)) + np.eye(n)
+        expected = np.log(np.linalg.det(vals).real)
+        assert np.max(np.abs(herm_logdet(vals) - expected)) <= 1e-13
+
+
+class TestLaplacianInverse:
+    @pytest.mark.parametrize(
+        "chart, A",
+        [
+            (TorusChart(1, 32), np.array([[1.3]])),
+            (TorusChart(2, 32, active_axes=(0, 2)), np.array([[1.2, 0.1], [0.1, 0.8]])),
+            (TorusChart(2, 16), np.array([[1.2, 0.3 + 0.2j], [0.3 - 0.2j, 0.9]])),
+        ],
+        ids=["n1", "n2_axes_0_2", "n2_full"],
+    )
+    def test_undoes_the_operator(self, chart, A):
+        u = bandlimited_scalar(chart, 4, modes=3).values
+        u = u - u.mean()
+        f = np.einsum("ji,...ij->...", A, chart.complex_hessian(u)).real
+        v = chart.laplacian_inverse(A)(f)
+        assert np.max(np.abs(v - u)) <= 1e-12
+        assert abs(v.mean()) <= 1e-12
 
 
 class TestRefine:

@@ -312,6 +312,22 @@ class TestCli:
         assert rc == 3
         assert "below floor" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "control", ["safety = 0", "safety = -1", "safety = nan", "eps_pd = -1"]
+    )
+    def test_invalid_step_control_exits_2(self, tmp_path, capsys, control):
+        scen = _write(
+            tmp_path,
+            "s.cfg",
+            FLOW_N1.replace(
+                "monitors { tolerance = 1e-7  patience = 5 }",
+                f"control {{ {control} }}",
+            ),
+        )
+        rc = main(["run-flow", "--scenario", scen, "--out", str(tmp_path / "c")])
+        assert rc == 2
+        assert "invalid input" in capsys.readouterr().err
+
     @pytest.mark.parametrize("cut", [8, 20, 40, -4])
     def test_truncated_checkpoint_exits_2(self, tmp_path, capsys, cut):
         scen = _write(tmp_path, "s.cfg", FLOW_N1)
