@@ -17,9 +17,12 @@ BiCGStab iteration on the mean-zero subspace. Both come from `geometry`:
 the preconditioner is `TorusChart.laplacian_inverse`, and `herm_logdet`
 rejects every trial metric that is not positive definite, also at det > 0.
 
+Both start from phi = 0 unless given a start phi0 (Newton also takes b0).
+
 `certify_estimates` measures the oscillation bound and the second-order
 statistic C(A) = sup tr_g g' e^{-A(phi - inf phi)}, re-solving on a
-Fourier-refined grid to test stability under grid doubling.
+Fourier-refined grid to test stability under grid doubling. The re-solve
+starts from the refined coarse solution and iterates to its own tolerance.
 """
 
 from dataclasses import dataclass, field
@@ -97,29 +100,50 @@ def _residual_field(problem, phi_values, b):
     return herm_logdet(Gp) - herm_logdet(G) - problem.F.values - b, Gp
 
 
-def solve_elliptic(problem, method="newton-continuation", tol=None, max_steps=None):
+def solve_elliptic(
+    problem, method="newton-continuation", tol=None, max_steps=None, phi0=None, b0=None
+):
     """Solve the elliptic equation; returns an EllipticSolution.
 
     tol defaults to 1e-8 for n = 1 charts and 1e-6 otherwise (max-norm of
-    the equation residual after fixing b).
+    the equation residual after fixing b) and must be finite and positive.
+    ``phi0`` (values on the problem's chart, default 0) is the start of both
+    methods; ``b0`` (default -mean F) is Newton's starting constant. A start
+    only shortens the path: the solve still iterates to its own tol.
     """
     if tol is None:
         tol = 1e-8 if problem.chart.n == 1 else 1e-6
+    tol = float(tol)
+    if not (np.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"tolerance must be finite and positive, got {tol!r}")
+    if phi0 is None:
+        phi0 = np.zeros(problem.chart.shape)
+    else:
+        phi0 = np.asarray(phi0, dtype=float)
+        if phi0.shape != problem.chart.shape:
+            raise ValueError(
+                f"phi0 has shape {phi0.shape}, the chart {problem.chart.shape}"
+            )
+        if not np.isfinite(phi0).all():
+            raise ValueError("phi0 has non-finite values")
+    b0 = -float(problem.F.values.mean()) if b0 is None else float(b0)
+    if not np.isfinite(b0):
+        raise ValueError(f"b0 must be finite, got {b0!r}")
     if method == "gill-flow":
-        return _solve_gill_flow(problem, tol, max_steps or 2_000_000)
+        return _solve_gill_flow(problem, tol, max_steps or 2_000_000, phi0)
     if method == "newton-continuation":
-        return _solve_newton(problem, tol, max_steps or 40)
+        return _solve_newton(problem, tol, max_steps or 40, phi0, b0)
     raise ValueError(f"unknown method {method!r}")
 
 
-def _solve_gill_flow(problem, tol, max_steps):
+def _solve_gill_flow(problem, tol, max_steps, phi0):
     chart = problem.chart
     density = VolumeField(
         chart, herm_det(problem.omega.values) * np.exp(problem.F.values)
     )
     chi = HermitianMatrixField(chart, np.zeros(chart.shape + (chart.n, chart.n)))
     scenario = FlowScenario(problem.omega, 1e12, chi, density)
-    state = FlowState.initial(scenario)
+    state = FlowState.initial(scenario, phi0)
     osc = np.inf
     steps = 0
     while steps < max_steps:
@@ -187,10 +211,8 @@ def _bicgstab(op, rhs, precond, tol, max_iter=400):
     return x, float(np.max(np.abs(r))) / norm0
 
 
-def _solve_newton(problem, tol, max_steps):
+def _solve_newton(problem, tol, max_steps, phi, b):
     chart = problem.chart
-    phi = np.zeros(chart.shape)
-    b = -float(problem.F.values.mean())
     res_field, Gp = _residual_field(problem, phi, b)
     res = float(np.max(np.abs(res_field)))
     iterations = 0
@@ -205,7 +227,9 @@ def _solve_newton(problem, tol, max_steps):
         rhs = -proj(res_field)
         # the flat Laplacian tr(Gbar^-1 H) of the mean metric
         precond = chart.laplacian_inverse(np.linalg.inv(chart.mean(Gp)))
-        lin_tol = max(1e-12, min(1e-2, 0.05 * res))
+        # forcing term: tighter as res falls, but no tighter than the
+        # accuracy that brings the next residual to tol (Eisenstat-Walker)
+        lin_tol = max(1e-12, 0.5 * tol / res, min(1e-2, 0.05 * res))
         dphi, _ = _bicgstab(lambda v: proj(lap(proj(v))), rhs, precond, lin_tol)
         dphi = proj(dphi)
         db = float((res_field + lap(dphi)).mean())
@@ -257,8 +281,11 @@ def certify_estimates(solution, A_grid, method=None, tol=None):
     """Oscillation and trace-growth statistics with a grid-doubling check.
 
     For each A reports C(A) = sup_M tr_g g' exp(-A (phi - inf phi)) on the
-    solution's grid and on a Fourier-doubled grid (re-solved), and the
-    smallest A whose C(A) is stable within 10 percent under the doubling.
+    solution's grid and on a Fourier-doubled grid, and the smallest A whose
+    C(A) is stable within 10 percent under the doubling. The doubled problem
+    is re-solved starting from the Fourier-refined solution (nested
+    iteration); that solve still iterates until its own residual is <= tol,
+    so a start that is not yet converged on the fine grid takes more steps.
     """
     problem = solution.problem
     method = method or solution.method
@@ -276,7 +303,10 @@ def certify_estimates(solution, A_grid, method=None, tol=None):
 
     osc, C1 = stats(solution)
     fine_problem = problem.refined()
-    fine_solution = solve_elliptic(fine_problem, method=method, tol=tol)
+    fine_solution = solve_elliptic(
+        fine_problem, method=method, tol=tol,
+        phi0=refine_field(solution.phi).values, b0=solution.b,
+    )
     _, C2 = stats(fine_solution)
 
     ratios = tuple(abs(c2 - c1) / max(abs(c1), 1e-300) for c1, c2 in zip(C1, C2))

@@ -230,9 +230,11 @@ class FlowState:
     dt_next: float | None = None
 
     @staticmethod
-    def initial(scenario):
-        """The state at t = 0 with phi = 0."""
-        state = scenario.state_at(0.0, np.zeros(scenario.chart.shape))
+    def initial(scenario, phi=None):
+        """The state at t = 0 with potential ``phi`` (default 0)."""
+        if phi is None:
+            phi = np.zeros(scenario.chart.shape)
+        state = scenario.state_at(0.0, phi)
         if not state.eig_min >= scenario.control.eps_pd:
             raise NotPositiveDefinite(f"initial metric eigenvalue {state.eig_min:.3e}")
         return state

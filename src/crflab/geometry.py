@@ -273,7 +273,8 @@ def herm_inv(values):
 
 
 def herm_eig_bounds(values):
-    """(min, max) eigenvalue over all nodes of a Hermitian matrix field."""
+    """(min, max) eigenvalue over all nodes of a Hermitian matrix field;
+    NaN propagates, so ``not lo > 0`` rejects a field with a NaN entry."""
     n = values.shape[-1]
     if n == 1:
         d = values[..., 0, 0].real
@@ -285,6 +286,9 @@ def herm_eig_bounds(values):
         s = 0.5 * (a + d)
         r = np.sqrt(0.25 * (a - d) ** 2 + b.real ** 2 + b.imag ** 2)
         return float((s - r).min()), float((s + r).max())
+    if not np.isfinite(values).all():
+        # LAPACK returns arbitrary finite eigenvalues for non-finite input
+        return math.nan, math.nan
     w = np.linalg.eigvalsh(values)
     return float(w[..., 0].min()), float(w[..., -1].max())
 

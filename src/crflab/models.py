@@ -22,6 +22,7 @@ from .errors import NotPositiveDefinite, UnsupportedIntegrand
 from .geometry import (
     HermitianMatrixField,
     ScalarField,
+    herm_eig_bounds,
     herm_inv,
     i_ddbar,
     require_positive,
@@ -540,8 +541,8 @@ def verify_hopf_trace_chain(sample, t, potential=None):
     ghat = _explicit_form(points, t)
     H = potential.d2(points)
     G = ghat + H
-    lo = np.linalg.eigvalsh(G)[..., 0].min()
-    if lo <= 0.0:
+    lo = herm_eig_bounds(G)[0]
+    if not lo > 0.0:
         raise NotPositiveDefinite(f"omega has min eigenvalue {lo:.3e}")
     Gi = herm_inv(G)
 

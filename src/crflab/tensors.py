@@ -140,7 +140,6 @@ def connection_torsion_curvature(g):
 
 def chern_ricci(g):
     """Ricci form of the Chern connection, -d dbar log det g."""
-    require_positive(g)
     logdet = herm_logdet(g.values)
     return HermitianMatrixField(g.chart, -g.chart.complex_hessian(logdet))
 

@@ -11,9 +11,12 @@ from crflab.elliptic import (
 from crflab.geometry import (
     HermitianMatrixField,
     ScalarField,
+    TorusChart,
     herm_det,
     min_eigenvalue,
+    refine_field,
 )
+from crflab.models import Perturbation, ScalarRecipe, TorusMetricRecipe
 
 from conftest import bandlimited_scalar
 
@@ -189,3 +192,131 @@ class TestEstimates:
         assert rep.stable_A is not None
         idx = grid.index(rep.stable_A)
         assert rep.stability_ratio[idx] <= 0.10
+
+
+def wave_problem(resolution):
+    """The non-Kahler n = 2 recipe of the newton_n2 benchmark workload."""
+    chart = TorusChart(2, resolution, active_axes=(0, 2))
+    omega = TorusMetricRecipe(np.eye(2), [
+        Perturbation(0, 0, 0.12, (0, 0, 1, 0), 0.3),
+        Perturbation(1, 1, 0.12, (1, 0, 0, 0), 2.2),
+        Perturbation(0, 1, 0.048, (1, 0, 1, 0), 4.1),
+        Perturbation(0, 0, 0.06, (2, 0, 0, 0), 5.0),
+    ]).build(chart)
+    F = ScalarRecipe([
+        Perturbation(0, 0, 1.0, (1, 0, 0, 0), 1.3),
+        Perturbation(0, 0, 0.8, (0, 0, 1, 0), 3.6),
+        Perturbation(0, 0, 0.5, (1, 0, 2, 0), 0.9),
+    ]).build(chart)
+    return EllipticProblem(omega, F)
+
+
+def peaked_problem(resolution):
+    """Metric and right side with peaked humps: not band-limited."""
+    chart = TorusChart(2, resolution, active_axes=(0, 2))
+    omega = TorusMetricRecipe(np.eye(2), [
+        Perturbation(0, 0, 0.1, (0, 0, 1, 0), 0.3),
+        Perturbation(1, 1, 0.08, (1, 0, 0, 0), 0.7, profile="peaked", sharpness=1.5),
+    ]).build(chart)
+    F = ScalarRecipe([
+        Perturbation(0, 0, 0.4, (1, 0, 0, 0), 1.3, profile="peaked", sharpness=1.5),
+        Perturbation(0, 0, 0.2, (0, 0, 1, 0), 3.6),
+    ]).build(chart)
+    return EllipticProblem(omega, F)
+
+
+def gill_problem():
+    chart = TorusChart(1, 32, active_axes=(0,))
+    omega = TorusMetricRecipe(np.eye(1), [Perturbation(0, 0, 0.1, (1, 0))]).build(chart)
+    F = ScalarRecipe([
+        Perturbation(0, 0, 0.3, (1, 0), 0.7),
+        Perturbation(0, 0, 0.2, (2, 0), 1.9),
+    ]).build(chart)
+    return EllipticProblem(omega, F)
+
+
+def record_solves(monkeypatch, cold=False):
+    """Record (started warm, solution) for every solve certify_estimates makes;
+    with ``cold`` the start it passes is dropped."""
+    import crflab.elliptic as elliptic
+
+    calls = []
+    solve = elliptic.solve_elliptic
+
+    def recorded(problem, *args, phi0=None, b0=None, **kwargs):
+        if cold:
+            phi0 = b0 = None
+        solution = solve(problem, *args, phi0=phi0, b0=b0, **kwargs)
+        calls.append((phi0 is not None, solution))
+        return solution
+
+    monkeypatch.setattr(elliptic, "solve_elliptic", recorded)
+    return calls
+
+
+class TestWarmStart:
+    @pytest.mark.parametrize("make", [wave_problem, peaked_problem])
+    def test_refined_start_matches_cold_resolve(self, make):
+        coarse = make(32)
+        sol = solve_elliptic(coarse)
+        fine = coarse.refined()
+        warm = solve_elliptic(
+            fine, tol=1e-9, phi0=refine_field(sol.phi).values, b0=sol.b
+        )
+        cold = solve_elliptic(fine, tol=1e-9)
+        assert warm.iterations < cold.iterations
+        assert np.max(np.abs(warm.phi.values - cold.phi.values)) <= 1e-9
+        assert abs(warm.b - cold.b) <= 1e-9
+
+    def test_certify_matches_cold_path(self, monkeypatch):
+        sol = solve_elliptic(wave_problem(32), tol=1e-6)
+        grid = (0.0, 0.5, 1.0, 2.0, 4.0)
+        calls = record_solves(monkeypatch)
+        warm = certify_estimates(sol, grid, tol=1e-10)
+        monkeypatch.undo()
+        record_solves(monkeypatch, cold=True)
+        cold = certify_estimates(sol, grid, tol=1e-10)
+        assert calls[0][0]
+        assert warm.stable_A == cold.stable_A
+        assert np.allclose(warm.C_fine, cold.C_fine, rtol=1e-9, atol=0.0)
+        assert np.allclose(warm.stability_ratio, cold.stability_ratio, rtol=0.0, atol=1e-9)
+
+    def test_unconverged_start_still_iterates(self, monkeypatch):
+        # the fine residual, not the start, decides when the re-solve stops
+        loose = solve_elliptic(wave_problem(32), tol=1e-3)
+        calls = record_solves(monkeypatch)
+        certify_estimates(loose, (0.0, 1.0), tol=1e-8)
+        warm, fine = calls[0]
+        assert warm
+        assert fine.iterations >= 1
+        assert fine.residual <= 1e-8
+
+    def test_gill_flow_certify_matches_cold(self, monkeypatch):
+        tol = 1e-8
+        sol = solve_elliptic(gill_problem(), "gill-flow", tol=tol)
+        grid = (0.0, 1.0, 2.0)
+        calls = record_solves(monkeypatch)
+        warm_rep = certify_estimates(sol, grid)
+        monkeypatch.undo()
+        cold_calls = record_solves(monkeypatch, cold=True)
+        cold_rep = certify_estimates(sol, grid)
+        (started_warm, warm), (_, cold) = calls[0], cold_calls[0]
+        assert started_warm and warm.method == cold.method == "gill-flow"
+        assert warm.iterations < cold.iterations
+        assert np.max(np.abs(warm.phi.values - cold.phi.values)) <= tol
+        assert abs(warm.b - cold.b) <= tol
+        assert np.allclose(warm_rep.C_fine, cold_rep.C_fine, rtol=tol, atol=0.0)
+
+    @pytest.mark.parametrize("method", ["newton-continuation", "gill-flow"])
+    @pytest.mark.parametrize(
+        "start",
+        [
+            {"phi0": np.zeros((32, 1))},
+            {"phi0": np.full((32, 1, 32, 1), np.nan)},
+            {"phi0": np.zeros((32, 1, 32, 1)), "b0": np.inf},
+        ],
+        ids=["wrong-shape", "nan-phi0", "inf-b0"],
+    )
+    def test_invalid_start_rejected(self, method, start):
+        with pytest.raises(ValueError):
+            solve_elliptic(wave_problem(32), method, **start)

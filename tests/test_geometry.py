@@ -9,6 +9,7 @@ from crflab.geometry import (
     TorusChart,
     eigenvalue_range,
     herm_det,
+    herm_eig_bounds,
     herm_inv,
     herm_logdet,
     i_ddbar,
@@ -167,6 +168,14 @@ class TestMinEigenvalue:
         c = TorusChart(3, 8, active_axes=(0,))
         g = HermitianMatrixField.constant(c, np.diag([3.0, 1.0, 0.25]))
         assert abs(min_eigenvalue(g) - 0.25) <= 1e-12
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_nan_propagates(self, n):
+        # eigvalsh alone returns finite eigenvalues for a NaN node
+        vals = np.broadcast_to(2.0 * np.eye(n), (4, n, n)).astype(complex).copy()
+        vals[1, 0, 0] = np.nan
+        lo, hi = herm_eig_bounds(vals)
+        assert np.isnan(lo) and np.isnan(hi)
 
     def test_unitary_conjugation_invariance(self, chart2):
         rng = np.random.default_rng(11)

@@ -267,6 +267,14 @@ class TestCli:
         assert os.path.exists(os.path.join(out, "phi.snap"))
         capsys.readouterr()
 
+    @pytest.mark.parametrize("tolerance", ["nan", "inf", "0", "-1"])
+    def test_solve_ma_invalid_tolerance_exits_2(self, tmp_path, capsys, tolerance):
+        scen = _write(tmp_path, "e.cfg", ELLIPTIC)
+        rc = main(["solve-ma", "--scenario", scen, "--out", str(tmp_path / "ma"),
+                   "--tolerance", tolerance, "--a-grid", "0", "1"])
+        assert rc == 2
+        assert "tolerance must be finite and positive" in capsys.readouterr().err
+
     def test_plot_and_errors(self, tmp_path, capsys):
         scen = _write(tmp_path, "s.cfg", FLOW_N1)
         out = str(tmp_path / "p")

@@ -212,6 +212,18 @@ class TestTraceChain:
         with pytest.raises(NotPositiveDefinite):
             verify_hopf_trace_chain(sample2, 0.2, RadiusSquared(-5.0))
 
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_nan_metric_rejected(self, sample2, sample3, n):
+        class NanHessian(ZeroPotential):
+            def d2(self, points):
+                out = super().d2(points)
+                out[0, 0, 0] = np.nan
+                return out
+
+        sample = sample2 if n == 2 else sample3
+        with pytest.raises(NotPositiveDefinite):
+            verify_hopf_trace_chain(sample, 0.2, NanHessian())
+
 
 class TestQuadrature:
     def test_volume_closed_form(self):

@@ -65,6 +65,11 @@ class TestChernRicci:
         with pytest.raises(NotPositiveDefinite):
             chern_ricci(HermitianMatrixField.constant(chart2, np.diag([1.0, -1.0])))
 
+    def test_rejects_negative_definite_metric(self, chart2):
+        # det = 1 > 0: herm_logdet's trace test is what rejects it
+        with pytest.raises(NotPositiveDefinite):
+            chern_ricci(HermitianMatrixField.constant(chart2, np.diag([-1.0, -1.0])))
+
 
 class TestConnectionTorsionCurvature:
     def test_flat_metric_everything_vanishes(self, chart2):
