@@ -28,18 +28,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 # -- config -> objects ------------------------------------------------------------
-
-
-def _chart_from_config(cfg):
-    from .geometry import TorusChart
-
-    n = int(cfg["n"])
-    resolution = cfg.get("resolution", 64)
-    periods = cfg.get("periods")
-    active = cfg.get("active_axes")
-    if isinstance(active, (int, float)):
-        active = (int(active),)
-    return TorusChart(n, resolution, periods, active)
+# The sections arrive checked by io.load_config; keys a file leaves out keep
+# the defaults of the constructors they feed.
 
 
 def _preset_chart(name, resolution):
@@ -52,85 +42,47 @@ def _preset_chart(name, resolution):
     raise ValueError(f"unknown chart preset {name!r} (torus1 or torus2)")
 
 
-def _perturbations_from_config(cfg):
-    from .models import Perturbation
+def _load(args, section, command, **manifest):
+    """The checked ``section`` of the scenario file and the seed, after the manifest."""
+    from .io import load_config, write_manifest
 
-    perts = []
-    raw = cfg.get("perturbation", [])
-    if isinstance(raw, dict):
-        raw = [raw]
-    for p in raw:
-        wave = p["wavevector"]
-        if isinstance(wave, (int, float)):
-            wave = (int(wave),)
-        perts.append(
-            Perturbation(
-                int(p.get("i", 0)),
-                int(p.get("j", 0)),
-                float(p["amplitude"]),
-                tuple(int(k) for k in wave),
-                float(p.get("phase", 0.0)),
-                str(p.get("profile", "cos")),
-                float(p.get("sharpness", 1.25)),
-            )
-        )
-    return perts
+    cfg = load_config(args.scenario, section)
+    seed = cfg["seed"] if args.seed is None else args.seed
+    write_manifest(args.out, command, __version__, seed=seed,
+                   scenario_path=args.scenario, **manifest)
+    return cfg, seed
 
 
 def _metric_from_config(cfg, chart, seed):
     import numpy as np
 
-    from .models import TorusMetricRecipe, random_metric_recipe
+    from .models import Perturbation, TorusMetricRecipe, random_metric_recipe
 
-    kind = cfg.get("kind", "explicit")
-    if kind == "random":
+    options = dict(cfg)
+    if options.pop("kind") == "random":
         rng = np.random.default_rng(seed)
-        recipe = random_metric_recipe(
-            rng,
-            chart.n,
-            scale=float(cfg.get("scale", 0.15)),
-            peaked=bool(cfg.get("peaked", True)),
-            kahler=bool(cfg.get("kahler", False)),
-            axes=chart.active_axes,
-        )
-        return recipe.build(chart)
-    base = cfg.get("base")
-    if base is None:
-        base = np.eye(chart.n)
-    else:
-        entries = base if isinstance(base, tuple) else (base,)
-        base = np.array([complex(e) for e in entries]).reshape(chart.n, chart.n)
-    recipe = TorusMetricRecipe(
-        base, _perturbations_from_config(cfg), kahler=bool(cfg.get("kahler", False))
-    )
-    return recipe.build(chart)
-
-
-def _scalar_from_config(cfg, chart):
-    from .models import ScalarRecipe
-
-    return ScalarRecipe(_perturbations_from_config(cfg)).build(chart)
+        return random_metric_recipe(rng, chart.n, axes=chart.active_axes, **options).build(chart)
+    base = options.pop("base", None)
+    base = np.eye(chart.n) if base is None else np.reshape(base, (chart.n, chart.n))
+    perturbations = [Perturbation(**p) for p in options.pop("perturbation", ())]
+    return TorusMetricRecipe(base, perturbations, **options).build(chart)
 
 
 def _scenario_from_config(cfg, seed):
     from .flow import StepControl, scenario_from_metric
+    from .geometry import TorusChart
 
-    chart = _chart_from_config(cfg["chart"])
-    g0 = _metric_from_config(cfg.get("recipe", {}), chart, seed)
-    ctrl_cfg = cfg.get("control", {})
-    control = StepControl(
-        safety=float(ctrl_cfg.get("safety", 0.8)),
-        eps_pd=float(ctrl_cfg.get("eps_pd", 1e-8)),
-    )
-    mon = cfg.get("monitors", {})
-    scenario = scenario_from_metric(
-        g0,
-        float(cfg.get("T0", 100.0)),
-        control=control,
-        convergence_tol=float(mon.get("tolerance", 1e-6)),
-        convergence_patience=int(mon.get("patience", 50)),
-    )
-    return scenario, cfg
+    chart = TorusChart(**cfg["chart"])
+    g0 = _metric_from_config(cfg["recipe"], chart, seed)
+    names = {"tolerance": "convergence_tol", "patience": "convergence_patience"}
+    monitors = {names[key]: value for key, value in cfg["monitors"].items()}
+    control = StepControl(**cfg["control"])
+    return scenario_from_metric(g0, cfg["T0"], control=control, **monitors), cfg
+
+
+def _given(**options):
+    """The options that are set, so the others keep their defaults."""
+    return {key: value for key, value in options.items() if value is not None}
 
 
 # -- subcommands -------------------------------------------------------------------
@@ -178,17 +130,14 @@ def _cmd_verify_identities(args):
 def _cmd_run_flow(args):
     from .flow import read_checkpoint, ricci_sup_norm, run, write_checkpoint
     from .geometry import HermitianMatrixField
-    from .io import load_config, write_manifest
 
-    cfg = load_config(args.scenario)["scenario"]
-    seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
-    write_manifest(args.out, "run-flow", __version__, seed=seed,
-                   scenario_path=args.scenario)
-    scenario, cfg = _scenario_from_config(cfg, seed)
+    scenario, cfg = _scenario_from_config(
+        *_load(args, "scenario", "run-flow", resume_path=args.resume)
+    )
     state = None
     if args.resume:
         state = read_checkpoint(args.resume, scenario)
-    t_end = float(cfg.get("t_end", scenario.T0))
+    t_end = cfg.get("t_end", scenario.T0)
 
     ckpt_path = os.path.join(args.out, "checkpoint.snap")
 
@@ -211,14 +160,9 @@ def _cmd_run_flow(args):
 
 def _cmd_run_normalized(args):
     from .flow import run_normalized
-    from .io import load_config, write_manifest
 
-    cfg = load_config(args.scenario)["scenario"]
-    seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
-    write_manifest(args.out, "run-normalized", __version__, seed=seed,
-                   scenario_path=args.scenario)
-    scenario, cfg = _scenario_from_config(cfg, seed)
-    t_end = float(cfg.get("t_end", 2.0))
+    scenario, cfg = _scenario_from_config(*_load(args, "scenario", "run-normalized"))
+    t_end = cfg.get("t_end", 2.0)
     record, state, _ = run_normalized(scenario, t_end, target_form=scenario.g0)
     record.to_csv(os.path.join(args.out, "trajectory.csv"))
     print(f"t_end = {state.t:.6g}  steps = {len(record.rows) - 1}  "
@@ -294,23 +238,23 @@ def _cmd_hopf_verify(args):
 
 def _cmd_solve_ma(args):
     from .elliptic import EllipticProblem, certify_estimates, solve_elliptic
-    from .io import load_config, write_manifest, write_snapshot
+    from .geometry import TorusChart
+    from .io import write_snapshot
+    from .models import Perturbation, ScalarRecipe
 
-    cfg = load_config(args.scenario)["elliptic"]
-    seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
-    write_manifest(args.out, "solve-ma", __version__, seed=seed,
-                   scenario_path=args.scenario)
-    chart = _chart_from_config(cfg["chart"])
-    omega = _metric_from_config(cfg.get("recipe", {}), chart, seed)
-    F = _scalar_from_config(cfg.get("rhs", {}), chart)
-    problem = EllipticProblem(omega, F, args.normalization or cfg.get("normalization", "mean"))
-    method = args.method or cfg.get("method", "newton-continuation")
-    solution = solve_elliptic(problem, method=method, tol=args.tolerance)
+    cfg, seed = _load(args, "elliptic", "solve-ma")
+    chart = TorusChart(**cfg["chart"])
+    omega = _metric_from_config(cfg["recipe"], chart, seed)
+    F = ScalarRecipe([Perturbation(**p) for p in cfg["rhs"].get("perturbation", ())]).build(chart)
+    normalization = args.normalization or cfg.get("normalization")
+    problem = EllipticProblem(omega, F, **_given(normalization=normalization))
+    method = args.method or cfg.get("method")
+    solution = solve_elliptic(problem, tol=args.tolerance, **_given(method=method))
     write_snapshot(os.path.join(args.out, "phi.snap"), solution.phi)
     print(f"method = {solution.method}  residual = {solution.residual:.3e}  "
           f"b = {solution.b:.12g}")
     if args.a_grid:
-        report = certify_estimates(solution, tuple(args.a_grid))
+        report = certify_estimates(solution, tuple(args.a_grid), tol=args.tolerance)
         print(f"oscillation = {report.oscillation:.6g}")
         for A, c1, c2 in zip(report.A_grid, report.C_coarse, report.C_fine):
             print(f"C({A:g}) = {c1:.6g}  refined = {c2:.6g}")
@@ -320,44 +264,17 @@ def _cmd_solve_ma(args):
 
 def _cmd_max_time(args):
     import json
-    import math
 
     from .io import load_config, write_manifest
-    from .surfaces import (
-        Divisor,
-        SurfaceClassData,
-        SurfaceFlags,
-        classify,
-        maximal_time,
-    )
+    from .surfaces import Divisor, SurfaceClassData, SurfaceFlags, classify, maximal_time
 
-    cfg = load_config(args.data)["surface"]
+    cfg = load_config(args.data, "surface")
     write_manifest(args.out, "max-time", __version__, scenario_path=args.data)
-    flags_cfg = cfg.get("flags")
-    flags = None
-    if flags_cfg:
-        b2 = flags_cfg.get("class_vii_b2")
-        flags = SurfaceFlags(
-            bool(flags_cfg.get("minimal", False)),
-            float(flags_cfg.get("kodaira", -math.inf)),
-            None if b2 in (None, "none") else int(b2),
-            bool(flags_cfg.get("kahler", False)),
-        )
-    raw_div = cfg.get("divisor", [])
-    if isinstance(raw_div, dict):
-        raw_div = [raw_div]
-    divisors = tuple(
-        Divisor(str(d["name"]), int(d["d_self"]), int(d["d_dot_K"]),
-                float(d["omega0_vol"]))
-        for d in raw_div
-    )
+    flags = cfg.get("flags")
     data = SurfaceClassData(
-        str(cfg.get("name", "surface")),
-        float(cfg["vol0"]),
-        float(cfg["pairing"]),
-        float(cfg["c1sq"]),
-        divisors,
-        flags,
+        cfg["name"], cfg["vol0"], cfg["pairing"], cfg["c1sq"],
+        tuple(Divisor(**d) for d in cfg.get("divisor", ())),
+        None if flags is None else SurfaceFlags(**flags),
     )
     result = maximal_time(data)
     report = classify(data, result)

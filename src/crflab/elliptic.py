@@ -59,11 +59,10 @@ class EllipticProblem:
     def chart(self):
         return self.omega.chart
 
-    def refined(self, factor=2):
+    def refined(self):
+        """The problem on the Fourier-doubled grid."""
         return EllipticProblem(
-            refine_field(self.omega, factor),
-            refine_field(self.F, factor),
-            self.normalization,
+            refine_field(self.omega), refine_field(self.F), self.normalization
         )
 
 
@@ -277,7 +276,7 @@ class EstimateReport:
     stability_ratio: tuple
 
 
-def certify_estimates(solution, A_grid, method=None, tol=None):
+def certify_estimates(solution, A_grid, tol=None):
     """Oscillation and trace-growth statistics with a grid-doubling check.
 
     For each A reports C(A) = sup_M tr_g g' exp(-A (phi - inf phi)) on the
@@ -286,9 +285,9 @@ def certify_estimates(solution, A_grid, method=None, tol=None):
     is re-solved starting from the Fourier-refined solution (nested
     iteration); that solve still iterates until its own residual is <= tol,
     so a start that is not yet converged on the fine grid takes more steps.
+    It uses the method that found ``solution``.
     """
     problem = solution.problem
-    method = method or solution.method
 
     def stats(sol):
         chart = sol.problem.chart
@@ -304,7 +303,7 @@ def certify_estimates(solution, A_grid, method=None, tol=None):
     osc, C1 = stats(solution)
     fine_problem = problem.refined()
     fine_solution = solve_elliptic(
-        fine_problem, method=method, tol=tol,
+        fine_problem, method=solution.method, tol=tol,
         phi0=refine_field(solution.phi).values, b0=solution.b,
     )
     _, C2 = stats(fine_solution)

@@ -159,7 +159,6 @@ class FlowScenario:
         control=None,
         convergence_tol=1e-6,
         convergence_patience=50,
-        closedness_tol=1e-10,
     ):
         chart = g0.chart
         chart.require_same(chi.chart)
@@ -174,7 +173,7 @@ class FlowScenario:
         self.convergence_tol = float(convergence_tol)
         self.convergence_patience = int(convergence_patience)
 
-        _check_closed(chart, chi.values, closedness_tol, "chi")
+        _check_closed(chart, chi.values, "chi")
         self._log_density = np.log(omega_density.values)
         # lambda_min(g0 + t chi) is concave in t, so the endpoints decide
         for ts in (0.0, self.T0):

@@ -407,9 +407,9 @@ def eigenvalue_range(field):
     return herm_eig_bounds(field.values)
 
 
-def require_positive(field, floor=0.0, what="metric"):
+def require_positive(field, what="metric"):
     low = min_eigenvalue(field)
-    if low <= floor:
+    if not low > 0.0:
         raise NotPositiveDefinite(f"{what} has min eigenvalue {low:.3e}")
     return low
 

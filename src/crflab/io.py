@@ -25,6 +25,7 @@ deterministic (insertion order, 17 significant digits for floats).
 """
 
 import hashlib
+import math
 import os
 import struct
 
@@ -130,8 +131,6 @@ def _parse_scalar(tok):
         return True
     if low == "false":
         return False
-    if low in ("-inf", "inf"):
-        return float(low)
     for cast in (int, float, complex):
         try:
             return cast(tok)
@@ -204,9 +203,129 @@ def parse_config(text):
     return root
 
 
-def load_config(path):
+def load_config(path, section=None):
+    """The parsed file, or its top-level ``section`` checked by `validate_config`."""
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_config(fh.read())
+        tree = parse_config(fh.read())
+    return tree if section is None else validate_config(tree, section)
+
+
+# -- scenario schema ---------------------------------------------------------------
+
+
+def _rule(noun, ok, convert=lambda v: v):
+    def check(v):
+        if not ok(v):
+            raise ValueError(f"expected {noun}")
+        return convert(v)
+    return check
+
+
+def _finite(v, types=(int, float)):
+    try:
+        return type(v) in types and math.isfinite(v.real) and math.isfinite(v.imag)
+    except OverflowError:  # an integer beyond the float range
+        return False
+
+
+def _one_of(*names):
+    return _rule("one of " + ", ".join(names), lambda v: type(v) is str and v in names)
+
+
+def _tuple_of(check, per_axis=False):
+    # with per_axis a single value, meaning every axis, stays single
+    return lambda v: (tuple(map(check, v)) if type(v) is tuple
+                      else check(v) if per_axis else (check(v),))
+
+
+_INTEGER = _rule("an integer", lambda v: type(v) is int)
+_NUMBER = _rule("a finite number", _finite, float)
+_POSITIVE = _rule("a positive number", lambda v: _finite(v) and v > 0, float)
+_FLAG = _rule("true or false", lambda v: type(v) is bool)
+_NAME = _rule("a name", lambda v: type(v) is str)
+_REQUIRED, _REPEATED = "required", "repeated"
+
+# section -> key -> (check, rule[, kind]). The check is a function or the name of a
+# subsection. The rule is _REQUIRED, _REPEATED (a list when given), None (optional;
+# the constructor fed by the key holds its default) or the default, which for a
+# subsection is itself checked. A third item names the one recipe kind reading the key.
+SCHEMA = {
+    "scenario": {"T0": (_POSITIVE, 100.0), "t_end": (_POSITIVE, None), "seed": (_INTEGER, 0),
+                 "chart": ("chart", _REQUIRED), "recipe": ("recipe", {}),
+                 "control": ("control", {}), "monitors": ("monitors", {})},
+    "chart": {"n": (_INTEGER, _REQUIRED), "resolution": (_tuple_of(_INTEGER, True), 64),
+              "periods": (_tuple_of(_POSITIVE, True), None),
+              "active_axes": (_tuple_of(_INTEGER), None)},
+    "recipe": {"kind": (_one_of("explicit", "random"), "explicit"),  # first: others test it
+               "kahler": (_FLAG, None),
+               "base": (_tuple_of(_rule("a finite number", lambda v: _finite(v, (int, float, complex)),
+                                        complex)), None, "explicit"),
+               "perturbation": ("perturbation", _REPEATED, "explicit"),
+               "scale": (_NUMBER, None, "random"), "peaked": (_FLAG, None, "random")},
+    "perturbation": {"i": (_INTEGER, 0), "j": (_INTEGER, 0), "amplitude": (_NUMBER, _REQUIRED),
+                     "wavevector": (_tuple_of(_INTEGER), _REQUIRED), "phase": (_NUMBER, None),
+                     "profile": (_one_of("cos", "peaked"), None), "sharpness": (_NUMBER, None)},
+    "control": {"safety": (_POSITIVE, None), "eps_pd": (_POSITIVE, None)},
+    "monitors": {"tolerance": (_POSITIVE, None),
+                 "patience": (_rule("a positive integer", lambda v: type(v) is int and v > 0), None)},
+    "elliptic": {"seed": (_INTEGER, 0), "normalization": (_one_of("mean", "sup"), None),
+                 "method": (_one_of("newton-continuation", "gill-flow"), None),
+                 "chart": ("chart", _REQUIRED), "recipe": ("recipe", {}), "rhs": ("rhs", {})},
+    "rhs": {"perturbation": ("perturbation", _REPEATED)},
+    "surface": {"name": (_NAME, "surface"), "vol0": (_NUMBER, _REQUIRED),
+                "pairing": (_NUMBER, _REQUIRED), "c1sq": (_NUMBER, _REQUIRED),
+                "divisor": ("divisor", _REPEATED), "flags": ("flags", None)},
+    "divisor": {"name": (_NAME, _REQUIRED), "d_self": (_INTEGER, _REQUIRED),
+                "d_dot_K": (_INTEGER, _REQUIRED), "omega0_vol": (_NUMBER, _REQUIRED)},
+    # -inf is the literal spelling of negative Kodaira dimension
+    "flags": {"minimal": (_FLAG, False), "kahler": (_FLAG, None),
+              "kodaira": (_rule("-inf, 0, 1 or 2", lambda v: type(v) in (int, float)
+                                and v in (-math.inf, 0, 1, 2), float), -math.inf),
+              "class_vii_b2": (_rule("an integer or none", lambda v: type(v) is int or v == "none",
+                                     lambda v: None if v == "none" else v), None)},
+}
+
+
+def validate_config(tree, section):
+    """The top-level ``section`` of a parsed config checked against SCHEMA, with its
+    defaults filled in; ValueError names the key path of any entry it refuses."""
+    return _validate(tree, {section: (section, _REQUIRED)}, "")[section]
+
+
+def _validate(mapping, table, path):
+    if type(mapping) is not dict:
+        raise ValueError(f"{path}: expected a section")
+    for key, value in mapping.items():
+        if key not in table:
+            kind = "section" if type(value) is dict else "key"
+            raise ValueError(f"{path}.{key}".lstrip(".") + f": unknown {kind}")
+    out = {}
+    for key, (check, rule, *only) in table.items():
+        where = f"{path}.{key}".lstrip(".")
+        if key not in mapping:
+            if rule == _REQUIRED:
+                raise ValueError(f"{where}: missing")
+            if rule not in (None, _REPEATED):
+                out[key] = _entry(check, rule, where)
+            continue
+        if only and out["kind"] != only[0]:
+            raise ValueError(f"{where}: only read when kind = {only[0]}")
+        entries = mapping[key] if type(mapping[key]) is list else [mapping[key]]
+        if rule != _REPEATED and len(entries) > 1:
+            raise ValueError(f"{where}: given {len(entries)} times")
+        done = [_entry(check, e, f"{where}[{i}]" if rule == _REPEATED else where)
+                for i, e in enumerate(entries)]
+        out[key] = done if rule == _REPEATED else done[0]
+    return out
+
+
+def _entry(check, value, where):
+    if type(check) is str:
+        return _validate(value, SCHEMA[check], where)
+    try:
+        return check(value)
+    except ValueError as err:
+        raise ValueError(f"{where}: {err}") from None
 
 
 def format_value(v):
@@ -281,13 +400,15 @@ def content_hash(*chunks):
 
 
 def write_manifest(out_dir, subcommand, version, seed=None, scenario_path=None,
-                   extra=None):
-    """Manifest is written before any heavy compute starts."""
+                   extra=None, resume_path=None):
+    """Manifest is written before any heavy compute starts. The input hash
+    covers the bytes of the scenario file and of the snapshot resumed from."""
     os.makedirs(out_dir, exist_ok=True)
     chunks = [subcommand, version, str(seed)]
-    if scenario_path is not None:
-        with open(scenario_path, "rb") as fh:
-            chunks.append(fh.read())
+    for path in (scenario_path, resume_path):
+        if path is not None:
+            with open(path, "rb") as fh:
+                chunks.append(fh.read())
     manifest = {
         "manifest": {
             "subcommand": subcommand,
@@ -297,6 +418,8 @@ def write_manifest(out_dir, subcommand, version, seed=None, scenario_path=None,
             "input_hash": content_hash(*chunks),
         }
     }
+    if resume_path is not None:
+        manifest["manifest"]["resume"] = str(resume_path)
     if extra:
         manifest["manifest"].update(extra)
     path = os.path.join(out_dir, "manifest.cfg")

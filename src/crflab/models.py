@@ -28,6 +28,11 @@ from .geometry import (
     require_positive,
 )
 
+# step of the central difference in t that checks the closed-form flow
+_FD_STEP = 1e-5
+# Gauss-Legendre nodes per coordinate of the fundamental-annulus quadrature
+_QUADRATURE_ORDER = 32
+
 
 def _r2(points):
     return np.sum(np.abs(points) ** 2, axis=-1)
@@ -434,7 +439,7 @@ def fd_hessian(f, points, h=1e-2):
 # -- verification reports -------------------------------------------------------
 
 
-def verify_hopf_flow(sample, times, fd_step=1e-5):
+def verify_hopf_flow(sample, times):
     """Residual of d_t omega + Ric(omega(t)) = 0 for the explicit solution.
 
     Closed-form residual compares the coded t-derivative of the metric
@@ -454,7 +459,7 @@ def verify_hopf_flow(sample, times, fd_step=1e-5):
         # coded t-derivative of the metric family, assembled independently
         dt_metric = (n / r2) * (_zz(points) / r2 - np.eye(n))
         closed = max(closed, float(np.max(np.abs(dt_metric + ricci))))
-        h = fd_step
+        h = _FD_STEP
         if t - h >= 0.0:
             fd = (_explicit_form(points, t + h) - _explicit_form(points, t - h)) / (2 * h)
         else:
@@ -623,7 +628,7 @@ def _mixed_determinant(a, b):
     ).real
 
 
-def integrate_hopf(alpha_modulus, integrand, order=32):
+def integrate_hopf(alpha_modulus, integrand):
     """Integral of a (2,2)-form over the fundamental annulus 1 <= |z| < R.
 
     Tensor-product Gauss-Legendre in (log r, chi, phi1, phi2) with
@@ -635,6 +640,7 @@ def integrate_hopf(alpha_modulus, integrand, order=32):
     R = float(alpha_modulus)
     if R < 1.0:
         R = 1.0 / R
+    order = _QUADRATURE_ORDER
     xs, ws = leggauss(order)
 
     u = 0.5 * np.log(R) * (xs + 1.0)
@@ -671,12 +677,12 @@ def integrate_hopf(alpha_modulus, integrand, order=32):
     return 4.0 * total
 
 
-def hopf_surface_data(alpha_modulus, order=32):
+def hopf_surface_data(alpha_modulus):
     """Intersection numbers of the n=2 Hopf manifold from quadrature."""
     return {
-        "vol0": integrate_hopf(alpha_modulus, "omega2", order),
-        "pairing": integrate_hopf(alpha_modulus, "omega_ric", order),
-        "c1sq": integrate_hopf(alpha_modulus, "ric2", order),
+        "vol0": integrate_hopf(alpha_modulus, "omega2"),
+        "pairing": integrate_hopf(alpha_modulus, "omega_ric"),
+        "c1sq": integrate_hopf(alpha_modulus, "ric2"),
     }
 
 
@@ -702,6 +708,8 @@ class Perturbation:
     sharpness: float = 1.25
 
     def waveform(self, chart):
+        if len(self.wavevector) > chart.naxes:
+            raise ValueError(f"wavevector {self.wavevector} has more than {chart.naxes} entries")
         theta = np.zeros(chart.shape)
         for axis, k in enumerate(self.wavevector):
             if k == 0:
@@ -750,6 +758,8 @@ class TorusMetricRecipe:
                 base, chart.shape + (chart.n, chart.n)
             ).astype(complex).copy()
             for p in self.perturbations:
+                if not (0 <= p.i < chart.n and 0 <= p.j < chart.n):
+                    raise ValueError(f"perturbation of g[{p.i}, {p.j}] on an n = {chart.n} chart")
                 wave = p.waveform(chart)
                 if p.i == p.j:
                     values[..., p.i, p.i] += wave

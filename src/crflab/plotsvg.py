@@ -19,13 +19,13 @@ def _tick(x):
     return format(x, ".6g")
 
 
-def plot_csv(csv_path, columns, out_path, x_column="t"):
-    """Line plot of the named columns against ``x_column``."""
+def plot_csv(csv_path, columns, out_path):
+    """Line plot of the named columns against t."""
     header, rows = read_csv(csv_path)
     if not rows:
         raise ValueError(f"{csv_path}: no data rows")
     try:
-        xi = header.index(x_column)
+        xi = header.index("t")
         idxs = [header.index(c) for c in columns]
     except ValueError as err:
         raise ValueError(f"{csv_path}: missing column ({err})") from None
@@ -72,7 +72,7 @@ def plot_csv(csv_path, columns, out_path, x_column="t"):
     parts.append(f'<text x="{_fmt(5.0)}" y="{_fmt(_MARGIN)}" {font}>{_tick(y_hi)}</text>')
     parts.append(
         f'<text x="{_fmt(_WIDTH / 2 - 10)}" y="{_fmt(_HEIGHT - 20)}" {font}>'
-        f"{x_column}</text>"
+        "t</text>"
     )
     for k, (name, ys) in enumerate(zip(columns, series)):
         color = _COLORS[k % len(_COLORS)]

@@ -32,6 +32,8 @@ from .geometry import (
 )
 
 _CONDITION_FLAG = 1e8
+# max-norm residual of d chi above which a reference form counts as not closed
+_CLOSEDNESS_TOL = 1e-10
 
 
 @dataclass
@@ -163,13 +165,6 @@ def trace_and_laplacian(g, target):
     return ScalarField(g.chart, out)
 
 
-def metric_condition_number(g):
-    lo, hi = herm_eig_bounds(g.values)
-    if lo <= 0:
-        raise NotPositiveDefinite("condition number of a non-positive metric")
-    return hi / lo
-
-
 def closedness_residual(chart, values):
     """Max norm of the (2,1) part of d applied to a (1,1) form field.
 
@@ -187,10 +182,10 @@ def closedness_residual(chart, values):
     return res
 
 
-def _check_closed(chart, values, tol, what):
+def _check_closed(chart, values, what):
     res = closedness_residual(chart, values)
-    if res > tol:
-        raise ClosednessViolated(f"{what} closedness residual {res:.3e} > {tol:.0e}")
+    if res > _CLOSEDNESS_TOL:
+        raise ClosednessViolated(f"{what} closedness residual {res:.3e} > {_CLOSEDNESS_TOL:.0e}")
     return res
 
 
@@ -232,7 +227,7 @@ class TraceEvolutionReport:
         return reports
 
 
-def verify_trace_evolution(g0, ghat, phi, t=0.0, chi=None, closedness_tol=1e-10):
+def verify_trace_evolution(g0, ghat, phi, t=0.0, chi=None):
     """Certify the evolution identity for log tr_ghat g term by term.
 
     The evolving metric is omega = omega_0 + t*chi + i ddbar phi for a closed
@@ -251,14 +246,15 @@ def verify_trace_evolution(g0, ghat, phi, t=0.0, chi=None, closedness_tol=1e-10)
     if chi is None:
         chi = HermitianMatrixField(chart, -chern_ricci(g0).values)
     chart.require_same(chi.chart)
-    chi_res = _check_closed(chart, chi.values, closedness_tol, "chi")
+    chi_res = _check_closed(chart, chi.values, "chi")
 
     G = g0.values + t * chi.values + chart.complex_hessian(phi.values)
-    omega = HermitianMatrixField(chart, G)
-    require_positive(omega, what="omega(t)")
+    G = HermitianMatrixField(chart, G).values
+    lo, hi = herm_eig_bounds(G)
+    if not lo > 0.0:
+        raise NotPositiveDefinite(f"omega(t) has min eigenvalue {lo:.3e}")
     require_positive(ghat, what="ghat")
 
-    G = omega.values
     Gi = herm_inv(G)
     Ghat = ghat.values
     Gihat = herm_inv(Ghat)
@@ -376,7 +372,7 @@ def verify_trace_evolution(g0, ghat, phi, t=0.0, chi=None, closedness_tol=1e-10)
         imag_residual=imag_residual,
         masked_fraction=masked_fraction,
         chi_closedness=chi_res,
-        max_condition=metric_condition_number(omega),
+        max_condition=hi / lo,
         grid=_grid_label(chart),
     )
 
@@ -410,13 +406,11 @@ def verify_schwarz_identity(g, gN):
     """
     chart = g.chart
     chart.require_same(gN.chart)
-    require_positive(g)
-    require_positive(gN, what="target metric")
 
     G = g.values
-    Gi = herm_inv(G)
     logdet_g = herm_logdet(G)
     logdet_gN = herm_logdet(gN.values)
+    Gi = herm_inv(G)
     logu = logdet_gN - logdet_g
 
     ric_g = -chart.complex_hessian(logdet_g)

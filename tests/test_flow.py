@@ -346,7 +346,7 @@ class TestRun:
         from crflab.cli import _scenario_from_config
         from crflab.io import load_config
 
-        cfg = load_config(os.path.join(CONFIGS, "flow_n1.cfg"))["scenario"]
+        cfg = load_config(os.path.join(CONFIGS, "flow_n1.cfg"), "scenario")
         sc, _ = _scenario_from_config(cfg, 0)
         path = str(tmp_path / "step20.snap")
 

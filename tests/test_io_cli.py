@@ -4,6 +4,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from crflab.cli import main
 from crflab.geometry import (
@@ -13,17 +15,21 @@ from crflab.geometry import (
     VolumeField,
 )
 from crflab.io import (
+    SCHEMA,
     dump_config,
     load_config,
     parse_config,
     read_csv,
     read_snapshot,
+    validate_config,
     write_config,
     write_csv,
     write_snapshot,
 )
 
 from conftest import bandlimited_scalar
+
+CONFIGS = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "configs")
 
 
 FLOW_N1 = """
@@ -148,6 +154,120 @@ class TestConfig:
         assert load_config(path) == {"s": {"a": 1, "b": (1.5, 2.5), "flag": True}}
 
 
+def _config(name):
+    with open(os.path.join(CONFIGS, name)) as fh:
+        return fh.read()
+
+
+# (subcommand, config, text replaced, replacement, key path named on stderr)
+PROBES = [
+    ("run-flow", "flow_n1.cfg", "t_end = 60.0", "t_end = nan", "scenario.t_end"),
+    ("run-flow", "flow_n1.cfg", "t_end = 60.0", "t_end = -5", "scenario.t_end"),
+    ("run-flow", "flow_n1.cfg", "t_end = 60.0", "t_end = 1 2", "scenario.t_end"),
+    ("run-flow", "flow_n1.cfg", "safety = 0.8", "saftey = 0.1", "scenario.control.saftey"),
+    ("run-flow", "flow_n1.cfg", "seed = 0", "seed = 0  bogus { x = 1 }", "scenario.bogus"),
+    ("run-flow", "flow_n1.cfg", "seed = 0", "seed = 1.5", "scenario.seed"),
+    ("run-flow", "flow_n1.cfg", "seed = 0", "seed = 0  mode = normalized", "scenario.mode"),
+    ("run-flow", "flow_n1.cfg", "seed = 0", "seed = 0  chart { n = 1 }", "scenario.chart"),
+    ("run-flow", "flow_n1.cfg", "resolution = 128", "resolution = 32.9",
+     "scenario.chart.resolution"),
+    ("run-flow", "flow_n1.cfg", "wavevector = 1 0", "wavevector = 1.7 0",
+     "scenario.recipe.perturbation[0].wavevector"),
+    ("run-flow", "flow_n1.cfg", "tolerance = 1e-7", "tolerance = nan",
+     "scenario.monitors.tolerance"),
+    ("run-flow", "flow_n1.cfg", "patience = 5", "patience = -3", "scenario.monitors.patience"),
+    ("run-flow", "flow_n2.cfg", "kind = random", "kind = randm", "scenario.recipe.kind"),
+    ("run-flow", "flow_n2.cfg", "peaked = true", "peaked = no", "scenario.recipe.peaked"),
+    ("solve-ma", "elliptic_n2.cfg", "method = newton-continuation", "methd = gill-flow",
+     "elliptic.methd"),
+    ("max-time", "hopf_surface.cfg", "minimal = true", "minimal = maybe",
+     "surface.flags.minimal"),
+    ("max-time", "hopf_surface.cfg", "c1sq = 0.0", "c1sq = nan", "surface.c1sq"),
+    ("max-time", "hopf_surface.cfg", "c1sq = 0.0", "c1sq = 1" + "0" * 400, "surface.c1sq"),
+    ("max-time", "hopf_surface.cfg", "flags {", "flags = 1  #", "surface.flags"),
+]
+
+
+class TestSchema:
+    @pytest.mark.parametrize("command, name, old, new, path", PROBES)
+    def test_probe_exits_2_naming_the_key(self, tmp_path, capsys, command, name, old, new, path):
+        text = _config(name)
+        assert old in text
+        scen = _write(tmp_path, name, text.replace(old, new))
+        flag = "--data" if command == "max-time" else "--scenario"
+        assert main([command, flag, scen, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert f"invalid input: {path}" in err
+        assert not os.path.exists(tmp_path / "o")  # rejected before the manifest
+
+    @pytest.mark.parametrize("name", sorted(os.listdir(CONFIGS)))
+    def test_every_shipped_config_validates(self, name):
+        tree = parse_config(_config(name))
+        (section,) = tree
+        assert validate_config(tree, section)
+
+    def test_defaults_fill_and_repeats_collect(self):
+        cfg = validate_config(parse_config(FLOW_N1), "scenario")
+        assert cfg["seed"] == 0 and cfg["control"] == {}
+        assert cfg["recipe"]["perturbation"][0]["wavevector"] == (1, 0)
+        assert cfg["chart"]["active_axes"] == (0,)
+
+    def test_recipe_keys_of_the_other_kind_are_rejected(self):
+        text = FLOW_N1.replace("kind = explicit", "kind = random")
+        with pytest.raises(ValueError, match="scenario.recipe.base: only read when kind"):
+            validate_config(parse_config(text), "scenario")
+
+    def test_kodaira_minus_inf_is_the_only_non_finite_value(self):
+        cfg = validate_config(parse_config(SURFACE), "surface")
+        assert cfg["flags"]["kodaira"] == -math.inf
+        with pytest.raises(ValueError, match="surface.vol0: expected a finite number"):
+            validate_config(parse_config(SURFACE.replace("vol0 = 10.0", "vol0 = inf")), "surface")
+
+
+_KEYS = sorted({key for table in SCHEMA.values() for key in table} | {"x"})
+_SCALARS = st.one_of(
+    st.integers(), st.floats(), st.complex_numbers(), st.booleans(),
+    st.sampled_from(["none", "random", "cos", "mean", "gill-flow", "-inf", ""]),
+)
+_VALUES = st.one_of(_SCALARS, st.tuples(_SCALARS, _SCALARS))
+_TREES = st.recursive(
+    _VALUES,
+    lambda inner: st.one_of(
+        st.dictionaries(st.sampled_from(_KEYS), inner, max_size=5),
+        st.lists(inner, min_size=2, max_size=3),
+    ),
+    max_leaves=12,
+)
+
+
+def _only_value_errors(tree, section):
+    try:
+        validate_config(tree, section)
+    except ValueError:
+        pass
+
+
+class TestSchemaFuzz:
+    @given(st.dictionaries(st.sampled_from(["scenario", "elliptic", "surface", "x"]),
+                           _TREES, max_size=2),
+           st.sampled_from(["scenario", "elliptic", "surface"]))
+    def test_random_trees_raise_only_value_errors(self, tree, section):
+        _only_value_errors(tree, section)
+
+    @given(st.sampled_from(sorted(os.listdir(CONFIGS))), st.data())
+    def test_byte_mutations_raise_only_value_errors(self, name, data):
+        raw = bytearray(_config(name).encode("utf-8"))
+        for _ in range(data.draw(st.integers(1, 4))):
+            at = data.draw(st.integers(0, len(raw) - 1))
+            raw[at] = data.draw(st.sampled_from(b"{}=#.-e 0123456789abnx\n\xff"))
+        try:
+            tree = parse_config(bytes(raw).decode("utf-8"))
+        except ValueError:
+            return
+        for section in ("scenario", "elliptic", "surface"):
+            _only_value_errors(tree, section)
+
+
 class TestCsv:
     def test_roundtrip_lossless(self, tmp_path):
         path = str(tmp_path / "t.csv")
@@ -222,6 +342,47 @@ class TestCli:
         out2 = str(tmp_path / "r2")
         assert main(["run-flow", "--scenario", scen, "--out", out2,
                      "--resume", ckpt]) == 0
+        capsys.readouterr()
+
+    def test_manifest_covers_the_resumed_snapshot(self, tmp_path, capsys):
+        scen = _write(tmp_path, "s.cfg", FLOW_N1)
+        snap = str(tmp_path / "mid.snap")
+        chart = TorusChart(1, 64, active_axes=(0,))
+        write_snapshot(snap, ScalarField.zeros(chart), footer=(0.5, 1e-3))
+
+        def run(out, *extra):
+            out = str(tmp_path / out)
+            assert main(["run-flow", "--scenario", scen, "--out", out, *extra]) == 0
+            return [open(os.path.join(out, f), "rb").read()
+                    for f in ("manifest.cfg", "trajectory.csv")]
+
+        fresh = run("fresh")
+        resumed = run("r1", "--resume", snap)
+        assert resumed[0] != fresh[0] and resumed[1] != fresh[1]
+        assert f"resume = {snap}".encode() in resumed[0]
+        assert run("r2", "--resume", snap) == resumed
+        # same path, other bytes: the hash tells the two resumes apart
+        write_snapshot(snap, ScalarField(chart, 1e-3 * np.cos(chart.axis_coordinates(0))),
+                       footer=(0.5, 1e-3))
+        other = run("r3", "--resume", snap)
+        assert other[0] != resumed[0] and other[1] != resumed[1]
+        capsys.readouterr()
+
+    def test_solve_ma_tolerance_reaches_the_doubled_grid(self, tmp_path, capsys, monkeypatch):
+        import crflab.elliptic
+
+        tols = []
+        solve = crflab.elliptic.solve_elliptic
+
+        def spy(problem, *args, **kwargs):
+            tols.append(kwargs.get("tol"))
+            return solve(problem, *args, **kwargs)
+
+        monkeypatch.setattr(crflab.elliptic, "solve_elliptic", spy)
+        scen = _write(tmp_path, "e.cfg", ELLIPTIC)
+        assert main(["solve-ma", "--scenario", scen, "--out", str(tmp_path / "ma"),
+                     "--tolerance", "1e-9", "--a-grid", "0", "1"]) == 0
+        assert tols == [1e-9, 1e-9]
         capsys.readouterr()
 
     def test_max_time_record(self, tmp_path, capsys):

@@ -181,6 +181,13 @@ class TestTraceEvolution:
         assert rep.chi_closedness <= 1e-10
         assert rep.max_condition < 1e8
 
+    def test_rejects_non_positive_omega(self, chart2, nonkahler_metric):
+        # omega(t) = g0 - t Ric(g0) is negative definite for g0 = -I, a flat metric
+        neg = HermitianMatrixField.constant(chart2, -np.eye(2))
+        with pytest.raises(NotPositiveDefinite):
+            verify_trace_evolution(neg, nonkahler_metric, ScalarField.zeros(chart2),
+                                   chi=HermitianMatrixField.constant(chart2, np.zeros((2, 2))))
+
 
 class TestBianchiVanishing:
     def test_flat(self, chart2):
@@ -212,3 +219,11 @@ class TestSchwarzIdentity:
             g, HermitianMatrixField(chart2, 2.5 * gN.values)
         )
         assert abs(r1 - r2) <= 1e-12
+
+    @pytest.mark.parametrize("diag", [(1.0, -1.0), (-1.0, -1.0)])
+    def test_rejects_non_positive_metrics(self, chart2, nonkahler_metric, diag):
+        bad = HermitianMatrixField.constant(chart2, np.diag(diag))
+        with pytest.raises(NotPositiveDefinite):
+            verify_schwarz_identity(bad, nonkahler_metric)
+        with pytest.raises(NotPositiveDefinite):
+            verify_schwarz_identity(nonkahler_metric, bad)
