@@ -167,7 +167,12 @@ def _solve_gill_flow(problem, tol, max_steps, phi0):
 
 
 def _bicgstab(op, rhs, precond, tol, max_iter=400):
-    """Preconditioned BiCGStab on real fields; returns (x, relative residual)."""
+    """Preconditioned BiCGStab on real fields; returns (x, relative residual).
+
+    x is the iterate with the smallest residual seen, so a solve that
+    diverges or stagnates hands back its best iterate, not its last one; a
+    converged solve stops at its first residual <= tol.
+    """
     x = precond(rhs)
     r = rhs - op(x)
     r0 = r.copy()
@@ -175,6 +180,7 @@ def _bicgstab(op, rhs, precond, tol, max_iter=400):
     v = np.zeros_like(rhs)
     p = np.zeros_like(rhs)
     norm0 = max(float(np.max(np.abs(rhs))), 1e-300)
+    best_x, best = x, float(np.max(np.abs(r)))
     for it in range(max_iter):
         rho_new = float(np.vdot(r0, r).real)
         if abs(rho_new) < 1e-300:
@@ -193,21 +199,25 @@ def _bicgstab(op, rhs, precond, tol, max_iter=400):
         alpha = rho / denom
         s = r - alpha * v
         x = x + alpha * phat
-        if float(np.max(np.abs(s))) <= tol * norm0:
-            r = s
+        res = float(np.max(np.abs(s)))
+        if res < best:
+            best_x, best = x, res
+        if res <= tol * norm0:
             break
         shat = precond(s)
         t = op(shat)
         tt = float(np.vdot(t, t).real)
         if tt < 1e-300:
-            r = s
             break
         omega_c = float(np.vdot(t, s).real) / tt
         x = x + omega_c * shat
         r = s - omega_c * t
-        if float(np.max(np.abs(r))) <= tol * norm0:
+        res = float(np.max(np.abs(r)))
+        if res < best:
+            best_x, best = x, res
+        if res <= tol * norm0:
             break
-    return x, float(np.max(np.abs(r))) / norm0
+    return best_x, best / norm0
 
 
 def _solve_newton(problem, tol, max_steps, phi, b):
@@ -229,7 +239,7 @@ def _solve_newton(problem, tol, max_steps, phi, b):
         # forcing term: tighter as res falls, but no tighter than the
         # accuracy that brings the next residual to tol (Eisenstat-Walker)
         lin_tol = max(1e-12, 0.5 * tol / res, min(1e-2, 0.05 * res))
-        dphi, _ = _bicgstab(lambda v: proj(lap(proj(v))), rhs, precond, lin_tol)
+        dphi, lin_res = _bicgstab(lambda v: proj(lap(proj(v))), rhs, precond, lin_tol)
         dphi = proj(dphi)
         db = float((res_field + lap(dphi)).mean())
 
@@ -251,7 +261,8 @@ def _solve_newton(problem, tol, max_steps, phi, b):
             s *= 0.5
         else:
             raise NonConvergence(
-                f"newton line search stalled at residual {res:.3e}"
+                f"newton line search stalled at residual {res:.3e}; the last "
+                f"Krylov solve reached {lin_res:.3e} against tolerance {lin_tol:.3e}"
             )
         iterations += 1
     if res > tol:

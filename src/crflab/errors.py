@@ -5,8 +5,8 @@ class CrflabError(Exception):
     """Base class for all crflab failures."""
 
 
-class ChartMismatch(CrflabError):
-    """Two fields that must share a chart do not."""
+class ChartMismatch(CrflabError, ValueError):
+    """Two fields that must share a chart do not (a bad input value)."""
 
 
 class NotPositiveDefinite(CrflabError):

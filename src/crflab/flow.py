@@ -574,6 +574,8 @@ def read_checkpoint(path, scenario):
 
     phi, footer = read_snapshot(path, chart=scenario.chart, want_footer=True)
     t, dt = footer
+    if not math.isfinite(t):
+        raise ValueError(f"{path}: checkpoint time {t} is not finite")
     state = scenario.state_at(t, phi.values)
     if not state.eig_min >= scenario.control.eps_pd:
         raise PositivityLost(

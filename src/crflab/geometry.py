@@ -17,6 +17,13 @@ commute exactly and second-order operators equal the composition of
 first-order ones; all generated test data keeps the top third of the
 spectrum empty, where this convention is invisible.
 
+Fields are stored grid-leading: the 2n grid axes come first and tensor
+indices last (``values[..., i, j]``). `TorusChart.grad` is the entry point
+for tensor-first arrays instead, with the tensor indices first and the grid
+last, which is how `tensors` holds its tensors; it returns the Wirtinger
+gradient as a new leading index. `deriv`, `dz` and `dzbar` keep the
+grid-leading contract. All of them run on one Fourier derivative kernel.
+
 This is the one module that transforms (on numpy, the only backend) and
 decides positivity: `herm_logdet` is the test that runs before every log det.
 """
@@ -65,8 +72,8 @@ class TorusChart:
         if periods is None:
             periods = 2.0 * np.pi
         self.periods = _as_tuple(periods, naxes, float)
-        if min(self.periods) <= 0.0:
-            raise ValueError("periods must be strictly positive")
+        if not all(0.0 < p < math.inf for p in self.periods):
+            raise ValueError("periods must be finite and strictly positive")
         if active_axes is None:
             active_axes = range(naxes)
         self.active_axes = tuple(sorted(set(int(a) for a in active_axes)))
@@ -133,6 +140,29 @@ class TorusChart:
         """Inverse of `fft`, complex-valued."""
         return np.fft.ifftn(spec, axes=self.active_axes)
 
+    def _deriv_along(self, values, axis, pos, order=1):
+        # the one Fourier derivative kernel: grid axis ``axis`` of ``values``
+        # is array axis ``pos``; the axis must be active
+        k = self._k[axis].reshape((-1,) + (1,) * (values.ndim - pos - 1))
+        mult = (1j * k) ** order
+        out = np.fft.ifft(mult * np.fft.fft(values, axis=pos), axis=pos)
+        if np.isrealobj(values):
+            return out.real
+        return out
+
+    def _wirtinger(self, values, i, pos, conj):
+        # d/dz_i (d/dzbar_i if conj) of values whose grid starts at array
+        # axis pos; None when z_i is constant, so no zero array is made
+        dx, dy = (
+            self._deriv_along(values, a, pos + a) if self.shape[a] > 1 else None
+            for a in (2 * i, 2 * i + 1)
+        )
+        if dy is None:
+            return None if dx is None else 0.5 * dx
+        if dx is None:
+            dx = 0.0
+        return 0.5 * (dx + 1j * dy) if conj else 0.5 * (dx - 1j * dy)
+
     def deriv(self, values, axis, order=1):
         """Fourier derivative of ``values`` along one real axis.
 
@@ -142,22 +172,38 @@ class TorusChart:
         values = np.asarray(values)
         if self.shape[axis] == 1:
             return np.zeros_like(values, dtype=values.dtype)
-        k = self._k[axis]
-        extra = values.ndim - self.naxes
-        mult = (1j * k.reshape(k.shape + (1,) * extra)) ** order
-        spec = np.fft.fft(values, axis=axis)
-        out = np.fft.ifft(mult * spec, axis=axis)
-        if np.isrealobj(values):
-            return out.real
-        return out
+        return self._deriv_along(values, axis, axis, order)
 
     def dz(self, values, i):
-        """Wirtinger derivative d/dz_i."""
-        return 0.5 * (self.deriv(values, 2 * i) - 1j * self.deriv(values, 2 * i + 1))
+        """Wirtinger derivative d/dz_i of a grid-leading field."""
+        return self._grid_leading_wirtinger(values, i, False)
 
     def dzbar(self, values, i):
-        """Wirtinger derivative d/dzbar_i."""
-        return 0.5 * (self.deriv(values, 2 * i) + 1j * self.deriv(values, 2 * i + 1))
+        """Wirtinger derivative d/dzbar_i of a grid-leading field."""
+        return self._grid_leading_wirtinger(values, i, True)
+
+    def _grid_leading_wirtinger(self, values, i, conj):
+        values = np.asarray(values)
+        out = self._wirtinger(values, i, 0, conj)
+        if out is None:
+            return np.zeros(values.shape, dtype=complex)
+        return np.asarray(out, dtype=complex)
+
+    def grad(self, values, conj=False):
+        """Wirtinger gradient of a tensor-first field.
+
+        ``values`` carries its tensor indices first and the 2n grid axes
+        last; ``out[i, ...]`` is d/dz_i of it (d/dzbar_i with ``conj``), in
+        the same layout. Along a constant complex direction the entry is
+        zero without any transform.
+        """
+        values = np.asarray(values)
+        pos = values.ndim - self.naxes
+        out = np.empty((self.n,) + values.shape, dtype=complex)
+        for i in range(self.n):
+            d = self._wirtinger(values, i, pos, conj)
+            out[i] = 0.0 if d is None else d
+        return out
 
     def _mu(self, i):
         # multiplier of d/dz_i on exp(sqrt(-1) k.x)

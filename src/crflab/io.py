@@ -31,6 +31,7 @@ import struct
 
 import numpy as np
 
+from .errors import ChartMismatch
 from .geometry import HermitianMatrixField, ScalarField, TorusChart, VolumeField
 
 _MAGIC = b"CRFS"
@@ -73,6 +74,14 @@ def write_snapshot(path, field, footer=None):
 
 
 def read_snapshot(path, chart=None, want_footer=False):
+    """The field stored at ``path`` (and its footer with ``want_footer``).
+
+    Every malformed file raises ValueError naming the path: a cut, a bad
+    magic, version or kind, a header whose sizes disagree with the file's
+    length, a chart other than ``chart`` (ChartMismatch) and a non-finite
+    payload. Sizes are checked against the file before anything is
+    allocated from them.
+    """
     with open(path, "rb") as fh:
         raw = fh.read()
 
@@ -89,6 +98,10 @@ def read_snapshot(path, chart=None, want_footer=False):
         raise ValueError(f"{path}: not a field snapshot")
     if version != _VERSION:
         raise ValueError(f"{path}: unsupported snapshot version {version}")
+    if kind not in _KIND_CLASSES:
+        raise ValueError(f"{path}: unknown snapshot kind {kind}")
+    if naxes != 2 * n:
+        raise ValueError(f"{path}: {naxes} axes for complex dimension {n}")
     off = 16
     resolution = unpack(f"<{naxes}I", off)
     off += 4 * naxes
@@ -97,22 +110,30 @@ def read_snapshot(path, chart=None, want_footer=False):
     (mask,) = unpack("<I", off)
     off += 4
     active = tuple(a for a in range(naxes) if mask & (1 << a))
-    file_chart = TorusChart(n, resolution, periods, active)
-    if chart is not None:
-        chart.require_same(file_chart)
-        file_chart = chart
     cls = _KIND_CLASSES[kind]
+    count = math.prod(resolution[a] for a in active)
+    if cls is HermitianMatrixField:
+        count *= n * n * 2
+    size = off + 8 * count + (16 if flags & 1 else 0)
+    if len(raw) != size:
+        raise ValueError(f"{path}: snapshot is {len(raw)} bytes, its header needs {size}")
+    try:
+        file_chart = TorusChart(n, resolution, periods, active)
+    except ValueError as err:
+        raise ValueError(f"{path}: {err}") from None
+    if chart is not None:
+        if chart != file_chart:
+            raise ChartMismatch(f"{path}: snapshot chart differs from the expected one")
+        file_chart = chart
+    arr = np.frombuffer(raw, dtype="<f8", count=count, offset=off)
+    off += 8 * count
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{path}: snapshot payload is not finite")
     shape = file_chart.shape
     if cls is HermitianMatrixField:
-        count = int(np.prod(shape)) * n * n * 2
-        arr = np.frombuffer(raw, dtype="<f8", count=count, offset=off)
-        off += 8 * count
         arr = arr.reshape(shape + (n, n, 2))
         field = cls(file_chart, arr[..., 0] + 1j * arr[..., 1])
     else:
-        count = int(np.prod(shape))
-        arr = np.frombuffer(raw, dtype="<f8", count=count, offset=off)
-        off += 8 * count
         field = cls(file_chart, arr.reshape(shape).copy())
     if want_footer:
         if not flags & 1:

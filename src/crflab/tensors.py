@@ -1,14 +1,24 @@
 """Connection, torsion, curvature, and numerical identity certification.
 
-Conventions, with G[..., a, b] storing g_{a bbar}:
+Conventions, with G[a, b] storing g_{a bbar}:
 
-    inverse pairing      g^{jbar i}          = Gi[..., j, i]
+    inverse pairing      g^{jbar i}          = Gi[j, i]
     Christoffel symbols  Gamma^k_{ij}        = g^{qbar k} d_i g_{j qbar}
     torsion              T^k_{ij}            = Gamma^k_{ij} - Gamma^k_{ji}
     curvature            R_{k lbar i}^{   p} = - d_lbar Gamma^p_{ki}
     lowered curvature    R_{k lbar i jbar}   = g_{p jbar} R_{k lbar i}^{   p}
     Ricci form           Ric_{k lbar}        = - d_k d_lbar log det g
     Laplacian            Delta f             = g^{jbar i} d_i d_jbar f
+
+Layout: inside this module every tensor is held tensor-first, with its
+indices first and the 2n grid axes last (``G[a, b, *grid]``), so that each
+contraction runs its inner loop over the grid and not over indices of size
+n. Inputs enter as grid-leading fields and are moved once (`_tensor_first`);
+every derived tensor is created in that layout. Each contraction is a
+sequence of two-operand einsums in an order fixed here, with no intermediate
+larger than n^4 per node. The public fields (`ConnectionField`,
+`TorsionField`, `CurvatureField`) and `ricci_from_curvature` return the
+grid-leading layout, ``values[..., k, i, j]``, like every other field.
 
 The verification operations assemble both sides of each identity through
 independent code paths (raw spectral derivatives of scalars on one side,
@@ -31,7 +41,6 @@ from .geometry import (
     require_positive,
 )
 
-_CONDITION_FLAG = 1e8
 # max-norm residual of d chi above which a reference form counts as not closed
 _CLOSEDNESS_TOL = 1e-10
 
@@ -101,42 +110,65 @@ def _grid_label(chart):
     return "x".join(dims) if dims else "point"
 
 
-# -- raw building blocks -------------------------------------------------------
+# -- layout --------------------------------------------------------------------
 
 
-def _dz_stack(chart, values, conj_side=False):
-    """Stack of Wirtinger derivatives along a new axis before tensor axes."""
-    op = chart.dzbar if conj_side else chart.dz
-    parts = [op(values, i) for i in range(chart.n)]
-    extra = values.ndim - chart.naxes
-    return np.stack(parts, axis=values.ndim - extra)
+def _tensor_first_view(chart, values):
+    """Tensor-first view of a grid-leading array (no copy)."""
+    return np.moveaxis(values, tuple(range(chart.naxes)), tuple(range(-chart.naxes, 0)))
+
+
+def _tensor_first(chart, values):
+    """Contiguous tensor-first copy of a grid-leading array, for reuse."""
+    return np.ascontiguousarray(_tensor_first_view(chart, values))
+
+
+def _grid_leading(chart, values):
+    """Contiguous grid-leading copy of a tensor-first array (public layout)."""
+    return np.ascontiguousarray(
+        np.moveaxis(values, tuple(range(-chart.naxes, 0)), tuple(range(chart.naxes)))
+    )
+
+
+def _trace(A, B):
+    """Pointwise sum_ij A[j, i] B[i, j] of tensor-first rank-2 arrays."""
+    return np.einsum("ji...,ij...->...", A, B)
+
+
+# -- raw building blocks (tensor-first) ----------------------------------------
 
 
 def _christoffel(chart, G, Gi):
-    Dg = _dz_stack(chart, G)  # [..., i, a, b] = d_i g_{a bbar}
-    return np.einsum("...qk,...ijq->...kij", Gi, Dg), Dg
+    """Gamma^k_{ij} as [k, i, j, *grid] from G and its inverse."""
+    return np.einsum("qk...,ijq...->kij...", Gi, chart.grad(G))
+
+
+def _torsion(Gamma):
+    return Gamma - np.swapaxes(Gamma, 1, 2)
 
 
 def _curvature(chart, Gamma, G):
-    DbarGamma = _dz_stack(chart, Gamma, conj_side=True)  # [..., l, p, k, i]
-    up = -np.einsum("...lpki->...klip", DbarGamma)
-    low = np.einsum("...klip,...pj->...klij", up, G)
-    return up, low
+    """(dbar Gamma as [l, p, k, i, *grid], lowered curvature [k, l, i, j, *grid]).
+
+    R_{k lbar i}^p = -dbar_l Gamma^p_{ki}, so lowering with -G gives R_{k lbar i jbar}.
+    """
+    DbarGamma = chart.grad(Gamma, conj=True)
+    return DbarGamma, np.einsum("lpki...,pj...->klij...", DbarGamma, -G)
 
 
 def connection_torsion_curvature(g):
     """Chern connection data of a positive metric field."""
     require_positive(g)
     chart = g.chart
-    G = g.values
-    Gi = herm_inv(G)
-    Gamma, _ = _christoffel(chart, G, Gi)
-    T = Gamma - np.swapaxes(Gamma, -1, -2)
-    up, low = _curvature(chart, Gamma, G)
+    G = _tensor_first(chart, g.values)
+    Gi = _tensor_first(chart, herm_inv(g.values))
+    Gamma = _christoffel(chart, G, Gi)
+    DbarGamma, low = _curvature(chart, Gamma, G)
+    up = -np.einsum("lpki...->klip...", DbarGamma)
     return (
-        ConnectionField(chart, Gamma),
-        TorsionField(chart, T),
-        CurvatureField(chart, up, low),
+        ConnectionField(chart, _grid_leading(chart, Gamma)),
+        TorsionField(chart, _grid_leading(chart, _torsion(Gamma))),
+        CurvatureField(chart, _grid_leading(chart, up), _grid_leading(chart, low)),
     )
 
 
@@ -148,21 +180,25 @@ def chern_ricci(g):
 
 def ricci_from_curvature(g):
     """Trace g^{jbar i} R_{k lbar i jbar}; cross-check path for chern_ricci."""
-    Gi = herm_inv(g.values)
-    _, _, R = connection_torsion_curvature(g)
-    return HermitianMatrixField(g.chart, np.einsum("...ji,...klij->...kl", Gi, R.low))
+    require_positive(g)
+    chart = g.chart
+    G = _tensor_first(chart, g.values)
+    Gi = _tensor_first(chart, herm_inv(g.values))
+    _, low = _curvature(chart, _christoffel(chart, G, Gi), G)
+    ric = np.einsum("klij...,ji...->kl...", low, Gi)
+    return HermitianMatrixField(chart, _grid_leading(chart, ric))
 
 
 def trace_and_laplacian(g, target):
     """Pointwise trace tr_g(target) or complex Laplacian of a scalar."""
-    g.chart.require_same(target.chart)
-    Gi = herm_inv(g.values)
+    chart = g.chart
+    chart.require_same(target.chart)
+    Gi = _tensor_first_view(chart, herm_inv(g.values))
     if isinstance(target, HermitianMatrixField):
-        out = np.einsum("...ji,...ij->...", Gi, target.values).real
+        other = target.values
     else:
-        hess = g.chart.complex_hessian(target.values)
-        out = np.einsum("...ji,...ij->...", Gi, hess).real
-    return ScalarField(g.chart, out)
+        other = chart.complex_hessian(target.values)
+    return ScalarField(chart, _trace(Gi, _tensor_first_view(chart, other)).real)
 
 
 def closedness_residual(chart, values):
@@ -174,11 +210,11 @@ def closedness_residual(chart, values):
     n = chart.n
     if n == 1:
         return 0.0
-    D = _dz_stack(chart, values)  # [..., k, a, b]
+    D = chart.grad(_tensor_first(chart, values))  # [k, a, b, *grid]
     res = 0.0
     for k in range(n):
         for i in range(k + 1, n):
-            res = max(res, float(np.max(np.abs(D[..., k, i, :] - D[..., i, k, :]))))
+            res = max(res, float(np.max(np.abs(D[k, i] - D[i, k]))))
     return res
 
 
@@ -227,6 +263,11 @@ class TraceEvolutionReport:
         return reports
 
 
+def _norm(value):
+    """sqrt of the real part, clipped at zero (a norm assembled from rounding)."""
+    return np.sqrt(np.maximum(value.real, 0.0))
+
+
 def verify_trace_evolution(g0, ghat, phi, t=0.0, chi=None):
     """Certify the evolution identity for log tr_ghat g term by term.
 
@@ -241,7 +282,6 @@ def verify_trace_evolution(g0, ghat, phi, t=0.0, chi=None):
     chart = g0.chart
     chart.require_same(ghat.chart)
     chart.require_same(phi.chart)
-    n = chart.n
 
     if chi is None:
         chi = HermitianMatrixField(chart, -chern_ricci(g0).values)
@@ -254,104 +294,106 @@ def verify_trace_evolution(g0, ghat, phi, t=0.0, chi=None):
     if not lo > 0.0:
         raise NotPositiveDefinite(f"omega(t) has min eigenvalue {lo:.3e}")
     require_positive(ghat, what="ghat")
+    logdet_g = herm_logdet(G)
 
-    Gi = herm_inv(G)
-    Ghat = ghat.values
-    Gihat = herm_inv(Ghat)
-    G0 = g0.values
+    # the one move to tensor-first layout of each rank-2 input and inverse
+    Gi = _tensor_first(chart, herm_inv(G))
+    G = _tensor_first(chart, G)
+    Ghat = _tensor_first(chart, ghat.values)
+    Gihat = _tensor_first(chart, herm_inv(ghat.values))
+    G0 = _tensor_first(chart, g0.values)
 
-    GammaHat, _ = _christoffel(chart, Ghat, Gihat)
-    THat = GammaHat - np.swapaxes(GammaHat, -1, -2)
+    GammaHat = _christoffel(chart, Ghat, Gihat)
+    THat = _torsion(GammaHat)
+    cTHat = np.conj(THat)
     _, RlowHat = _curvature(chart, GammaHat, Ghat)
+    T0 = _torsion(_christoffel(chart, G0, _tensor_first(chart, herm_inv(g0.values))))
 
-    Gamma0, _ = _christoffel(chart, G0, herm_inv(G0))
-    T0 = Gamma0 - np.swapaxes(Gamma0, -1, -2)
-
-    tau = np.einsum("...lk,...kl->...", Gihat, G).real
+    tau = _trace(Gihat, G).real
 
     # left side: (d_t - Delta) log tau with the flow substituted analytically
-    logdet_g = herm_logdet(G)
-    LD = chart.complex_hessian(logdet_g)
-    dt_tau = np.einsum("...lk,...kl->...", Gihat, LD).real
+    LD = _tensor_first_view(chart, chart.complex_hessian(logdet_g))
+    dt_tau = _trace(Gihat, LD).real
     logtau = np.log(tau)
-    lap_logtau = np.einsum(
-        "...ji,...ij->...", Gi, chart.complex_hessian(logtau)
-    ).real
+    lap_logtau = _trace(Gi, _tensor_first_view(chart, chart.complex_hessian(logtau))).real
     lhs = dt_tau / tau - lap_logtau
 
-    # covariant derivatives of g with respect to ghat
-    Dg = _dz_stack(chart, G)
-    Dbarg = _dz_stack(chart, G, conj_side=True)
-    Cov1 = Dg - np.einsum("...rki,...rj->...kij", GammaHat, G)
-    Covb = Dbarg - np.einsum("...slj,...is->...lij", np.conj(GammaHat), G)
+    # covariant derivatives of g with respect to ghat:
+    # Cov1[k, i, j] = nabla_k g_{i jbar}, Covb[l, i, j] = nabla_lbar g_{i jbar}
+    Cov1 = chart.grad(G)
+    Cov1 -= np.einsum("rki...,rj...->kij...", GammaHat, G)
+    Covb = chart.grad(G, conj=True)
+    Covb -= np.einsum("slj...,is...->lij...", np.conj(GammaHat), G)
 
-    dtau = np.stack([chart.dz(tau, i) for i in range(n)], axis=-1)
+    dtau = chart.grad(tau)  # [k, *grid]
     dbtau = np.conj(dtau)
 
-    term_a = -np.einsum(
-        "...jp,...qi,...lk,...kij,...lpq->...", Gi, Gi, Gihat, Cov1, Covb
-    )
-    term_b = np.einsum("...lk,...k,...l->...", Gi, dtau, dbtau) / tau
+    # term (I): -Gi_jp Gi_qi Gihat_lk Cov1_kij Covb_lpq
+    A = np.einsum("lk...,kij...->lij...", Gihat, Cov1)
+    del Cov1
+    A = np.einsum("qi...,lij...->lqj...", Gi, A)
+    A = np.einsum("lqj...,jp...->lqp...", A, Gi)
+    term_a = -np.einsum("lqp...,lpq...->...", A, Covb)
+    # Gi_lk dtau_k dbtau_l / tau
+    term_b = np.einsum("l...,l...->...", np.einsum("lk...,k...->l...", Gi, dtau), dbtau) / tau
+    # -2 Re Gi_ji Gihat_lk THat_pki Covb_lpj, through C_pli = Gihat_lk THat_pki
+    C = np.einsum("lk...,pki...->pli...", Gihat, THat)
     term_c = -2.0 * np.einsum(
-        "...ji,...lk,...pki,...lpj->...", Gi, Gihat, THat, Covb
+        "plj...,lpj...->...", np.einsum("pli...,ji...->plj...", C, Gi), Covb
     ).real
-    term_d = -np.einsum(
-        "...ji,...lk,...pik,...qjl,...pq->...", Gi, Gihat, THat, np.conj(THat), G
-    )
+    del Covb
+    # -Gi_ji Gihat_lk THat_pik conj(THat)_qjl G_pq; torsion is antisymmetric,
+    # so THat_pik Gihat_lk = -C_pli exactly
+    D = np.einsum("pq...,pli...->qil...", G, C)
+    D = np.einsum("ji...,qil...->qjl...", Gi, D)
+    term_d = np.einsum("qjl...,qjl...->...", D, cTHat)
     term_I = (term_a + term_b + term_c + term_d) / tau
 
     # term (II) coefficient tensor N_{i jbar}^{k qbar}, built from ghat alone
-    DCT = _dz_stack(chart, np.conj(THat))  # [..., i, q, j, l]
-    inner = DCT - np.einsum("...ilpj,...qp->...iqjl", RlowHat, Gihat)
-    N2 = np.einsum("...lk,...iqjl->...ijkq", Gihat, inner)
-    term_II = np.einsum("...ji,...ijkq,...kq->...", Gi, N2, G) / tau
+    inner = chart.grad(cTHat)  # [i, q, j, l]
+    inner -= np.einsum("ilpj...,qp...->iqjl...", RlowHat, Gihat)
+    del RlowHat
+    N2 = np.einsum("iqjl...,lk...->ijkq...", inner, Gihat)
+    del inner
+    term_II = _trace(Gi, np.einsum("ijkq...,kq...->ij...", N2, G)) / tau
 
     # term (III) bracket P_{i jbar}, built from ghat and g0
-    S = np.einsum("...pjl,...kp->...kjl", np.conj(T0), G0)
-    CovS = _dz_stack(chart, S) - np.einsum("...rik,...rjl->...ikjl", GammaHat, S)
-    W = np.einsum("...pik,...pj->...ikj", T0, G0)
-    CovbW = _dz_stack(chart, W, conj_side=True) - np.einsum(
-        "...slj,...iks->...likj", np.conj(GammaHat), W
-    )
-    P = (
-        np.einsum("...lk,...ikjl->...ij", Gihat, CovS)
-        + np.einsum("...lk,...likj->...ij", Gihat, CovbW)
-        - np.einsum("...lk,...qjl,...pik,...pq->...ij", Gihat, np.conj(THat), T0, G0)
-    )
-    term_III = -np.einsum("...ji,...ij->...", Gi, P) / tau
+    S = np.einsum("pjl...,kp...->kjl...", np.conj(T0), G0)
+    CovS = chart.grad(S)  # [i, k, j, l]
+    CovS -= np.einsum("rik...,rjl...->ikjl...", GammaHat, S)
+    P = np.einsum("lk...,ikjl...->ij...", Gihat, CovS)
+    del CovS
+    W = np.einsum("pik...,pj...->ikj...", T0, G0)
+    CovbW = chart.grad(W, conj=True)  # [l, i, k, j]
+    CovbW -= np.einsum("slj...,iks...->likj...", np.conj(GammaHat), W)
+    P += np.einsum("lk...,likj...->ij...", Gihat, CovbW)
+    del CovbW
+    # Gihat_lk conj(THat)_qjl T0_pik G0_pq, with T0_pik G0_pq = W_ikq
+    P -= np.einsum("ikq...,qjk...->ij...", W, np.einsum("qjl...,lk...->qjk...", cTHat, Gihat))
+    term_III = -_trace(Gi, P) / tau
 
     rhs = term_I + term_II + term_III
     imag_residual = float(np.max(np.abs(rhs.imag)))
     residual = float(np.max(np.abs(lhs - rhs.real)))
 
     # bounds, checked where tr_ghat g >= 1
-    tr_g_ghat = np.einsum("...lk,...kl->...", Gi, Ghat).real
+    tr_g_ghat = _trace(Gi, Ghat).real
+    # Gihat_li Gi_qk T0_pki G0_pl dbtau_q, with T0_pki G0_pl = W_kil
     bound_I = (2.0 / tau ** 2) * np.einsum(
-        "...li,...qk,...pki,...pl,...q->...", Gihat, Gi, T0, G0, dbtau
+        "k...,k...->...",
+        np.einsum("q...,qk...->k...", dbtau, Gi),
+        np.einsum("kil...,li...->k...", W, Gihat),
     ).real
 
-    norm_N2 = np.sqrt(
-        np.maximum(
-            np.einsum(
-                "...ijkq,...abcd,...ai,...jb,...kc,...dq->...",
-                N2,
-                np.conj(N2),
-                Gihat,
-                Gihat,
-                Ghat,
-                Ghat,
-            ).real,
-            0.0,
-        )
-    )
-    norm_P = np.sqrt(
-        np.maximum(
-            np.einsum(
-                "...ij,...ab,...ai,...jb->...", P, np.conj(P), Gihat, Gihat
-            ).real,
-            0.0,
-        )
-    )
+    # |N2|^2 = M_abcd conj(N2)_abcd, M_abcd = Gihat_ai Gihat_jb Ghat_kc Ghat_dq N2_ijkq
+    M = np.einsum("ai...,ijkq...->ajkq...", Gihat, N2)
+    M = np.einsum("ajkq...,jb...->abkq...", M, Gihat)
+    M = np.einsum("abkq...,kc...->abcq...", M, Ghat)
+    M = np.einsum("abcq...,dq...->abcd...", M, Ghat)
+    norm_N2 = _norm(np.einsum("abcd...,abcd...->...", M, np.conj(N2)))
+    # |P|^2 = Q_ab conj(P)_ab, Q_ab = Gihat_ai P_ij Gihat_jb
+    Q = np.einsum("aj...,jb...->ab...", np.einsum("ai...,ij...->aj...", Gihat, P), Gihat)
+    norm_P = _norm(np.einsum("ab...,ab...->...", Q, np.conj(P)))
     C_II = float(np.max(norm_N2))
     C_III = float(np.max(norm_P))
 
@@ -383,18 +425,17 @@ def verify_bianchi_vanishing(ghat):
     identically for every Hermitian metric."""
     require_positive(ghat)
     chart = ghat.chart
-    Ghat = ghat.values
-    Gihat = herm_inv(Ghat)
-    GammaHat, _ = _christoffel(chart, Ghat, Gihat)
-    THat = GammaHat - np.swapaxes(GammaHat, -1, -2)
+    Ghat = _tensor_first(chart, ghat.values)
+    Gihat = _tensor_first(chart, herm_inv(ghat.values))
+    GammaHat = _christoffel(chart, Ghat, Gihat)
+    tcontr = np.einsum("iik...->k...", _torsion(GammaHat))
     _, RlowHat = _curvature(chart, GammaHat, Ghat)
+    del GammaHat
 
-    tcontr = np.einsum("...iik->...k", THat)
-    dbar_t = _dz_stack(chart, tcontr, conj_side=True)  # [..., l, k]
-    term2 = np.einsum("...ilkq,...qi->...lk", RlowHat, Gihat)
-    term3 = np.einsum("...kliq,...qi->...lk", RlowHat, Gihat)
-    V = np.einsum("...lk,...lk->...", Gihat, dbar_t + term2 - term3)
-    return float(np.max(np.abs(V)))
+    V = chart.grad(tcontr, conj=True)  # [l, k]
+    V += np.einsum("ilkq...,qi...->lk...", RlowHat, Gihat)
+    V -= np.einsum("kliq...,qi...->lk...", RlowHat, Gihat)
+    return float(np.max(np.abs(np.einsum("lk...,lk...->...", Gihat, V))))
 
 
 def verify_schwarz_identity(g, gN):
@@ -410,15 +451,16 @@ def verify_schwarz_identity(g, gN):
     G = g.values
     logdet_g = herm_logdet(G)
     logdet_gN = herm_logdet(gN.values)
-    Gi = herm_inv(G)
+    Gi = _tensor_first(chart, herm_inv(G))
     logu = logdet_gN - logdet_g
 
-    ric_g = -chart.complex_hessian(logdet_g)
-    ric_gN = -chart.complex_hessian(logdet_gN)
+    def trace_hessian(f):
+        return _trace(Gi, _tensor_first_view(chart, chart.complex_hessian(f))).real
 
-    dt_logu = np.einsum("...ji,...ij->...", Gi, ric_g).real
-    lap_logu = np.einsum("...ji,...ij->...", Gi, chart.complex_hessian(logu)).real
-    rhs = np.einsum("...ji,...ij->...", Gi, ric_gN).real
+    # tr_omega Ric(g) - Delta log u - tr_omega Ric(g_N), Ric = -ddbar log det
+    dt_logu = -trace_hessian(logdet_g)
+    lap_logu = trace_hessian(logu)
+    rhs = -trace_hessian(logdet_gN)
     return float(np.max(np.abs(dt_logu - lap_logu - rhs)))
 
 
@@ -426,18 +468,20 @@ def commutator_residual(g, X):
     """Max residual of [nabla_k, nabla_lbar] X^i = R_{k lbar j}^{   i} X^j
     for a vector field X (values [..., i])."""
     chart = g.chart
-    G = g.values
-    Gi = herm_inv(G)
-    Gamma, _ = _christoffel(chart, G, Gi)
-    up, _ = _curvature(chart, Gamma, G)
+    G = _tensor_first(chart, g.values)
+    Gi = _tensor_first(chart, herm_inv(g.values))
+    X = _tensor_first(chart, X)
+    Gamma = _christoffel(chart, G, Gi)
+    DbarGamma, _ = _curvature(chart, Gamma, G)
 
     # nabla_k X^i = d_k X^i + Gamma^i_{kj} X^j; barred slots are inert under
     # nabla_k of the Chern connection and unbarred ones under nabla_lbar
-    covX = _dz_stack(chart, X) + np.einsum("...ikj,...j->...ki", Gamma, X)
-    after = _dz_stack(chart, covX, conj_side=True)  # nabla_lbar nabla_k; [..., l, k, i]
-    dbarX = _dz_stack(chart, X, conj_side=True)  # [..., l, i]
-    before = _dz_stack(chart, dbarX)  # nabla_k nabla_lbar; [..., k, l, i]
-    before = before + np.einsum("...ikj,...lj->...kli", Gamma, dbarX)
-    lhs = before - np.einsum("...lki->...kli", after)
-    rhs = np.einsum("...klji,...j->...kli", up, X)
+    covX = chart.grad(X) + np.einsum("ikj...,j...->ki...", Gamma, X)
+    after = chart.grad(covX, conj=True)  # nabla_lbar nabla_k; [l, k, i]
+    dbarX = chart.grad(X, conj=True)  # [l, i]
+    before = chart.grad(dbarX)  # nabla_k nabla_lbar; [k, l, i]
+    before += np.einsum("ikj...,lj...->kli...", Gamma, dbarX)
+    lhs = before - np.swapaxes(after, 0, 1)
+    # R_{k lbar j}^i X^j = -dbar_l Gamma^i_{kj} X^j
+    rhs = -np.einsum("likj...,j...->kli...", DbarGamma, X)
     return float(np.max(np.abs(lhs - rhs)))

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+from crflab import elliptic
 from crflab.errors import NonConvergence, NotPositiveDefinite
 from crflab.elliptic import (
     EllipticProblem,
+    _bicgstab,
     _residual_field,
     certify_estimates,
     solve_elliptic,
@@ -164,6 +166,35 @@ class TestSolve:
         prob, _ = manufactured_problem(chart1, np.array([[1.2]]), 12, 0.1)
         with pytest.raises(ValueError):
             solve_elliptic(prob, "simplex")
+
+
+class TestKrylov:
+    def test_stagnating_solve_returns_its_best_iterate(self):
+        # a Gaussian matrix has its spectrum in a disk around 0, where
+        # BiCGStab stagnates and its residual jumps up and down
+        rng = np.random.default_rng(4)
+        A = rng.normal(size=(40, 40))
+        rhs = rng.normal(size=40)
+        results = [_bicgstab(lambda v: A @ v, rhs, np.copy, 1e-12, max_iter=k)
+                   for k in range(1, 13)]
+        residuals = [res for _, res in results]
+        assert all(b <= a for a, b in zip(residuals, residuals[1:]))
+        for x, res in results:
+            true = np.max(np.abs(rhs - A @ x)) / np.max(np.abs(rhs))
+            assert true == pytest.approx(res, rel=1e-8)
+
+    def test_stalled_line_search_names_the_krylov_solve(self, chart1, monkeypatch):
+        prob, _ = manufactured_problem(chart1, np.eye(1), 3, 0.05)
+        solve = elliptic._bicgstab
+
+        def uphill(op, rhs, precond, tol):
+            x, res = solve(op, rhs, precond, tol)
+            return -x, res  # an ascent direction: every trial step fails
+
+        monkeypatch.setattr(elliptic, "_bicgstab", uphill)
+        with pytest.raises(NonConvergence, match=r"last Krylov solve reached \S+ "
+                                                 r"against tolerance \S+"):
+            solve_elliptic(prob, "newton-continuation")
 
 
 class TestEstimates:

@@ -319,6 +319,22 @@ class TestRun:
         assert "converged_at" in record.meta
         assert state.t < 400.0
 
+    def test_resume_restarts_convergence_patience(self, chart1, n1_metric):
+        # quiet time before a resume does not count: the resumed run needs
+        # its own convergence_patience of quiet steps
+        sc = scenario_from_metric(
+            n1_metric, 500.0, convergence_tol=1e-5, convergence_patience=2.0
+        )
+        states = []
+        full, _ = run(sc, 400.0, callback=lambda st, record: states.append(st))
+        t_c = full.meta["converged_at"]
+        # the quiet stretch began at a step time <= t_c - 2, so at or before
+        # the step before t_c; resuming there retakes the step to t_c
+        mid = states[-2]
+        resumed, _ = run(sc, 400.0, state=mid)
+        assert resumed.rows[1][0] == t_c
+        assert resumed.meta["converged_at"] > t_c
+
     def test_positivity_lost_propagates_with_state(self, chart1):
         g0 = HermitianMatrixField.constant(chart1, np.array([[1.0]]))
         sc = scenario_from_metric(g0, 10.0, control=StepControl(eps_pd=1e-2))

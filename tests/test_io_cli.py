@@ -1,6 +1,7 @@
 import math
 import os
 import struct
+import tempfile
 
 import numpy as np
 import pytest
@@ -268,6 +269,127 @@ class TestSchemaFuzz:
             _only_value_errors(tree, section)
 
 
+def _snapshot_fields():
+    c1 = TorusChart(1, 8, active_axes=(0,))
+    c2 = TorusChart(2, 8, active_axes=(0, 2))
+    x = c1.axis_coordinates(0)
+    herm = np.broadcast_to(np.eye(2), c2.shape + (2, 2)).astype(complex)
+    return [
+        ScalarField(c1, np.cos(x)),
+        VolumeField(c1, 2.0 + np.sin(x)),
+        HermitianMatrixField(c2, herm + 0.1 * np.cos(c2.axis_coordinates(2))[..., None, None]),
+    ]
+
+
+def _snapshot_bytes(field, footer):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "f.snap")
+        write_snapshot(path, field, footer=footer)
+        with open(path, "rb") as fh:
+            return fh.read()
+
+
+def _read_bytes(raw, footer, chart=None):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "f.snap")
+        with open(path, "wb") as fh:
+            fh.write(raw)
+        return read_snapshot(path, chart=chart, want_footer=footer is not None)
+
+
+# offset and format of each header and descriptor field of a snapshot
+_HEADER_FIELDS = [(4, "<H"), (6, "<H"), (8, "<H"), (10, "<H"), (12, "<I")]
+
+
+def _descriptor_fields(naxes):
+    ints = [(16 + 4 * a, "<I") for a in range(naxes)]
+    floats = [(16 + 4 * naxes + 8 * a, "<d") for a in range(naxes)]
+    return ints + floats + [(16 + 12 * naxes, "<I")]
+
+
+_FIELD_INDEX = st.integers(0, len(_snapshot_fields()) - 1)
+_FOOTER = st.sampled_from([None, (0.5, 1e-3)])
+
+
+class TestSnapshotFuzz:
+    """Malformed snapshots raise ValueError and nothing else; every field
+    is 8 nodes per active axis, so no header can ask for a large array."""
+
+    @given(_FIELD_INDEX, _FOOTER, st.data())
+    def test_truncations(self, index, footer, data):
+        raw = _snapshot_bytes(_snapshot_fields()[index], footer)
+        cut = data.draw(st.integers(0, len(raw) - 1))
+        with pytest.raises(ValueError):
+            _read_bytes(raw[:cut], footer)
+
+    @given(_FIELD_INDEX, st.binary(min_size=4, max_size=4).filter(lambda b: b != b"CRFS"))
+    def test_bad_magic(self, index, magic):
+        raw = _snapshot_bytes(_snapshot_fields()[index], None)
+        with pytest.raises(ValueError, match="not a field snapshot"):
+            _read_bytes(magic + raw[4:], None)
+
+    @given(_FIELD_INDEX, st.integers(3, 2 ** 16 - 1))
+    def test_bad_kind(self, index, kind):
+        raw = bytearray(_snapshot_bytes(_snapshot_fields()[index], None))
+        struct.pack_into("<H", raw, 6, kind)
+        with pytest.raises(ValueError, match="kind"):
+            _read_bytes(bytes(raw), None)
+
+    @given(_FIELD_INDEX, _FOOTER, st.sampled_from([16, 32]), st.floats(0.5, 10.0))
+    def test_wrong_chart(self, index, footer, resolution, period):
+        field = _snapshot_fields()[index]
+        c = field.chart
+        other = TorusChart(c.n, resolution, period, c.active_axes)
+        with pytest.raises(ValueError):
+            _read_bytes(_snapshot_bytes(field, footer), footer, chart=other)
+
+    @given(_FIELD_INDEX, _FOOTER, st.sampled_from([math.nan, math.inf, -math.inf]),
+           st.data())
+    def test_non_finite_payload(self, index, footer, bad, data):
+        field = _snapshot_fields()[index]
+        raw = bytearray(_snapshot_bytes(field, footer))
+        start = 16 + 12 * field.chart.naxes + 4
+        count = (len(raw) - start - (16 if footer else 0)) // 8
+        at = data.draw(st.integers(0, count - 1))
+        struct.pack_into("<d", raw, start + 8 * at, bad)
+        with pytest.raises(ValueError, match="not finite"):
+            _read_bytes(bytes(raw), footer)
+
+    @given(_FIELD_INDEX, _FOOTER, st.data())
+    def test_header_mutations_raise_only_value_errors(self, index, footer, data):
+        field = _snapshot_fields()[index]
+        raw = bytearray(_snapshot_bytes(field, footer))
+        fields = _HEADER_FIELDS + _descriptor_fields(field.chart.naxes)
+        for _ in range(data.draw(st.integers(1, 3))):
+            off, fmt = data.draw(st.sampled_from(fields))
+            if fmt == "<d":
+                value = data.draw(st.floats(allow_nan=True, allow_infinity=True))
+            else:
+                value = data.draw(st.integers(0, 2 ** (8 * struct.calcsize(fmt)) - 1))
+            struct.pack_into(fmt, raw, off, value)
+        try:
+            _read_bytes(bytes(raw), footer)
+        except ValueError:
+            pass
+
+
+def _corrupt_checkpoint(raw, how):
+    raw = bytearray(raw)
+    if how == "truncated":
+        return bytes(raw[: len(raw) // 2])
+    if how == "magic":
+        raw[:4] = b"JUNK"
+    elif how == "kind":
+        struct.pack_into("<H", raw, 6, 7)
+    elif how == "resolution":
+        struct.pack_into("<I", raw, 16, 32)
+    elif how == "payload":
+        struct.pack_into("<d", raw, 16 + 12 * 2 + 4 + 8 * 5, math.nan)
+    elif how == "time":
+        struct.pack_into("<d", raw, len(raw) - 16, math.nan)
+    return bytes(raw)
+
+
 class TestCsv:
     def test_roundtrip_lossless(self, tmp_path):
         path = str(tmp_path / "t.csv")
@@ -496,6 +618,21 @@ class TestCli:
         rc = main(["run-flow", "--scenario", scen, "--out", str(tmp_path / "c")])
         assert rc == 2
         assert "invalid input" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "how", ["truncated", "magic", "kind", "resolution", "payload", "time"]
+    )
+    def test_malformed_checkpoint_exits_2(self, tmp_path, capsys, how):
+        scen = _write(tmp_path, "s.cfg", FLOW_N1)
+        chart = TorusChart(1, 64, active_axes=(0,))
+        snap = str(tmp_path / "ckpt.snap")
+        write_snapshot(snap, ScalarField.zeros(chart), footer=(0.0, 1e-3))
+        raw = open(snap, "rb").read()
+        open(snap, "wb").write(_corrupt_checkpoint(raw, how))
+        rc = main(["run-flow", "--scenario", scen, "--out", str(tmp_path / "t"),
+                   "--resume", snap])
+        assert rc == 2
+        assert snap in capsys.readouterr().err
 
     @pytest.mark.parametrize("cut", [8, 20, 40, -4])
     def test_truncated_checkpoint_exits_2(self, tmp_path, capsys, cut):

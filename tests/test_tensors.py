@@ -1,14 +1,24 @@
+import ast
+import inspect
+
 import numpy as np
 import pytest
 
 from crflab.errors import ClosednessViolated, NotPositiveDefinite
+from crflab import tensors
 from crflab.geometry import (
     HermitianMatrixField,
     ScalarField,
+    TorusChart,
     i_ddbar,
     refine_chart,
 )
-from crflab.models import random_verification_triple
+from crflab.models import (
+    Perturbation,
+    ScalarRecipe,
+    TorusMetricRecipe,
+    random_verification_triple,
+)
 from crflab.tensors import (
     chern_ricci,
     closedness_residual,
@@ -227,3 +237,59 @@ class TestSchwarzIdentity:
             verify_schwarz_identity(bad, nonkahler_metric)
         with pytest.raises(NotPositiveDefinite):
             verify_schwarz_identity(nonkahler_metric, bad)
+
+
+class TestThreeDimensional:
+    """n = 3 certifiers on 8 nodes per active axis; this runs the n >= 3
+    inverse path. Amplitudes are small enough that aliasing of the
+    nonlinear terms stays below the tolerances on so coarse a grid."""
+
+    @pytest.fixture
+    def chart3(self):
+        return TorusChart(3, 8, active_axes=(0, 2, 4))
+
+    @staticmethod
+    def metric(chart, seed, amplitude=0.02):
+        rng = np.random.default_rng(seed)
+        perts = []
+        for i in range(3):
+            for j in range(i, 3):
+                wave = [0] * 6
+                wave[2 * int(rng.integers(3))] = 1
+                perts.append(Perturbation(i, j, amplitude * (1.0 if i == j else 0.4),
+                                          tuple(wave), float(2 * np.pi * rng.random())))
+        return TorusMetricRecipe(np.eye(3), perts).build(chart)
+
+    def test_trace_evolution_and_bianchi(self, chart3):
+        g0, ghat = self.metric(chart3, 1), self.metric(chart3, 2)
+        phi = ScalarRecipe([
+            Perturbation(0, 0, 0.006, (1, 0, 0, 0, 0, 0), 0.4),
+            Perturbation(0, 0, 0.004, (0, 0, 0, 0, 1, 0), 1.1),
+        ]).build(chart3)
+        rep = verify_trace_evolution(g0, ghat, phi, t=0.1)
+        assert rep.identity_residual <= 1e-6
+        assert rep.imag_residual <= 1e-9
+        assert max(rep.bound_violations) <= 1e-8
+        assert verify_bianchi_vanishing(ghat) <= 1e-9
+
+    def test_connection_symmetries(self, chart3):
+        g = self.metric(chart3, 2, amplitude=0.01)
+        conn, tor, curv = connection_torsion_curvature(g)
+        assert conn.values.shape == chart3.shape + (3, 3, 3)
+        assert np.max(np.abs(tor.values)) > 1e-3
+        assert np.max(np.abs(tor.values + np.swapaxes(tor.values, -1, -2))) == 0.0
+        sym = np.conj(curv.low) - np.einsum("...klij->...lkji", curv.low)
+        assert np.max(np.abs(sym)) <= 1e-10
+
+
+def test_contractions_are_pairwise_with_fixed_order():
+    """Every einsum in tensors takes at most two operands and no path search."""
+    calls = [
+        node for node in ast.walk(ast.parse(inspect.getsource(tensors)))
+        if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "einsum"
+    ]
+    assert calls
+    for call in calls:
+        assert len(call.args) <= 3, ast.unparse(call)
+        assert not call.keywords, ast.unparse(call)
+        assert ast.literal_eval(call.args[0]).split("->")[0].count(",") <= 1
