@@ -12,10 +12,17 @@ integrating the parabolic relaxation
 to stationarity (phi drifts linearly with slope b; the spatial oscillation
 of d_t phi bounds the residual), or by damped Newton on (phi, b) with the
 linearized operator Delta' (the complex Laplacian of the updated metric)
-applied matrix-free and inverted by a flat-Laplacian-preconditioned
-BiCGStab iteration on the mean-zero subspace. Both come from `geometry`:
-the preconditioner is `TorusChart.laplacian_inverse`, and `herm_logdet`
-rejects every trial metric that is not positive definite, also at det > 0.
+applied matrix-free and inverted by BiCGStab on the mean-zero subspace,
+right-preconditioned: the Krylov solve runs on A M^-1 y = rhs, with M the
+flat Laplacian of the mean metric, and the step is M^-1 y. M^-1 is a
+half-spectrum multiplier, so one operator apply is one `rfft` of y, the n^2
+real Hessian components of M^-1 y, and their sum against real weights
+built once per Newton iteration. Everything spectral comes from `geometry`
+(this module makes no transform of its own): the multiplier is
+`TorusChart.laplacian_inverse`, the weights `hessian_trace_weights`, and
+`herm_logdet` rejects every trial metric that is not positive definite,
+also at det > 0. Solutions are stripped of the modes no Wirtinger operator
+sees, which leaves their residual unchanged.
 
 Both start from phi = 0 unless given a start phi0 (Newton also takes b0).
 
@@ -85,9 +92,9 @@ class EllipticSolution:
 
 
 def _normalize(problem, phi_values):
-    # Nyquist modes are invisible to the discrete Hessian; strip them so
-    # both solution routes return the same canonical representative
-    phi_values = problem.chart.strip_nyquist(phi_values)
+    # strip the modes the discrete Hessian cannot see, so both solution
+    # routes return the same canonical representative
+    phi_values = problem.chart.strip_invisible(phi_values)
     if problem.normalization == "mean":
         return phi_values - phi_values.mean()
     return phi_values - phi_values.max()
@@ -169,18 +176,22 @@ def _solve_gill_flow(problem, tol, max_steps, phi0):
 def _bicgstab(op, rhs, precond, tol, max_iter=400):
     """Preconditioned BiCGStab on real fields; returns (x, relative residual).
 
-    x is the iterate with the smallest residual seen, so a solve that
-    diverges or stagnates hands back its best iterate, not its last one; a
-    converged solve stops at its first residual <= tol.
+    x is the iterate with the smallest residual seen, x = 0 included, so a
+    solve that diverges or stagnates hands back its best iterate, not its
+    last one, and never one worse than no step; a converged solve stops at
+    its first residual <= tol.
     """
+    norm0 = max(float(np.max(np.abs(rhs))), 1e-300)
+    best_x, best = np.zeros_like(rhs), norm0
     x = precond(rhs)
     r = rhs - op(x)
     r0 = r.copy()
     rho = alpha = omega_c = 1.0
     v = np.zeros_like(rhs)
     p = np.zeros_like(rhs)
-    norm0 = max(float(np.max(np.abs(rhs))), 1e-300)
-    best_x, best = x, float(np.max(np.abs(r)))
+    res = float(np.max(np.abs(r)))
+    if res < best:
+        best_x, best = x, res
     for it in range(max_iter):
         rho_new = float(np.vdot(r0, r).real)
         if abs(rho_new) < 1e-300:
@@ -226,22 +237,28 @@ def _solve_newton(problem, tol, max_steps, phi, b):
     res = float(np.max(np.abs(res_field)))
     iterations = 0
     while res > tol and iterations < max_steps:
-        Gpi = herm_inv(Gp)
+        # tr(Gp^-1 H) as real weights times the Hessian's real components
+        weights = chart.hessian_trace_weights(herm_inv(Gp))
 
-        def lap(v):
-            hess = chart.complex_hessian(v)
-            return np.einsum("...ji,...ij->...", Gpi, hess).real
+        def lap(spec):
+            # Delta' of the field with half spectrum spec
+            return sum(w * h for w, h in zip(weights, chart.hessian_components(spec)))
 
+        # right preconditioner M^-1: the inverse flat Laplacian
+        # tr(Gbar^-1 H) of the mean metric, as a half-spectrum multiplier;
+        # the Krylov solve runs on y with dphi = M^-1 y
+        inverse = chart.laplacian_inverse(np.linalg.inv(chart.mean(Gp)))
         proj = lambda v: v - v.mean()
         rhs = -proj(res_field)
-        # the flat Laplacian tr(Gbar^-1 H) of the mean metric
-        precond = chart.laplacian_inverse(np.linalg.inv(chart.mean(Gp)))
         # forcing term: tighter as res falls, but no tighter than the
         # accuracy that brings the next residual to tol (Eisenstat-Walker)
         lin_tol = max(1e-12, 0.5 * tol / res, min(1e-2, 0.05 * res))
-        dphi, lin_res = _bicgstab(lambda v: proj(lap(proj(v))), rhs, precond, lin_tol)
-        dphi = proj(dphi)
-        db = float((res_field + lap(dphi)).mean())
+        y, lin_res = _bicgstab(
+            lambda v: proj(lap(chart.rfft(v) * inverse)), rhs, lambda v: v, lin_tol
+        )
+        dspec = chart.rfft(y) * inverse
+        dphi = chart.irfft(dspec)
+        db = float((res_field + lap(dspec)).mean())
 
         s = 1.0
         while s >= 2.0 ** -24:

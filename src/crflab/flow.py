@@ -14,7 +14,12 @@ whose metric solves d_t omega = -Ric(omega) - omega; the two runs are
 related by omega_norm(t) = omega(s)/(s+1) at t = log(s+1).
 
 Stepping is exponential time differencing (Cox-Matthews ETDRK4) in Fourier
-space over the active axes. The right side splits as L phi + N(phi, t) with
+space over the active axes: the state and the stages are half spectra of
+`TorusChart.rfft`, and each stage's right side takes its complex Hessian
+from the stage spectrum instead of transforming the grid values back. The
+new state's right side transforms its grid phi afresh, so a state depends
+only on its own values and a resumed run repeats an uninterrupted one
+bitwise. The right side splits as L phi + N(phi, t) with
 the diagonal operator L = (1/lambda_min) sum_i d_i d_ibar - d, where
 lambda_min is omega's smallest eigenvalue at the step start and d the
 coefficient of the -phi term (0 or 1). Since omega^{-1} <= 1/lambda_min, L
@@ -29,7 +34,7 @@ dt is error-controlled and no step is rejected: the embedded order-2
 exponential trapezoid, fed by the right side the new state evaluates anyway,
 gives err, and the next step is dt * min(2, safety * (tol/err)^(1/3)). The
 first step of a run takes safety * 2.7 / max|L|, where classical RK4 would
-be stable on L; `_rk4` stays as the reference the tests compare against.
+be stable on L; the tests keep classical RK4 as the reference.
 Positivity of omega is asserted after every accepted step; dropping below
 the eigenvalue floor signals the approach to the maximal existence time.
 
@@ -188,18 +193,20 @@ class FlowScenario:
             val = herm_logdet(self.reference_metric(ts))
             a = max(a, float(np.max(val - self._log_density)))
         self.monitor_A = a + 0.1
-        # Fourier symbol of sum_i d_i d_ibar, the flat part of the stiff operator
+        # half-grid Fourier symbol of sum_i d_i d_ibar, the flat part of the
+        # stiff operator
         self._laplacian = chart.laplacian_symbol(np.eye(chart.n))
 
     def reference_metric(self, t):
         return self.g0.values + t * self.chi.values
 
-    def rhs(self, phi, t):
-        """(log(det(ghat_t + Hess phi)/Omega0), metric); raises on loss of positivity."""
-        return self._log_volume_ratio(phi, t)
+    def rhs(self, phi, t, spec=None):
+        """(log(det(ghat_t + Hess phi)/Omega0), metric); raises on loss of
+        positivity. ``spec``, when given, is phi's half spectrum."""
+        return self._log_volume_ratio(phi, t, spec)
 
-    def _log_volume_ratio(self, phi, t):
-        G = self.reference_metric(t) + self.chart.complex_hessian(phi)
+    def _log_volume_ratio(self, phi, t, spec):
+        G = self.reference_metric(t) + self.chart.complex_hessian(phi, spec)
         try:
             logdet = herm_logdet(G)
         except NotPositiveDefinite:
@@ -257,7 +264,7 @@ def scenario_from_metric(g0, T0, f_T0=None, **kwargs):
     if f_T0 is None:
         target = T0 * ric0.values
         trace = np.einsum("...ii->...", target).real
-        f_vals = chart.laplacian_inverse(np.eye(chart.n))(trace)
+        f_vals = chart.irfft(chart.laplacian_inverse(np.eye(chart.n)) * chart.rfft(trace))
         f_T0 = ScalarField(chart, f_vals)
     else:
         chart.require_same(f_T0.chart)
@@ -272,14 +279,6 @@ def scenario_from_metric(g0, T0, f_T0=None, **kwargs):
         chart, herm_det(g0.values) * np.exp(f_T0.values / T0)
     )
     return FlowScenario(g0, T0, chi, density, f_T0=f_T0, **kwargs)
-
-
-def _rk4(rhs, phi, t, dt):
-    k1, _ = rhs(phi, t)
-    k2, _ = rhs(phi + 0.5 * dt * k1, t + 0.5 * dt)
-    k3, _ = rhs(phi + 0.5 * dt * k2, t + 0.5 * dt)
-    k4, _ = rhs(phi + dt * k3, t + dt)
-    return phi + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 def _phi_functions(z):
@@ -313,17 +312,18 @@ def _etdrk4(rhs, phi, t, dt, chart, symbol):
     """One Cox-Matthews ETDRK4 step of d_t phi = L phi + N(phi, t).
 
     L is diagonal in Fourier space over the active axes with the real
-    ``symbol`` (on the grid, even in the wavevector), and N = rhs - L phi.
-    Every stage goes through ``rhs``. Returns phi at t + dt and a function
-    that maps the right side there to the order-2 exponential trapezoid
+    ``symbol`` (on the half grid of `TorusChart.rfft`), and N = rhs - L phi.
+    The state and the stages stay half spectra; every stage goes through
+    ``rhs(phi, t, spec)``, which takes its Hessian from the stage spectrum.
+    Returns phi at t + dt and a function that maps the right side there to
+    the order-2 exponential trapezoid
     e^{hL} phi + h (phi_1 - phi_2)(hL) N(phi, t) + h phi_2(hL) N(new, t + h),
     the embedded solution of the error estimate.
     """
-    fft = chart.fft
-    ifft = lambda spec: chart.ifft(spec).real
+    fft, ifft = chart.rfft, chart.irfft
 
     def nonlinear(spec, s):
-        return fft(rhs(ifft(spec), s)[0]) - symbol * spec
+        return fft(rhs(ifft(spec), s, spec)[0]) - symbol * spec
 
     z = dt * symbol
     e, e2 = np.exp(z), np.exp(0.5 * z)
@@ -332,7 +332,7 @@ def _etdrk4(rhs, phi, t, dt, chart, symbol):
     t2 = t + 0.5 * dt
 
     u = fft(phi)
-    nu = fft(rhs(phi, t)[0]) - symbol * u
+    nu = fft(rhs(phi, t, u)[0]) - symbol * u
     a = e2 * u + q * nu
     na = nonlinear(a, t2)
     b = e2 * u + q * na
@@ -512,8 +512,8 @@ class NormalizedScenario(FlowScenario):
         decay = math.exp(-t)
         return self.chi.values * (1.0 - decay) + decay * self.g0.values
 
-    def rhs(self, phi, t):
-        log_ratio, G = self._log_volume_ratio(phi, t)
+    def rhs(self, phi, t, spec=None):
+        log_ratio, G = self._log_volume_ratio(phi, t, spec)
         return log_ratio - phi, G
 
 

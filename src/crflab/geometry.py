@@ -26,6 +26,15 @@ grid-leading contract. All of them run on one Fourier derivative kernel.
 
 This is the one module that transforms (on numpy, the only backend) and
 decides positivity: `herm_logdet` is the test that runs before every log det.
+Real fields go through the real-to-complex pair `TorusChart.rfft`/`irfft`,
+whose half spectrum halves the last active axis; `fft`/`ifft` stay for
+complex fields. `complex_hessian` works from a half spectrum, computed or
+given: each of its n^2 real components (h_ii, Re h_ij, Im h_ij for i < j) is
+one inverse real transform of the spectrum times a cached real half-grid
+multiplier. `hessian_trace_weights` turns a Hermitian matrix field into the
+real weights that contract those components, and `laplacian_symbol` and
+`laplacian_inverse` are the half-grid multipliers of the constant-coefficient
+Laplacians.
 """
 
 import math
@@ -77,13 +86,21 @@ class TorusChart:
         if active_axes is None:
             active_axes = range(naxes)
         self.active_axes = tuple(sorted(set(int(a) for a in active_axes)))
-        if self.active_axes and not (0 <= self.active_axes[0] and self.active_axes[-1] < naxes):
+        if not self.active_axes:
+            raise ValueError("a chart needs at least one active axis")
+        if not (0 <= self.active_axes[0] and self.active_axes[-1] < naxes):
             raise ValueError("active axis out of range")
         self.shape = tuple(
             self.resolution[a] if a in self.active_axes else 1 for a in range(naxes)
         )
+        # rfftn halves the last active axis
+        half = self.active_axes[-1]
+        self.half_shape = tuple(
+            m // 2 + 1 if a == half else m for a, m in enumerate(self.shape)
+        )
         self._k = [self._wavenumbers(a) for a in range(naxes)]
-        self._ddbar_mult = None
+        self._k_half = [self._wavenumbers(a, a == half) for a in range(naxes)]
+        self._hessian_mult = None
 
     # -- basic structure ---------------------------------------------------
 
@@ -119,15 +136,17 @@ class TorusChart:
         shape[axis] = m
         return x.reshape(shape)
 
-    def _wavenumbers(self, axis):
+    def _wavenumbers(self, axis, half=False):
+        # the half spectrum keeps the nonnegative wavenumbers, Nyquist last
         m = self.shape[axis]
         if m == 1:
             k = np.zeros(1)
         else:
-            k = 2.0 * np.pi * np.fft.fftfreq(m, d=self.periods[axis] / m)
+            freq = np.fft.rfftfreq if half else np.fft.fftfreq
+            k = 2.0 * np.pi * freq(m, d=self.periods[axis] / m)
             k[m // 2] = 0.0  # Nyquist zeroed in every derivative factor
         shape = [1] * self.naxes
-        shape[axis] = m
+        shape[axis] = k.size
         return k.reshape(shape)
 
     # -- transforms and differentiation ---------------------------------------
@@ -139,6 +158,16 @@ class TorusChart:
     def ifft(self, spec):
         """Inverse of `fft`, complex-valued."""
         return np.fft.ifftn(spec, axes=self.active_axes)
+
+    def rfft(self, values):
+        """Half spectrum of a real field over the active axes, of shape
+        ``half_shape``: the last active axis keeps wavenumbers 0..m/2."""
+        return np.fft.rfftn(values, axes=self.active_axes)
+
+    def irfft(self, spec):
+        """Inverse of `rfft`: the real field of a half spectrum."""
+        sizes = [self.shape[a] for a in self.active_axes]
+        return np.fft.irfftn(spec, s=sizes, axes=self.active_axes)
 
     def _deriv_along(self, values, axis, pos, order=1):
         # the one Fourier derivative kernel: grid axis ``axis`` of ``values``
@@ -205,74 +234,89 @@ class TorusChart:
             out[i] = 0.0 if d is None else d
         return out
 
-    def _mu(self, i):
-        # multiplier of d/dz_i on exp(sqrt(-1) k.x)
-        kx = self._k[2 * i]
-        ky = self._k[2 * i + 1]
-        return 0.5 * (1j * kx + ky)
-
-    def ddbar_multipliers(self):
-        """Fourier multipliers of d_i d_jbar, cached; shape (n, n, *grid)."""
-        if self._ddbar_mult is None:
-            mu = [np.broadcast_to(self._mu(i), self.shape) for i in range(self.n)]
-            mult = np.empty((self.n, self.n) + self.shape, dtype=complex)
+    def _hessian_multipliers(self):
+        # real half-grid multipliers of the n^2 real components of
+        # d_i d_jbar, cached in the order of `hessian_components`; each
+        # broadcasts over the axes its wavenumbers vary along
+        if self._hessian_mult is None:
+            # d/dz_i multiplies exp(sqrt(-1) k.x) by (sqrt(-1) kx + ky) / 2
+            k = self._k_half
+            mu = [0.5 * (1j * k[2 * i] + k[2 * i + 1]) for i in range(self.n)]
+            mult = []
             for i in range(self.n):
-                for j in range(self.n):
-                    mult[i, j] = -mu[i] * np.conj(mu[j])
-            self._ddbar_mult = mult
-        return self._ddbar_mult
+                mult.append(-(mu[i].real ** 2 + mu[i].imag ** 2))
+                for j in range(i + 1, self.n):
+                    m = -mu[i] * np.conj(mu[j])
+                    mult += [m.real, m.imag]
+            self._hessian_mult = mult
+        return self._hessian_mult
+
+    def hessian_components(self, spec):
+        """The n^2 real components of the complex Hessian d_i d_jbar of the
+        real field whose half spectrum is ``spec``, one `irfft` each: h_ii
+        for each i, each followed by Re h_ij and Im h_ij for j > i."""
+        return [self.irfft(m * spec) for m in self._hessian_multipliers()]
+
+    def hessian_trace_weights(self, A):
+        """Real weights w, in the order of `hessian_components`, with
+        sum_k w_k h_k = sum_ij A_ji d_i d_jbar for a Hermitian (field of)
+        matrices A, so a trace against A costs no complex arithmetic."""
+        A = np.asarray(A)
+        w = []
+        for i in range(self.n):
+            w.append(A[..., i, i].real)
+            for j in range(i + 1, self.n):
+                # A_ji h_ij + A_ij h_ji = 2 Re(A_ji h_ij)
+                w += [2.0 * A[..., j, i].real, -2.0 * A[..., j, i].imag]
+        return w
 
     def laplacian_symbol(self, A):
-        """Real Fourier symbol, on the grid, of the constant-coefficient
+        """Real Fourier symbol, on the half grid, of the constant-coefficient
         operator sum_ij A_ji d_i d_jbar for a Hermitian n x n matrix A."""
-        return np.einsum("ji,ij...->...", A, self.ddbar_multipliers()).real
+        w = self.hessian_trace_weights(A)
+        sym = sum(wk * m for wk, m in zip(w, self._hessian_multipliers()))
+        return np.broadcast_to(sym, self.half_shape).copy()
 
     def laplacian_inverse(self, A):
         """The inverse of sum_ij A_ji d_i d_jbar (A positive Hermitian) as a
-        function; it zeroes the modes the symbol annihilates, the mean and
-        those whose every wavenumber is zero or Nyquist."""
+        real half-grid multiplier of `rfft` spectra; it is zero on the modes
+        the symbol annihilates, the mean and those whose every wavenumber
+        is zero or Nyquist, which no Wirtinger operator sees."""
         sym = self.laplacian_symbol(A)
         kernel = sym == 0.0
-        sym = np.where(kernel, 1.0, sym)
+        inv = 1.0 / np.where(kernel, 1.0, sym)
+        inv[kernel] = 0.0
+        return inv
 
-        def apply(rhs):
-            spec = self.fft(rhs) / sym
-            spec[kernel] = 0.0
-            return self.ifft(spec).real
-
-        return apply
-
-    def complex_hessian(self, values):
+    def complex_hessian(self, values, spec=None):
         """Matrix of second Wirtinger derivatives d_i d_jbar of a real field.
 
-        Returns an array of shape ``(*grid, n, n)``; it is Hermitian to
-        rounding and each component has exactly zero grid mean.
+        Returns an array of shape ``(*grid, n, n)``; it is Hermitian and
+        each component has exactly zero grid mean. ``spec``, when given, is
+        the half spectrum ``rfft(values)``, which then is not recomputed.
         """
-        spec = self.fft(np.asarray(values))
-        mult = self.ddbar_multipliers()
+        if spec is None:
+            spec = self.rfft(np.asarray(values))
+        parts = iter(self.hessian_components(spec))
         out = np.empty(self.shape + (self.n, self.n), dtype=complex)
         for i in range(self.n):
-            out[..., i, i] = self.ifft(mult[i, i] * spec).real
+            out[..., i, i] = next(parts)
             for j in range(i + 1, self.n):
-                hij = self.ifft(mult[i, j] * spec)
-                out[..., i, j] = hij
-                out[..., j, i] = np.conj(hij)
+                re, im = next(parts), next(parts)
+                out.real[..., i, j] = out.real[..., j, i] = re
+                out.imag[..., i, j] = im
+                np.negative(im, out=out.imag[..., j, i])
         return out
 
-    def strip_nyquist(self, values):
-        """Remove Nyquist content along every active axis.
-
-        With the zeroed-Nyquist derivative convention those modes lie in
-        the kernel of every Wirtinger operator, so they are gauge for any
-        field that only enters through derivatives; stripping them picks
-        the canonical band-limited representative.
-        """
-        spec = self.fft(np.asarray(values, dtype=float))
-        for a in self.active_axes:
-            sel = [slice(None)] * spec.ndim
-            sel[a] = self.shape[a] // 2
-            spec[tuple(sel)] = 0.0
-        return self.ifft(spec).real
+    def strip_invisible(self, values):
+        """Remove the modes no Wirtinger operator sees: the mean and those
+        whose every wavenumber is zero or Nyquist. With the zeroed-Nyquist
+        derivative convention they are gauge for any field that only enters
+        through derivatives; stripping them picks the canonical
+        representative."""
+        spec = self.rfft(np.asarray(values, dtype=float))
+        spec[self.laplacian_symbol(np.eye(self.n)) == 0.0] = 0.0
+        return self.irfft(spec)
 
     # -- reductions ----------------------------------------------------------
 

@@ -53,3 +53,30 @@ def bandlimited_scalar(chart, seed, modes=3, amplitude=0.1):
     from crflab.geometry import ScalarField
 
     return ScalarField(chart, vals)
+
+
+def rk4(rhs, phi, t, dt):
+    """One classical RK4 step of d_t phi = rhs(phi, t)[0], the reference the
+    exponential stepper is tested against."""
+    k1, _ = rhs(phi, t)
+    k2, _ = rhs(phi + 0.5 * dt * k1, t + 0.5 * dt)
+    k3, _ = rhs(phi + 0.5 * dt * k2, t + 0.5 * dt)
+    k4, _ = rhs(phi + dt * k3, t + dt)
+    return phi + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def count_transforms(monkeypatch):
+    """Count the calls of each numpy.fft entry point from now on; returns
+    the live Counter."""
+    from collections import Counter
+
+    calls = Counter()
+    for name in ("fftn", "ifftn", "rfftn", "irfftn", "fft", "ifft", "rfft", "irfft"):
+        original = getattr(np.fft, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, counted)
+    return calls

@@ -20,7 +20,7 @@ from crflab.geometry import (
 )
 from crflab.models import Perturbation, ScalarRecipe, TorusMetricRecipe
 
-from conftest import bandlimited_scalar
+from conftest import bandlimited_scalar, count_transforms
 
 
 def manufactured_problem(chart, base, seed, amplitude):
@@ -162,6 +162,31 @@ class TestSolve:
         with pytest.raises(NotPositiveDefinite):
             _residual_field(problem, np.zeros(chart2.shape), 0.0)
 
+    def test_normalize_moves_no_visible_mode(self):
+        # a mode with Nyquist along x_0 and wavenumber 1 along x_2 has a
+        # nonzero d_1 d_1bar entry: normalizing must keep it
+        prob = wave_problem(32)
+        chart = prob.chart
+        x, y = chart.axis_coordinates(0), chart.axis_coordinates(2)
+        phi = (0.01 * np.cos(16 * x) * np.cos(y) + 0.02 * np.sin(x + y)) * np.ones(chart.shape)
+        out = elliptic._normalize(prob, phi)
+        moved = chart.complex_hessian(out) - chart.complex_hessian(phi)
+        assert np.max(np.abs(moved)) <= 1e-14
+
+    def test_normalizing_keeps_the_converged_residual(self, monkeypatch):
+        normalize = elliptic._normalize
+        seen = []
+
+        def capture(problem, phi):
+            seen.append(phi)
+            return normalize(problem, phi)
+
+        monkeypatch.setattr(elliptic, "_normalize", capture)
+        sol = solve_elliptic(wave_problem(32), tol=1e-7)
+        before, _ = _residual_field(sol.problem, seen[0], 0.0)
+        assert sol.residual <= 1e-7
+        assert abs(sol.residual - np.max(np.abs(before - before.mean()))) <= 1e-11
+
     def test_unknown_method_rejected(self, chart1):
         prob, _ = manufactured_problem(chart1, np.array([[1.2]]), 12, 0.1)
         with pytest.raises(ValueError):
@@ -182,6 +207,39 @@ class TestKrylov:
         for x, res in results:
             true = np.max(np.abs(rhs - A @ x)) / np.max(np.abs(rhs))
             assert true == pytest.approx(res, rel=1e-8)
+
+    def test_never_returns_a_step_worse_than_no_step(self):
+        # an uphill preconditioner starts BiCGStab at a residual above that
+        # of x = 0; the zero step is the best iterate until one beats it
+        rng = np.random.default_rng(4)
+        A = np.eye(40) + 0.1 * rng.normal(size=(40, 40))
+        rhs = rng.normal(size=40)
+        x, res = _bicgstab(lambda v: A @ v, rhs, lambda v: -3.0 * v, 1e-12, max_iter=1)
+        assert res == 1.0 and not x.any()
+        for k in range(2, 6):
+            x, res = _bicgstab(lambda v: A @ v, rhs, lambda v: -3.0 * v, 1e-12, max_iter=k)
+            true = np.max(np.abs(rhs - A @ x)) / np.max(np.abs(rhs))
+            assert res <= 1.0
+            assert true == pytest.approx(res, rel=1e-8)
+
+    def test_operator_apply_costs_one_forward_and_n2_inverse_real_transforms(
+        self, monkeypatch
+    ):
+        # right preconditioning: the Krylov vector goes to the half spectrum
+        # once, and each of the n^2 real Hessian components comes back once
+        solve = elliptic._bicgstab
+        captured = []
+
+        def capture(op, rhs, precond, tol):
+            captured.append((op, rhs))
+            return solve(op, rhs, precond, tol)
+
+        monkeypatch.setattr(elliptic, "_bicgstab", capture)
+        solve_elliptic(wave_problem(32))
+        op, rhs = captured[0]
+        calls = count_transforms(monkeypatch)
+        op(rhs)
+        assert calls == {"rfftn": 1, "irfftn": 4}
 
     def test_stalled_line_search_names_the_krylov_solve(self, chart1, monkeypatch):
         prob, _ = manufactured_problem(chart1, np.eye(1), 3, 0.05)

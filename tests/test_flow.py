@@ -32,7 +32,7 @@ from crflab.flow import (
 )
 from crflab.tensors import chern_ricci, closedness_residual
 
-from conftest import bandlimited_scalar
+from conftest import bandlimited_scalar, count_transforms, rk4
 
 CONFIGS = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "configs")
 
@@ -112,9 +112,7 @@ class TestStepping:
                 vals, G = self.base.rhs(phi, forward.t - (t - state.t))
                 return -vals, G
 
-        from crflab.flow import _rk4
-
-        back = _rk4(Reversed(sc).rhs, forward.phi, state.t, 1e-3)
+        back = rk4(Reversed(sc).rhs, forward.phi, state.t, 1e-3)
         assert np.max(np.abs(back - state.phi)) <= 1e-3 ** 5
 
     def test_area_conserved_per_unit_time(self, chart1, n1_metric):
@@ -187,11 +185,9 @@ class TestExponentialStepper:
 
     @staticmethod
     def _rk4_reference(sc, t_end, dt=1e-3):
-        from crflab.flow import _rk4
-
         phi = FlowState.initial(sc).phi
         for k in range(int(round(t_end / dt))):
-            phi = _rk4(sc.rhs, phi, k * dt, dt)
+            phi = rk4(sc.rhs, phi, k * dt, dt)
         return phi
 
     @staticmethod
@@ -218,14 +214,14 @@ class TestExponentialStepper:
                 assert abs(value - exact) <= 1e-15 * abs(exact)
 
     def test_agrees_with_rk4_at_small_dt(self, n2_metric):
-        from crflab.flow import _etdrk4, _rk4
+        from crflab.flow import _etdrk4
 
         sc = scenario_from_metric(n2_metric, 50.0)
         state = step(FlowState.initial(sc), sc)
         symbol = sc._laplacian / state.eig_min
         etd, _ = _etdrk4(sc.rhs, state.phi, state.t, 1e-3, sc.chart, symbol)
-        rk4 = _rk4(sc.rhs, state.phi, state.t, 1e-3)
-        assert np.max(np.abs(etd - rk4)) <= 1e-14
+        ref = rk4(sc.rhs, state.phi, state.t, 1e-3)
+        assert np.max(np.abs(etd - ref)) <= 1e-14
 
     def test_embedded_estimate_is_third_order_per_step(self, n2_metric):
         # the controller's exponent 1/3 assumes the gap to the order-2
@@ -250,6 +246,18 @@ class TestExponentialStepper:
             for dt in (0.2, 0.1, 0.05, 0.025)
         ]
         assert all(coarse >= 12.0 * fine for coarse, fine in zip(errors, errors[1:]))
+
+    def test_step_transform_count(self, n2_metric, monkeypatch):
+        # the state and stages stay half spectra: per step, phi and the
+        # four right sides go forward (plus phi again in state_at and the
+        # new right side for the error estimate); each of the five Hessians
+        # costs n^2 = 4 inverse transforms, each stage one more to reach the
+        # grid, and the new phi and the trapezoid one each
+        sc = scenario_from_metric(n2_metric, 50.0)
+        state = FlowState.initial(sc)
+        calls = count_transforms(monkeypatch)
+        step(state, sc)
+        assert calls == {"rfftn": 7, "irfftn": 25}
 
     def test_step_far_beyond_rk4_stability(self, n2_metric):
         from crflab.flow import _RK4_STABILITY

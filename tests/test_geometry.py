@@ -138,6 +138,85 @@ class TestIDdbar:
         assert np.max(np.abs(h - np.conj(np.swapaxes(h, -1, -2)))) <= 1e-14
 
 
+def full_complex_hessian(chart, values):
+    """d_i d_jbar through full complex transforms, the reference for the
+    half-spectrum `TorusChart.complex_hessian`."""
+    axes = chart.active_axes
+    spec = np.fft.fftn(values, axes=axes)
+    k = []
+    for a in range(chart.naxes):
+        m = chart.shape[a]
+        ka = np.zeros(1)
+        if m > 1:
+            ka = 2.0 * np.pi * np.fft.fftfreq(m, d=chart.periods[a] / m)
+            ka[m // 2] = 0.0
+        k.append(ka.reshape([m if b == a else 1 for b in range(chart.naxes)]))
+    mu = [0.5 * (1j * k[2 * i] + k[2 * i + 1]) for i in range(chart.n)]
+    out = np.empty(chart.shape + (chart.n, chart.n), dtype=complex)
+    for i in range(chart.n):
+        for j in range(chart.n):
+            out[..., i, j] = np.fft.ifftn(-mu[i] * np.conj(mu[j]) * spec, axes=axes)
+    return out
+
+
+HESSIAN_CHARTS = [
+    TorusChart(1, 32),
+    TorusChart(1, 16, periods=(2.0, 5.0), active_axes=(1,)),
+    TorusChart(2, 16, periods=(6.0, 2 * np.pi, 3.0, 4.5)),
+    TorusChart(2, 32, active_axes=(0, 2)),
+    TorusChart(2, 16, active_axes=(1, 2, 3)),
+    TorusChart(3, 8),
+    TorusChart(3, 16, active_axes=(0, 3, 5)),
+]
+HESSIAN_IDS = ["n1_all", "n1_axis_1", "n2_all", "n2_axes_0_2", "n2_axes_1_2_3",
+               "n3_all", "n3_axes_0_3_5"]
+
+
+class TestHalfSpectrumHessian:
+    @pytest.mark.parametrize("chart", HESSIAN_CHARTS, ids=HESSIAN_IDS)
+    def test_matches_full_complex_reference(self, chart):
+        # white noise fills the whole spectrum, Nyquist planes included
+        u = np.random.default_rng(3).standard_normal(chart.shape)
+        ref = full_complex_hessian(chart, u)
+        got = chart.complex_hessian(u)
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+        assert np.array_equal(got, np.conj(np.swapaxes(got, -1, -2)))
+        half = chart.rfft(u)
+        assert half.shape == chart.half_shape
+        assert np.array_equal(chart.complex_hessian(None, spec=half), got)
+
+    @pytest.mark.parametrize("chart", HESSIAN_CHARTS, ids=HESSIAN_IDS)
+    def test_trace_weights_contract_the_components(self, chart):
+        rng = np.random.default_rng(5)
+        u = rng.standard_normal(chart.shape)
+        B = rng.standard_normal(chart.shape + (chart.n, chart.n)) * (1 + 1j)
+        A = B + np.conj(np.swapaxes(B, -1, -2))
+        parts = chart.hessian_components(chart.rfft(u))
+        traced = sum(w * h for w, h in zip(chart.hessian_trace_weights(A), parts))
+        ref = np.einsum("...ji,...ij->...", A, full_complex_hessian(chart, u)).real
+        assert np.max(np.abs(traced - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("chart", HESSIAN_CHARTS, ids=HESSIAN_IDS)
+    def test_rfft_roundtrip(self, chart):
+        u = np.random.default_rng(7).standard_normal(chart.shape)
+        assert np.max(np.abs(chart.irfft(chart.rfft(u)) - u)) <= 1e-14
+
+    def test_strip_invisible_keeps_every_visible_mode(self):
+        # a mode with Nyquist along one axis and wavenumber 1 along another
+        # has a nonzero d_j d_jbar entry, so it must survive the strip
+        chart = TorusChart(2, 16, active_axes=(0, 2))
+        x, y = chart.axis_coordinates(0), chart.axis_coordinates(2)
+        visible = np.cos(8 * x) * np.cos(y)
+        invisible = np.cos(8 * x) * np.cos(8 * y) + np.cos(8 * x) + 0.5
+        out = chart.strip_invisible(visible + invisible)
+        assert np.max(np.abs(out - visible)) <= 1e-14
+        assert np.max(np.abs(chart.complex_hessian(invisible))) <= 1e-13
+
+    def test_chart_needs_an_active_axis(self):
+        with pytest.raises(ValueError):
+            TorusChart(1, 16, active_axes=())
+
+
 class TestMinEigenvalue:
     def test_identity(self, chart2):
         assert min_eigenvalue(HermitianMatrixField.identity(chart2)) == 1.0
@@ -275,7 +354,7 @@ class TestLaplacianInverse:
         u = bandlimited_scalar(chart, 4, modes=3).values
         u = u - u.mean()
         f = np.einsum("ji,...ij->...", A, chart.complex_hessian(u)).real
-        v = chart.laplacian_inverse(A)(f)
+        v = chart.irfft(chart.laplacian_inverse(A) * chart.rfft(f))
         assert np.max(np.abs(v - u)) <= 1e-12
         assert abs(v.mean()) <= 1e-12
 

@@ -1,3 +1,4 @@
+import ast
 import os
 import subprocess
 import sys
@@ -21,3 +22,16 @@ def test_package_loads_no_scipy():
         [sys.executable, "-c", IMPORT_ALL], capture_output=True, text=True, env=env, check=True
     )
     assert out.stdout.strip() == "[]"
+
+
+def test_geometry_is_the_one_transform_layer():
+    # flow and elliptic transform only through TorusChart
+    for name in ("flow.py", "elliptic.py"):
+        with open(os.path.join(SRC, "crflab", name), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and node.attr == "fft":
+                assert not (isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy")), name
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                modules = [a.name for a in node.names] + [getattr(node, "module", None) or ""]
+                assert not any("fft" in m for m in modules), name
