@@ -85,6 +85,21 @@ def _given(**options):
     return {key: value for key, value in options.items() if value is not None}
 
 
+def _report(path, reports):
+    """Write ``reports`` to ``path`` and print a PASS or FAIL line for each;
+    returns the exit code, 3 after naming the failed ones on stderr."""
+    from .io import write_reports
+
+    write_reports(path, reports)
+    for r in reports:
+        print(f"{'PASS' if r.passed else 'FAIL'} {r.name}: {r.residual:.3e}")
+    failed = [r.name for r in reports if not r.passed]
+    if failed:
+        print(f"failed: {', '.join(failed)}", file=sys.stderr)
+        return 3
+    return 0
+
+
 # -- subcommands -------------------------------------------------------------------
 
 
@@ -93,7 +108,7 @@ def _cmd_verify_identities(args):
 
     from . import models as M
     from . import tensors as T
-    from .io import write_manifest, write_reports
+    from .io import write_manifest
     from .tensors import IdentityReport
 
     chart = _preset_chart(args.chart, args.resolution)
@@ -117,14 +132,7 @@ def _cmd_verify_identities(args):
     reports.append(
         IdentityReport("schwarz_volume_ratio", T.verify_schwarz_identity(g0, ghat), grid, 1e-7)
     )
-    write_reports(os.path.join(args.out, "identities.txt"), reports)
-    failed = [r.name for r in reports if not r.passed]
-    for r in reports:
-        print(f"{'PASS' if r.passed else 'FAIL'} {r.name}: {r.residual:.3e}")
-    if failed:
-        print(f"failed: {', '.join(failed)}", file=sys.stderr)
-        return 3
-    return 0
+    return _report(os.path.join(args.out, "identities.txt"), reports)
 
 
 def _cmd_run_flow(args):
@@ -175,12 +183,12 @@ def _cmd_hopf_explicit(args):
 
     from .geometry import HopfSampleSet
     from .io import write_csv, write_manifest
-    from .models import hopf_metric_and_ricci
+    from .models import hopf_metric_at
 
     write_manifest(args.out, "hopf-explicit", __version__, seed=args.seed,
                    extra={"n": args.n, "t": args.t, "points": args.points})
     sample = HopfSampleSet.random(args.n, args.alpha, args.points, args.seed)
-    metric, _ = hopf_metric_and_ricci(sample, args.t)
+    metric = hopf_metric_at(sample.points, args.t)
     r2 = np.sum(np.abs(sample.points) ** 2, axis=-1)
     eigs = np.linalg.eigvalsh(metric * r2[:, None, None])
     rows = [
@@ -201,7 +209,7 @@ def _cmd_hopf_explicit(args):
 
 def _cmd_hopf_verify(args):
     from .geometry import HopfSampleSet
-    from .io import write_manifest, write_reports
+    from .io import write_manifest
     from .models import (
         ReBilinear,
         verify_deck_invariance,
@@ -229,11 +237,7 @@ def _cmd_hopf_verify(args):
     reports.append(
         IdentityReport("hopf_trace_chain_inequality", chain.inequality_violation, grid, 1e-12)
     )
-    write_reports(os.path.join(args.out, "hopf.txt"), reports)
-    failed = [r.name for r in reports if not r.passed]
-    for r in reports:
-        print(f"{'PASS' if r.passed else 'FAIL'} {r.name}: {r.residual:.3e}")
-    return 3 if failed else 0
+    return _report(os.path.join(args.out, "hopf.txt"), reports)
 
 
 def _cmd_solve_ma(args):

@@ -173,17 +173,18 @@ def _solve_gill_flow(problem, tol, max_steps, phi0):
     )
 
 
-def _bicgstab(op, rhs, precond, tol, max_iter=400):
-    """Preconditioned BiCGStab on real fields; returns (x, relative residual).
+def _bicgstab(op, rhs, tol, max_iter=400):
+    """BiCGStab on real fields from x = rhs; returns (x, relative residual).
 
-    x is the iterate with the smallest residual seen, x = 0 included, so a
-    solve that diverges or stagnates hands back its best iterate, not its
-    last one, and never one worse than no step; a converged solve stops at
-    its first residual <= tol.
+    A preconditioner goes into ``op`` from the right. x is the iterate
+    with the smallest residual seen, x = 0 included, so a solve that
+    diverges or stagnates hands back its best iterate, not its last one,
+    and never one worse than no step; a converged solve stops at its first
+    residual <= tol.
     """
     norm0 = max(float(np.max(np.abs(rhs))), 1e-300)
     best_x, best = np.zeros_like(rhs), norm0
-    x = precond(rhs)
+    x = rhs
     r = rhs - op(x)
     r0 = r.copy()
     rho = alpha = omega_c = 1.0
@@ -202,26 +203,24 @@ def _bicgstab(op, rhs, precond, tol, max_iter=400):
             beta = (rho_new / rho) * (alpha / omega_c)
             p = r + beta * (p - omega_c * v)
         rho = rho_new
-        phat = precond(p)
-        v = op(phat)
+        v = op(p)
         denom = float(np.vdot(r0, v).real)
         if abs(denom) < 1e-300:
             break
         alpha = rho / denom
         s = r - alpha * v
-        x = x + alpha * phat
+        x = x + alpha * p
         res = float(np.max(np.abs(s)))
         if res < best:
             best_x, best = x, res
         if res <= tol * norm0:
             break
-        shat = precond(s)
-        t = op(shat)
+        t = op(s)
         tt = float(np.vdot(t, t).real)
         if tt < 1e-300:
             break
         omega_c = float(np.vdot(t, s).real) / tt
-        x = x + omega_c * shat
+        x = x + omega_c * s
         r = s - omega_c * t
         res = float(np.max(np.abs(r)))
         if res < best:
@@ -253,9 +252,8 @@ def _solve_newton(problem, tol, max_steps, phi, b):
         # forcing term: tighter as res falls, but no tighter than the
         # accuracy that brings the next residual to tol (Eisenstat-Walker)
         lin_tol = max(1e-12, 0.5 * tol / res, min(1e-2, 0.05 * res))
-        y, lin_res = _bicgstab(
-            lambda v: proj(lap(chart.rfft(v) * inverse)), rhs, lambda v: v, lin_tol
-        )
+        op = lambda v: proj(lap(chart.rfft(v) * inverse))
+        y, lin_res = _bicgstab(op, rhs, lin_tol)
         dspec = chart.rfft(y) * inverse
         dphi = chart.irfft(dspec)
         db = float((res_field + lap(dspec)).mean())

@@ -202,7 +202,8 @@ class FlowScenario:
 
     def rhs(self, phi, t, spec=None):
         """(log(det(ghat_t + Hess phi)/Omega0), metric); raises on loss of
-        positivity. ``spec``, when given, is phi's half spectrum."""
+        positivity. ``spec``, when given, is phi's half spectrum, and then
+        ``phi`` may be None."""
         return self._log_volume_ratio(phi, t, spec)
 
     def _log_volume_ratio(self, phi, t, spec):
@@ -314,7 +315,8 @@ def _etdrk4(rhs, phi, t, dt, chart, symbol):
     L is diagonal in Fourier space over the active axes with the real
     ``symbol`` (on the half grid of `TorusChart.rfft`), and N = rhs - L phi.
     The state and the stages stay half spectra; every stage goes through
-    ``rhs(phi, t, spec)``, which takes its Hessian from the stage spectrum.
+    ``rhs(None, t, spec)``, which takes its Hessian from the stage spectrum
+    and transforms it to the grid only if it reads phi itself.
     Returns phi at t + dt and a function that maps the right side there to
     the order-2 exponential trapezoid
     e^{hL} phi + h (phi_1 - phi_2)(hL) N(phi, t) + h phi_2(hL) N(new, t + h),
@@ -323,7 +325,7 @@ def _etdrk4(rhs, phi, t, dt, chart, symbol):
     fft, ifft = chart.rfft, chart.irfft
 
     def nonlinear(spec, s):
-        return fft(rhs(ifft(spec), s, spec)[0]) - symbol * spec
+        return fft(rhs(None, s, spec)[0]) - symbol * spec
 
     z = dt * symbol
     e, e2 = np.exp(z), np.exp(0.5 * z)
@@ -514,6 +516,8 @@ class NormalizedScenario(FlowScenario):
 
     def rhs(self, phi, t, spec=None):
         log_ratio, G = self._log_volume_ratio(phi, t, spec)
+        if phi is None:
+            phi = self.chart.irfft(spec)
         return log_ratio - phi, G
 
 

@@ -203,21 +203,6 @@ class TorusChart:
             return np.zeros_like(values, dtype=values.dtype)
         return self._deriv_along(values, axis, axis, order)
 
-    def dz(self, values, i):
-        """Wirtinger derivative d/dz_i of a grid-leading field."""
-        return self._grid_leading_wirtinger(values, i, False)
-
-    def dzbar(self, values, i):
-        """Wirtinger derivative d/dzbar_i of a grid-leading field."""
-        return self._grid_leading_wirtinger(values, i, True)
-
-    def _grid_leading_wirtinger(self, values, i, conj):
-        values = np.asarray(values)
-        out = self._wirtinger(values, i, 0, conj)
-        if out is None:
-            return np.zeros(values.shape, dtype=complex)
-        return np.asarray(out, dtype=complex)
-
     def grad(self, values, conj=False):
         """Wirtinger gradient of a tensor-first field.
 

@@ -8,9 +8,14 @@ g_H = delta_{ij}/r^2 has an explicit flow solution
 
 valid on [0, 1/n), with t-independent Ricci form
 (n/r^2)(delta_{ij} - zbar_i z_j / r^2) and rank-one limit zbar_i z_j / r^4.
-All Hopf computations here are pointwise on sample sets: the relevant
-statements are tensorial inequalities and closed-form identities, so no
-quotient-manifold PDE discretization is involved.
+The metric, determinant and Ricci form are coded in closed form; the
+derivative stacks of g(t) that the trace chain reads come from
+`hopf_reference_stacks`, as the round metric's plus those of the potential
+-n t log r^2 (`LogRadius`), whose stacks are checked against finite
+differences in the tests. All Hopf computations here are pointwise on
+sample sets: the relevant statements are tensorial inequalities and
+closed-form identities, so no quotient-manifold PDE discretization is
+involved.
 """
 
 from dataclasses import dataclass, field
@@ -76,84 +81,34 @@ def hopf_limit_form(points):
     return _zz(points) / r2 ** 2
 
 
-def hopf_metric_and_ricci(sample, t):
-    """Closed-form (metric, Ricci) of the explicit solution at time t.
-
-    The Ricci form is evaluated through the determinant formula
-    -d dbar [ (n-1) log(1-nt) - n log r^2 ] = n d dbar log r^2, which is
-    t-independent.
-    """
-    points = sample.points
-    n = sample.n
-    if not 0.0 <= t < 1.0 / n:
-        raise ValueError(f"t = {t} outside the existence interval [0, 1/{n})")
-    metric = _explicit_form(points, t)
-    ricci = n * LogRadius(1.0).d2(points)
-    return metric, ricci
-
-
 def hopf_det(points, t):
     """(1 - n t)^{n-1} / r^{2n}."""
     n = points.shape[-1]
     return (1.0 - n * t) ** (n - 1) / _r2(points) ** n
 
 
-# -- closed-form derivative stacks of the explicit solution --------------------
+def hopf_reference_stacks(points, t):
+    """(ghat, d_k ghat_{i jbar}, d_k d_lbar ghat_{i jbar}) of the explicit
+    solution, laid out [..., i, j], [..., k, i, j] and [..., k, l, i, j].
 
-
-def hopf_dbar_metric(points, t):
-    """d_lbar ghat_{i jbar}; values [..., l, i, j]."""
+    ghat is the closed form; since ghat_t = g_H + i ddbar(-n t log r^2),
+    its derivative stacks are the round metric's plus those of the
+    potential LogRadius(-n t).
+    """
     n = points.shape[-1]
-    r2 = _r2(points)[..., None, None, None]
-    z = points
-    zb = np.conj(points)
-    zl = z[..., :, None, None]
-    zbi = zb[..., None, :, None]
-    zj = z[..., None, None, :]
-    nt = n * t
-    bracket = (1.0 - nt) * np.eye(n)[None, :, :] + (2.0 * nt / r2) * zbi * zj
-    d_il = np.eye(n)[:, :, None]  # delta_{il} laid out as [l, i, j]
-    return -(zl / r2 ** 2) * bracket + (nt / r2 ** 2) * zj * d_il
-
-
-def hopf_d_metric(points, t):
-    """d_k ghat_{i jbar} = conj(d_kbar ghat_{j ibar}); values [..., k, i, j]."""
-    return np.conj(np.swapaxes(hopf_dbar_metric(points, t), -1, -2))
-
-
-def hopf_ddbar_metric(points, t):
-    """d_k d_lbar ghat_{i jbar}; values [..., k, l, i, j]."""
-    n = points.shape[-1]
-    r2 = _r2(points)[..., None, None, None, None]
-    z = points
-    zb = np.conj(points)
-    r4 = r2 ** 2
-    r6 = r2 ** 3
-    r8 = r2 ** 4
-
-    zbi = zb[..., None, None, :, None]
-    zj = z[..., None, None, None, :]
-    zbk = zb[..., :, None, None, None]
-    zl = z[..., None, :, None, None]
-    # Kronecker deltas laid out over the index block [k, l, i, j]
-    d_ij = np.zeros((n, n, n, n))
-    d_kl = np.zeros((n, n, n, n))
-    d_jk = np.zeros((n, n, n, n))
-    d_il = np.zeros((n, n, n, n))
-    for a in range(n):
-        d_ij[:, :, a, a] = 1.0
-        d_kl[a, a, :, :] = 1.0
-        d_jk[a, :, :, a] = 1.0
-        d_il[:, a, a, :] = 1.0
-
-    nt = n * t
-    out = 6.0 * nt * zbi * zj * zbk * zl / r8
-    out = out + (nt * d_jk * d_il - (1.0 - nt) * d_kl * d_ij) / r4
-    out = out + 2.0 * zbk * zl * d_ij / r6
-    out = out - (2.0 * nt / r6) * (
-        d_kl * zbi * zj + d_jk * zbi * zl + d_il * zbk * zj + d_ij * zbk * zl
+    r2 = _r2(points)[..., None, None]
+    eye = np.eye(n)
+    pot = LogRadius(-n * t)
+    # d_k of delta_ij / r^2 is -delta_ij zbar_k / r^4, and d_k d_lbar of it
+    # is delta_ij (2 zbar_k z_l / r^2 - delta_kl) / r^4
+    d_round = -eye * np.conj(points)[..., :, None, None] / r2[..., None] ** 2
+    kl = (2.0 / r2) * _zz(points) - eye
+    dd_round = kl[..., None, None] * eye / r2[..., None, None] ** 2
+    return (
+        _explicit_form(points, t),
+        d_round + pot.d3(points),
+        dd_round + pot.d4(points),
     )
-    return out
 
 
 # -- test potentials with hand-coded derivatives -------------------------------
@@ -163,7 +118,6 @@ class HopfPotential:
     """Closed-form potential on C^n \\ 0 with derivatives through order four.
 
     Derivative layouts:
-        d1[..., i]          = d_i phi
         d2[..., i, j]       = d_i d_jbar phi
         d3[..., i, k, l]    = d_i d_k d_lbar phi   (symmetric in i, k)
         d4[..., i, j, k, l] = d_i d_jbar d_k d_lbar phi
@@ -172,9 +126,6 @@ class HopfPotential:
     def value(self, points):
         raise NotImplementedError
 
-    def d1(self, points):
-        raise NotImplementedError
-
     def d2(self, points):
         raise NotImplementedError
 
@@ -185,27 +136,31 @@ class HopfPotential:
         raise NotImplementedError
 
 
-class ZeroPotential(HopfPotential):
+def _zero_stack(points, rank):
+    """Zeros with ``rank`` trailing indices of size n at each point."""
+    n = points.shape[-1]
+    return np.zeros(points.shape[:-1] + (n,) * rank, dtype=complex)
+
+
+class _QuadraticPotential(HopfPotential):
+    """A potential of degree two in (z, zbar): its d3 and d4 vanish."""
+
+    def d3(self, points):
+        return _zero_stack(points, 3)
+
+    def d4(self, points):
+        return _zero_stack(points, 4)
+
+
+class ZeroPotential(_QuadraticPotential):
     def value(self, points):
         return np.zeros(points.shape[:-1])
 
-    def d1(self, points):
-        return np.zeros(points.shape, dtype=complex)
-
     def d2(self, points):
-        n = points.shape[-1]
-        return np.zeros(points.shape[:-1] + (n, n), dtype=complex)
-
-    def d3(self, points):
-        n = points.shape[-1]
-        return np.zeros(points.shape[:-1] + (n, n, n), dtype=complex)
-
-    def d4(self, points):
-        n = points.shape[-1]
-        return np.zeros(points.shape[:-1] + (n, n, n, n), dtype=complex)
+        return _zero_stack(points, 2)
 
 
-class ReBilinear(HopfPotential):
+class ReBilinear(_QuadraticPotential):
     """phi = c Re(z_a zbar_b), a != b; constant complex Hessian."""
 
     def __init__(self, c, a=0, b=1):
@@ -214,29 +169,14 @@ class ReBilinear(HopfPotential):
     def value(self, points):
         return self.c * (points[..., self.a] * np.conj(points[..., self.b])).real
 
-    def d1(self, points):
-        out = np.zeros(points.shape, dtype=complex)
-        out[..., self.a] += 0.5 * self.c * np.conj(points[..., self.b])
-        out[..., self.b] += 0.5 * self.c * np.conj(points[..., self.a])
-        return out
-
     def d2(self, points):
-        n = points.shape[-1]
-        out = np.zeros(points.shape[:-1] + (n, n), dtype=complex)
+        out = _zero_stack(points, 2)
         out[..., self.a, self.b] = 0.5 * self.c
         out[..., self.b, self.a] = 0.5 * self.c
         return out
 
-    def d3(self, points):
-        n = points.shape[-1]
-        return np.zeros(points.shape[:-1] + (n, n, n), dtype=complex)
 
-    def d4(self, points):
-        n = points.shape[-1]
-        return np.zeros(points.shape[:-1] + (n, n, n, n), dtype=complex)
-
-
-class RadiusSquared(HopfPotential):
+class RadiusSquared(_QuadraticPotential):
     """phi = c r^2."""
 
     def __init__(self, c):
@@ -245,22 +185,11 @@ class RadiusSquared(HopfPotential):
     def value(self, points):
         return self.c * _r2(points)
 
-    def d1(self, points):
-        return self.c * np.conj(points)
-
     def d2(self, points):
         n = points.shape[-1]
         return self.c * np.broadcast_to(
             np.eye(n, dtype=complex), points.shape[:-1] + (n, n)
         ).copy()
-
-    def d3(self, points):
-        n = points.shape[-1]
-        return np.zeros(points.shape[:-1] + (n, n, n), dtype=complex)
-
-    def d4(self, points):
-        n = points.shape[-1]
-        return np.zeros(points.shape[:-1] + (n, n, n, n), dtype=complex)
 
 
 class LogRadius(HopfPotential):
@@ -271,9 +200,6 @@ class LogRadius(HopfPotential):
 
     def value(self, points):
         return self.c * np.log(_r2(points))
-
-    def d1(self, points):
-        return self.c * np.conj(points) / _r2(points)[..., None]
 
     def d2(self, points):
         n = points.shape[-1]
@@ -335,18 +261,10 @@ class ModulusProduct(HopfPotential):
     def value(self, points):
         return self.c * (np.abs(points[..., self.a]) ** 2 * np.abs(points[..., self.b]) ** 2)
 
-    def d1(self, points):
-        a, b = self.a, self.b
-        out = np.zeros(points.shape, dtype=complex)
-        out[..., a] = np.conj(points[..., a]) * np.abs(points[..., b]) ** 2
-        out[..., b] = np.abs(points[..., a]) ** 2 * np.conj(points[..., b])
-        return self.c * out
-
     def d2(self, points):
         a, b = self.a, self.b
-        n = points.shape[-1]
         z, zb = points, np.conj(points)
-        out = np.zeros(points.shape[:-1] + (n, n), dtype=complex)
+        out = _zero_stack(points, 2)
         out[..., a, a] = np.abs(z[..., b]) ** 2
         out[..., b, b] = np.abs(z[..., a]) ** 2
         out[..., a, b] = zb[..., a] * z[..., b]
@@ -355,9 +273,8 @@ class ModulusProduct(HopfPotential):
 
     def d3(self, points):
         a, b = self.a, self.b
-        n = points.shape[-1]
         z, zb = points, np.conj(points)
-        out = np.zeros(points.shape[:-1] + (n, n, n), dtype=complex)
+        out = _zero_stack(points, 3)
         # d_i d_k phi = (delta_{ia} delta_{kb} + delta_{ib} delta_{ka}) zbar_a zbar_b
         # then d_lbar gives (delta_{la} zbar_b + delta_{lb} zbar_a)
         pref = np.ones(points.shape[:-1])
@@ -369,8 +286,7 @@ class ModulusProduct(HopfPotential):
 
     def d4(self, points):
         a, b = self.a, self.b
-        n = points.shape[-1]
-        out = np.zeros(points.shape[:-1] + (n, n, n, n), dtype=complex)
+        out = _zero_stack(points, 4)
         for (i, k) in ((a, b), (b, a)):
             for (l, j) in ((a, b), (b, a)):
                 out[..., i, j, k, l] = 1.0
@@ -384,9 +300,6 @@ class SumPotential(HopfPotential):
     def value(self, points):
         return sum(p.value(points) for p in self.parts)
 
-    def d1(self, points):
-        return sum(p.d1(points) for p in self.parts)
-
     def d2(self, points):
         return sum(p.d2(points) for p in self.parts)
 
@@ -395,45 +308,6 @@ class SumPotential(HopfPotential):
 
     def d4(self, points):
         return sum(p.d4(points) for p in self.parts)
-
-
-# -- finite-difference oracle for Wirtinger derivatives -------------------------
-
-_FD_W = np.array([1.0, -8.0, 8.0, -1.0]) / 12.0
-_FD_O = np.array([-2, -1, 1, 2])
-
-
-def _fd_real_axis(f, points, axis, h, imag):
-    shift = np.zeros(points.shape[-1], dtype=complex)
-    shift[axis] = 1j * h if imag else h
-    acc = None
-    for w, o in zip(_FD_W, _FD_O):
-        val = w * np.asarray(f(points + o * shift))
-        acc = val if acc is None else acc + val
-    return acc / h
-
-
-def fd_dz(f, points, axis, h=1e-2):
-    """Fourth-order finite-difference d/dz_axis of a pointwise function."""
-    dx = _fd_real_axis(f, points, axis, h, False)
-    dy = _fd_real_axis(f, points, axis, h, True)
-    return 0.5 * (dx - 1j * dy)
-
-
-def fd_dzbar(f, points, axis, h=1e-2):
-    dx = _fd_real_axis(f, points, axis, h, False)
-    dy = _fd_real_axis(f, points, axis, h, True)
-    return 0.5 * (dx + 1j * dy)
-
-
-def fd_hessian(f, points, h=1e-2):
-    """Finite-difference complex Hessian d_i d_jbar f; values [..., i, j]."""
-    n = points.shape[-1]
-    out = np.zeros(points.shape[:-1] + (n, n), dtype=complex)
-    for i in range(n):
-        for j in range(n):
-            out[..., i, j] = fd_dz(lambda q, j=j: fd_dzbar(f, q, j, h), points, i, h)
-    return out
 
 
 # -- verification reports -------------------------------------------------------
@@ -449,34 +323,24 @@ def verify_hopf_flow(sample, times):
     points = sample.points
     n = sample.n
     r2 = _r2(points)[..., None, None]
-    closed = 0.0
+    # the determinant-route Ricci form n i ddbar log r^2, which is t-independent
+    ricci = n * LogRadius(1.0).d2(points)
+    # coded t-derivative of the metric family, assembled independently
+    dt_metric = (n / r2) * (_zz(points) / r2 - np.eye(n))
+    closed = float(np.max(np.abs(dt_metric + ricci)))
     oracle = 0.0
     det_res = 0.0
     for t in times:
-        if not 0.0 <= t < 1.0 / n:
-            raise ValueError(f"t = {t} outside [0, 1/{n})")
-        _, ricci = hopf_metric_and_ricci(sample, t)
-        # coded t-derivative of the metric family, assembled independently
-        dt_metric = (n / r2) * (_zz(points) / r2 - np.eye(n))
-        closed = max(closed, float(np.max(np.abs(dt_metric + ricci))))
+        metric = hopf_metric_at(points, t)
         h = _FD_STEP
         if t - h >= 0.0:
             fd = (_explicit_form(points, t + h) - _explicit_form(points, t - h)) / (2 * h)
         else:
             # one-sided difference; the family is affine in t so still exact
-            fd = (_explicit_form(points, t + h) - _explicit_form(points, t)) / h
+            fd = (_explicit_form(points, t + h) - metric) / h
         oracle = max(oracle, float(np.max(np.abs(fd + ricci))))
-        det_res = max(
-            det_res,
-            float(
-                np.max(
-                    np.abs(
-                        np.linalg.det(_explicit_form(points, t)).real
-                        - hopf_det(points, t)
-                    )
-                )
-            ),
-        )
+        det = np.linalg.det(metric).real
+        det_res = max(det_res, float(np.max(np.abs(det - hopf_det(points, t)))))
     return {
         "closed_form_residual": closed,
         "fd_oracle_residual": oracle,
@@ -543,20 +407,19 @@ def verify_hopf_trace_chain(sample, t, potential=None):
     z = points
     zb = np.conj(points)
 
-    ghat = _explicit_form(points, t)
-    H = potential.d2(points)
-    G = ghat + H
+    ghat, Dghat, DDghat = hopf_reference_stacks(points, t)
+    G = ghat + potential.d2(points)
     lo = herm_eig_bounds(G)[0]
     if not lo > 0.0:
         raise NotPositiveDefinite(f"omega has min eigenvalue {lo:.3e}")
     Gi = herm_inv(G)
 
-    # d_k g_{i jbar} = d_k ghat_{i jbar} + d3[k, i, j]
-    Dg = hopf_d_metric(points, t) + potential.d3(points)
+    # d_k g_{i jbar} = d_k ghat_{i jbar} + d3[k, i, j]; the d_lbar stacks
+    # are conjugate transposes of the d_k ones
+    Dg = Dghat + potential.d3(points)
     Dbarg = np.conj(np.swapaxes(Dg, -1, -2))
-    DDghat = hopf_ddbar_metric(points, t)
     DDg = DDghat + potential.d4(points)  # [k, l, i, j]
-    Dbarghat = hopf_dbar_metric(points, t)
+    Dbarghat = np.conj(np.swapaxes(Dghat, -1, -2))
 
     ricH = hopf_ricci(points)
     tr_H_omega = (r2 * np.einsum("mkk->m", G)).real
@@ -565,9 +428,8 @@ def verify_hopf_trace_chain(sample, t, potential=None):
     q = np.einsum("mji,mi,mj->m", Gi, zb, z).real / r2 ** 2
 
     # (d_t - Delta) tr_{g_H} omega, raw assembly
-    dt_tr = -r2 * np.einsum("mjp,mqi,mkpq,mkij->m", Gi, Gi, Dg, Dbarg) + r2 * np.einsum(
-        "mji,mkkij->m", Gi, DDg
-    )
+    grad_sq = np.einsum("mjp,mqi,mkpq,mkij->m", Gi, Gi, Dg, Dbarg)
+    dt_tr = -r2 * grad_sq + r2 * np.einsum("mji,mkkij->m", Gi, DDg)
     piece1 = np.einsum("mii->m", Gi) * np.einsum("mkk->m", G)
     piece2 = r2 * np.einsum("mji,mijkk->m", Gi, DDg)
     piece3 = 2.0 * np.einsum("mji,mi,mjkk->m", Gi, zb, Dbarg).real
@@ -578,12 +440,7 @@ def verify_hopf_trace_chain(sample, t, potential=None):
     ref_diff = r2 * (
         np.einsum("mji,mkkij->m", Gi, DDghat) - np.einsum("mji,mijkk->m", Gi, DDghat)
     )
-    rhs_a = (
-        -piece1
-        + ref_diff
-        - piece3
-        - r2 * np.einsum("mjp,mqi,mkpq,mkij->m", Gi, Gi, Dg, Dbarg)
-    ).real
+    rhs_a = (-piece1 + ref_diff - piece3 - r2 * grad_sq).real
     res_a = float(np.max(np.abs(lhs_chain - rhs_a)))
 
     # (b): double trace

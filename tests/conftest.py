@@ -65,6 +65,45 @@ def rk4(rhs, phi, t, dt):
     return phi + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
+# -- finite-difference oracle for Wirtinger derivatives -------------------------
+
+_FD_W = np.array([1.0, -8.0, 8.0, -1.0]) / 12.0
+_FD_O = np.array([-2, -1, 1, 2])
+
+
+def _fd_real_axis(f, points, axis, h, imag):
+    shift = np.zeros(points.shape[-1], dtype=complex)
+    shift[axis] = 1j * h if imag else h
+    acc = None
+    for w, o in zip(_FD_W, _FD_O):
+        val = w * np.asarray(f(points + o * shift))
+        acc = val if acc is None else acc + val
+    return acc / h
+
+
+def fd_dz(f, points, axis, h=1e-2):
+    """Fourth-order finite-difference d/dz_axis of a pointwise function."""
+    dx = _fd_real_axis(f, points, axis, h, False)
+    dy = _fd_real_axis(f, points, axis, h, True)
+    return 0.5 * (dx - 1j * dy)
+
+
+def fd_dzbar(f, points, axis, h=1e-2):
+    dx = _fd_real_axis(f, points, axis, h, False)
+    dy = _fd_real_axis(f, points, axis, h, True)
+    return 0.5 * (dx + 1j * dy)
+
+
+def fd_hessian(f, points, h=1e-2):
+    """Finite-difference complex Hessian d_i d_jbar f; values [..., i, j]."""
+    n = points.shape[-1]
+    out = np.zeros(points.shape[:-1] + (n, n), dtype=complex)
+    for i in range(n):
+        for j in range(n):
+            out[..., i, j] = fd_dz(lambda q, j=j: fd_dzbar(f, q, j, h), points, i, h)
+    return out
+
+
 def count_transforms(monkeypatch):
     """Count the calls of each numpy.fft entry point from now on; returns
     the live Counter."""

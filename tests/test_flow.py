@@ -251,13 +251,14 @@ class TestExponentialStepper:
         # the state and stages stay half spectra: per step, phi and the
         # four right sides go forward (plus phi again in state_at and the
         # new right side for the error estimate); each of the five Hessians
-        # costs n^2 = 4 inverse transforms, each stage one more to reach the
-        # grid, and the new phi and the trapezoid one each
+        # costs n^2 = 4 inverse transforms, and the new phi and the
+        # trapezoid one each; no stage goes to the grid, since this right
+        # side does not read phi
         sc = scenario_from_metric(n2_metric, 50.0)
         state = FlowState.initial(sc)
         calls = count_transforms(monkeypatch)
         step(state, sc)
-        assert calls == {"rfftn": 7, "irfftn": 25}
+        assert calls == {"rfftn": 7, "irfftn": 22}
 
     def test_step_far_beyond_rk4_stability(self, n2_metric):
         from crflab.flow import _RK4_STABILITY

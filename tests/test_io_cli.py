@@ -441,17 +441,26 @@ class TestCli:
         assert rc == 3
         capsys.readouterr()
 
-    def test_run_flow_deterministic(self, tmp_path, capsys):
+    @pytest.mark.parametrize("argv,code", [
+        (["run-flow", "--scenario", "s.cfg"], 0),
+        (["hopf-verify"], 0),
+        (["hopf-explicit"], 0),
+        # 16 nodes per axis leave the trace-evolution residual above its
+        # tolerance, so this run also covers the bytes of a failed report
+        (["verify-identities", "--resolution", "16"], 3),
+    ], ids=["run-flow", "hopf-verify", "hopf-explicit", "verify-identities"])
+    def test_outputs_repeat_byte_for_byte(self, tmp_path, capsys, argv, code):
+        # identical manifests give identical bytes, in every file a run writes
         scen = _write(tmp_path, "s.cfg", FLOW_N1)
-        out1, out2 = str(tmp_path / "a"), str(tmp_path / "b")
-        assert main(["run-flow", "--scenario", scen, "--out", out1]) == 0
-        assert main(["run-flow", "--scenario", scen, "--out", out2]) == 0
-        csv1 = open(os.path.join(out1, "trajectory.csv"), "rb").read()
-        csv2 = open(os.path.join(out2, "trajectory.csv"), "rb").read()
-        assert csv1 == csv2
-        man1 = open(os.path.join(out1, "manifest.cfg")).read()
-        man2 = open(os.path.join(out2, "manifest.cfg")).read()
-        assert man1 == man2
+        argv = [scen if a == "s.cfg" else a for a in argv]
+        outs = [tmp_path / "a", tmp_path / "b"]
+        for out in outs:
+            assert main(argv + ["--out", str(out)]) == code
+        files = sorted(os.listdir(outs[0]))
+        assert "manifest.cfg" in files and len(files) >= 2
+        assert sorted(os.listdir(outs[1])) == files
+        for name in files:
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
         capsys.readouterr()
 
     def test_run_flow_resume(self, tmp_path, capsys):

@@ -12,16 +12,10 @@ from crflab.models import (
     SumPotential,
     TorusMetricRecipe,
     ZeroPotential,
-    fd_dz,
-    fd_dzbar,
-    fd_hessian,
-    hopf_d_metric,
-    hopf_dbar_metric,
-    hopf_ddbar_metric,
     hopf_det,
     hopf_limit_form,
-    hopf_metric_and_ricci,
     hopf_metric_at,
+    hopf_reference_stacks,
     hopf_ricci,
     hopf_round_metric,
     hopf_surface_data,
@@ -30,6 +24,8 @@ from crflab.models import (
     verify_hopf_flow,
     verify_hopf_trace_chain,
 )
+
+from conftest import fd_dz, fd_dzbar, fd_hessian
 
 
 @pytest.fixture(scope="module")
@@ -87,19 +83,30 @@ class TestClosedForms:
         tr = r2 * np.einsum("mkk->m", g).real
         assert np.max(np.abs(tr - (n * (1 - n * t) + n * t))) <= 1e-12
 
-    def test_ricci_t_independent(self, sample2):
-        _, r1 = hopf_metric_and_ricci(sample2, 0.0)
-        _, r2 = hopf_metric_and_ricci(sample2, 0.35)
-        assert np.max(np.abs(r1 - r2)) <= 1e-12
-
     def test_time_domain_enforced(self, sample2):
         with pytest.raises(ValueError):
-            hopf_metric_and_ricci(sample2, 0.5)
+            hopf_metric_at(sample2.points, 0.5)
         with pytest.raises(ValueError):
-            hopf_metric_and_ricci(sample2, -0.1)
+            hopf_metric_at(sample2.points, -0.1)
+        with pytest.raises(ValueError):
+            verify_hopf_flow(sample2, [0.1, 0.5])
+
+
+def _dbar_metric(points, t):
+    """d_lbar ghat_{i jbar} as the conjugate transpose of the d_k stack."""
+    return np.conj(np.swapaxes(hopf_reference_stacks(points, t)[1], -1, -2))
 
 
 class TestDerivativeStacks:
+    def test_d_metric_matches_fd(self, sample2):
+        t = 0.2
+        pts = sample2.points[:25]
+        fd = np.stack(
+            [fd_dz(lambda q: hopf_metric_at(q, t), pts, k, h=5e-3) for k in range(2)],
+            axis=1,
+        )
+        assert np.max(np.abs(fd - hopf_reference_stacks(pts, t)[1])) <= 1e-7
+
     def test_dbar_metric_matches_fd(self, sample2):
         t = 0.2
         pts = sample2.points[:25]
@@ -107,13 +114,7 @@ class TestDerivativeStacks:
             [fd_dzbar(lambda q: hopf_metric_at(q, t), pts, l, h=5e-3) for l in range(2)],
             axis=1,
         )
-        assert np.max(np.abs(fd - hopf_dbar_metric(pts, t))) <= 1e-7
-
-    def test_d_metric_is_conjugate(self, sample2):
-        t = 0.15
-        d = hopf_d_metric(sample2.points, t)
-        dbar = hopf_dbar_metric(sample2.points, t)
-        assert np.max(np.abs(d - np.conj(np.swapaxes(dbar, -1, -2)))) == 0.0
+        assert np.max(np.abs(fd - _dbar_metric(pts, t))) <= 1e-7
 
     def test_ddbar_metric_matches_fd(self, sample2):
         t = 0.2
@@ -122,7 +123,7 @@ class TestDerivativeStacks:
             [
                 np.stack(
                     [
-                        fd_dz(lambda q: hopf_dbar_metric(q, t)[:, l], pts, k, h=5e-3)
+                        fd_dz(lambda q: _dbar_metric(q, t)[:, l], pts, k, h=5e-3)
                         for l in range(2)
                     ],
                     axis=1,
@@ -131,7 +132,7 @@ class TestDerivativeStacks:
             ],
             axis=1,
         )
-        assert np.max(np.abs(fd - hopf_ddbar_metric(pts, t))) <= 1e-6
+        assert np.max(np.abs(fd - hopf_reference_stacks(pts, t)[2])) <= 1e-6
 
 
 POTENTIALS = [
@@ -147,8 +148,6 @@ class TestPotentials:
     @pytest.mark.parametrize("pot", POTENTIALS, ids=lambda p: type(p).__name__)
     def test_hand_coded_derivatives_match_fd(self, sample2, pot):
         pts = sample2.points[:20]
-        fd1 = np.stack([fd_dz(pot.value, pts, i, h=5e-3) for i in range(2)], axis=1)
-        assert np.max(np.abs(fd1 - pot.d1(pts))) <= 1e-6
         assert np.max(np.abs(fd_hessian(pot.value, pts, h=5e-3) - pot.d2(pts))) <= 1e-6
         fd3 = np.stack([fd_dz(pot.d2, pts, i, h=5e-3) for i in range(2)], axis=1)
         assert np.max(np.abs(fd3 - pot.d3(pts))) <= 1e-6

@@ -94,7 +94,7 @@ class TestConnectionTorsionCurvature:
         vals = np.exp(u.values)[..., None, None].astype(complex)
         g = HermitianMatrixField(chart1, vals)
         conn, _, _ = connection_torsion_curvature(g)
-        du = chart1.dz(u.values, 0)
+        du = chart1.grad(u.values)[0]
         assert np.max(np.abs(conn.values[..., 0, 0, 0] - du)) <= 1e-10
         ric = chern_ricci(g).values[..., 0, 0]
         hess = chart1.complex_hessian(u.values)[..., 0, 0]
@@ -129,7 +129,7 @@ class TestConnectionTorsionCurvature:
     def test_metric_compatibility(self, chart2, nonkahler_metric):
         conn, _, _ = connection_torsion_curvature(nonkahler_metric)
         G = nonkahler_metric.values
-        Dg = np.stack([chart2.dz(G, i) for i in range(2)], axis=-3)
+        Dg = tensors._grid_leading(chart2, chart2.grad(tensors._tensor_first(chart2, G)))
         cov = Dg - np.einsum("...rki,...rj->...kij", conn.values, G)
         assert np.max(np.abs(cov)) <= 1e-9
 
