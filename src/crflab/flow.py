@@ -67,6 +67,7 @@ from .geometry import (
     herm_det,
     herm_eig_bounds,
     herm_logdet,
+    herm_pencil_eigvals,
     i_ddbar,
     require_positive,
 )
@@ -187,12 +188,17 @@ class FlowScenario:
                 raise PositivityUnreachable(
                     f"reference family loses positivity at t = {ts:.4g}"
                 )
-        # constant for the drift monitor max_M(phi - A t)
-        a = -np.inf
-        for ts in np.linspace(0.0, self.T0, 9):
-            val = herm_logdet(self.reference_metric(ts))
-            a = max(a, float(np.max(val - self._log_density)))
-        self.monitor_A = a + 0.1
+        # constant A of the drift monitor max_M(phi - A t): the maximum over nodes and
+        # [0, T0] of log det(g0 + t chi) - log Omega0. That log det is concave in t, so
+        # bisecting on the sign of its slope sum_k mu_k / (1 + t mu_k), mu = eig(g0^-1 chi),
+        # brings each node's maximizer t within T0's rounding in 53 halvings.
+        mu = np.moveaxis(herm_pencil_eigvals(g0.values, chi.values), -1, 0)
+        t, width = np.zeros(chart.shape), self.T0
+        for _ in range(53):
+            width *= 0.5
+            t = np.where(sum(m / (1.0 + (t + width) * m) for m in mu) > 0.0, t + width, t)
+        logdet = herm_logdet(g0.values + t[..., None, None] * chi.values)
+        self.monitor_A = float(np.max(logdet - self._log_density))
         # half-grid Fourier symbol of sum_i d_i d_ibar, the flat part of the
         # stiff operator
         self._laplacian = chart.laplacian_symbol(np.eye(chart.n))

@@ -21,8 +21,8 @@ Fields are stored grid-leading: the 2n grid axes come first and tensor
 indices last (``values[..., i, j]``). `TorusChart.grad` is the entry point
 for tensor-first arrays instead, with the tensor indices first and the grid
 last, which is how `tensors` holds its tensors; it returns the Wirtinger
-gradient as a new leading index. `deriv`, `dz` and `dzbar` keep the
-grid-leading contract. All of them run on one Fourier derivative kernel.
+gradient as a new leading index. `deriv` keeps the grid-leading contract.
+Both run on one Fourier derivative kernel.
 
 This is the one module that transforms (on numpy, the only backend) and
 decides positivity: `herm_logdet` is the test that runs before every log det.
@@ -366,6 +366,27 @@ def herm_eig_bounds(values):
         return math.nan, math.nan
     w = np.linalg.eigvalsh(values)
     return float(w[..., 0].min()), float(w[..., -1].max())
+
+
+def herm_mixed_det(a, b):
+    """m(a, b) of 2x2 Hermitian fields, the cross term of
+    det(a + b) = det(a) + m(a, b) + det(b)."""
+    m = (a[..., 0, 0] * b[..., 1, 1] + a[..., 1, 1] * b[..., 0, 0]).real
+    return m - 2.0 * (a[..., 0, 1] * b[..., 1, 0]).real
+
+
+def herm_pencil_eigvals(a, b):
+    """Eigenvalues of a^-1 b along a new last axis, for Hermitian fields a > 0
+    and b (closed form for n <= 2)."""
+    n = a.shape[-1]
+    if n == 1:
+        return (b[..., 0] / a[..., 0]).real
+    if n == 2:
+        # roots of det(b - mu a) = det(a) mu^2 - m(a, b) mu + det(b)
+        m, det_a = herm_mixed_det(a, b), herm_det(a)
+        root = np.sqrt(np.maximum(m ** 2 - 4.0 * det_a * herm_det(b), 0.0))
+        return np.stack([m - root, m + root], axis=-1) / (2.0 * det_a[..., None])
+    return np.linalg.eigvals(np.linalg.solve(a, b)).real
 
 
 def herm_logdet(values):

@@ -15,7 +15,8 @@ derivative stacks of g(t) that the trace chain reads come from
 differences in the tests. All Hopf computations here are pointwise on
 sample sets: the relevant statements are tensorial inequalities and
 closed-form identities, so no quotient-manifold PDE discretization is
-involved.
+involved. The n = 2 intersection numbers integrate U(2)-invariant densities:
+Gauss-Legendre in log r along the ray z = (r, 0), the angles in closed form.
 """
 
 from dataclasses import dataclass, field
@@ -29,13 +30,14 @@ from .geometry import (
     ScalarField,
     herm_eig_bounds,
     herm_inv,
+    herm_mixed_det,
     i_ddbar,
     require_positive,
 )
 
 # step of the central difference in t that checks the closed-form flow
 _FD_STEP = 1e-5
-# Gauss-Legendre nodes per coordinate of the fundamental-annulus quadrature
+# Gauss-Legendre nodes in log r of the radial fundamental-annulus quadrature
 _QUADRATURE_ORDER = 32
 
 
@@ -472,66 +474,32 @@ def verify_hopf_trace_chain(sample, t, potential=None):
 
 # -- fundamental-domain quadrature (n = 2) --------------------------------------
 
-_INTEGRANDS = ("omega2", "omega_ric", "ric2")
-
-
-def _mixed_determinant(a, b):
-    """m(a,b) with integral a ^ b = 4 * integral m dLeb for n = 2."""
-    return (
-        a[..., 0, 0] * b[..., 1, 1]
-        + a[..., 1, 1] * b[..., 0, 0]
-        - a[..., 0, 1] * b[..., 1, 0]
-        - a[..., 1, 0] * b[..., 0, 1]
-    ).real
+# the pair (a, b) of each integrand a ^ b
+_INTEGRANDS = {
+    "omega2": (hopf_round_metric, hopf_round_metric),
+    "omega_ric": (hopf_round_metric, hopf_ricci),
+    "ric2": (hopf_ricci, hopf_ricci),
+}
 
 
 def integrate_hopf(alpha_modulus, integrand):
-    """Integral of a (2,2)-form over the fundamental annulus 1 <= |z| < R.
-
-    Tensor-product Gauss-Legendre in (log r, chi, phi1, phi2) with
-    z = e^u (cos(chi) e^{i phi1}, sin(chi) e^{i phi2}),
-    dLeb = e^{4u} du cos(chi) sin(chi) dchi dphi1 dphi2.
+    """Integral of a ^ b = 4 m(a, b) dLeb over the fundamental annulus between
+    |z| = 1 and |z| = R = alpha_modulus (finite, positive and not 1). In
+    z = e^u (cos(chi) e^{i phi1}, sin(chi) e^{i phi2}), dLeb is
+    e^{4u} du cos(chi) sin(chi) dchi dphi1 dphi2, whose angles give (1/2)(2 pi)^2.
     """
     if integrand not in _INTEGRANDS:
-        raise UnsupportedIntegrand(f"integrand must be one of {_INTEGRANDS}")
+        raise UnsupportedIntegrand(f"integrand must be one of {tuple(_INTEGRANDS)}")
     R = float(alpha_modulus)
-    if R < 1.0:
-        R = 1.0 / R
-    order = _QUADRATURE_ORDER
-    xs, ws = leggauss(order)
-
-    u = 0.5 * np.log(R) * (xs + 1.0)
-    wu = ws * 0.5 * np.log(R)
-    chi = 0.25 * np.pi * (xs + 1.0)
-    wchi = ws * 0.25 * np.pi
-    ang = np.pi * (xs + 1.0)
-    wang = ws * np.pi
-
-    total = 0.0
-    cos_chi = np.cos(chi)
-    sin_chi = np.sin(chi)
-    e1 = np.exp(1j * ang)
-    for iu in range(order):
-        rad = np.exp(u[iu])
-        z1 = rad * cos_chi[:, None, None] * e1[None, :, None] * np.ones((1, 1, order))
-        z2 = rad * sin_chi[:, None, None] * np.ones((1, order, 1)) * e1[None, None, :]
-        pts = np.stack([z1, z2], axis=-1).reshape(-1, 2)
-        gH = hopf_round_metric(pts)
-        ric = hopf_ricci(pts)
-        if integrand == "omega2":
-            dens = _mixed_determinant(gH, gH)
-        elif integrand == "omega_ric":
-            dens = _mixed_determinant(gH, ric)
-        else:
-            dens = _mixed_determinant(ric, ric)
-        dens = dens.reshape(order, order, order)
-        w3 = (
-            (cos_chi * sin_chi * wchi)[:, None, None]
-            * wang[None, :, None]
-            * wang[None, None, :]
-        )
-        total += wu[iu] * np.exp(4.0 * u[iu]) * float(np.sum(dens * w3))
-    return 4.0 * total
+    if not (np.isfinite(R) and R > 0.0 and R != 1.0):
+        raise ValueError(f"alpha modulus must be finite, positive and not 1, got {R}")
+    log_R = abs(np.log(R))
+    xs, ws = leggauss(_QUADRATURE_ORDER)
+    u = 0.5 * log_R * (xs + 1.0)
+    ray = np.exp(u)[:, None] * np.array([1.0, 0.0])
+    a, b = (form(ray) for form in _INTEGRANDS[integrand])
+    radial = 0.5 * log_R * np.sum(ws * np.exp(4.0 * u) * herm_mixed_det(a, b))
+    return 4.0 * 0.5 * (2.0 * np.pi) ** 2 * float(radial)
 
 
 def hopf_surface_data(alpha_modulus):

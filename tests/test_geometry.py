@@ -12,6 +12,8 @@ from crflab.geometry import (
     herm_eig_bounds,
     herm_inv,
     herm_logdet,
+    herm_mixed_det,
+    herm_pencil_eigvals,
     i_ddbar,
     min_eigenvalue,
     refine_field,
@@ -338,6 +340,32 @@ class TestHermLogdet:
         vals = np.einsum("...ab,...cb->...ac", a, np.conj(a)) + np.eye(n)
         expected = np.log(np.linalg.det(vals).real)
         assert np.max(np.abs(herm_logdet(vals) - expected)) <= 1e-13
+
+
+def _random_hermitian(rng, n, nodes=6):
+    a = rng.normal(size=(nodes, n, n)) + 1j * rng.normal(size=(nodes, n, n))
+    return a + np.conj(np.swapaxes(a, -1, -2))
+
+
+class TestHermPencil:
+    def test_mixed_det_is_the_cross_term_of_det(self):
+        rng = np.random.default_rng(4)
+        a, b = _random_hermitian(rng, 2), _random_hermitian(rng, 2)
+        expected = herm_det(a + b) - herm_det(a) - herm_det(b)
+        assert np.max(np.abs(herm_mixed_det(a, b) - expected)) <= 1e-12
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_eigenvalues_of_a_inverse_b(self, n):
+        rng = np.random.default_rng(20 + n)
+        root = _random_hermitian(rng, n)
+        a = np.einsum("...ab,...cb->...ac", root, np.conj(root)) + np.eye(n)
+        b = _random_hermitian(rng, n)
+        # the Hermitian problem L^-1 b L^-H, with a = L L^H, has the same spectrum
+        li = np.linalg.inv(np.linalg.cholesky(a))
+        expected = np.linalg.eigvalsh(li @ b @ np.conj(np.swapaxes(li, -1, -2)))
+        mu = np.sort(herm_pencil_eigvals(a, b), axis=-1)
+        assert mu.shape == (6, n)
+        assert np.max(np.abs(mu - expected)) <= 1e-12
 
 
 class TestLaplacianInverse:

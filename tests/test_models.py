@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from crflab.errors import NotPositiveDefinite, UnsupportedIntegrand
-from crflab.geometry import HopfSampleSet, TorusChart, min_eigenvalue
+from crflab.geometry import HopfSampleSet, TorusChart, herm_mixed_det, min_eigenvalue
 from crflab.models import (
     LogRadius,
     ModulusProduct,
@@ -245,6 +245,35 @@ class TestQuadrature:
     def test_unknown_integrand(self):
         with pytest.raises(UnsupportedIntegrand):
             integrate_hopf(2.0, "nope")
+
+    @pytest.mark.parametrize("modulus", [0.0, -2.0, np.nan, np.inf, 1.0])
+    def test_modulus_outside_the_hopf_range_rejected(self, modulus):
+        with pytest.raises(ValueError):
+            integrate_hopf(modulus, "omega2")
+        with pytest.raises(ValueError):
+            hopf_surface_data(modulus)
+
+    @pytest.mark.parametrize("modulus", [0.5, 1.05, 2.0, 3.7])
+    def test_intersection_numbers_in_closed_form(self, modulus):
+        # vol0 = 16 pi^2 |log R|, pairing = vol0 and c1^2 = 0 on both sides of 1
+        data = hopf_surface_data(modulus)
+        v0 = data["vol0"]
+        assert abs(v0 - 16 * np.pi ** 2 * abs(np.log(modulus))) <= 1e-12 * v0
+        assert abs(data["pairing"] - v0) <= 1e-12 * v0
+        assert abs(data["c1sq"]) <= 1e-12 * v0
+
+    def test_densities_depend_only_on_the_radius(self):
+        # the U(2)-invariance the radial rule rests on
+        rng = np.random.default_rng(5)
+        z = rng.standard_normal((200, 2)) + 1j * rng.standard_normal((200, 2))
+        z *= np.exp(rng.uniform(-2.0, 2.0, (200, 1))) / np.linalg.norm(z, axis=1)[:, None]
+        r = np.linalg.norm(z, axis=1)
+        ray = r[:, None] * np.array([1.0, 0.0])
+        gH, ric = hopf_round_metric, hopf_ricci
+        for a, b in ((gH, gH), (gH, ric), (ric, ric)):
+            here = r ** 4 * herm_mixed_det(a(z), b(z))
+            on_ray = r ** 4 * herm_mixed_det(a(ray), b(ray))
+            assert np.max(np.abs(here - on_ray)) <= 1e-14
 
 
 class TestTorusRecipes:
