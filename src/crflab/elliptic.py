@@ -21,10 +21,12 @@ built once per Newton iteration. Everything spectral comes from `geometry`
 (this module makes no transform of its own): the multiplier is
 `TorusChart.laplacian_inverse`, the weights `hessian_trace_weights`, and
 `herm_logdet` rejects every trial metric that is not positive definite,
-also at det > 0. Solutions are stripped of the modes no Wirtinger operator
-sees, which leaves their residual unchanged.
+also at det > 0; `EllipticProblem` takes the background's log det once, as
+its positivity test, for every residual to read.
 
-Both start from phi = 0 unless given a start phi0 (Newton also takes b0).
+Both start from phi = 0 unless given a start phi0 (Newton also takes b0)
+and share one ending: phi loses the modes no Wirtinger operator sees, which
+leaves its residual unchanged, and b moves to the residual's mean.
 
 `certify_estimates` measures the oscillation bound and the second-order
 statistic C(A) = sup tr_g g' e^{-A(phi - inf phi)}, re-solving on a
@@ -46,7 +48,6 @@ from .geometry import (
     herm_inv,
     herm_logdet,
     refine_field,
-    require_positive,
 )
 
 
@@ -58,7 +59,10 @@ class EllipticProblem:
 
     def __post_init__(self):
         self.omega.chart.require_same(self.F.chart)
-        require_positive(self.omega, what="background metric")
+        try:
+            self._logdet = herm_logdet(self.omega.values)
+        except NotPositiveDefinite:
+            raise NotPositiveDefinite("background metric is not positive definite") from None
         if self.normalization not in ("mean", "sup"):
             raise ValueError("normalization must be 'mean' or 'sup'")
 
@@ -101,9 +105,19 @@ def _normalize(problem, phi_values):
 
 
 def _residual_field(problem, phi_values, b):
-    G = problem.omega.values
-    Gp = G + problem.chart.complex_hessian(phi_values)
-    return herm_logdet(Gp) - herm_logdet(G) - problem.F.values - b, Gp
+    Gp = problem.omega.values + problem.chart.complex_hessian(phi_values)
+    return herm_logdet(Gp) - problem._logdet - problem.F.values - b, Gp
+
+
+def _solution(problem, phi_values, b, method, iterations, extras=None):
+    """Both routes end here: normalize phi, then move b to the residual's mean."""
+    phi_values = _normalize(problem, phi_values)
+    res_field, _ = _residual_field(problem, phi_values, b)
+    mean = float(res_field.mean())
+    return EllipticSolution(
+        problem, ScalarField(problem.chart, phi_values), b + mean,
+        float(np.max(np.abs(res_field - mean))), method, iterations, extras or {},
+    )
 
 
 def solve_elliptic(
@@ -163,14 +177,7 @@ def _solve_gill_flow(problem, tol, max_steps, phi0):
         raise NonConvergence(
             f"gill-flow oscillation {osc:.3e} after {steps} steps (tol {tol:.1e})"
         )
-    phi = _normalize(problem, state.phi)
-    res0, _ = _residual_field(problem, phi, 0.0)
-    b = float(res0.mean())
-    res = float(np.max(np.abs(res0 - b)))
-    return EllipticSolution(
-        problem, ScalarField(chart, phi), b, res, "gill-flow", steps,
-        extras={"t_end": state.t},
-    )
+    return _solution(problem, state.phi, 0.0, "gill-flow", steps, {"t_end": state.t})
 
 
 def _bicgstab(op, rhs, tol, max_iter=400):
@@ -282,14 +289,7 @@ def _solve_newton(problem, tol, max_steps, phi, b):
         iterations += 1
     if res > tol:
         raise NonConvergence(f"newton residual {res:.3e} after {iterations} steps")
-
-    phi = _normalize(problem, phi)
-    res_field, _ = _residual_field(problem, phi, b)
-    b = b + float(res_field.mean())
-    res = float(np.max(np.abs(res_field - res_field.mean())))
-    return EllipticSolution(
-        problem, ScalarField(chart, phi), b, res, "newton-continuation", iterations
-    )
+    return _solution(problem, phi, b, "newton-continuation", iterations)
 
 
 @dataclass
@@ -316,10 +316,9 @@ def certify_estimates(solution, A_grid, tol=None):
     problem = solution.problem
 
     def stats(sol):
-        chart = sol.problem.chart
-        Gi = herm_inv(sol.problem.omega.values)
-        Gp = sol.updated_metric().values
-        tr = np.einsum("...ji,...ij->...", Gi, Gp).real
+        omega = sol.problem.omega.values
+        Gp = omega + sol.problem.chart.complex_hessian(sol.phi.values)
+        tr = np.einsum("...ji,...ij->...", herm_inv(omega), Gp).real
         phi = sol.phi.values
         shifted = phi - phi.min()
         osc = float(phi.max() - phi.min())

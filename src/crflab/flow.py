@@ -181,6 +181,8 @@ class FlowScenario:
 
         _check_closed(chart, chi.values, "chi")
         self._log_density = np.log(omega_density.values)
+        # det g0, the numerator of every monitor row's volume-form ratio
+        self._det_g0 = herm_det(g0.values)
         # lambda_min(g0 + t chi) is concave in t, so the endpoints decide
         for ts in (0.0, self.T0):
             lo, _ = herm_eig_bounds(self.reference_metric(ts))
@@ -275,13 +277,8 @@ def scenario_from_metric(g0, T0, f_T0=None, **kwargs):
         f_T0 = ScalarField(chart, f_vals)
     else:
         chart.require_same(f_T0.chart)
-    hess_f = i_ddbar(f_T0)
-    alpha_T0 = g0.values - T0 * ric0.values + hess_f.values
-    if herm_eig_bounds(alpha_T0)[0] <= 0.0:
-        raise PositivityUnreachable(
-            "alpha_T0 + i ddbar f_T0 is not positive definite"
-        )
-    chi = HermitianMatrixField(chart, hess_f.values / T0 - ric0.values)
+    # FlowScenario tests g0 + T0 chi = alpha_T0 + i ddbar f_T0 for positivity
+    chi = HermitianMatrixField(chart, i_ddbar(f_T0).values / T0 - ric0.values)
     density = VolumeField(
         chart, herm_det(g0.values) * np.exp(f_T0.values / T0)
     )
@@ -404,7 +401,7 @@ def _monitor_row(state, scenario, dt):
     det = herm_det(state.omega)
     q0 = (scenario.T0 - t) * pd + phi + n * t
     q1 = t * pd - phi - n * t
-    u = herm_det(scenario.g0.values) / det
+    u = scenario._det_g0 / det
     return dict(
         t=t,
         dt=dt,

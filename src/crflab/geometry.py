@@ -444,13 +444,14 @@ class HermitianMatrixField:
     """n x n complex matrix field, Hermitian at every node.
 
     Construction symmetrizes with the conjugate transpose and asserts the
-    correction stays below 1e-13 relative to the field scale.
+    correction stays below 1e-13 relative to the field scale. That bound is
+    the rule for data from outside the package; a producer inside it
+    returns the Hermitian part of what it computes.
     """
 
     def __init__(self, chart, values):
-        values = np.asarray(values, dtype=complex)
         target = chart.shape + (chart.n, chart.n)
-        values = np.broadcast_to(values, target).copy()
+        values = np.broadcast_to(np.asarray(values, dtype=complex), target)
         adj = np.conj(np.swapaxes(values, -1, -2))
         drift = np.max(np.abs(values - adj))
         scale = max(np.max(np.abs(values)), 1.0)
@@ -541,53 +542,33 @@ def spectral_energy_report(field):
     return report
 
 
-def refine_chart(chart, factor=2):
+def refine_chart(chart):
+    """The chart with twice the nodes along each active axis."""
     res = tuple(
-        r * factor if a in chart.active_axes else r
-        for a, r in enumerate(chart.resolution)
+        2 * r if a in chart.active_axes else r for a, r in enumerate(chart.resolution)
     )
     return TorusChart(chart.n, res, chart.periods, chart.active_axes)
 
 
-def _refine_values(chart, fine, values):
-    spec = chart.fft(values)
+def refine_field(field):
+    """Fourier interpolation of a field onto the grid of `refine_chart`."""
+    chart = field.chart
+    fine = refine_chart(chart)
+    spec = chart.fft(field.values)
     for a in chart.active_axes:
-        m = chart.shape[a]
-        mf = fine.shape[a]
-        shape = list(spec.shape)
-        shape[a] = mf
-        padded = np.zeros(shape, dtype=complex)
-        half = m // 2
-        lo = [slice(None)] * spec.ndim
-        hi = [slice(None)] * spec.ndim
-        lo[a] = slice(0, half)
-        hi[a] = slice(-half + 1, None) if half > 1 else slice(m, m)
-        padded[tuple(lo)] = spec[tuple(lo)]
-        padded[tuple(hi)] = spec[tuple(hi)]
-        # split the Nyquist bin symmetrically
-        ny = [slice(None)] * spec.ndim
-        ny[a] = half
-        top = [slice(None)] * spec.ndim
-        top[a] = mf - half
-        padded[tuple(ny)] = 0.5 * spec[tuple(ny)]
-        padded[tuple(top)] = 0.5 * spec[tuple(ny)]
-        spec = padded
-    scale = fine.grid_count / chart.grid_count
-    out = fine.ifft(spec * scale)
-    if np.isrealobj(values):
-        return out.real
-    return out
-
-
-def refine_field(field, factor=2):
-    """Fourier interpolation of a field onto a grid refined by ``factor``."""
-    fine = refine_chart(field.chart, factor)
-    out = _refine_values(field.chart, fine, field.values)
-    if isinstance(field, ScalarField):
-        return ScalarField(fine, out)
-    if isinstance(field, VolumeField):
-        return VolumeField(fine, out)
-    return HermitianMatrixField(fine, out)
+        # zero-pad axis a from m to 2m modes, splitting the Nyquist bin
+        # symmetrically between wavenumbers m/2 and -m/2
+        half = chart.shape[a] // 2
+        src = np.moveaxis(spec, a, 0)
+        padded = np.zeros((4 * half,) + src.shape[1:], dtype=complex)
+        padded[:half] = src[:half]
+        padded[1 - half:] = src[1 - half:]
+        padded[half] = padded[-half] = 0.5 * src[half]
+        spec = np.moveaxis(padded, 0, a)
+    out = fine.ifft(spec * (fine.grid_count / chart.grid_count))
+    if isinstance(field, HermitianMatrixField):
+        return HermitianMatrixField(fine, out)
+    return type(field)(fine, out.real)
 
 
 # -- Hopf sample sets ---------------------------------------------------------
@@ -597,7 +578,7 @@ class HopfSampleSet:
     """Finite point sample in the fundamental annulus of a Hopf manifold.
 
     The manifold is (C^n \\ 0) / (z ~ alpha z) with |alpha_1| = ... =
-    |alpha_n| != 1; points live in 1 <= |z| < |alpha_1|.
+    |alpha_n| != 1; points live in min(1, |alpha_1|) <= |z| < max(1, |alpha_1|).
     """
 
     def __init__(self, alpha, points):
@@ -624,6 +605,8 @@ class HopfSampleSet:
     @classmethod
     def random(cls, n, alpha_modulus, count, seed):
         """Log-uniform radii, uniform directions, random phases for alpha."""
+        if not (math.isfinite(alpha_modulus) and alpha_modulus > 0.0):
+            raise ValueError(f"|alpha| must be finite and positive, got {alpha_modulus!r}")
         rng = np.random.default_rng(seed)
         alpha = np.full(n, alpha_modulus) * np.exp(
             2j * np.pi * rng.random(n)
@@ -633,5 +616,6 @@ class HopfSampleSet:
         dirs = v[:, :n] + 1j * v[:, n:]
         dirs /= np.linalg.norm(dirs, axis=1)[:, None]
         radii = np.exp(rng.random(count) * np.log(alpha_modulus))
-        radii = np.clip(radii, 1.0, alpha_modulus * (1 - 1e-9))
+        lo, hi = sorted((1.0, alpha_modulus))
+        radii = np.clip(radii, lo, hi * (1 - 1e-9))
         return cls(alpha, radii[:, None] * dirs)

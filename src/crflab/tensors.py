@@ -14,11 +14,13 @@ Layout: inside this module every tensor is held tensor-first, with its
 indices first and the 2n grid axes last (``G[a, b, *grid]``), so that each
 contraction runs its inner loop over the grid and not over indices of size
 n. Inputs enter as grid-leading fields and are moved once (`_tensor_first`);
-every derived tensor is created in that layout. Each contraction is a
-sequence of two-operand einsums in an order fixed here, with no intermediate
-larger than n^4 per node. The public fields (`ConnectionField`,
-`TorsionField`, `CurvatureField`) and `ricci_from_curvature` return the
-grid-leading layout, ``values[..., k, i, j]``, like every other field.
+every derived tensor is created in that layout. `_chern` is the one builder
+of a metric's G, G^-1 and Christoffel symbols, and its one positivity test.
+Each contraction is a sequence of two-operand einsums in an order fixed
+here, with no intermediate larger than n^4 per node. The public fields
+(`ConnectionField`, `TorsionField`, `CurvatureField`) and
+`ricci_from_curvature` return the grid-leading layout,
+``values[..., k, i, j]``, like every other field.
 
 The verification operations assemble both sides of each identity through
 independent code paths (raw spectral derivatives of scalars on one side,
@@ -156,13 +158,19 @@ def _curvature(chart, Gamma, G):
     return DbarGamma, np.einsum("lpki...,pj...->klij...", DbarGamma, -G)
 
 
-def connection_torsion_curvature(g):
-    """Chern connection data of a positive metric field."""
-    require_positive(g)
+def _chern(g, what="metric"):
+    """(G, G^-1, Gamma) of a metric field, tested positive, tensor-first."""
+    require_positive(g, what=what)
     chart = g.chart
     G = _tensor_first(chart, g.values)
     Gi = _tensor_first(chart, herm_inv(g.values))
-    Gamma = _christoffel(chart, G, Gi)
+    return G, Gi, _christoffel(chart, G, Gi)
+
+
+def connection_torsion_curvature(g):
+    """Chern connection data of a positive metric field."""
+    chart = g.chart
+    G, _, Gamma = _chern(g)
     DbarGamma, low = _curvature(chart, Gamma, G)
     up = -np.einsum("lpki...->klip...", DbarGamma)
     return (
@@ -179,13 +187,13 @@ def chern_ricci(g):
 
 
 def ricci_from_curvature(g):
-    """Trace g^{jbar i} R_{k lbar i jbar}; cross-check path for chern_ricci."""
-    require_positive(g)
+    """Hermitian part of the trace g^{jbar i} R_{k lbar i jbar}, which on an
+    aliased grid is not exactly Hermitian; cross-check path for chern_ricci."""
     chart = g.chart
-    G = _tensor_first(chart, g.values)
-    Gi = _tensor_first(chart, herm_inv(g.values))
-    _, low = _curvature(chart, _christoffel(chart, G, Gi), G)
+    G, Gi, Gamma = _chern(g)
+    _, low = _curvature(chart, Gamma, G)
     ric = np.einsum("klij...,ji...->kl...", low, Gi)
+    ric = 0.5 * (ric + np.conj(np.swapaxes(ric, 0, 1)))
     return HermitianMatrixField(chart, _grid_leading(chart, ric))
 
 
@@ -283,27 +291,24 @@ def verify_trace_evolution(g0, ghat, phi, t=0.0, chi=None):
     chart.require_same(ghat.chart)
     chart.require_same(phi.chart)
 
-    if chi is None:
-        chi = HermitianMatrixField(chart, -chern_ricci(g0).values)
-    chart.require_same(chi.chart)
-    chi_res = _check_closed(chart, chi.values, "chi")
+    if chi is not None:
+        chart.require_same(chi.chart)
+    chi = -chern_ricci(g0).values if chi is None else chi.values
+    chi_res = _check_closed(chart, chi, "chi")
 
-    G = g0.values + t * chi.values + chart.complex_hessian(phi.values)
-    G = HermitianMatrixField(chart, G).values
+    # exactly Hermitian: a sum of exactly Hermitian arrays
+    G = g0.values + t * chi + chart.complex_hessian(phi.values)
     lo, hi = herm_eig_bounds(G)
     if not lo > 0.0:
         raise NotPositiveDefinite(f"omega(t) has min eigenvalue {lo:.3e}")
-    require_positive(ghat, what="ghat")
     logdet_g = herm_logdet(G)
 
     # the one move to tensor-first layout of each rank-2 input and inverse
     Gi = _tensor_first(chart, herm_inv(G))
     G = _tensor_first(chart, G)
-    Ghat = _tensor_first(chart, ghat.values)
-    Gihat = _tensor_first(chart, herm_inv(ghat.values))
+    Ghat, Gihat, GammaHat = _chern(ghat, what="ghat")
     G0 = _tensor_first(chart, g0.values)
 
-    GammaHat = _christoffel(chart, Ghat, Gihat)
     THat = _torsion(GammaHat)
     cTHat = np.conj(THat)
     _, RlowHat = _curvature(chart, GammaHat, Ghat)
@@ -423,11 +428,8 @@ def verify_bianchi_vanishing(ghat):
     """Max norm of ghat^{lbar k}(nabla_lbar That^i_{ik} + Rhat_{i lbar k qbar}
     ghat^{qbar i} - Rhat_{k lbar i qbar} ghat^{qbar i}), which vanishes
     identically for every Hermitian metric."""
-    require_positive(ghat)
     chart = ghat.chart
-    Ghat = _tensor_first(chart, ghat.values)
-    Gihat = _tensor_first(chart, herm_inv(ghat.values))
-    GammaHat = _christoffel(chart, Ghat, Gihat)
+    Ghat, Gihat, GammaHat = _chern(ghat)
     tcontr = np.einsum("iik...->k...", _torsion(GammaHat))
     _, RlowHat = _curvature(chart, GammaHat, Ghat)
     del GammaHat
@@ -468,10 +470,8 @@ def commutator_residual(g, X):
     """Max residual of [nabla_k, nabla_lbar] X^i = R_{k lbar j}^{   i} X^j
     for a vector field X (values [..., i])."""
     chart = g.chart
-    G = _tensor_first(chart, g.values)
-    Gi = _tensor_first(chart, herm_inv(g.values))
+    G, _, Gamma = _chern(g)
     X = _tensor_first(chart, X)
-    Gamma = _christoffel(chart, G, Gi)
     DbarGamma, _ = _curvature(chart, Gamma, G)
 
     # nabla_k X^i = d_k X^i + Gamma^i_{kj} X^j; barred slots are inert under

@@ -15,6 +15,7 @@ from crflab.geometry import (
     ScalarField,
     TorusChart,
     herm_det,
+    herm_inv,
     min_eigenvalue,
     refine_field,
 )
@@ -162,6 +163,13 @@ class TestSolve:
         with pytest.raises(NotPositiveDefinite):
             _residual_field(problem, np.zeros(chart2.shape), 0.0)
 
+    def test_problem_rejects_n3_background_with_two_negative_eigenvalues(self):
+        # det = 3 > 0 and tr = 1 > 0, yet the background is indefinite
+        chart = TorusChart(3, 8, active_axes=(0,))
+        omega = HermitianMatrixField.constant(chart, np.diag([-1.0, -1.0, 3.0]))
+        with pytest.raises(NotPositiveDefinite, match="background metric"):
+            EllipticProblem(omega, ScalarField.zeros(chart))
+
     def test_normalize_moves_no_visible_mode(self):
         # a mode with Nyquist along x_0 and wavenumber 1 along x_2 has a
         # nonzero d_1 d_1bar entry: normalizing must keep it
@@ -267,6 +275,17 @@ class TestEstimates:
         assert rep.oscillation <= 1e-10
         assert all(abs(c - 2.0) <= 1e-8 for c in rep.C_coarse)
         assert rep.stable_A == 0.0
+
+    def test_coarse_statistic_is_that_of_the_updated_metric(self, chart2):
+        base = np.array([[1.2, 0.1], [0.1, 1.0]])
+        prob, _ = manufactured_problem(chart2, base, 13, 0.12)
+        sol = solve_elliptic(prob)
+        grid = (0.0, 1.0, 4.0)
+        Gp = sol.updated_metric().values
+        tr = np.einsum("...ji,...ij->...", herm_inv(prob.omega.values), Gp).real
+        shifted = sol.phi.values - sol.phi.values.min()
+        expected = tuple(float(np.max(tr * np.exp(-A * shifted))) for A in grid)
+        assert certify_estimates(sol, grid).C_coarse == expected
 
     def test_manufactured_statistics_stable(self, chart2):
         base = np.array([[1.2, 0.1], [0.1, 1.0]])

@@ -419,6 +419,21 @@ class TestCli:
         assert main(["not-a-command"]) == 64
         capsys.readouterr()
 
+    @pytest.mark.parametrize("alpha", ["-2", "0", "nan", "inf"])
+    def test_hopf_explicit_rejects_a_modulus_that_is_not_finite_positive(
+        self, tmp_path, capsys, alpha
+    ):
+        argv = ["hopf-explicit", "--alpha", alpha, "--out", str(tmp_path / "h")]
+        assert main(argv) == 2
+        assert "|alpha| must be finite and positive" in capsys.readouterr().err
+
+    def test_hopf_explicit_samples_inside_the_unit_sphere_below_one(self, tmp_path, capsys):
+        out = tmp_path / "h"
+        assert main(["hopf-explicit", "--alpha", "0.5", "--out", str(out)]) == 0
+        r2 = np.loadtxt(out / "eigenvalues.csv", delimiter=",", skiprows=1)[:, 0]
+        assert np.all(np.sqrt(r2) >= 0.5) and np.all(np.sqrt(r2) < 1.0)
+        capsys.readouterr()
+
     def test_missing_scenario_exits_2(self, tmp_path, capsys):
         os.chdir(tmp_path)
         assert main(["run-flow", "--scenario", "missing.cfg", "--out", "o"]) == 2

@@ -117,6 +117,11 @@ class TestConnectionTorsionCurvature:
         sym = np.conj(curv.low) - np.einsum("...klij->...lkji", curv.low)
         assert np.max(np.abs(sym)) <= 1e-10
 
+    def test_commutator_rejects_indefinite_metric(self, chart2):
+        g = HermitianMatrixField.constant(chart2, np.diag([1.0, -1.0]))
+        with pytest.raises(NotPositiveDefinite):
+            commutator_residual(g, np.ones(chart2.shape + (2,), dtype=complex))
+
     def test_commutation_formula_on_random_vector(self, chart2, nonkahler_metric):
         rng = np.random.default_rng(4)
         spec = np.zeros(chart2.shape + (2,), dtype=complex)
@@ -271,6 +276,24 @@ class TestThreeDimensional:
         assert rep.imag_residual <= 1e-9
         assert max(rep.bound_violations) <= 1e-8
         assert verify_bianchi_vanishing(ghat) <= 1e-9
+
+    def test_ricci_from_curvature_on_an_aliased_chart(self, chart3):
+        # waves up to wavenumber 3 on 8 nodes: the curvature trace is
+        # Hermitian only up to aliasing, so the cross-check path returns
+        # its Hermitian part, which converges to chern_ricci on refinement
+        waves = {(0, 0): (1, 0, 0, 0, 0, 0), (1, 1): (0, 0, 2, 0, 0, 0),
+                 (2, 2): (0, 0, 0, 0, 3, 0), (0, 1): (0, 0, 0, 0, 1, 0),
+                 (0, 2): (0, 0, 2, 0, 0, 0), (1, 2): (3, 0, 0, 0, 0, 0)}
+        recipe = TorusMetricRecipe(np.eye(3), [
+            Perturbation(i, j, 0.02, wave, 0.7 * (i + j)) for (i, j), wave in waves.items()
+        ])
+        gaps = []
+        for chart in (chart3, refine_chart(chart3)):
+            g = recipe.build(chart)
+            ric = ricci_from_curvature(g).values
+            assert np.array_equal(ric, np.conj(np.swapaxes(ric, -1, -2)))
+            gaps.append(np.max(np.abs(ric - chern_ricci(g).values)))
+        assert gaps[1] <= 0.1 * gaps[0]
 
     def test_connection_symmetries(self, chart3):
         g = self.metric(chart3, 2, amplitude=0.01)
