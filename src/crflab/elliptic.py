@@ -28,6 +28,20 @@ Both start from phi = 0 unless given a start phi0 (Newton also takes b0)
 and share one ending: phi loses the modes no Wirtinger operator sees, which
 leaves its residual unchanged, and b moves to the residual's mean.
 
+Without a phi0, Newton first solves a chain of coarser problems (nested
+iteration, the first leg of full multigrid): each level keeps every other
+node of each active axis of the one above (`EllipticProblem.coarsened`),
+down to 32 nodes per axis, and the coarsest starts from (0, b0). A level
+solves to max(tol, its chart's default tol), with each Krylov solve capped
+at 25 iterations; a tighter coarse target would only chase the residual
+floor of an under-resolved grid. Its Fourier-refined (phi, b) starts the
+next level. A level that does not converge is dropped, and the next starts
+from the start the dropped one was given; a refined start that is not
+positive definite is replaced by the cold start. The problem's own solve
+still iterates to tol and is the only gate: `EllipticSolution.iterations`
+counts its steps, and extras["coarse_levels"] records the levels. Gill-flow
+has no cascade.
+
 `certify_estimates` measures the oscillation bound and the second-order
 statistic C(A) = sup tr_g g' e^{-A(phi - inf phi)}, re-solving on a
 Fourier-refined grid to test stability under grid doubling. The re-solve
@@ -44,11 +58,22 @@ from .geometry import (
     HermitianMatrixField,
     ScalarField,
     VolumeField,
+    coarsen_field,
     herm_det,
     herm_inv,
     herm_logdet,
     refine_field,
 )
+
+# coarse levels halve each active axis down to this, which fixes the depth:
+# 16^2 floors near 1e-4 (newton_n2 recipe); 512^2 took 1.01 s, cold 3.21 s
+_COARSEST_NODES = 32
+# BiCGStab cap per coarse Krylov solve: a 32^2 level that misses 1e-6 then
+# wastes 79 operator applies; uncapped it wasted 829
+_COARSE_KRYLOV_CAP = 25
+# gill-flow stops after this many steps without a new oscillation minimum: on
+# 16 nodes at tol 1e-6 it stalls at 1.48e-5, where converging runs set one each step
+_GILL_STALL_STEPS = 100
 
 
 @dataclass
@@ -74,6 +99,13 @@ class EllipticProblem:
         """The problem on the Fourier-doubled grid."""
         return EllipticProblem(
             refine_field(self.omega), refine_field(self.F), self.normalization
+        )
+
+    def coarsened(self):
+        """The problem on every other node of each active axis; its metric
+        samples this one's, so it is positive definite too."""
+        return EllipticProblem(
+            coarsen_field(self.omega), coarsen_field(self.F), self.normalization
         )
 
 
@@ -127,18 +159,16 @@ def solve_elliptic(
 
     tol defaults to 1e-8 for n = 1 charts and 1e-6 otherwise (max-norm of
     the equation residual after fixing b) and must be finite and positive.
-    ``phi0`` (values on the problem's chart, default 0) is the start of both
-    methods; ``b0`` (default -mean F) is Newton's starting constant. A start
-    only shortens the path: the solve still iterates to its own tol.
+    ``phi0`` (values on the problem's chart) is the start of both methods;
+    ``b0`` (default -mean F) is Newton's starting constant. Without phi0,
+    gill-flow starts from 0 and Newton from a chain of coarser solves (see
+    the module docstring). A start only shortens the path: the solve still
+    iterates to its own tol.
     """
-    if tol is None:
-        tol = 1e-8 if problem.chart.n == 1 else 1e-6
-    tol = float(tol)
+    tol = _default_tol(problem.chart) if tol is None else float(tol)
     if not (np.isfinite(tol) and tol > 0.0):
         raise ValueError(f"tolerance must be finite and positive, got {tol!r}")
-    if phi0 is None:
-        phi0 = np.zeros(problem.chart.shape)
-    else:
+    if phi0 is not None:
         phi0 = np.asarray(phi0, dtype=float)
         if phi0.shape != problem.chart.shape:
             raise ValueError(
@@ -150,10 +180,62 @@ def solve_elliptic(
     if not np.isfinite(b0):
         raise ValueError(f"b0 must be finite, got {b0!r}")
     if method == "gill-flow":
+        if phi0 is None:
+            phi0 = np.zeros(problem.chart.shape)
         return _solve_gill_flow(problem, tol, max_steps or 2_000_000, phi0)
     if method == "newton-continuation":
-        return _solve_newton(problem, tol, max_steps or 40, phi0, b0)
+        max_steps = max_steps or 40
+        if phi0 is None:
+            return _solve_newton_nested(problem, tol, max_steps, b0)
+        return _solve_newton(problem, tol, max_steps, phi0, b0)
     raise ValueError(f"unknown method {method!r}")
+
+
+def _default_tol(chart):
+    return 1e-8 if chart.n == 1 else 1e-6
+
+
+def _active_nodes(chart):
+    return tuple(chart.shape[a] for a in chart.active_axes)
+
+
+def _solve_newton_nested(problem, tol, max_steps, b0):
+    """Newton on ``problem`` started from its coarsened problems, solved
+    from the coarsest up; extras["coarse_levels"] gets (nodes per active
+    axis, iterations, dropped) per level, coarsest first."""
+    chain = [problem]
+    while min(_active_nodes(chain[-1].chart)) >= 2 * _COARSEST_NODES:
+        chain.append(chain[-1].coarsened())
+    phi, b = ScalarField.zeros(chain[-1].chart), b0
+    levels = []
+    for coarse in chain[:0:-1]:
+        nodes = _active_nodes(coarse.chart)
+        try:
+            sol = _solve_newton_from(
+                coarse, max(tol, _default_tol(coarse.chart)), max_steps, phi.values,
+                b, b0, krylov_cap=_COARSE_KRYLOV_CAP,
+            )
+        except NonConvergence:
+            levels.append((nodes, None, True))
+        else:
+            phi, b = sol.phi, sol.b
+            levels.append((nodes, sol.iterations, False))
+        phi = refine_field(phi)
+    solution = _solve_newton_from(problem, tol, max_steps, phi.values, b, b0)
+    if levels:
+        solution.extras["coarse_levels"] = levels
+    return solution
+
+
+def _solve_newton_from(problem, tol, max_steps, phi, b, b0, krylov_cap=None):
+    """Newton from a refined start, or from (0, b0) if that start is not
+    positive definite (only a start can fail: the line search backtracks)."""
+    try:
+        return _solve_newton(problem, tol, max_steps, phi, b, krylov_cap)
+    except NotPositiveDefinite:
+        return _solve_newton(
+            problem, tol, max_steps, np.zeros(problem.chart.shape), b0, krylov_cap
+        )
 
 
 def _solve_gill_flow(problem, tol, max_steps, phi0):
@@ -164,8 +246,8 @@ def _solve_gill_flow(problem, tol, max_steps, phi0):
     chi = HermitianMatrixField(chart, np.zeros(chart.shape + (chart.n, chart.n)))
     scenario = FlowScenario(problem.omega, 1e12, chi, density)
     state = FlowState.initial(scenario, phi0)
-    osc = np.inf
-    steps = 0
+    osc = best = np.inf
+    steps = since_best = 0
     while steps < max_steps:
         state = step(state, scenario)
         steps += 1
@@ -173,6 +255,15 @@ def _solve_gill_flow(problem, tol, max_steps, phi0):
         osc = float(pd.max() - pd.min())
         if osc <= 0.5 * tol:
             break
+        if osc < best:
+            best, since_best = osc, 0
+        else:
+            since_best += 1
+            if since_best >= _GILL_STALL_STEPS:
+                raise NonConvergence(
+                    f"gill-flow oscillation stalled at {best:.3e}: no new minimum "
+                    f"in {since_best} steps (tol {tol:.1e})"
+                )
     else:
         raise NonConvergence(
             f"gill-flow oscillation {osc:.3e} after {steps} steps (tol {tol:.1e})"
@@ -237,7 +328,10 @@ def _bicgstab(op, rhs, tol, max_iter=400):
     return best_x, best / norm0
 
 
-def _solve_newton(problem, tol, max_steps, phi, b):
+def _solve_newton(problem, tol, max_steps, phi, b, krylov_cap=None):
+    """Damped Newton from (phi, b); with ``krylov_cap`` every Krylov solve
+    runs at most that many iterations, and one that misses its tolerance
+    raises NonConvergence."""
     chart = problem.chart
     res_field, Gp = _residual_field(problem, phi, b)
     res = float(np.max(np.abs(res_field)))
@@ -260,7 +354,15 @@ def _solve_newton(problem, tol, max_steps, phi, b):
         # accuracy that brings the next residual to tol (Eisenstat-Walker)
         lin_tol = max(1e-12, 0.5 * tol / res, min(1e-2, 0.05 * res))
         op = lambda v: proj(lap(chart.rfft(v) * inverse))
-        y, lin_res = _bicgstab(op, rhs, lin_tol)
+        if krylov_cap is None:
+            y, lin_res = _bicgstab(op, rhs, lin_tol)
+        else:
+            y, lin_res = _bicgstab(op, rhs, lin_tol, max_iter=krylov_cap)
+            if lin_res > lin_tol:
+                raise NonConvergence(
+                    f"Krylov solve reached {lin_res:.3e} against tolerance "
+                    f"{lin_tol:.3e} in {krylov_cap} iterations"
+                )
         dspec = chart.rfft(y) * inverse
         dphi = chart.irfft(dspec)
         db = float((res_field + lap(dspec)).mean())

@@ -571,6 +571,25 @@ def refine_field(field):
     return type(field)(fine, out.real)
 
 
+def coarsen_chart(chart):
+    """The chart with half the nodes along each active axis."""
+    res = tuple(
+        r // 2 if a in chart.active_axes else r for a, r in enumerate(chart.resolution)
+    )
+    return TorusChart(chart.n, res, chart.periods, chart.active_axes)
+
+
+def coarsen_field(field):
+    """Injection onto the grid of `coarsen_chart`: every other node along
+    each active axis, so ``coarsen_field(refine_field(f))`` is ``f``."""
+    chart = field.chart
+    keep = tuple(
+        slice(None, None, 2) if a in chart.active_axes else slice(None)
+        for a in range(chart.naxes)
+    )
+    return type(field)(coarsen_chart(chart), field.values[keep])
+
+
 # -- Hopf sample sets ---------------------------------------------------------
 
 

@@ -37,6 +37,7 @@ from .errors import ClosednessViolated, NotPositiveDefinite
 from .geometry import (
     HermitianMatrixField,
     ScalarField,
+    herm_det,
     herm_eig_bounds,
     herm_inv,
     herm_logdet,
@@ -301,7 +302,8 @@ def verify_trace_evolution(g0, ghat, phi, t=0.0, chi=None):
     lo, hi = herm_eig_bounds(G)
     if not lo > 0.0:
         raise NotPositiveDefinite(f"omega(t) has min eigenvalue {lo:.3e}")
-    logdet_g = herm_logdet(G)
+    # lo > 0 is the positivity test herm_logdet would repeat
+    logdet_g = np.log(herm_det(G))
 
     # the one move to tensor-first layout of each rank-2 input and inverse
     Gi = _tensor_first(chart, herm_inv(G))

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -147,6 +149,14 @@ class TestSolve:
         assert np.max(np.diff(record.column("q1_max"))) <= 1e-8
         assert np.min(np.diff(record.column("q0_min"))) >= -1e-8
 
+    def test_gill_flow_stall_raises(self):
+        # on 16 nodes the oscillation floors near 1.5e-5, above tol, while
+        # t runs off: the solve stops on the stall, not on max_steps
+        start = time.perf_counter()
+        with pytest.raises(NonConvergence, match=r"oscillation stalled at 1\.4\d*e-05"):
+            solve_elliptic(gill_problem(16), "gill-flow", tol=1e-6)
+        assert time.perf_counter() - start < 2.0
+
     def test_budget_exhaustion_raises(self, chart1):
         prob, _ = manufactured_problem(chart1, np.array([[1.2]]), 11, 0.2)
         with pytest.raises(NonConvergence):
@@ -255,8 +265,8 @@ class TestKrylov:
         prob, _ = manufactured_problem(chart1, np.eye(1), 3, 0.05)
         solve = elliptic._bicgstab
 
-        def uphill(op, rhs, tol):
-            x, res = solve(op, rhs, tol)
+        def uphill(op, rhs, tol, **kwargs):
+            x, res = solve(op, rhs, tol, **kwargs)
             return -x, res  # an ascent direction: every trial step fails
 
         monkeypatch.setattr(elliptic, "_bicgstab", uphill)
@@ -335,12 +345,29 @@ def peaked_problem(resolution):
     return EllipticProblem(omega, F)
 
 
-def gill_problem():
-    chart = TorusChart(1, 32, active_axes=(0,))
+def gill_problem(resolution=32):
+    chart = TorusChart(1, resolution, active_axes=(0,))
     omega = TorusMetricRecipe(np.eye(1), [Perturbation(0, 0, 0.1, (1, 0))]).build(chart)
     F = ScalarRecipe([
         Perturbation(0, 0, 0.3, (1, 0), 0.7),
         Perturbation(0, 0, 0.2, (2, 0), 1.9),
+    ]).build(chart)
+    return EllipticProblem(omega, F)
+
+
+def missed_level_problem(resolution):
+    """wave_problem's first three metric waves and its right side at twice the
+    wavenumbers: on 32^2 Newton cannot reach 1e-6."""
+    chart = TorusChart(2, resolution, active_axes=(0, 2))
+    omega = TorusMetricRecipe(np.eye(2), [
+        Perturbation(0, 0, 0.12, (0, 0, 2, 0), 0.3),
+        Perturbation(1, 1, 0.12, (2, 0, 0, 0), 2.2),
+        Perturbation(0, 1, 0.048, (2, 0, 2, 0), 4.1),
+    ]).build(chart)
+    F = ScalarRecipe([
+        Perturbation(0, 0, 1.0, (2, 0, 0, 0), 1.3),
+        Perturbation(0, 0, 0.8, (0, 0, 2, 0), 3.6),
+        Perturbation(0, 0, 0.5, (2, 0, 4, 0), 0.9),
     ]).build(chart)
     return EllipticProblem(omega, F)
 
@@ -373,7 +400,7 @@ class TestWarmStart:
         warm = solve_elliptic(
             fine, tol=1e-9, phi0=refine_field(sol.phi).values, b0=sol.b
         )
-        cold = solve_elliptic(fine, tol=1e-9)
+        cold = solve_elliptic(fine, tol=1e-9, phi0=np.zeros(fine.chart.shape))
         assert warm.iterations < cold.iterations
         assert np.max(np.abs(warm.phi.values - cold.phi.values)) <= 1e-9
         assert abs(warm.b - cold.b) <= 1e-9
@@ -430,3 +457,70 @@ class TestWarmStart:
     def test_invalid_start_rejected(self, method, start):
         with pytest.raises(ValueError):
             solve_elliptic(wave_problem(32), method, **start)
+
+
+class TestCoarseToFine:
+    @pytest.mark.parametrize("make", [wave_problem, peaked_problem])
+    def test_cascade_matches_cold_start(self, make):
+        problem = make(128)
+        sol = solve_elliptic(problem, tol=1e-10)
+        cold = solve_elliptic(problem, tol=1e-10, phi0=np.zeros(problem.chart.shape))
+        assert [(nodes, dropped) for nodes, _, dropped in sol.extras["coarse_levels"]] == [
+            ((32, 32), False), ((64, 64), False)]
+        assert "coarse_levels" not in cold.extras
+        # the fine residual still gates: the coarse levels stop at 1e-6
+        assert 1 <= sol.iterations < cold.iterations
+        assert sol.residual <= 1e-10
+        assert np.max(np.abs(sol.phi.values - cold.phi.values)) <= 1e-9
+        assert abs(sol.b - cold.b) <= 1e-9
+
+    def test_missed_coarse_level_is_dropped(self, monkeypatch):
+        applies = {}
+        solve = elliptic._bicgstab
+
+        def counted(op, rhs, tol, **kwargs):
+            def apply(v):
+                applies[v.shape] = applies.get(v.shape, 0) + 1
+                return op(v)
+            return solve(apply, rhs, tol, **kwargs)
+
+        monkeypatch.setattr(elliptic, "_bicgstab", counted)
+        sol = solve_elliptic(missed_level_problem(64), tol=1e-6)
+        assert sol.residual <= 1e-6
+        assert sol.extras["coarse_levels"] == [((32, 32), None, True)]
+        assert applies[(32, 1, 32, 1)] <= 100
+
+    @pytest.mark.parametrize("resolution", [64, 128])
+    def test_start_outside_the_positive_cone_restarts_cold(self, resolution):
+        # omega has a wave of 32 per period: 32 nodes read it as 1.5, 64
+        # nodes as 1.5 and 0.5 in turn, where the refined 32-node solution
+        # leaves the positive cone; that level restarts from (0, b0)
+        chart = TorusChart(1, resolution, active_axes=(0,))
+        x = chart.axis_coordinates(0)
+        omega = (1.0 + 0.5 * np.cos(32 * x))[..., None, None] * np.ones(chart.shape + (1, 1))
+        problem = EllipticProblem(
+            HermitianMatrixField(chart, omega),
+            ScalarField(chart, 0.6 * np.cos(x) * np.ones(chart.shape)),
+        )
+        sol = solve_elliptic(problem, tol=1e-10)
+        cold = solve_elliptic(problem, tol=1e-10, phi0=np.zeros(chart.shape))
+        assert not any(dropped for _, _, dropped in sol.extras["coarse_levels"])
+        assert np.max(np.abs(sol.phi.values - cold.phi.values)) <= 1e-9
+        assert abs(sol.b - cold.b) <= 1e-9
+
+    def test_no_coarse_level_below_64_nodes(self):
+        sol = solve_elliptic(wave_problem(32), tol=1e-7)
+        assert "coarse_levels" not in sol.extras
+
+    def test_levels_are_not_separate_solves(self, monkeypatch):
+        # tracing and spies wrap the module attribute: one call, one solve
+        calls = []
+        solve = elliptic.solve_elliptic
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(elliptic, "solve_elliptic", spy)
+        sol = elliptic.solve_elliptic(wave_problem(64))
+        assert len(calls) == 1 and len(sol.extras["coarse_levels"]) == 1

@@ -7,6 +7,8 @@ from crflab.geometry import (
     HopfSampleSet,
     ScalarField,
     TorusChart,
+    coarsen_chart,
+    coarsen_field,
     eigenvalue_range,
     herm_det,
     herm_eig_bounds,
@@ -395,6 +397,28 @@ class TestRefine:
         assert c.shape == (128, 1, 128, 1)
         # values at the even nodes coincide with the coarse samples
         assert np.max(np.abs(fine.values[::2, :, ::2, :] - f.values)) <= 1e-12
+
+
+class TestCoarsen:
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_coarsen_inverts_refine(self, n):
+        chart = TorusChart(n, 16, active_axes=range(0, 2 * n, 2))
+        rng = np.random.default_rng(n)
+        f = ScalarField(chart, rng.uniform(-1.0, 1.0, chart.shape))
+        a = rng.uniform(-1.0, 1.0, chart.shape + (n, n, 2)) @ np.array([1.0, 1.0j])
+        h = HermitianMatrixField(chart, 0.5 * (a + np.conj(np.swapaxes(a, -1, -2))))
+        for field in (f, h):
+            back = coarsen_field(refine_field(field))
+            assert type(back) is type(field) and back.chart == chart
+            assert np.max(np.abs(back.values - field.values)) <= 1e-14
+
+    def test_coarsen_halves_only_active_axes(self):
+        chart = TorusChart(2, (32, 16, 64, 8), periods=(1.0, 2.0, 3.0, 4.0),
+                           active_axes=(0, 2))
+        coarse = coarsen_chart(chart)
+        assert coarse.shape == (16, 1, 32, 1)
+        assert coarse.periods == chart.periods
+        assert coarse.active_axes == chart.active_axes
 
 
 class TestHopfSampleSet:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from crflab.errors import ClosednessViolated, NotPositiveDefinite
-from crflab import tensors
+from crflab import geometry, tensors
 from crflab.geometry import (
     HermitianMatrixField,
     ScalarField,
@@ -276,6 +276,23 @@ class TestThreeDimensional:
         assert rep.imag_residual <= 1e-9
         assert max(rep.bound_violations) <= 1e-8
         assert verify_bianchi_vanishing(ghat) <= 1e-9
+
+    def test_trace_evolution_tests_omega_t_positive_once(self, chart3, monkeypatch):
+        # one eigenvalue pass each for chern_ricci(g0), _chern(ghat) and
+        # omega(t); its log det takes no second pass
+        g0, ghat = self.metric(chart3, 1), self.metric(chart3, 2)
+        phi = ScalarRecipe([Perturbation(0, 0, 0.006, (1, 0, 0, 0, 0, 0), 0.4)]).build(chart3)
+        calls = []
+        bounds = tensors.herm_eig_bounds
+
+        def counted(values):
+            calls.append(values.shape)
+            return bounds(values)
+
+        monkeypatch.setattr(tensors, "herm_eig_bounds", counted)
+        monkeypatch.setattr(geometry, "herm_eig_bounds", counted)
+        verify_trace_evolution(g0, ghat, phi, t=0.1)
+        assert len(calls) == 3
 
     def test_ricci_from_curvature_on_an_aliased_chart(self, chart3):
         # waves up to wavenumber 3 on 8 nodes: the curvature trace is
