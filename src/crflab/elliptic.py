@@ -28,19 +28,23 @@ Both start from phi = 0 unless given a start phi0 (Newton also takes b0)
 and share one ending: phi loses the modes no Wirtinger operator sees, which
 leaves its residual unchanged, and b moves to the residual's mean.
 
-Without a phi0, Newton first solves a chain of coarser problems (nested
-iteration, the first leg of full multigrid): each level keeps every other
-node of each active axis of the one above (`EllipticProblem.coarsened`),
-down to 32 nodes per axis, and the coarsest starts from (0, b0). A level
-solves to max(tol, its chart's default tol), with each Krylov solve capped
-at 25 iterations; a tighter coarse target would only chase the residual
-floor of an under-resolved grid. Its Fourier-refined (phi, b) starts the
-next level. A level that does not converge is dropped, and the next starts
-from the start the dropped one was given; a refined start that is not
-positive definite is replaced by the cold start. The problem's own solve
-still iterates to tol and is the only gate: `EllipticSolution.iterations`
-counts its steps, and extras["coarse_levels"] records the levels. Gill-flow
-has no cascade.
+Without a phi0, on a chart with at least 128 nodes on each active axis,
+Newton first solves a chain of coarser problems (nested iteration, the
+first leg of full multigrid): each level keeps every other node of each
+active axis of the one above (`EllipticProblem.coarsened`), down to 32
+nodes per axis, and the coarsest starts from (0, b0). A level solves to
+max(tol, its chart's default tol), with each Krylov solve capped at 25
+iterations; a tighter coarse target would only chase the residual floor of
+an under-resolved grid. Its Fourier-refined (phi, b) starts the next level.
+The gain rests on the problem being resolved on 32 nodes per axis, and the
+chain tests that as it goes: the first level that does not converge from
+its start (a Krylov miss, a stalled line search, or a start that is not
+positive definite) ends the chain, and the problem's own solve starts from
+(0, b0), exactly as without the chain; so does a refined start that is not
+positive definite on the full grid. The problem's own solve iterates to
+tol and is the only gate: `EllipticSolution.iterations` counts its steps,
+and extras["coarse_levels"] records the levels. Smaller charts and
+gill-flow have no chain.
 
 `certify_estimates` measures the oscillation bound and the second-order
 statistic C(A) = sup tr_g g' e^{-A(phi - inf phi)}, re-solving on a
@@ -68,11 +72,15 @@ from .geometry import (
 # coarse levels halve each active axis down to this, which fixes the depth:
 # 16^2 floors near 1e-4 (newton_n2 recipe); 512^2 took 1.01 s, cold 3.21 s
 _COARSEST_NODES = 32
-# BiCGStab cap per coarse Krylov solve: a 32^2 level that misses 1e-6 then
-# wastes 79 operator applies; uncapped it wasted 829
+# the chain needs this many nodes per active axis: a failed 32^2 level added
+# 73 % to a 64^2 solve, 13-35 % at 128^2 and 9 % at 256^2, where converged
+# chains saved at most 21 %, 32-60 % and 64 %
+_NESTED_MIN_NODES = 4 * _COARSEST_NODES
+# BiCGStab cap per coarse Krylov solve: converging coarse levels used at most 13;
+# a 32^2 level that misses 1e-6 then wastes 79 operator applies, uncapped 829
 _COARSE_KRYLOV_CAP = 25
-# gill-flow stops after this many steps without a new oscillation minimum: on
-# 16 nodes at tol 1e-6 it stalls at 1.48e-5, where converging runs set one each step
+# gill-flow stops after this many steps without a new oscillation minimum:
+# on 16 nodes at tol 1e-6 it stalls at 1.48e-5; converging runs set one each step
 _GILL_STALL_STEPS = 100
 
 
@@ -159,16 +167,19 @@ def solve_elliptic(
 
     tol defaults to 1e-8 for n = 1 charts and 1e-6 otherwise (max-norm of
     the equation residual after fixing b) and must be finite and positive.
-    ``phi0`` (values on the problem's chart) is the start of both methods;
-    ``b0`` (default -mean F) is Newton's starting constant. Without phi0,
-    gill-flow starts from 0 and Newton from a chain of coarser solves (see
-    the module docstring). A start only shortens the path: the solve still
-    iterates to its own tol.
+    ``phi0`` (values on the problem's chart, default 0) is the start of both
+    methods; ``b0`` (default -mean F) is Newton's starting constant. Without
+    phi0, Newton on a chart of 128 or more nodes per active axis starts from
+    a chain of coarser solves (see the module docstring). A start only
+    shortens the path: the solve still iterates to its own tol.
     """
     tol = _default_tol(problem.chart) if tol is None else float(tol)
     if not (np.isfinite(tol) and tol > 0.0):
         raise ValueError(f"tolerance must be finite and positive, got {tol!r}")
-    if phi0 is not None:
+    nested = phi0 is None and min(_active_nodes(problem.chart)) >= _NESTED_MIN_NODES
+    if phi0 is None:
+        phi0 = np.zeros(problem.chart.shape)
+    else:
         phi0 = np.asarray(phi0, dtype=float)
         if phi0.shape != problem.chart.shape:
             raise ValueError(
@@ -180,14 +191,11 @@ def solve_elliptic(
     if not np.isfinite(b0):
         raise ValueError(f"b0 must be finite, got {b0!r}")
     if method == "gill-flow":
-        if phi0 is None:
-            phi0 = np.zeros(problem.chart.shape)
         return _solve_gill_flow(problem, tol, max_steps or 2_000_000, phi0)
     if method == "newton-continuation":
-        max_steps = max_steps or 40
-        if phi0 is None:
-            return _solve_newton_nested(problem, tol, max_steps, b0)
-        return _solve_newton(problem, tol, max_steps, phi0, b0)
+        if nested:
+            return _solve_newton_nested(problem, tol, max_steps or 40, phi0, b0)
+        return _solve_newton(problem, tol, max_steps or 40, phi0, b0)
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -199,43 +207,37 @@ def _active_nodes(chart):
     return tuple(chart.shape[a] for a in chart.active_axes)
 
 
-def _solve_newton_nested(problem, tol, max_steps, b0):
+def _solve_newton_nested(problem, tol, max_steps, phi0, b0):
     """Newton on ``problem`` started from its coarsened problems, solved
-    from the coarsest up; extras["coarse_levels"] gets (nodes per active
-    axis, iterations, dropped) per level, coarsest first."""
+    from the coarsest up. The first level that fails from its start ends the
+    chain, and ``problem`` then starts from (phi0, b0), as it does when the
+    refined start is not positive definite. extras["coarse_levels"] gets
+    (nodes per active axis, iterations) per level, coarsest first, with
+    iterations None for the level that failed."""
     chain = [problem]
     while min(_active_nodes(chain[-1].chart)) >= 2 * _COARSEST_NODES:
         chain.append(chain[-1].coarsened())
-    phi, b = ScalarField.zeros(chain[-1].chart), b0
+    phi, b = np.zeros(chain[-1].chart.shape), b0
     levels = []
     for coarse in chain[:0:-1]:
-        nodes = _active_nodes(coarse.chart)
         try:
-            sol = _solve_newton_from(
-                coarse, max(tol, _default_tol(coarse.chart)), max_steps, phi.values,
-                b, b0, krylov_cap=_COARSE_KRYLOV_CAP,
+            sol = _solve_newton(
+                coarse, max(tol, _default_tol(coarse.chart)), max_steps, phi, b,
+                _COARSE_KRYLOV_CAP,
             )
-        except NonConvergence:
-            levels.append((nodes, None, True))
-        else:
-            phi, b = sol.phi, sol.b
-            levels.append((nodes, sol.iterations, False))
-        phi = refine_field(phi)
-    solution = _solve_newton_from(problem, tol, max_steps, phi.values, b, b0)
-    if levels:
-        solution.extras["coarse_levels"] = levels
-    return solution
-
-
-def _solve_newton_from(problem, tol, max_steps, phi, b, b0, krylov_cap=None):
-    """Newton from a refined start, or from (0, b0) if that start is not
-    positive definite (only a start can fail: the line search backtracks)."""
+        except (NonConvergence, NotPositiveDefinite):
+            levels.append((_active_nodes(coarse.chart), None))
+            phi, b = phi0, b0
+            break
+        levels.append((_active_nodes(coarse.chart), sol.iterations))
+        phi, b = refine_field(sol.phi).values, sol.b
     try:
-        return _solve_newton(problem, tol, max_steps, phi, b, krylov_cap)
+        solution = _solve_newton(problem, tol, max_steps, phi, b)
     except NotPositiveDefinite:
-        return _solve_newton(
-            problem, tol, max_steps, np.zeros(problem.chart.shape), b0, krylov_cap
-        )
+        # only a start can fail this way: the line search backtracks
+        solution = _solve_newton(problem, tol, max_steps, phi0, b0)
+    solution.extras["coarse_levels"] = levels
+    return solution
 
 
 def _solve_gill_flow(problem, tol, max_steps, phi0):
@@ -354,15 +356,13 @@ def _solve_newton(problem, tol, max_steps, phi, b, krylov_cap=None):
         # accuracy that brings the next residual to tol (Eisenstat-Walker)
         lin_tol = max(1e-12, 0.5 * tol / res, min(1e-2, 0.05 * res))
         op = lambda v: proj(lap(chart.rfft(v) * inverse))
-        if krylov_cap is None:
-            y, lin_res = _bicgstab(op, rhs, lin_tol)
-        else:
-            y, lin_res = _bicgstab(op, rhs, lin_tol, max_iter=krylov_cap)
-            if lin_res > lin_tol:
-                raise NonConvergence(
-                    f"Krylov solve reached {lin_res:.3e} against tolerance "
-                    f"{lin_tol:.3e} in {krylov_cap} iterations"
-                )
+        cap = {} if krylov_cap is None else {"max_iter": krylov_cap}
+        y, lin_res = _bicgstab(op, rhs, lin_tol, **cap)
+        if krylov_cap and lin_res > lin_tol:
+            raise NonConvergence(
+                f"Krylov solve reached {lin_res:.3e} against tolerance "
+                f"{lin_tol:.3e} in {krylov_cap} iterations"
+            )
         dspec = chart.rfft(y) * inverse
         dphi = chart.irfft(dspec)
         db = float((res_field + lap(dspec)).mean())
