@@ -137,7 +137,6 @@ def _cmd_verify_identities(args):
 
 def _cmd_run_flow(args):
     from .flow import read_checkpoint, ricci_sup_norm, run, write_checkpoint
-    from .geometry import HermitianMatrixField
 
     scenario, cfg = _scenario_from_config(
         *_load(args, "scenario", "run-flow", resume_path=args.resume)
@@ -158,7 +157,7 @@ def _cmd_run_flow(args):
     record.to_csv(os.path.join(args.out, "trajectory.csv"))
     # the controller's next step, so a resumed run continues with it
     write_checkpoint(ckpt_path, state, state.dt_next or record.rows[-1][1])
-    ric = ricci_sup_norm(HermitianMatrixField(state.chart, state.omega))
+    ric = ricci_sup_norm(state.chart, state.omega)
     print(f"t_end = {state.t:.6g}  steps = {len(record.rows) - 1}  "
           f"ricci_sup = {ric:.3e}")
     if "converged_at" in record.meta:

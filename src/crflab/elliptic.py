@@ -15,9 +15,10 @@ linearized operator Delta' (the complex Laplacian of the updated metric)
 applied matrix-free and inverted by BiCGStab on the mean-zero subspace,
 right-preconditioned: the Krylov solve runs on A M^-1 y = rhs, with M the
 flat Laplacian of the mean metric, and the step is M^-1 y. M^-1 is a
-half-spectrum multiplier, so one operator apply is one `rfft` of y, the n^2
-real Hessian components of M^-1 y, and their sum against real weights
-built once per Newton iteration. Everything spectral comes from `geometry`
+half-spectrum multiplier, so one operator apply is one `rfft` of y, the
+live real Hessian components of M^-1 y (at most n^2, one `irfft` each; see
+`TorusChart.hessian_live`), and their sum against real weights built once
+per Newton iteration. Everything spectral comes from `geometry`
 (this module makes no transform of its own): the multiplier is
 `TorusChart.laplacian_inverse`, the weights `hessian_trace_weights`, and
 `herm_logdet` rejects every trial metric that is not positive definite,
@@ -26,7 +27,11 @@ its positivity test, for every residual to read.
 
 Both start from phi = 0 unless given a start phi0 (Newton also takes b0)
 and share one ending: phi loses the modes no Wirtinger operator sees, which
-leaves its residual unchanged, and b moves to the residual's mean.
+leaves its residual unchanged, and b moves to the residual's mean. Near a
+grid's rounding floor that re-evaluation can round the residual above tol;
+Newton then steps on from the normalized (phi, b) within its step budget,
+and raises NonConvergence naming the floor rather than return a residual
+above tol.
 
 Without a phi0, on a chart with at least 128 nodes on each active axis,
 Newton first solves a chain of coarser problems (nested iteration, the
@@ -149,14 +154,20 @@ def _residual_field(problem, phi_values, b):
     return herm_logdet(Gp) - problem._logdet - problem.F.values - b, Gp
 
 
-def _solution(problem, phi_values, b, method, iterations, extras=None):
-    """Both routes end here: normalize phi, then move b to the residual's mean."""
+def _normalized(problem, phi_values, b):
+    """Both routes end here: normalize phi, then move b to the residual's
+    mean. Returns (phi, b, residual field, updated metric) there."""
     phi_values = _normalize(problem, phi_values)
-    res_field, _ = _residual_field(problem, phi_values, b)
+    res_field, Gp = _residual_field(problem, phi_values, b)
     mean = float(res_field.mean())
+    return phi_values, b + mean, res_field - mean, Gp
+
+
+def _solution(problem, phi_values, b, method, iterations, extras=None):
+    phi_values, b, res_field, _ = _normalized(problem, phi_values, b)
     return EllipticSolution(
-        problem, ScalarField(problem.chart, phi_values), b + mean,
-        float(np.max(np.abs(res_field - mean))), method, iterations, extras or {},
+        problem, ScalarField(problem.chart, phi_values), b,
+        float(np.max(np.abs(res_field))), method, iterations, extras or {},
     )
 
 
@@ -333,13 +344,33 @@ def _bicgstab(op, rhs, tol, max_iter=400):
 def _solve_newton(problem, tol, max_steps, phi, b, krylov_cap=None):
     """Damped Newton from (phi, b); with ``krylov_cap`` every Krylov solve
     runs at most that many iterations, and one that misses its tolerance
-    raises NonConvergence."""
+    raises NonConvergence. Near the grid's rounding floor the residual of the
+    normalized (phi, b) can round above tol although the last iterate's was
+    below it; Newton then goes on from the normalized pair, within
+    ``max_steps``, and never returns a residual above tol."""
     chart = problem.chart
     res_field, Gp = _residual_field(problem, phi, b)
     res = float(np.max(np.abs(res_field)))
     iterations = 0
-    while res > tol and iterations < max_steps:
-        # tr(Gp^-1 H) as real weights times the Hessian's real components
+    floor = ""
+    while True:
+        if res <= tol:
+            phi, b, res_field, Gp = _normalized(problem, phi, b)
+            res = float(np.max(np.abs(res_field)))
+            if res <= tol:
+                return EllipticSolution(
+                    problem, ScalarField(chart, phi), b, res, "newton-continuation",
+                    iterations,
+                )
+            floor = (
+                f"; normalizing phi last rounded a residual below tol up to {res:.3e}: "
+                f"tol {tol:.1e} is at this grid's rounding floor"
+            )
+        if iterations >= max_steps:
+            raise NonConvergence(
+                f"newton residual {res:.3e} after {iterations} steps" + floor
+            )
+        # tr(Gp^-1 H) as real weights times the Hessian's live real components
         weights = chart.hessian_trace_weights(herm_inv(Gp))
 
         def lap(spec):
@@ -387,11 +418,9 @@ def _solve_newton(problem, tol, max_steps, phi, b, krylov_cap=None):
             raise NonConvergence(
                 f"newton line search stalled at residual {res:.3e}; the last "
                 f"Krylov solve reached {lin_res:.3e} against tolerance {lin_tol:.3e}"
+                + floor
             )
         iterations += 1
-    if res > tol:
-        raise NonConvergence(f"newton residual {res:.3e} after {iterations} steps")
-    return _solution(problem, phi, b, "newton-continuation", iterations)
 
 
 @dataclass

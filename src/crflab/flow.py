@@ -19,7 +19,19 @@ space over the active axes: the state and the stages are half spectra of
 from the stage spectrum instead of transforming the grid values back. The
 new state's right side transforms its grid phi afresh, so a state depends
 only on its own values and a resumed run repeats an uninterrupted one
-bitwise. The right side splits as L phi + N(phi, t) with
+bitwise.
+
+For n <= 2 the right side works on real components, in the order of
+`herm_components`: a scenario keeps g0's and chi's components as views,
+forms ghat_t's from them, adds the live Hessian components (a component
+that is zero by construction costs no transform), and takes det in closed
+form, a d - (Re b^2 + Im b^2), after `components_logdet`'s positivity test,
+det > 0 and tr > 0. It returns the metric's components, and only
+`state_at`, which needs omega for the eigenvalue bounds, the monitor row,
+samples and checkpoints, assembles the complex matrix. For n >= 3 a stage
+forms the matrix ghat_t + Hess phi and tests it with `herm_logdet`.
+
+The right side splits as L phi + N(phi, t) with
 the diagonal operator L = (1/lambda_min) sum_i d_i d_ibar - d, where
 lambda_min is omega's smallest eigenvalue at the step start and d the
 coefficient of the -phi term (0 or 1). Since omega^{-1} <= 1/lambda_min, L
@@ -27,7 +39,8 @@ dominates the linearization tr(omega^{-1} ddbar) - d at every node, so the
 stiff diffusion is integrated exactly and N keeps only the dominated rest:
 no diffusion CFL limit binds dt. The phi-function coefficients are evaluated
 elementwise on the grid, by recurrence for |z| >= 1 and by Taylor series
-below, where the recurrence cancels. Every stage goes through the guarded
+below, where the recurrence cancels, in one evaluation per step for both
+hL/2 and hL. Every stage goes through the guarded
 right side, so an interior stage that loses positivity raises.
 
 dt is error-controlled and no step is rejected: the embedded order-2
@@ -64,14 +77,17 @@ from .geometry import (
     ScalarField,
     TorusChart,
     VolumeField,
+    components_logdet,
+    herm_components,
     herm_det,
     herm_eig_bounds,
+    herm_from_components,
     herm_logdet,
     herm_pencil_eigvals,
     i_ddbar,
     require_positive,
 )
-from .tensors import _check_closed, chern_ricci
+from .tensors import _check_closed, chern_ricci, ricci_form
 
 # stability interval of classical RK4 on the negative real axis
 _RK4_STABILITY = 2.7
@@ -180,6 +196,9 @@ class FlowScenario:
         self.convergence_patience = int(convergence_patience)
 
         _check_closed(chart, chi.values, "chi")
+        # g0's and chi's real components, views for the stages to combine
+        self._g0_parts = herm_components(g0.values)
+        self._chi_parts = herm_components(chi.values)
         self._log_density = np.log(omega_density.values)
         # det g0, the numerator of every monitor row's volume-form ratio
         self._det_g0 = herm_det(g0.values)
@@ -206,25 +225,41 @@ class FlowScenario:
         self._laplacian = chart.laplacian_symbol(np.eye(chart.n))
 
     def reference_metric(self, t):
-        return self.g0.values + t * self.chi.values
+        return herm_from_components(self._reference_parts(t), self.chart.shape)
+
+    def _reference_parts(self, t):
+        # the real components of ghat_t = g0 + t chi, as new arrays
+        return [g + t * c for g, c in zip(self._g0_parts, self._chi_parts)]
 
     def rhs(self, phi, t, spec=None):
-        """(log(det(ghat_t + Hess phi)/Omega0), metric); raises on loss of
-        positivity. ``spec``, when given, is phi's half spectrum, and then
-        ``phi`` may be None."""
+        """(log(det(ghat_t + Hess phi)/Omega0), the metric's real components
+        in the order of `herm_components`); raises on loss of positivity.
+        ``spec``, when given, is phi's half spectrum, and then ``phi`` may
+        be None."""
         return self._log_volume_ratio(phi, t, spec)
 
     def _log_volume_ratio(self, phi, t, spec):
-        G = self.reference_metric(t) + self.chart.complex_hessian(phi, spec)
+        chart = self.chart
+        if spec is None:
+            spec = chart.rfft(np.asarray(phi))
         try:
-            logdet = herm_logdet(G)
+            if chart.n <= 2:
+                parts = self._reference_parts(t)
+                for k, h in zip(chart.hessian_live, chart.hessian_components(spec)):
+                    parts[k] += h
+                logdet = components_logdet(parts)
+            else:
+                G = self.reference_metric(t) + chart.complex_hessian(None, spec)
+                logdet = herm_logdet(G)
+                parts = herm_components(G)
         except NotPositiveDefinite:
             raise PositivityLost("interior stage lost positivity", t=t) from None
-        return logdet - self._log_density, G
+        return logdet - self._log_density, parts
 
     def state_at(self, t, phi):
         """The FlowState of potential values ``phi`` at time ``t``."""
-        phidot, omega = self.rhs(phi, t)
+        phidot, parts = self.rhs(phi, t)
+        omega = herm_from_components(parts, self.chart.shape)
         lo, hi = herm_eig_bounds(omega)
         return FlowState(t, phi, phidot, omega, self.chart, lo, hi)
 
@@ -332,8 +367,9 @@ def _etdrk4(rhs, phi, t, dt, chart, symbol):
 
     z = dt * symbol
     e, e2 = np.exp(z), np.exp(0.5 * z)
-    q = 0.5 * dt * _phi_functions(0.5 * z)[0]
-    p1, p2, p3 = dt * _phi_functions(z)
+    half, full = np.moveaxis(_phi_functions(np.stack([0.5 * z, z])), 1, 0)
+    q = 0.5 * dt * half[0]
+    p1, p2, p3 = dt * full
     t2 = t + 0.5 * dt
 
     u = fft(phi)
@@ -477,9 +513,10 @@ def run(scenario, t_end, state=None, callback=None):
     return record, state
 
 
-def ricci_sup_norm(omega):
-    """Certificate ||Ric(omega)||_inf, max over nodes and entries."""
-    return float(np.max(np.abs(chern_ricci(omega).values)))
+def ricci_sup_norm(chart, omega):
+    """Certificate ||Ric(omega)||_inf, max over nodes and entries, of a
+    metric array ``omega`` on ``chart`` (a FlowState's, say)."""
+    return float(np.max(np.abs(ricci_form(chart, omega))))
 
 
 # -- normalized mode -----------------------------------------------------------
@@ -513,15 +550,18 @@ class NormalizedScenario(FlowScenario):
         else:
             self.target_note = "positive limiting reference"
 
-    def reference_metric(self, t):
+    def _reference_parts(self, t):
+        # ghat_t = chi + e^{-t} (g0 - chi)
         decay = math.exp(-t)
-        return self.chi.values * (1.0 - decay) + decay * self.g0.values
+        return [
+            c * (1.0 - decay) + decay * g for g, c in zip(self._g0_parts, self._chi_parts)
+        ]
 
     def rhs(self, phi, t, spec=None):
-        log_ratio, G = self._log_volume_ratio(phi, t, spec)
+        log_ratio, parts = self._log_volume_ratio(phi, t, spec)
         if phi is None:
             phi = self.chart.irfft(spec)
-        return log_ratio - phi, G
+        return log_ratio - phi, parts
 
 
 def run_normalized(scenario, t_end, target_form=None, sample_times=()):

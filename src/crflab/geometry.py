@@ -29,12 +29,19 @@ decides positivity: `herm_logdet` is the test that runs before every log det.
 Real fields go through the real-to-complex pair `TorusChart.rfft`/`irfft`,
 whose half spectrum halves the last active axis; `fft`/`ifft` stay for
 complex fields. `complex_hessian` works from a half spectrum, computed or
-given: each of its n^2 real components (h_ii, Re h_ij, Im h_ij for i < j) is
-one inverse real transform of the spectrum times a cached real half-grid
-multiplier. `hessian_trace_weights` turns a Hermitian matrix field into the
-real weights that contract those components, and `laplacian_symbol` and
+given. Its n^2 real components (h_ii, Re h_ij, Im h_ij for i < j, the order
+of `herm_components`) each have a cached real half-grid multiplier. The chart
+flags, once, each multiplier that is identically zero: that component is
+zero by construction (Im h_12 on active axes (0, 2), where mu_1 conj(mu_2) is
+real), and `hessian_live` lists the others. Only a live component costs an
+inverse real transform of the spectrum times its multiplier; a dead one
+costs nothing, and `complex_hessian` writes exact zeros there.
+`hessian_trace_weights` turns a Hermitian matrix field into the real
+weights that contract the live components, and `laplacian_symbol` and
 `laplacian_inverse` are the half-grid multipliers of the constant-coefficient
-Laplacians.
+Laplacians. `herm_components` and `herm_from_components` go between a
+Hermitian matrix field and its real components, and `components_logdet` is
+`herm_logdet` on components for n <= 2.
 """
 
 import math
@@ -100,7 +107,7 @@ class TorusChart:
         )
         self._k = [self._wavenumbers(a) for a in range(naxes)]
         self._k_half = [self._wavenumbers(a, a == half) for a in range(naxes)]
-        self._hessian_mult = None
+        self._hessian_mult = self._hessian_live = None
 
     # -- basic structure ---------------------------------------------------
 
@@ -221,8 +228,10 @@ class TorusChart:
 
     def _hessian_multipliers(self):
         # real half-grid multipliers of the n^2 real components of
-        # d_i d_jbar, cached in the order of `hessian_components`; each
-        # broadcasts over the axes its wavenumbers vary along
+        # d_i d_jbar, cached in the order of `herm_components`; each
+        # broadcasts over the axes its wavenumbers vary along. A multiplier
+        # that is identically zero marks a component that is zero by
+        # construction, which no transform computes
         if self._hessian_mult is None:
             # d/dz_i multiplies exp(sqrt(-1) k.x) by (sqrt(-1) kx + ky) / 2
             k = self._k_half
@@ -234,32 +243,46 @@ class TorusChart:
                     m = -mu[i] * np.conj(mu[j])
                     mult += [m.real, m.imag]
             self._hessian_mult = mult
+            self._hessian_live = tuple(k for k, m in enumerate(mult) if m.any())
         return self._hessian_mult
 
+    @property
+    def hessian_live(self):
+        """Indices, in the order of `herm_components`, of the real Hessian
+        components that are not zero by construction on this chart. On active
+        axes (0, 2), for example, Im h_12 is dead: mu_1 conj(mu_2) = k_0 k_2 / 4
+        is real."""
+        self._hessian_multipliers()
+        return self._hessian_live
+
     def hessian_components(self, spec):
-        """The n^2 real components of the complex Hessian d_i d_jbar of the
-        real field whose half spectrum is ``spec``, one `irfft` each: h_ii
-        for each i, each followed by Re h_ij and Im h_ij for j > i."""
-        return [self.irfft(m * spec) for m in self._hessian_multipliers()]
+        """The live real components of the complex Hessian d_i d_jbar of the
+        real field whose half spectrum is ``spec``, one `irfft` each, in the
+        order of `hessian_live`; the other components are zero."""
+        mult = self._hessian_multipliers()
+        return [self.irfft(mult[k] * spec) for k in self._hessian_live]
 
     def hessian_trace_weights(self, A):
-        """Real weights w, in the order of `hessian_components`, with
+        """Real weights w, aligned with `hessian_components`, with
         sum_k w_k h_k = sum_ij A_ji d_i d_jbar for a Hermitian (field of)
         matrices A, so a trace against A costs no complex arithmetic."""
         A = np.asarray(A)
+        entries = _component_entries(self.n)
         w = []
-        for i in range(self.n):
-            w.append(A[..., i, i].real)
-            for j in range(i + 1, self.n):
+        for i, j, imag in (entries[k] for k in self.hessian_live):
+            if i == j:
+                w.append(A[..., i, i].real)
+            else:
                 # A_ji h_ij + A_ij h_ji = 2 Re(A_ji h_ij)
-                w += [2.0 * A[..., j, i].real, -2.0 * A[..., j, i].imag]
+                w.append(-2.0 * A[..., j, i].imag if imag else 2.0 * A[..., j, i].real)
         return w
 
     def laplacian_symbol(self, A):
         """Real Fourier symbol, on the half grid, of the constant-coefficient
         operator sum_ij A_ji d_i d_jbar for a Hermitian n x n matrix A."""
         w = self.hessian_trace_weights(A)
-        sym = sum(wk * m for wk, m in zip(w, self._hessian_multipliers()))
+        mult = self._hessian_multipliers()
+        sym = sum(wk * mult[k] for wk, k in zip(w, self._hessian_live))
         return np.broadcast_to(sym, self.half_shape).copy()
 
     def laplacian_inverse(self, A):
@@ -277,21 +300,16 @@ class TorusChart:
         """Matrix of second Wirtinger derivatives d_i d_jbar of a real field.
 
         Returns an array of shape ``(*grid, n, n)``; it is Hermitian and
-        each component has exactly zero grid mean. ``spec``, when given, is
-        the half spectrum ``rfft(values)``, which then is not recomputed.
+        each component has exactly zero grid mean, and a component that is
+        zero by construction is exactly zero. ``spec``, when given, is the
+        half spectrum ``rfft(values)``, which then is not recomputed.
         """
         if spec is None:
             spec = self.rfft(np.asarray(values))
-        parts = iter(self.hessian_components(spec))
-        out = np.empty(self.shape + (self.n, self.n), dtype=complex)
-        for i in range(self.n):
-            out[..., i, i] = next(parts)
-            for j in range(i + 1, self.n):
-                re, im = next(parts), next(parts)
-                out.real[..., i, j] = out.real[..., j, i] = re
-                out.imag[..., i, j] = im
-                np.negative(im, out=out.imag[..., j, i])
-        return out
+        parts = [None] * self.n ** 2
+        for k, h in zip(self.hessian_live, self.hessian_components(spec)):
+            parts[k] = h
+        return herm_from_components(parts, self.shape)
 
     def strip_invisible(self, values):
         """Remove the modes no Wirtinger operator sees: the mean and those
@@ -316,6 +334,46 @@ class TorusChart:
 
 
 # -- per-node Hermitian linear algebra (closed form for n <= 2) -------------
+
+
+def _component_entries(n):
+    # (i, j, imag) of each real component of an n x n Hermitian matrix: the
+    # diagonal entry (i, i) for each i, each followed by Re and Im of (i, j)
+    # for j > i
+    out = []
+    for i in range(n):
+        out.append((i, i, False))
+        for j in range(i + 1, n):
+            out += [(i, j, False), (i, j, True)]
+    return out
+
+
+def herm_components(values):
+    """The n^2 real components of a Hermitian matrix field, as views: A_ii
+    for each i, each followed by Re A_ij and Im A_ij for j > i. Every
+    component list in this package is in this order."""
+    return [
+        (values.imag if imag else values.real)[..., i, j]
+        for i, j, imag in _component_entries(values.shape[-1])
+    ]
+
+
+def herm_from_components(parts, shape):
+    """The Hermitian matrix field on grid ``shape`` whose real components, in
+    the order of `herm_components`, are ``parts``; a None part is zero."""
+    n = math.isqrt(len(parts))
+    out = np.zeros(shape + (n, n), dtype=complex)
+    for (i, j, imag), p in zip(_component_entries(n), parts):
+        if p is None:
+            continue
+        if i == j:
+            out.real[..., i, i] = p
+        elif imag:
+            out.imag[..., i, j] = p
+            np.negative(p, out=out.imag[..., j, i])
+        else:
+            out.real[..., i, j] = out.real[..., j, i] = p
+    return out
 
 
 def herm_det(values):
@@ -392,13 +450,25 @@ def herm_pencil_eigvals(a, b):
 def herm_logdet(values):
     """log det of a Hermitian matrix field; raises NotPositiveDefinite unless
     every node is positive definite (NaN fails)."""
-    det = herm_det(values)
     if values.shape[-1] <= 2:
-        # det > 0 and tr > 0 force every eigenvalue positive only for n <= 2
-        positive = det.min() > 0.0 and np.einsum("...ii->...", values).real.min() > 0.0
+        return components_logdet(herm_components(values))
+    det = herm_det(values)
+    if not (np.isfinite(det).all() and herm_eig_bounds(values)[0] > 0.0):
+        raise NotPositiveDefinite("log det of a non-positive matrix field")
+    return np.log(det)
+
+
+def components_logdet(parts):
+    """`herm_logdet` of the n x n Hermitian field, n <= 2, whose real
+    components, in the order of `herm_components`, are ``parts``."""
+    if len(parts) == 1:
+        det = tr = parts[0]
     else:
-        positive = np.isfinite(det).all() and herm_eig_bounds(values)[0] > 0.0
-    if not positive:
+        a, re, im, d = parts
+        det = a * d - (re ** 2 + im ** 2)  # herm_det's closed form
+        tr = a + d
+    # det > 0 and tr > 0 force every eigenvalue positive only for n <= 2
+    if not (det.min() > 0.0 and tr.min() > 0.0):
         raise NotPositiveDefinite("log det of a non-positive matrix field")
     return np.log(det)
 

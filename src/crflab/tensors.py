@@ -183,8 +183,13 @@ def connection_torsion_curvature(g):
 
 def chern_ricci(g):
     """Ricci form of the Chern connection, -d dbar log det g."""
-    logdet = herm_logdet(g.values)
-    return HermitianMatrixField(g.chart, -g.chart.complex_hessian(logdet))
+    return HermitianMatrixField(g.chart, ricci_form(g.chart, g.values))
+
+
+def ricci_form(chart, values):
+    """`chern_ricci` of the metric array ``values`` on ``chart``, as an array
+    that is exactly Hermitian; herm_logdet tests the metric's positivity."""
+    return -chart.complex_hessian(herm_logdet(values))
 
 
 def ricci_from_curvature(g):

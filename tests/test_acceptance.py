@@ -165,7 +165,7 @@ def test_criterion_4_flat_limit_convergence(relax_n2, relax_n1):
     scenario2, record2, state2, wall2 = relax_n2
     scenario1, record1, state1, wall1 = relax_n1
 
-    ric = ricci_sup_norm(HermitianMatrixField(state2.chart, state2.omega))
+    ric = ricci_sup_norm(state2.chart, state2.omega)
     rows = record2.rows
     dphi_rate = None
     # mean-free update rate over the last recorded step

@@ -204,6 +204,51 @@ class TestSolve:
         assert sol.residual <= 1e-7
         assert abs(sol.residual - np.max(np.abs(before - before.mean()))) <= 1e-11
 
+    def test_residual_at_the_rounding_floor_stays_below_tol(self):
+        # on this grid and tol the last iterate's residual is below tol, but
+        # the normalized pair's once rounded to 1.39e-11; Newton goes on from
+        # there, and if it cannot get below tol it names the floor
+        try:
+            sol = solve_elliptic(wave_problem(128), tol=1e-11, max_steps=8)
+        except NonConvergence as err:
+            assert "rounding floor" in str(err)
+        else:
+            assert sol.residual <= 1e-11
+
+    @staticmethod
+    def _lifting_normalize(monkeypatch, lifts):
+        # a normalization that adds a visible mode, which lifts the
+        # residual of the normalized pair above tol, the first ``lifts`` times
+        normalize = elliptic._normalize
+        calls = []
+
+        def lifted(problem, phi):
+            calls.append(phi)
+            out = normalize(problem, phi)
+            if len(calls) <= lifts:
+                out = out + 1e-6 * np.cos(problem.chart.axis_coordinates(0))
+            return out
+
+        monkeypatch.setattr(elliptic, "_normalize", lifted)
+        return calls
+
+    def test_newton_goes_on_when_normalizing_lifts_the_residual(self, monkeypatch):
+        problem = wave_problem(32)
+        cold = solve_elliptic(problem, tol=1e-7)
+        calls = self._lifting_normalize(monkeypatch, 1)
+        sol = solve_elliptic(problem, tol=1e-7)
+        assert len(calls) == 2
+        assert sol.iterations > cold.iterations
+        assert sol.residual <= 1e-7
+        res, _ = _residual_field(problem, sol.phi.values, sol.b)
+        assert np.max(np.abs(res)) <= 1e-7
+
+    def test_floor_newton_cannot_step_below_is_named(self, monkeypatch):
+        calls = self._lifting_normalize(monkeypatch, 10 ** 6)
+        with pytest.raises(NonConvergence, match="rounding floor"):
+            solve_elliptic(wave_problem(32), tol=1e-7, max_steps=12)
+        assert len(calls) >= 2
+
     def test_unknown_method_rejected(self, chart1):
         prob, _ = manufactured_problem(chart1, np.array([[1.2]]), 12, 0.1)
         with pytest.raises(ValueError):
@@ -241,11 +286,9 @@ class TestKrylov:
             assert res <= 1.0
             assert true == pytest.approx(res, rel=1e-8)
 
-    def test_operator_apply_costs_one_forward_and_n2_inverse_real_transforms(
-        self, monkeypatch
-    ):
-        # right preconditioning: the Krylov vector goes to the half spectrum
-        # once, and each of the n^2 real Hessian components comes back once
+    @staticmethod
+    def _apply_transforms(problem, monkeypatch):
+        # the transforms of one operator apply of the first Krylov solve
         solve = elliptic._bicgstab
         captured = []
 
@@ -254,10 +297,26 @@ class TestKrylov:
             return solve(op, rhs, tol)
 
         monkeypatch.setattr(elliptic, "_bicgstab", capture)
-        solve_elliptic(wave_problem(32))
+        solve_elliptic(problem)
         op, rhs = captured[0]
         calls = count_transforms(monkeypatch)
         op(rhs)
+        return calls
+
+    def test_operator_apply_costs_one_forward_and_n2_inverse_real_transforms(
+        self, monkeypatch
+    ):
+        # right preconditioning: the Krylov vector goes to the half spectrum
+        # once, and each live real Hessian component comes back once; on
+        # active axes (0, 2) Im h_12 is zero by construction, so 3 of n^2 = 4
+        calls = self._apply_transforms(wave_problem(32), monkeypatch)
+        assert calls == {"rfftn": 1, "irfftn": 3}
+
+    def test_operator_apply_on_all_axes_transforms_all_n2_components(self, monkeypatch):
+        chart = TorusChart(2, 8)
+        base = np.array([[1.2, 0.15 + 0.05j], [0.15 - 0.05j, 1.0]])
+        problem, _ = manufactured_problem(chart, base, 6, 0.05)
+        calls = self._apply_transforms(problem, monkeypatch)
         assert calls == {"rfftn": 1, "irfftn": 4}
 
     def test_stalled_line_search_names_the_krylov_solve(self, chart1, monkeypatch):

@@ -15,6 +15,8 @@ from crflab.geometry import (
     ScalarField,
     TorusChart,
     VolumeField,
+    herm_components,
+    herm_det,
     herm_logdet,
     i_ddbar,
     metric_volume,
@@ -224,6 +226,69 @@ class TestStepping:
             step(dataclasses.replace(state, phi=phi), sc)
 
 
+STAGE_CHARTS = [
+    TorusChart(1, 32, active_axes=(0,)),
+    TorusChart(2, 32, active_axes=(0, 2)),
+    TorusChart(2, 16),
+]
+STAGE_IDS = ["n1", "n2_axes_0_2", "n2_all"]
+
+
+def _stage_scenario(chart, normalized):
+    from crflab.flow import NormalizedScenario
+    from crflab.models import random_metric_recipe
+
+    rng = np.random.default_rng(17)
+    axes = chart.active_axes if chart.n > 1 else None
+    g0 = random_metric_recipe(rng, chart.n, scale=0.12, peaked=False, axes=axes).build(chart)
+    sc = scenario_from_metric(g0, 20.0)
+    return NormalizedScenario(sc, target_form=g0) if normalized else sc
+
+
+class TestComponentStage:
+    """The n <= 2 stage right side works on the metric's real components."""
+
+    @pytest.mark.parametrize("normalized", [False, True], ids=["plain", "normalized"])
+    @pytest.mark.parametrize("chart", STAGE_CHARTS, ids=STAGE_IDS)
+    def test_matches_the_matrix_path_bitwise(self, chart, normalized):
+        sc = _stage_scenario(chart, normalized)
+        phi = bandlimited_scalar(chart, 8, amplitude=0.05).values
+        t = 0.7
+        decay = np.exp(-t)
+        g0, chi = sc.g0.values, sc.chi.values
+        ref = chi * (1.0 - decay) + decay * g0 if normalized else g0 + t * chi
+        assert np.array_equal(sc.reference_metric(t), ref)
+        G = ref + chart.complex_hessian(phi)
+        expected = herm_logdet(G) - np.log(sc.omega_density.values)
+        # a stage reads phi back from its spectrum
+        for got, seen in ((sc.rhs(phi, t)[0], phi),
+                          (sc.rhs(None, t, chart.rfft(phi))[0], chart.irfft(chart.rfft(phi)))):
+            assert np.array_equal(got, expected - seen if normalized else expected)
+        omega = sc.state_at(t, phi).omega
+        assert np.array_equal(omega, G)
+
+    @pytest.mark.parametrize("normalized", [False, True], ids=["plain", "normalized"])
+    @pytest.mark.parametrize("chart", STAGE_CHARTS[:2], ids=STAGE_IDS[:2])
+    def test_stage_that_loses_positivity_raises(self, chart, normalized):
+        sc = _stage_scenario(chart, normalized)
+        # -8 cos x along each complex direction sends d_i d_ibar phi to -2 at x = pi
+        phi = sum(
+            -8.0 * np.cos(chart.axis_coordinates(2 * i)) for i in range(chart.n)
+        ) * np.ones(chart.shape)
+        with pytest.raises(PositivityLost):
+            sc.rhs(None, 0.0, chart.rfft(phi))
+        with pytest.raises(PositivityLost):
+            sc.rhs(phi, 0.0)
+
+    def test_negative_definite_stage_raises_though_det_is_positive(self, chart2, n2_metric):
+        # ghat_0 = -g0 has det > 0 at every node: only the trace test sees it
+        sc = scenario_from_metric(n2_metric, 50.0)
+        sc._g0_parts = herm_components(-n2_metric.values)
+        assert herm_det(-n2_metric.values).min() > 0.0
+        with pytest.raises(PositivityLost):
+            sc.rhs(np.zeros(chart2.shape), 0.0)
+
+
 class TestExponentialStepper:
     """ETDRK4 against the classical RK4 reference."""
 
@@ -256,6 +321,15 @@ class TestExponentialStepper:
                     head = sum(zi ** j / math.factorial(j) for j in range(k))
                     exact = (math.exp(zi) - head) / zi ** k
                 assert abs(value - exact) <= 1e-15 * abs(exact)
+
+    def test_phi_functions_are_elementwise(self):
+        # a step evaluates hL/2 and hL in one stacked call
+        from crflab.flow import _phi_functions
+
+        z = -np.geomspace(1e-9, 60.0, 257).reshape(1, 257, 1)
+        stacked = _phi_functions(np.stack([0.5 * z, z]))
+        assert np.array_equal(stacked[:, 0], _phi_functions(0.5 * z))
+        assert np.array_equal(stacked[:, 1], _phi_functions(z))
 
     def test_agrees_with_rk4_at_small_dt(self, n2_metric):
         from crflab.flow import _etdrk4
@@ -295,14 +369,15 @@ class TestExponentialStepper:
         # the state and stages stay half spectra: per step, phi and the
         # four right sides go forward (plus phi again in state_at and the
         # new right side for the error estimate); each of the five Hessians
-        # costs n^2 = 4 inverse transforms, and the new phi and the
-        # trapezoid one each; no stage goes to the grid, since this right
-        # side does not read phi
+        # costs one inverse transform per live component, 3 of n^2 = 4 on
+        # active axes (0, 2), where Im h_12 is zero by construction, and the
+        # new phi and the trapezoid one each; no stage goes to the grid,
+        # since this right side does not read phi
         sc = scenario_from_metric(n2_metric, 50.0)
         state = FlowState.initial(sc)
         calls = count_transforms(monkeypatch)
         step(state, sc)
-        assert calls == {"rfftn": 7, "irfftn": 22}
+        assert calls == {"rfftn": 7, "irfftn": 17}
 
     def test_step_far_beyond_rk4_stability(self, n2_metric):
         from crflab.flow import _RK4_STABILITY

@@ -11,7 +11,9 @@ from crflab.geometry import (
     coarsen_field,
     eigenvalue_range,
     herm_det,
+    herm_components,
     herm_eig_bounds,
+    herm_from_components,
     herm_inv,
     herm_logdet,
     herm_mixed_det,
@@ -199,6 +201,46 @@ class TestHalfSpectrumHessian:
         traced = sum(w * h for w, h in zip(chart.hessian_trace_weights(A), parts))
         ref = np.einsum("...ji,...ij->...", A, full_complex_hessian(chart, u)).real
         assert np.max(np.abs(traced - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("chart, live", [
+        # mu_1 conj(mu_2) = k_0 k_2 / 4 is real: Im h_12 is dead
+        (TorusChart(2, 16, active_axes=(0, 2)), (0, 1, 3)),
+        (TorusChart(2, 16), (0, 1, 2, 3)),
+        # mu_1 = sqrt(-1) k_0 / 2 and mu_2 = mu_3 = 0: only h_11 lives
+        (TorusChart(3, 8, active_axes=(0,)), (0,)),
+        # mu_1 = sqrt(-1) k_0 / 2, mu_2 = k_3 / 2, mu_3 = k_5 / 2: mu_1 conj(mu_j)
+        # is imaginary and mu_2 conj(mu_3) real, so Re h_12, Re h_13, Im h_23 die
+        (TorusChart(3, 8, active_axes=(0, 3, 5)), (0, 2, 4, 5, 6, 8)),
+    ], ids=["n2_axes_0_2", "n2_all", "n3_axis_0", "n3_axes_0_3_5"])
+    def test_live_components(self, chart, live):
+        assert chart.hessian_live == live
+        spec = chart.rfft(np.random.default_rng(2).standard_normal(chart.shape))
+        assert len(chart.hessian_components(spec)) == len(live)
+        assert len(chart.hessian_trace_weights(np.eye(chart.n))) == len(live)
+
+    @pytest.mark.parametrize("chart", HESSIAN_CHARTS, ids=HESSIAN_IDS)
+    def test_dead_components_are_exact_zeros(self, chart):
+        # a component is dead exactly where the dense reference vanishes
+        # for white noise, and complex_hessian writes exact zeros there
+        u = np.random.default_rng(9).standard_normal(chart.shape)
+        ref = herm_components(full_complex_hessian(chart, u))
+        got = chart.complex_hessian(u)
+        scale = max(np.max(np.abs(r)) for r in ref)
+        for k, (r, g) in enumerate(zip(ref, herm_components(got))):
+            live = k in chart.hessian_live
+            assert (np.max(np.abs(r)) > 1e-12 * scale) == live
+            assert live or not g.any()
+        assert np.array_equal(got, np.conj(np.swapaxes(got, -1, -2)))
+
+    def test_components_round_trip(self):
+        rng = np.random.default_rng(4)
+        B = rng.standard_normal((5, 3, 3)) + 1j * rng.standard_normal((5, 3, 3))
+        A = B + np.conj(np.swapaxes(B, -1, -2))
+        parts = herm_components(A)
+        assert [p.shape for p in parts] == [(5,)] * 9
+        assert np.array_equal(herm_from_components(parts, (5,)), A)
+        parts[5] = None  # A_22 = 0
+        assert not herm_from_components(parts, (5,))[:, 1, 1].any()
 
     @pytest.mark.parametrize("chart", HESSIAN_CHARTS, ids=HESSIAN_IDS)
     def test_rfft_roundtrip(self, chart):
