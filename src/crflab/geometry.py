@@ -362,12 +362,11 @@ def herm_from_components(parts, shape):
     """The Hermitian matrix field on grid ``shape`` whose real components, in
     the order of `herm_components`, are ``parts``; a None part is zero."""
     n = math.isqrt(len(parts))
-    out = np.zeros(shape + (n, n), dtype=complex)
+    out = np.empty(shape + (n, n), dtype=complex)  # every entry is written below
     for (i, j, imag), p in zip(_component_entries(n), parts):
-        if p is None:
-            continue
+        p = 0.0 if p is None else p
         if i == j:
-            out.real[..., i, i] = p
+            out[..., i, i] = p
         elif imag:
             out.imag[..., i, j] = p
             np.negative(p, out=out.imag[..., j, i])
