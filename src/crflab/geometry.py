@@ -22,7 +22,16 @@ indices last (``values[..., i, j]``). `TorusChart.grad` is the entry point
 for tensor-first arrays instead, with the tensor indices first and the grid
 last, which is how `tensors` holds its tensors; it returns the Wirtinger
 gradient as a new leading index. `deriv` keeps the grid-leading contract.
-Both run on one Fourier derivative kernel.
+Both run on one fused Fourier derivative kernel. Each active real axis of a
+derivative costs one `np.fft.fft` along it, one in-place multiply by a
+single multiplier and one `np.fft.ifft` written into the output (`out=`),
+into which a second active axis adds. The multiplier carries the 1/2 and
+the sqrt(-1) of the Wirtinger combination: sqrt(-1) kx / 2 on x, +ky / 2 on
+y for d/dz and -ky / 2 for d/dzbar; `deriv` multiplies by (sqrt(-1) k)^order.
+Scaling by 1/2 is exact and sqrt(-1) times a spectrum is an exact swap and
+negation, so these are bitwise the transforms of the combinations above.
+Of a real field each term keeps only the real or the imaginary part its
+exact derivative has, the other being rounding.
 
 This is the one module that transforms (on numpy, the only backend) and
 decides positivity: `herm_logdet` is the test that runs before every log det.
@@ -176,28 +185,43 @@ class TorusChart:
         sizes = [self.shape[a] for a in self.active_axes]
         return np.fft.irfftn(spec, s=sizes, axes=self.active_axes)
 
-    def _deriv_along(self, values, axis, pos, order=1):
-        # the one Fourier derivative kernel: grid axis ``axis`` of ``values``
-        # is array axis ``pos``; the axis must be active
-        k = self._k[axis].reshape((-1,) + (1,) * (values.ndim - pos - 1))
-        mult = (1j * k) ** order
-        out = np.fft.ifft(mult * np.fft.fft(values, axis=pos), axis=pos)
-        if np.isrealobj(values):
-            return out.real
-        return out
+    def _derivative(self, values, pos, terms, out):
+        # the one Fourier derivative kernel: sets ``out`` to the sum over
+        # ``terms``, each (real axis, 1-d multiplier, part), of
+        # ifft(multiplier * fft(values)) along that axis, the grid of
+        # ``values`` starting at array axis ``pos``. A term costs one fft,
+        # one in-place multiply and one ifft; the first term's ifft is
+        # written straight into ``out`` and each later one added to it. Of
+        # a real ``values`` a term keeps only ``part`` ("real" or "imag") of
+        # its ifft, the part its exact derivative has; the other is rounding.
+        # With no terms ``out`` is zero, and no transform is made
+        real = np.isrealobj(values)
+        if real or not terms:
+            out[...] = 0.0
+        for t, (axis, mult, part) in enumerate(terms):
+            ax = pos + axis
+            spec = np.fft.fft(values, axis=ax)
+            spec *= mult.reshape((-1,) + (1,) * (values.ndim - ax - 1))
+            if real:
+                d = np.fft.ifft(spec, axis=ax, out=spec)
+                getattr(out, part)[...] += getattr(d, part)
+            elif t == 0:
+                np.fft.ifft(spec, axis=ax, out=out)
+            else:
+                out += np.fft.ifft(spec, axis=ax, out=spec)
 
-    def _wirtinger(self, values, i, pos, conj):
-        # d/dz_i (d/dzbar_i if conj) of values whose grid starts at array
-        # axis pos; None when z_i is constant, so no zero array is made
-        dx, dy = (
-            self._deriv_along(values, a, pos + a) if self.shape[a] > 1 else None
-            for a in (2 * i, 2 * i + 1)
-        )
-        if dy is None:
-            return None if dx is None else 0.5 * dx
-        if dx is None:
-            dx = 0.0
-        return 0.5 * (dx + 1j * dy) if conj else 0.5 * (dx - 1j * dy)
+    def _wirtinger_terms(self, i, conj):
+        # the kernel's terms of d/dz_i (d/dzbar_i with conj) on the active
+        # axes of z_i: (d/dx -+ sqrt(-1) d/dy) / 2 multiplies exp(sqrt(-1) k.x)
+        # by sqrt(-1) kx / 2 and by +ky / 2 (-ky / 2 for d/dzbar); of a real
+        # field the first is the real part, the second the imaginary one
+        x, y = 2 * i, 2 * i + 1
+        terms = []
+        if self.shape[x] > 1:
+            terms.append((x, 0.5j * self._k[x].ravel(), "real"))
+        if self.shape[y] > 1:
+            terms.append((y, (-0.5 if conj else 0.5) * self._k[y].ravel(), "imag"))
+        return terms
 
     def deriv(self, values, axis, order=1):
         """Fourier derivative of ``values`` along one real axis.
@@ -208,7 +232,10 @@ class TorusChart:
         values = np.asarray(values)
         if self.shape[axis] == 1:
             return np.zeros_like(values, dtype=values.dtype)
-        return self._deriv_along(values, axis, axis, order)
+        out = np.empty(values.shape, dtype=float if np.isrealobj(values) else complex)
+        mult = (1j * self._k[axis].ravel()) ** order
+        self._derivative(values, 0, [(axis, mult, "real")], out)
+        return out
 
     def grad(self, values, conj=False):
         """Wirtinger gradient of a tensor-first field.
@@ -222,8 +249,7 @@ class TorusChart:
         pos = values.ndim - self.naxes
         out = np.empty((self.n,) + values.shape, dtype=complex)
         for i in range(self.n):
-            d = self._wirtinger(values, i, pos, conj)
-            out[i] = 0.0 if d is None else d
+            self._derivative(values, pos, self._wirtinger_terms(i, conj), out[i])
         return out
 
     def _hessian_multipliers(self):

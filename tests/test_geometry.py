@@ -106,6 +106,95 @@ class TestSpectralDerivative:
         assert np.max(np.abs(xy - yx)) <= 1e-12
 
 
+def reference_axis_derivative(chart, values, axis, pos, order=1):
+    """(d/dx_axis)^order of ``values`` (grid from array axis ``pos``) written
+    out with np.fft: the exact derivative of the trigonometric interpolant,
+    Nyquist zeroed, real for a real field."""
+    m = chart.shape[axis]
+    k = 2 * np.pi * np.fft.fftfreq(m, d=chart.periods[axis] / m)
+    k[m // 2] = 0.0
+    k = k.reshape((-1,) + (1,) * (values.ndim - pos - axis - 1))
+    d = np.fft.ifft((1j * k) ** order * np.fft.fft(values, axis=pos + axis), axis=pos + axis)
+    return d.real if np.isrealobj(values) else d
+
+
+def reference_grad(chart, values, conj):
+    """d/dz_i = (d/dx_i - sqrt(-1) d/dy_i) / 2 (+ for d/dzbar_i) of a
+    tensor-first field, each as a new leading index; a constant axis
+    contributes 0."""
+    pos = values.ndim - chart.naxes
+    out = np.empty((chart.n,) + values.shape, dtype=complex)
+    for i in range(chart.n):
+        dx, dy = (
+            reference_axis_derivative(chart, values, a, pos) if chart.shape[a] > 1 else 0.0
+            for a in (2 * i, 2 * i + 1)
+        )
+        out[i] = 0.5 * (dx + 1j * dy) if conj else 0.5 * (dx - 1j * dy)
+    return out
+
+
+KERNEL_CHARTS = [
+    TorusChart(1, 16, periods=3.0, active_axes=(0,)),
+    TorusChart(1, 16, periods=(3.0, 5.0)),
+    TorusChart(2, 8, periods=(2 * np.pi, 3.0, 5.0, 7.0), active_axes=(0, 2)),
+    TorusChart(2, 8, periods=(2 * np.pi, 3.0, 5.0, 7.0)),
+    TorusChart(2, 8, periods=(2 * np.pi, 3.0, 5.0, 7.0), active_axes=(0, 1, 2)),
+    TorusChart(2, 16, periods=(2 * np.pi, 3.0, 5.0, 7.0), active_axes=(1,)),
+]
+KERNEL_IDS = ["n1_axis_0", "n1_all", "n2_axes_0_2", "n2_all", "n2_axes_0_1_2", "n2_axis_1"]
+
+
+class TestDerivativeKernel:
+    """`grad` and `deriv` run on one fused kernel; both must equal, exactly,
+    the derivative written out with np.fft."""
+
+    @staticmethod
+    def field(chart, rank, dtype, seed=0):
+        rng = np.random.default_rng(seed)
+        shape = (chart.n,) * rank + chart.shape
+        values = rng.standard_normal(shape)
+        return values + 1j * rng.standard_normal(shape) if dtype is complex else values
+
+    @pytest.mark.parametrize("chart", KERNEL_CHARTS, ids=KERNEL_IDS)
+    @pytest.mark.parametrize("rank", [0, 1, 2, 3])
+    @pytest.mark.parametrize("dtype", [float, complex])
+    @pytest.mark.parametrize("conj", [False, True])
+    def test_grad_equals_written_out_wirtinger(self, chart, rank, dtype, conj):
+        values = self.field(chart, rank, dtype)
+        got = chart.grad(values, conj=conj)
+        assert got.shape == (chart.n,) + values.shape and got.dtype == complex
+        assert np.array_equal(got, reference_grad(chart, values, conj))
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_constant_direction_is_exactly_zero(self, dtype):
+        chart = KERNEL_CHARTS[-1]  # z_1 varies along y_1 only, z_2 is constant
+        got = chart.grad(self.field(chart, 2, dtype), conj=True)
+        assert not np.any(got[1])
+        assert np.any(got[0])
+
+    @pytest.mark.parametrize("chart", KERNEL_CHARTS[3:5], ids=KERNEL_IDS[3:5])
+    def test_d_and_dbar_differ_where_y_is_active(self, chart):
+        values = self.field(chart, 1, complex)
+        d, dbar = chart.grad(values), chart.grad(values, conj=True)
+        assert np.max(np.abs(d[0] - dbar[0])) > 0.1 * np.max(np.abs(d[0]))
+
+    @pytest.mark.parametrize("chart", KERNEL_CHARTS, ids=KERNEL_IDS)
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_spectral_derivative_equals_written_out(self, chart, order):
+        scalar = ScalarField(chart, self.field(chart, 0, float, seed=1))
+        herm = self.field(chart, 2, complex, seed=2)
+        herm = HermitianMatrixField(
+            chart, np.moveaxis(herm + np.conj(np.swapaxes(herm, 0, 1)), (0, 1), (-2, -1))
+        )
+        for axis in chart.active_axes:
+            got = spectral_derivative(scalar, axis, order=order).values
+            ref = reference_axis_derivative(chart, scalar.values, axis, 0, order)
+            assert np.array_equal(got, ref)
+            got = spectral_derivative(herm, axis, order=order).values
+            ref = reference_axis_derivative(chart, herm.values, axis, 0, order)
+            assert np.array_equal(got, HermitianMatrixField(chart, ref).values)
+
+
 class TestIDdbar:
     def test_constant_potential(self, chart2):
         h = i_ddbar(ScalarField(chart2, np.full(chart2.shape, 2.0)))
