@@ -87,7 +87,7 @@ from .geometry import (
     i_ddbar,
     require_positive,
 )
-from .tensors import _check_closed, chern_ricci, ricci_form
+from .tensors import _check_closed, ricci_form
 
 # stability interval of classical RK4 on the negative real axis
 _RK4_STABILITY = 2.7
@@ -304,16 +304,16 @@ def scenario_from_metric(g0, T0, f_T0=None, **kwargs):
     T0 = float(T0)
     if T0 <= 0.0:
         raise ValueError("T0 must be positive")
-    ric0 = chern_ricci(g0)
+    ric0 = ricci_form(chart, g0.values)
     if f_T0 is None:
-        target = T0 * ric0.values
+        target = T0 * ric0
         trace = np.einsum("...ii->...", target).real
         f_vals = chart.irfft(chart.laplacian_inverse(np.eye(chart.n)) * chart.rfft(trace))
         f_T0 = ScalarField(chart, f_vals)
     else:
         chart.require_same(f_T0.chart)
     # FlowScenario tests g0 + T0 chi = alpha_T0 + i ddbar f_T0 for positivity
-    chi = HermitianMatrixField(chart, i_ddbar(f_T0).values / T0 - ric0.values)
+    chi = HermitianMatrixField(chart, i_ddbar(f_T0).values / T0 - ric0)
     density = VolumeField(
         chart, herm_det(g0.values) * np.exp(f_T0.values / T0)
     )

@@ -27,6 +27,18 @@ independent code paths (raw spectral derivatives of scalars on one side,
 covariant tensor expressions on the other) and report max-norm residuals;
 time derivatives along the flow are always substituted analytically from
 d_t g = -Ric(g), never finite-differenced in time.
+
+`verify_trace_evolution` takes three derivatives of its right side from
+exact symmetries of tensors it already holds instead of transforming again:
+nabla_lbar g_{i jbar} = conj(nabla_l g_{j ibar}), since g is exactly
+Hermitian and the Chern connection's barred part is the conjugate of its
+unbarred part; d_i conj(That^q_{jl}) = conj(dbar_i Gammahat^q_{jl} -
+dbar_i Gammahat^q_{lj}), from the dbar Gammahat that the curvature of ghat
+is built from; and nabla_lbar W_{ikj} = conj(nabla_l S_{jik}) for the
+torsion of g_0 lowered two ways, S_{kjl} = g0_{k pbar} conj(T0^p_{jl}) and
+W_{ikj} = T0^p_{ik} g0_{p jbar} = conj(S_{jik}). All three stay on
+the tensor side: the left side still comes only from `complex_hessian` of
+scalars, so the two sides stay independent.
 """
 
 from dataclasses import dataclass, field
@@ -299,7 +311,7 @@ def verify_trace_evolution(g0, ghat, phi, t=0.0, chi=None):
 
     if chi is not None:
         chart.require_same(chi.chart)
-    chi = -chern_ricci(g0).values if chi is None else chi.values
+    chi = -ricci_form(chart, g0.values) if chi is None else chi.values
     chi_res = _check_closed(chart, chi, "chi")
 
     # exactly Hermitian: a sum of exactly Hermitian arrays
@@ -318,7 +330,6 @@ def verify_trace_evolution(g0, ghat, phi, t=0.0, chi=None):
 
     THat = _torsion(GammaHat)
     cTHat = np.conj(THat)
-    _, RlowHat = _curvature(chart, GammaHat, Ghat)
     T0 = _torsion(_christoffel(chart, G0, _tensor_first(chart, herm_inv(g0.values))))
 
     tau = _trace(Gihat, G).real
@@ -331,11 +342,12 @@ def verify_trace_evolution(g0, ghat, phi, t=0.0, chi=None):
     lhs = dt_tau / tau - lap_logtau
 
     # covariant derivatives of g with respect to ghat:
-    # Cov1[k, i, j] = nabla_k g_{i jbar}, Covb[l, i, j] = nabla_lbar g_{i jbar}
+    # Cov1[k, i, j] = nabla_k g_{i jbar}, Covb[l, i, j] = nabla_lbar g_{i jbar};
+    # G is exactly Hermitian and nabla_lbar is the conjugate of nabla_l, so
+    # nabla_lbar g_{i jbar} = conj(nabla_l g_{j ibar})
     Cov1 = chart.grad(G)
     Cov1 -= np.einsum("rki...,rj...->kij...", GammaHat, G)
-    Covb = chart.grad(G, conj=True)
-    Covb -= np.einsum("slj...,is...->lij...", np.conj(GammaHat), G)
+    Covb = np.conj(np.swapaxes(Cov1, 1, 2))
 
     dtau = chart.grad(tau)  # [k, *grid]
     dbtau = np.conj(dtau)
@@ -361,8 +373,12 @@ def verify_trace_evolution(g0, ghat, phi, t=0.0, chi=None):
     term_d = np.einsum("qjl...,qjl...->...", D, cTHat)
     term_I = (term_a + term_b + term_c + term_d) / tau
 
-    # term (II) coefficient tensor N_{i jbar}^{k qbar}, built from ghat alone
-    inner = chart.grad(cTHat)  # [i, q, j, l]
+    # term (II) coefficient tensor N_{i jbar}^{k qbar}, built from ghat alone;
+    # d_i conj(THat)^q_{jl} = conj(dbar_i GammaHat^q_{jl} - dbar_i GammaHat^q_{lj})
+    DbarGammaHat, RlowHat = _curvature(chart, GammaHat, Ghat)
+    inner = DbarGammaHat - np.swapaxes(DbarGammaHat, 2, 3)  # [i, q, j, l]
+    del DbarGammaHat
+    np.conj(inner, out=inner)
     inner -= np.einsum("ilpj...,qp...->iqjl...", RlowHat, Gihat)
     del RlowHat
     N2 = np.einsum("iqjl...,lk...->ijkq...", inner, Gihat)
@@ -374,12 +390,13 @@ def verify_trace_evolution(g0, ghat, phi, t=0.0, chi=None):
     CovS = chart.grad(S)  # [i, k, j, l]
     CovS -= np.einsum("rik...,rjl...->ikjl...", GammaHat, S)
     P = np.einsum("lk...,ikjl...->ij...", Gihat, CovS)
+    # W_{ikj} = conj(S_{jik}) exactly (G0 is Hermitian), so
+    # nabla_lbar W_{ikj} = conj(nabla_l S_{jik})
+    CovbW = np.conj(np.moveaxis(CovS, 1, 3))  # [l, i, k, j]
     del CovS
-    W = np.einsum("pik...,pj...->ikj...", T0, G0)
-    CovbW = chart.grad(W, conj=True)  # [l, i, k, j]
-    CovbW -= np.einsum("slj...,iks...->likj...", np.conj(GammaHat), W)
     P += np.einsum("lk...,likj...->ij...", Gihat, CovbW)
     del CovbW
+    W = np.einsum("pik...,pj...->ikj...", T0, G0)
     # Gihat_lk conj(THat)_qjl T0_pik G0_pq, with T0_pik G0_pq = W_ikq
     P -= np.einsum("ikq...,qjk...->ij...", W, np.einsum("qjl...,lk...->qjk...", cTHat, Gihat))
     term_III = -_trace(Gi, P) / tau

@@ -31,7 +31,7 @@ from crflab.tensors import (
     verify_trace_evolution,
 )
 
-from conftest import bandlimited_scalar
+from conftest import bandlimited_scalar, count_transforms
 
 
 def seeded_triple(chart, seed):
@@ -204,6 +204,76 @@ class TestTraceEvolution:
                                    chi=HermitianMatrixField.constant(chart2, np.zeros((2, 2))))
 
 
+class TestTraceEvolutionDerivatives:
+    """`verify_trace_evolution` takes three of its gradients from exact
+    symmetries of tensors it already holds. On active axes (0, 2), where
+    every fixture above lives, d and dbar are the same operator, so only
+    charts with a y axis active can tell a flipped conjugation."""
+
+    @pytest.fixture(params=[(8, None), (16, (0, 1, 2))], ids=["n2_all", "n2_axes_0_1_2"])
+    def chart(self, request):
+        resolution, axes = request.param
+        return TorusChart(2, resolution, active_axes=axes)
+
+    @staticmethod
+    def assert_rounding_close(got, direct):
+        assert np.max(np.abs(direct)) > 1e-3
+        assert np.max(np.abs(got - direct)) <= 1e-13 * np.max(np.abs(direct))
+
+    def test_nabla_bar_of_a_hermitian_metric(self, chart):
+        g0, ghat, _ = seeded_triple(chart, 9)
+        _, _, GammaHat = tensors._chern(ghat)
+        G = tensors._tensor_first(chart, g0.values)
+        d = chart.grad(G) - np.einsum("rki...,rj...->kij...", GammaHat, G)
+        dbar = chart.grad(G, conj=True) - np.einsum(
+            "slj...,is...->lij...", np.conj(GammaHat), G)
+        # nabla_lbar g_{i jbar} = conj(nabla_l g_{j ibar})
+        self.assert_rounding_close(np.conj(np.swapaxes(d, 1, 2)), dbar)
+
+    def test_d_of_the_conjugate_torsion(self, chart):
+        _, ghat, _ = seeded_triple(chart, 9)
+        Ghat, _, GammaHat = tensors._chern(ghat)
+        DbarGamma, _ = tensors._curvature(chart, GammaHat, Ghat)
+        # d_i conj(T^q_{jl}) = conj(dbar_i Gamma^q_{jl} - dbar_i Gamma^q_{lj})
+        self.assert_rounding_close(
+            np.conj(DbarGamma - np.swapaxes(DbarGamma, 2, 3)),
+            chart.grad(np.conj(tensors._torsion(GammaHat))),
+        )
+
+    def test_nabla_bar_of_the_torsion_lowered_by_g0(self, chart):
+        g0, ghat, _ = seeded_triple(chart, 9)
+        _, _, GammaHat = tensors._chern(ghat)
+        G0, _, Gamma0 = tensors._chern(g0)
+        T0 = tensors._torsion(Gamma0)
+        S = np.einsum("pjl...,kp...->kjl...", np.conj(T0), G0)
+        W = np.einsum("pik...,pj...->ikj...", T0, G0)
+        dS = chart.grad(S) - np.einsum("rik...,rjl...->ikjl...", GammaHat, S)
+        dbarW = chart.grad(W, conj=True) - np.einsum(
+            "slj...,iks...->likj...", np.conj(GammaHat), W)
+        # W_{ikj} = conj(S_{jik}), so nabla_lbar W_{ikj} = conj(nabla_l S_{jik})
+        self.assert_rounding_close(np.conj(np.moveaxis(dS, 1, 3)), dbarW)
+
+    def test_spectral_convergence_where_d_and_dbar_differ(self):
+        chart = TorusChart(2, 16, active_axes=(0, 1, 2))
+        coarse = verify_trace_evolution(*seeded_triple(chart, 9), t=0.1)
+        fine = verify_trace_evolution(*seeded_triple(refine_chart(chart), 9), t=0.1)
+        # the right side is real: its imaginary part converges as well
+        assert coarse.identity_residual >= 5.0 * fine.identity_residual
+        assert coarse.imag_residual >= 5.0 * fine.imag_residual
+        assert max(fine.bound_violations) <= 1e-8
+
+    def test_transform_count(self, chart2, monkeypatch):
+        # 7 Wirtinger gradients (Christoffel symbols of ghat and g0, dbar
+        # Gamma-hat, d g, d tau, d S, d chi for closedness), each one fft and
+        # one ifft per complex direction: z_1 and z_2 vary along x only;
+        # complex Hessians of log det g0, phi, log det g and log tau, one
+        # rfftn and 3 live-component irfftn each
+        g0, ghat, phi = seeded_triple(chart2, 7)
+        calls = count_transforms(monkeypatch)
+        verify_trace_evolution(g0, ghat, phi, t=0.1)
+        assert calls == {"fft": 14, "ifft": 14, "rfftn": 4, "irfftn": 12}
+
+
 class TestBianchiVanishing:
     def test_flat(self, chart2):
         assert verify_bianchi_vanishing(HermitianMatrixField.identity(chart2)) <= 1e-15
@@ -278,8 +348,8 @@ class TestThreeDimensional:
         assert verify_bianchi_vanishing(ghat) <= 1e-9
 
     def test_trace_evolution_tests_omega_t_positive_once(self, chart3, monkeypatch):
-        # one eigenvalue pass each for chern_ricci(g0), _chern(ghat) and
-        # omega(t); its log det takes no second pass
+        # one eigenvalue pass each for the default chi's log det of g0,
+        # _chern(ghat) and omega(t); its log det takes no second pass
         g0, ghat = self.metric(chart3, 1), self.metric(chart3, 2)
         phi = ScalarRecipe([Perturbation(0, 0, 0.006, (1, 0, 0, 0, 0, 0), 0.4)]).build(chart3)
         calls = []
