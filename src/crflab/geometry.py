@@ -186,15 +186,12 @@ class TorusChart:
         return np.fft.irfftn(spec, s=sizes, axes=self.active_axes)
 
     def _derivative(self, values, pos, terms, out):
-        # the one Fourier derivative kernel: sets ``out`` to the sum over
-        # ``terms``, each (real axis, 1-d multiplier, part), of
-        # ifft(multiplier * fft(values)) along that axis, the grid of
-        # ``values`` starting at array axis ``pos``. A term costs one fft,
-        # one in-place multiply and one ifft; the first term's ifft is
-        # written straight into ``out`` and each later one added to it. Of
-        # a real ``values`` a term keeps only ``part`` ("real" or "imag") of
-        # its ifft, the part its exact derivative has; the other is rounding.
-        # With no terms ``out`` is zero, and no transform is made
+        # the one Fourier derivative kernel (module docstring): sets ``out``
+        # to the sum over ``terms``, each (real axis, 1-d multiplier, part),
+        # of ifft(multiplier * fft(values)) along that axis, the grid of
+        # ``values`` starting at array axis ``pos``. Of a real ``values`` a
+        # term keeps only ``part`` ("real" or "imag") of its ifft. With no
+        # terms ``out`` is zero, and no transform is made
         real = np.isrealobj(values)
         if real or not terms:
             out[...] = 0.0
