@@ -24,7 +24,8 @@ last, which is how `tensors` holds its tensors; it returns the Wirtinger
 gradient as a new leading index. `deriv` keeps the grid-leading contract.
 Both run on one fused Fourier derivative kernel. Each active real axis of a
 derivative costs one `np.fft.fft` along it, one in-place multiply by a
-single multiplier and one `np.fft.ifft` written into the output (`out=`),
+single multiplier and one `np.fft.ifft` written into the output (`out=`,
+which numpy has from 2.0 on),
 into which a second active axis adds. The multiplier carries the 1/2 and
 the sqrt(-1) of the Wirtinger combination: sqrt(-1) kx / 2 on x, +ky / 2 on
 y for d/dz and -ky / 2 for d/dzbar; `deriv` multiplies by (sqrt(-1) k)^order.
@@ -227,11 +228,10 @@ class TorusChart:
         leading ``2n`` array axes. Inactive axes differentiate to zero.
         """
         values = np.asarray(values)
-        if self.shape[axis] == 1:
-            return np.zeros_like(values, dtype=values.dtype)
         out = np.empty(values.shape, dtype=float if np.isrealobj(values) else complex)
         mult = (1j * self._k[axis].ravel()) ** order
-        self._derivative(values, 0, [(axis, mult, "real")], out)
+        terms = [(axis, mult, "real")] if self.shape[axis] > 1 else []
+        self._derivative(values, 0, terms, out)
         return out
 
     def grad(self, values, conj=False):
