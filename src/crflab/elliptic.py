@@ -19,11 +19,21 @@ half-spectrum multiplier, so one operator apply is one `rfft` of y, the
 live real Hessian components of M^-1 y (at most n^2, one `irfft` each; see
 `TorusChart.hessian_live`), and their sum against real weights built once
 per Newton iteration. Everything spectral comes from `geometry`
-(this module makes no transform of its own): the multiplier is
-`TorusChart.laplacian_inverse`, the weights `hessian_trace_weights`, and
-`herm_logdet` rejects every trial metric that is not positive definite,
-also at det > 0; `EllipticProblem` takes the background's log det once, as
-its positivity test, for every residual to read.
+(this module makes no transform of its own), and the multiplier is
+`TorusChart.laplacian_inverse`.
+
+For n <= 2 the residual works on the updated metric's real components, in
+the order of `herm_components`, as `FlowScenario`'s right side does: omega's
+components plus the live Hessian components of phi's half spectrum, with
+`components_logdet` as the positivity test (det > 0 and tr > 0), and no
+complex matrix is built. For n >= 3 it forms the matrix omega + i ddbar phi
+and tests it with `herm_logdet`. Either way it returns the components, and
+everything downstream reads them: the Krylov weights tr(G'^-1 H) are
+`components_trace_weights` of `components_inv`, and the preconditioner's mean
+metric is the grid mean of the stacked components. For n <= 2 both repeat
+the matrix results bitwise (`geometry`). `EllipticProblem` takes the
+background's log det once, as its positivity test, for every residual to
+read.
 
 Both start from phi = 0 unless given a start phi0 (Newton also takes b0)
 and share one ending: phi loses the modes no Wirtinger operator sees, which
@@ -51,10 +61,17 @@ tol and is the only gate: `EllipticSolution.iterations` counts its steps,
 and extras["coarse_levels"] records the levels. Smaller charts and
 gill-flow have no chain.
 
+An `EllipticSolution` keeps the metric components of its final residual
+(``metric_parts``), so `updated_metric` and the certificate need no further
+Hessian. When Newton's line search stalls, its message gives the part of the
+residual in the modes no Wirtinger operator sees, a floor no step can lower.
+
 `certify_estimates` measures the oscillation bound and the second-order
-statistic C(A) = sup tr_g g' e^{-A(phi - inf phi)}, re-solving on a
-Fourier-refined grid to test stability under grid doubling. The re-solve
-starts from the refined coarse solution and iterates to its own tolerance.
+statistic C(A) = sup tr_g g' e^{-A(phi - inf phi)}, with tr_g g' from the
+kept components (`components_trace`), re-solving on a Fourier-refined grid
+to test stability under grid doubling. `refine_field` pads real half
+spectra, one real component of omega at a time. The re-solve starts from the
+refined coarse solution and iterates to its own tolerance.
 """
 
 from dataclasses import dataclass, field
@@ -68,8 +85,12 @@ from .geometry import (
     ScalarField,
     VolumeField,
     coarsen_field,
+    components_inv,
+    components_logdet,
+    components_trace,
+    herm_components,
     herm_det,
-    herm_inv,
+    herm_from_components,
     herm_logdet,
     refine_field,
 )
@@ -130,14 +151,13 @@ class EllipticSolution:
     residual: float
     method: str
     iterations: int
+    # the real components of omega + i ddbar phi, in the order of
+    # `herm_components`, from the residual that gave ``residual``
+    metric_parts: list = field(repr=False)
     extras: dict = field(default_factory=dict)
 
     def updated_metric(self):
-        chart = self.problem.chart
-        return HermitianMatrixField(
-            chart,
-            self.problem.omega.values + chart.complex_hessian(self.phi.values),
-        )
+        return HermitianMatrixField.from_components(self.problem.chart, self.metric_parts)
 
 
 def _normalize(problem, phi_values):
@@ -150,24 +170,37 @@ def _normalize(problem, phi_values):
 
 
 def _residual_field(problem, phi_values, b):
-    Gp = problem.omega.values + problem.chart.complex_hessian(phi_values)
-    return herm_logdet(Gp) - problem._logdet - problem.F.values - b, Gp
+    """(residual field, real components of the updated metric omega + i ddbar
+    phi in the order of `herm_components`) of (phi, b); raises
+    NotPositiveDefinite unless that metric is positive definite."""
+    chart = problem.chart
+    if chart.n <= 2:
+        # FlowScenario's recipe: omega's components plus the live Hessian ones
+        parts = herm_components(problem.omega.values)
+        for k, h in zip(chart.hessian_live, chart.hessian_components(chart.rfft(phi_values))):
+            parts[k] = parts[k] + h
+        logdet = components_logdet(parts)
+    else:
+        Gp = problem.omega.values + chart.complex_hessian(phi_values)
+        logdet = herm_logdet(Gp)
+        parts = herm_components(Gp)
+    return logdet - problem._logdet - problem.F.values - b, parts
 
 
 def _normalized(problem, phi_values, b):
     """Both routes end here: normalize phi, then move b to the residual's
-    mean. Returns (phi, b, residual field, updated metric) there."""
+    mean. Returns (phi, b, residual field, updated metric's components)."""
     phi_values = _normalize(problem, phi_values)
-    res_field, Gp = _residual_field(problem, phi_values, b)
+    res_field, parts = _residual_field(problem, phi_values, b)
     mean = float(res_field.mean())
-    return phi_values, b + mean, res_field - mean, Gp
+    return phi_values, b + mean, res_field - mean, parts
 
 
 def _solution(problem, phi_values, b, method, iterations, extras=None):
-    phi_values, b, res_field, _ = _normalized(problem, phi_values, b)
+    phi_values, b, res_field, parts = _normalized(problem, phi_values, b)
     return EllipticSolution(
         problem, ScalarField(problem.chart, phi_values), b,
-        float(np.max(np.abs(res_field))), method, iterations, extras or {},
+        float(np.max(np.abs(res_field))), method, iterations, parts, extras or {},
     )
 
 
@@ -349,18 +382,18 @@ def _solve_newton(problem, tol, max_steps, phi, b, krylov_cap=None):
     below it; Newton then goes on from the normalized pair, within
     ``max_steps``, and never returns a residual above tol."""
     chart = problem.chart
-    res_field, Gp = _residual_field(problem, phi, b)
+    res_field, parts = _residual_field(problem, phi, b)
     res = float(np.max(np.abs(res_field)))
     iterations = 0
     floor = ""
     while True:
         if res <= tol:
-            phi, b, res_field, Gp = _normalized(problem, phi, b)
+            phi, b, res_field, parts = _normalized(problem, phi, b)
             res = float(np.max(np.abs(res_field)))
             if res <= tol:
                 return EllipticSolution(
                     problem, ScalarField(chart, phi), b, res, "newton-continuation",
-                    iterations,
+                    iterations, parts,
                 )
             floor = (
                 f"; normalizing phi last rounded a residual below tol up to {res:.3e}: "
@@ -371,16 +404,18 @@ def _solve_newton(problem, tol, max_steps, phi, b, krylov_cap=None):
                 f"newton residual {res:.3e} after {iterations} steps" + floor
             )
         # tr(Gp^-1 H) as real weights times the Hessian's live real components
-        weights = chart.hessian_trace_weights(herm_inv(Gp))
+        weights = chart.components_trace_weights(components_inv(parts))
 
         def lap(spec):
             # Delta' of the field with half spectrum spec
             return sum(w * h for w, h in zip(weights, chart.hessian_components(spec)))
 
         # right preconditioner M^-1: the inverse flat Laplacian
-        # tr(Gbar^-1 H) of the mean metric, as a half-spectrum multiplier;
-        # the Krylov solve runs on y with dphi = M^-1 y
-        inverse = chart.laplacian_inverse(np.linalg.inv(chart.mean(Gp)))
+        # tr(Gbar^-1 H) of the mean metric Gbar, as a half-spectrum
+        # multiplier; the Krylov solve runs on y with dphi = M^-1 y. The
+        # stacked components reduce node by node, as the matrix field did
+        Gbar = herm_from_components(list(chart.mean(np.stack(parts, axis=-1))), ())
+        inverse = chart.laplacian_inverse(np.linalg.inv(Gbar))
         proj = lambda v: v - v.mean()
         rhs = -proj(res_field)
         # forcing term: tighter as res falls, but no tighter than the
@@ -401,7 +436,7 @@ def _solve_newton(problem, tol, max_steps, phi, b, krylov_cap=None):
         s = 1.0
         while s >= 2.0 ** -24:
             try:
-                trial_field, trial_Gp = _residual_field(
+                trial_field, trial_parts = _residual_field(
                     problem, phi + s * dphi, b + s * db
                 )
             except NotPositiveDefinite:
@@ -411,14 +446,19 @@ def _solve_newton(problem, tol, max_steps, phi, b, krylov_cap=None):
             if trial_res <= (1.0 - 0.25 * s) * res or trial_res <= tol:
                 phi = phi + s * dphi
                 b = b + s * db
-                res_field, Gp, res = trial_field, trial_Gp, trial_res
+                res_field, parts, res = trial_field, trial_parts, trial_res
                 break
             s *= 0.5
         else:
+            # the part of the residual in the modes no Wirtinger operator
+            # sees, which no Newton step can move: the modes strip_invisible
+            # removes, less the mean, which b absorbs
+            invisible = res_field - chart.strip_invisible(res_field) - res_field.mean()
             raise NonConvergence(
-                f"newton line search stalled at residual {res:.3e}; the last "
-                f"Krylov solve reached {lin_res:.3e} against tolerance {lin_tol:.3e}"
-                + floor
+                f"newton line search stalled at residual {res:.3e}, "
+                f"{float(np.max(np.abs(invisible))):.3e} of it in modes no Wirtinger "
+                f"operator sees; the last Krylov solve reached {lin_res:.3e} against "
+                f"tolerance {lin_tol:.3e}" + floor
             )
         iterations += 1
 
@@ -447,9 +487,9 @@ def certify_estimates(solution, A_grid, tol=None):
     problem = solution.problem
 
     def stats(sol):
-        omega = sol.problem.omega.values
-        Gp = omega + sol.problem.chart.complex_hessian(sol.phi.values)
-        tr = np.einsum("...ji,...ij->...", herm_inv(omega), Gp).real
+        # tr_g g' from the updated metric the solution kept
+        omega_inv = components_inv(herm_components(sol.problem.omega.values))
+        tr = components_trace(omega_inv, sol.metric_parts)
         phi = sol.phi.values
         shifted = phi - phi.min()
         osc = float(phi.max() - phi.min())

@@ -36,22 +36,27 @@ exact derivative has, the other being rounding.
 
 This is the one module that transforms (on numpy, the only backend) and
 decides positivity: `herm_logdet` is the test that runs before every log det.
-Real fields go through the real-to-complex pair `TorusChart.rfft`/`irfft`,
-whose half spectrum halves the last active axis; `fft`/`ifft` stay for
-complex fields. `complex_hessian` works from a half spectrum, computed or
-given. Its n^2 real components (h_ii, Re h_ij, Im h_ij for i < j, the order
-of `herm_components`) each have a cached real half-grid multiplier. The chart
-flags, once, each multiplier that is identically zero: that component is
-zero by construction (Im h_12 on active axes (0, 2), where mu_1 conj(mu_2) is
-real), and `hessian_live` lists the others. Only a live component costs an
-inverse real transform of the spectrum times its multiplier; a dead one
-costs nothing, and `complex_hessian` writes exact zeros there.
-`hessian_trace_weights` turns a Hermitian matrix field into the real
-weights that contract the live components, and `laplacian_symbol` and
+Every other transform is of a real field, through the real-to-complex pair
+`TorusChart.rfft`/`irfft`, whose half spectrum halves the last active axis;
+`refine_field` zero-pads such half spectra, one real component of a
+Hermitian field at a time. `complex_hessian` works from a half spectrum,
+computed or given. Its n^2 real components (h_ii, Re h_ij, Im h_ij for
+i < j, the order of `herm_components`) each have a cached real half-grid
+multiplier. The chart flags, once, each multiplier that is identically
+zero: that component is zero by construction (Im h_12 on active axes
+(0, 2), where mu_1 conj(mu_2) is real), and `hessian_live` lists the
+others. Only a live component costs an inverse real transform of the
+spectrum times its multiplier; a dead one costs nothing, and
+`complex_hessian` writes exact zeros there.
+`hessian_trace_weights` turns a Hermitian matrix field, and
+`components_trace_weights` its real components, into the real weights that
+contract the live components, and `laplacian_symbol` and
 `laplacian_inverse` are the half-grid multipliers of the constant-coefficient
 Laplacians. `herm_components` and `herm_from_components` go between a
-Hermitian matrix field and its real components, and `components_logdet` is
-`herm_logdet` on components for n <= 2.
+Hermitian matrix field and its real components. On components,
+`components_logdet` is `herm_logdet` for n <= 2, and `components_inv` and
+`components_trace` are `herm_inv` and the trace of a product, in closed form
+for n <= 2, where they repeat the matrix results bitwise.
 """
 
 import math
@@ -167,14 +172,6 @@ class TorusChart:
         return k.reshape(shape)
 
     # -- transforms and differentiation ---------------------------------------
-
-    def fft(self, values):
-        """Discrete Fourier transform over the active axes."""
-        return np.fft.fftn(values, axes=self.active_axes)
-
-    def ifft(self, spec):
-        """Inverse of `fft`, complex-valued."""
-        return np.fft.ifftn(spec, axes=self.active_axes)
 
     def rfft(self, values):
         """Half spectrum of a real field over the active axes, of shape
@@ -300,6 +297,16 @@ class TorusChart:
                 w.append(-2.0 * A[..., j, i].imag if imag else 2.0 * A[..., j, i].real)
         return w
 
+    def components_trace_weights(self, parts):
+        """`hessian_trace_weights` of the Hermitian field A whose real
+        components are ``parts``: a diagonal one as it is, an off-diagonal one
+        doubled (A_ji h_ij + A_ij h_ji = 2 Re A_ij Re h_ij + 2 Im A_ij Im h_ij)."""
+        entries = _component_entries(self.n)
+        return [
+            parts[k] if entries[k][0] == entries[k][1] else 2.0 * parts[k]
+            for k in self.hessian_live
+        ]
+
     def laplacian_symbol(self, A):
         """Real Fourier symbol, on the half grid, of the constant-coefficient
         operator sum_ij A_ji d_i d_jbar for a Hermitian n x n matrix A."""
@@ -392,7 +399,10 @@ def herm_from_components(parts, shape):
             out[..., i, i] = p
         elif imag:
             out.imag[..., i, j] = p
-            np.negative(p, out=out.imag[..., j, i])
+            # not np.negative: on numpy 2.4 it misreads an input of stride
+            # 64 bytes (a 2 x 2 complex field's component view) when the
+            # output is strided too
+            np.multiply(p, -1.0, out=out.imag[..., j, i])
         else:
             out.real[..., i, j] = out.real[..., j, i] = p
     return out
@@ -480,6 +490,34 @@ def herm_logdet(values):
     return np.log(det)
 
 
+def components_inv(parts):
+    """The real components of the inverse of the Hermitian field whose
+    components are ``parts``, in the order of `herm_components`. For n <= 2
+    it is the closed form, dividing as `herm_inv` does (numpy divides a
+    complex entry by the real det as a product with 1/det), so the result is
+    bitwise ``herm_components(herm_inv(...))``."""
+    if len(parts) == 1:
+        return [1.0 / parts[0]]
+    if len(parts) == 4:
+        a, re, im, d = parts
+        r = 1.0 / (a * d - (re ** 2 + im ** 2))  # 1 / herm_det
+        return [d * r, -re * r, -im * r, a * r]
+    return herm_components(herm_inv(herm_from_components(parts, np.shape(parts[0]))))
+
+
+def components_trace(a, b):
+    """tr(A B), as a real field, of the Hermitian fields A and B whose real
+    components are ``a`` and ``b``. For n = 2 the terms are summed as
+    ``np.einsum("...ji,...ij->...", A, B)`` sums them, so the result is
+    bitwise the real part of that einsum."""
+    if len(a) == 4:
+        # Re(A_10 B_01), which the sum meets again as Re(A_01 B_10)
+        cross = a[1] * b[1] + a[2] * b[2]
+        return (a[0] * b[0] + cross) + (cross + a[3] * b[3])
+    entries = _component_entries(math.isqrt(len(a)))
+    return sum((1.0 if i == j else 2.0) * x * y for (i, j, _), x, y in zip(entries, a, b))
+
+
 def components_logdet(parts):
     """`herm_logdet` of the n x n Hermitian field, n <= 2, whose real
     components, in the order of `herm_components`, are ``parts``."""
@@ -553,6 +591,16 @@ class HermitianMatrixField:
         self.values = 0.5 * (values + adj)
 
     @classmethod
+    def from_components(cls, chart, parts):
+        """The field whose real components, in the order of
+        `herm_components`, are ``parts``. It is Hermitian by construction,
+        so nothing is checked or symmetrized."""
+        field = cls.__new__(cls)
+        field.chart = chart
+        field.values = herm_from_components(parts, chart.shape)
+        return field
+
+    @classmethod
     def constant(cls, chart, matrix):
         return cls(chart, np.asarray(matrix, dtype=complex))
 
@@ -592,10 +640,6 @@ def min_eigenvalue(field):
     return herm_eig_bounds(field.values)[0]
 
 
-def eigenvalue_range(field):
-    return herm_eig_bounds(field.values)
-
-
 def require_positive(field, what="metric"):
     low = min_eigenvalue(field)
     if not low > 0.0:
@@ -614,26 +658,6 @@ def metric_volume(g):
     return float(math.factorial(n) * 2.0 ** n * chart.integral(det))
 
 
-def spectral_energy_report(field):
-    """Fraction of non-mean spectral energy in the top third per active axis."""
-    chart = field.chart
-    spec = chart.fft(field.values)
-    power = np.abs(spec) ** 2
-    power[(0,) * chart.naxes] = 0.0
-    total = power.sum()
-    report = {}
-    for a in chart.active_axes:
-        m = chart.shape[a]
-        idx = np.fft.fftfreq(m) * m
-        high = np.abs(idx) >= m / 3.0
-        sel = [slice(None)] * chart.naxes
-        sel[a] = high
-        frac = power[tuple(sel)].sum() / total if total > 0 else 0.0
-        report[a] = float(frac)
-    report["max_fraction"] = max(report.values()) if report else 0.0
-    return report
-
-
 def refine_chart(chart):
     """The chart with twice the nodes along each active axis."""
     res = tuple(
@@ -643,24 +667,33 @@ def refine_chart(chart):
 
 
 def refine_field(field):
-    """Fourier interpolation of a field onto the grid of `refine_chart`."""
+    """Fourier interpolation of a field onto the grid of `refine_chart`; a
+    Hermitian field is refined one real component at a time."""
     chart = field.chart
     fine = refine_chart(chart)
-    spec = chart.fft(field.values)
+    if isinstance(field, HermitianMatrixField):
+        parts = [_refine_real(chart, fine, p) for p in herm_components(field.values)]
+        return HermitianMatrixField.from_components(fine, parts)
+    return type(field)(fine, _refine_real(chart, fine, field.values))
+
+
+def _refine_real(chart, fine, values):
+    # zero-pad the half spectrum of a real field from m to 2m modes along
+    # each active axis, splitting the Nyquist bin symmetrically between
+    # wavenumbers m/2 and -m/2; the halved last axis stores only m/2
+    spec = chart.rfft(values)
+    last = chart.active_axes[-1]
     for a in chart.active_axes:
-        # zero-pad axis a from m to 2m modes, splitting the Nyquist bin
-        # symmetrically between wavenumbers m/2 and -m/2
         half = chart.shape[a] // 2
         src = np.moveaxis(spec, a, 0)
-        padded = np.zeros((4 * half,) + src.shape[1:], dtype=complex)
+        padded = np.zeros((fine.half_shape[a],) + src.shape[1:], dtype=complex)
         padded[:half] = src[:half]
-        padded[1 - half:] = src[1 - half:]
-        padded[half] = padded[-half] = 0.5 * src[half]
+        padded[half] = 0.5 * src[half]
+        if a != last:
+            padded[1 - half:] = src[1 - half:]
+            padded[-half] = padded[half]
         spec = np.moveaxis(padded, 0, a)
-    out = fine.ifft(spec * (fine.grid_count / chart.grid_count))
-    if isinstance(field, HermitianMatrixField):
-        return HermitianMatrixField(fine, out)
-    return type(field)(fine, out.real)
+    return fine.irfft(spec * (fine.grid_count / chart.grid_count))
 
 
 def coarsen_chart(chart):

@@ -119,3 +119,53 @@ def count_transforms(monkeypatch):
 
         monkeypatch.setattr(np.fft, name, counted)
     return calls
+
+
+# -- test-only field reports and the complex refinement oracle ------------------
+
+
+def eigenvalue_range(field):
+    """(min, max) eigenvalue over all nodes of a Hermitian matrix field."""
+    from crflab.geometry import herm_eig_bounds
+
+    return herm_eig_bounds(field.values)
+
+
+def spectral_energy_report(field):
+    """Fraction of non-mean spectral energy in the top third per active axis."""
+    chart = field.chart
+    spec = np.fft.fftn(field.values, axes=chart.active_axes)
+    power = np.abs(spec) ** 2
+    power[(0,) * chart.naxes] = 0.0
+    total = power.sum()
+    report = {}
+    for a in chart.active_axes:
+        m = chart.shape[a]
+        idx = np.fft.fftfreq(m) * m
+        high = np.abs(idx) >= m / 3.0
+        sel = [slice(None)] * chart.naxes
+        sel[a] = high
+        frac = power[tuple(sel)].sum() / total if total > 0 else 0.0
+        report[a] = float(frac)
+    report["max_fraction"] = max(report.values()) if report else 0.0
+    return report
+
+
+def refine_values_complex(chart, values):
+    """Fourier interpolation of grid-leading ``values`` (tensor indices
+    allowed) onto the grid of `refine_chart` by complex zero padding of the
+    full spectrum, the Nyquist bin split between wavenumbers m/2 and -m/2:
+    the oracle of `refine_field`."""
+    from crflab.geometry import refine_chart
+
+    fine = refine_chart(chart)
+    spec = np.fft.fftn(values, axes=chart.active_axes)
+    for a in chart.active_axes:
+        half = chart.shape[a] // 2
+        src = np.moveaxis(spec, a, 0)
+        padded = np.zeros((4 * half,) + src.shape[1:], dtype=complex)
+        padded[:half] = src[:half]
+        padded[1 - half:] = src[1 - half:]
+        padded[half] = padded[-half] = 0.5 * src[half]
+        spec = np.moveaxis(padded, 0, a)
+    return np.fft.ifftn(spec * (fine.grid_count / chart.grid_count), axes=chart.active_axes)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -14,8 +16,10 @@ from crflab.geometry import (
     HermitianMatrixField,
     ScalarField,
     TorusChart,
+    herm_components,
     herm_det,
     herm_inv,
+    herm_logdet,
     min_eigenvalue,
     refine_field,
 )
@@ -249,10 +253,80 @@ class TestSolve:
             solve_elliptic(wave_problem(32), tol=1e-7, max_steps=12)
         assert len(calls) >= 2
 
+    def test_stalled_line_search_names_the_invisible_part(self):
+        # on 32^2 at tol 1e-8 most of the stalled residual sits in modes no
+        # Wirtinger operator sees, which no Newton step can reduce
+        solve = elliptic._bicgstab
+        applies = []
+
+        def counted(op, rhs, tol, **kwargs):
+            def apply(v):
+                applies.append(1)
+                return op(v)
+
+            return solve(apply, rhs, tol, **kwargs)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(elliptic, "_bicgstab", counted)
+            with pytest.raises(NonConvergence) as err:
+                solve_elliptic(wave_problem(32), tol=1e-8)
+        found = re.search(r"stalled at residual (\S+), (\S+) of it in modes no "
+                          r"Wirtinger operator sees", str(err.value))
+        assert found
+        res, invisible = (float(x) for x in found.groups())
+        assert res > 1e-8 and 0.5 * res < invisible <= res
+        assert len(applies) <= 1658
+
     def test_unknown_method_rejected(self, chart1):
         prob, _ = manufactured_problem(chart1, np.array([[1.2]]), 12, 0.1)
         with pytest.raises(ValueError):
             solve_elliptic(prob, "simplex")
+
+
+class TestComponentResidual:
+    @pytest.mark.parametrize("chart", [
+        TorusChart(1, 32, active_axes=(0,)),
+        TorusChart(2, 32, active_axes=(0, 2)),
+        TorusChart(2, 8),
+    ], ids=["n1", "n2_axes_0_2", "n2_all"])
+    def test_repeats_the_matrix_residual_bitwise(self, chart):
+        base = np.array([[1.3]]) if chart.n == 1 else np.array(
+            [[1.2, 0.1 + 0.05j], [0.1 - 0.05j, 1.0]]
+        )
+        problem, _ = manufactured_problem(chart, base, 21, 0.1)
+        phi = bandlimited_scalar(chart, 22, amplitude=0.05).values
+        res, parts = _residual_field(problem, phi, 0.3)
+        Gp = problem.omega.values + chart.complex_hessian(phi)
+        expected = herm_logdet(Gp) - herm_logdet(problem.omega.values) - problem.F.values - 0.3
+        assert np.array_equal(res, expected)
+        assert all(np.array_equal(p, q) for p, q in zip(parts, herm_components(Gp)))
+
+    @pytest.mark.parametrize("n, hessians", [(1, 0), (2, 0), (3, 1)])
+    def test_only_n3_builds_the_matrix(self, n, hessians, monkeypatch):
+        chart = TorusChart(n, 8, active_axes=(0,))
+        problem, _ = manufactured_problem(chart, np.eye(n), 23, 0.05)
+        built = []
+        hessian = TorusChart.complex_hessian
+
+        def counted(self, *args, **kwargs):
+            built.append(1)
+            return hessian(self, *args, **kwargs)
+
+        monkeypatch.setattr(TorusChart, "complex_hessian", counted)
+        phi = bandlimited_scalar(chart, 24, amplitude=0.05).values
+        res, parts = _residual_field(problem, phi, 0.0)
+        assert len(built) == hessians and len(parts) == n * n
+        monkeypatch.undo()
+        Gp = problem.omega.values + chart.complex_hessian(phi)
+        assert np.array_equal(res, herm_logdet(Gp) - problem._logdet - problem.F.values)
+
+    def test_solution_keeps_the_updated_metric(self, chart2):
+        base = np.array([[1.2, 0.1], [0.1, 1.0]])
+        prob, _ = manufactured_problem(chart2, base, 13, 0.12)
+        for method in ("newton-continuation", "gill-flow"):
+            sol = solve_elliptic(prob, method, tol=1e-6)
+            Gp = prob.omega.values + chart2.complex_hessian(sol.phi.values)
+            assert np.array_equal(sol.updated_metric().values, Gp)
 
 
 class TestKrylov:
@@ -354,6 +428,20 @@ class TestEstimates:
         shifted = sol.phi.values - sol.phi.values.min()
         expected = tuple(float(np.max(tr * np.exp(-A * shifted))) for A in grid)
         assert certify_estimates(sol, grid).C_coarse == expected
+
+    def test_certify_transforms_real_fields_only(self, chart2, monkeypatch):
+        # refining omega costs one rfftn and one irfftn per real component
+        # (4), F and phi one each; the 128^2 re-solve starts converged, so
+        # it makes two residuals (rfftn and 3 live irfftn each) and one
+        # strip_invisible (rfftn and irfftn); stats transforms nothing
+        base = np.array([[1.2, 0.1], [0.1, 1.0]])
+        prob, _ = manufactured_problem(chart2, base, 13, 0.12)
+        sol = solve_elliptic(prob)
+        solves = record_solves(monkeypatch)
+        calls = count_transforms(monkeypatch)
+        certify_estimates(sol, (0.0, 1.0, 4.0))
+        assert [s.iterations for _, s in solves] == [0]
+        assert calls == {"rfftn": 4 + 1 + 1 + 3, "irfftn": 4 + 1 + 1 + 7}
 
     def test_manufactured_statistics_stable(self, chart2):
         base = np.array([[1.2, 0.1], [0.1, 1.0]])

@@ -7,9 +7,11 @@ from crflab.geometry import (
     HopfSampleSet,
     ScalarField,
     TorusChart,
+    VolumeField,
     coarsen_chart,
     coarsen_field,
-    eigenvalue_range,
+    components_inv,
+    components_trace,
     herm_det,
     herm_components,
     herm_eig_bounds,
@@ -20,12 +22,17 @@ from crflab.geometry import (
     herm_pencil_eigvals,
     i_ddbar,
     min_eigenvalue,
+    refine_chart,
     refine_field,
     spectral_derivative,
-    spectral_energy_report,
 )
 
-from conftest import bandlimited_scalar
+from conftest import (
+    bandlimited_scalar,
+    eigenvalue_range,
+    refine_values_complex,
+    spectral_energy_report,
+)
 
 
 def fd8_derivative(values, axis, h):
@@ -331,6 +338,13 @@ class TestHalfSpectrumHessian:
         parts[5] = None  # A_22 = 0
         assert not herm_from_components(parts, (5,))[:, 1, 1].any()
 
+    def test_components_round_trip_from_2x2_views(self):
+        # a 2 x 2 complex field's component views have a 64-byte stride,
+        # which numpy 2.4's np.negative misreads into a strided output
+        rng = np.random.default_rng(6)
+        A = _random_hermitian(rng, 2, nodes=64)
+        assert np.array_equal(herm_from_components(herm_components(A), (64,)), A)
+
     @pytest.mark.parametrize("chart", HESSIAN_CHARTS, ids=HESSIAN_IDS)
     def test_rfft_roundtrip(self, chart):
         u = np.random.default_rng(7).standard_normal(chart.shape)
@@ -480,6 +494,53 @@ def _random_hermitian(rng, n, nodes=6):
     return a + np.conj(np.swapaxes(a, -1, -2))
 
 
+def _positive_field(chart, seed):
+    """A positive definite Hermitian field with white-noise entries."""
+    rng = np.random.default_rng(seed)
+    n, shape = chart.n, chart.shape + (chart.n, chart.n)
+    a = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    return HermitianMatrixField(
+        chart, np.einsum("...ab,...cb->...ac", a, np.conj(a)) + np.eye(n)
+    )
+
+
+COMPONENT_CHARTS = [
+    TorusChart(1, 32, active_axes=(0,)),
+    TorusChart(2, 16, active_axes=(0, 2)),
+    TorusChart(2, 8),
+]
+COMPONENT_IDS = ["n1", "n2_axes_0_2", "n2_all"]
+
+
+class TestComponentKernels:
+    @pytest.mark.parametrize("chart", COMPONENT_CHARTS, ids=COMPONENT_IDS)
+    def test_inverse_and_weights_repeat_the_matrix_path(self, chart):
+        G = _positive_field(chart, 1).values
+        inv = components_inv(herm_components(G))
+        assert all(np.array_equal(p, q) for p, q in zip(inv, herm_components(herm_inv(G))))
+        weights = chart.components_trace_weights(inv)
+        expected = chart.hessian_trace_weights(herm_inv(G))
+        assert len(weights) == len(expected) == len(chart.hessian_live)
+        assert all(np.array_equal(w, e) for w, e in zip(weights, expected))
+
+    @pytest.mark.parametrize("chart", COMPONENT_CHARTS, ids=COMPONENT_IDS)
+    def test_trace_repeats_the_einsum(self, chart):
+        A = herm_inv(_positive_field(chart, 2).values)
+        B = _positive_field(chart, 3).values
+        got = components_trace(herm_components(A), herm_components(B))
+        assert np.array_equal(got, np.einsum("...ji,...ij->...", A, B).real)
+
+    def test_n3_inverse_and_trace(self):
+        rng = np.random.default_rng(4)
+        a = _random_hermitian(rng, 3) + 8.0 * np.eye(3)
+        b = _random_hermitian(rng, 3)
+        inv = herm_from_components(components_inv(herm_components(a)), (6,))
+        assert np.max(np.abs(inv - np.linalg.inv(a))) <= 1e-15
+        got = components_trace(herm_components(a), herm_components(b))
+        ref = np.einsum("...ji,...ij->...", a, b).real
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
 class TestHermPencil:
     def test_mixed_det_is_the_cross_term_of_det(self):
         rng = np.random.default_rng(4)
@@ -521,6 +582,18 @@ class TestLaplacianInverse:
 
 
 class TestRefine:
+    @pytest.mark.parametrize("chart", COMPONENT_CHARTS, ids=COMPONENT_IDS)
+    def test_half_spectrum_padding_matches_complex_padding(self, chart):
+        # white noise fills every mode, Nyquist planes included
+        u = np.random.default_rng(8).standard_normal(chart.shape)
+        fields = [ScalarField(chart, u), VolumeField(chart, 2.0 + np.tanh(u)),
+                  _positive_field(chart, 9)]
+        for field in fields:
+            fine = refine_field(field)
+            assert type(fine) is type(field) and fine.chart == refine_chart(chart)
+            oracle = refine_values_complex(chart, field.values)
+            assert np.max(np.abs(fine.values - oracle)) <= 1e-13
+
     def test_refine_reproduces_trig_interpolant(self, chart2):
         f = bandlimited_scalar(chart2, 12, modes=3)
         fine = refine_field(f)

@@ -463,11 +463,14 @@ class TestCli:
         # 16 nodes per axis leave the trace-evolution residual above its
         # tolerance, so this run also covers the bytes of a failed report
         (["verify-identities", "--resolution", "16"], 3),
-    ], ids=["run-flow", "hopf-verify", "hopf-explicit", "verify-identities"])
+        # a 64^2 Newton solve and its certificate on the doubled grid
+        (["solve-ma", "--scenario", "elliptic_n2.cfg", "--a-grid", "0", "1"], 0),
+    ], ids=["run-flow", "hopf-verify", "hopf-explicit", "verify-identities", "solve-ma"])
     def test_outputs_repeat_byte_for_byte(self, tmp_path, capsys, argv, code):
         # identical manifests give identical bytes, in every file a run writes
-        scen = _write(tmp_path, "s.cfg", FLOW_N1)
-        argv = [scen if a == "s.cfg" else a for a in argv]
+        paths = {"s.cfg": _write(tmp_path, "s.cfg", FLOW_N1),
+                 "elliptic_n2.cfg": os.path.join(CONFIGS, "elliptic_n2.cfg")}
+        argv = [paths.get(a, a) for a in argv]
         outs = [tmp_path / "a", tmp_path / "b"]
         for out in outs:
             assert main(argv + ["--out", str(out)]) == code
