@@ -22,18 +22,15 @@ per Newton iteration. Everything spectral comes from `geometry`
 (this module makes no transform of its own), and the multiplier is
 `TorusChart.laplacian_inverse`.
 
-For n <= 2 the residual works on the updated metric's real components, in
-the order of `herm_components`, as `FlowScenario`'s right side does: omega's
-components plus the live Hessian components of phi's half spectrum, with
-`components_logdet` as the positivity test (det > 0 and tr > 0), and no
-complex matrix is built. For n >= 3 it forms the matrix omega + i ddbar phi
-and tests it with `herm_logdet`. Either way it returns the components, and
-everything downstream reads them: the Krylov weights tr(G'^-1 H) are
+The residual forms the updated metric's real components, in the order of
+`herm_components`, with `FlowScenario`'s recipe for every n: omega's
+components plus the Hessian of phi's half spectrum (`TorusChart.plus_hessian`),
+with `components_logdet` as the positivity test. Everything downstream reads
+those components: the Krylov weights tr(G'^-1 H) are
 `components_trace_weights` of `components_inv`, and the preconditioner's mean
-metric is the grid mean of the stacked components. For n <= 2 both repeat
-the matrix results bitwise (`geometry`). `EllipticProblem` takes the
-background's log det once, as its positivity test, for every residual to
-read.
+metric is the grid mean of the stacked components. `EllipticProblem` is
+frozen and takes the background's log det once, as its positivity test, for
+every residual to read.
 
 Both start from phi = 0 unless given a start phi0 (Newton also takes b0)
 and share one ending: phi loses the modes no Wirtinger operator sees, which
@@ -110,7 +107,7 @@ _COARSE_KRYLOV_CAP = 25
 _GILL_STALL_STEPS = 100
 
 
-@dataclass
+@dataclass(frozen=True)
 class EllipticProblem:
     omega: HermitianMatrixField
     F: ScalarField
@@ -119,7 +116,8 @@ class EllipticProblem:
     def __post_init__(self):
         self.omega.chart.require_same(self.F.chart)
         try:
-            self._logdet = herm_logdet(self.omega.values)
+            # the problem is frozen, so this stays the log det of its omega
+            object.__setattr__(self, "_logdet", herm_logdet(self.omega.values))
         except NotPositiveDefinite:
             raise NotPositiveDefinite("background metric is not positive definite") from None
         if self.normalization not in ("mean", "sup"):
@@ -174,17 +172,8 @@ def _residual_field(problem, phi_values, b):
     phi in the order of `herm_components`) of (phi, b); raises
     NotPositiveDefinite unless that metric is positive definite."""
     chart = problem.chart
-    if chart.n <= 2:
-        # FlowScenario's recipe: omega's components plus the live Hessian ones
-        parts = herm_components(problem.omega.values)
-        for k, h in zip(chart.hessian_live, chart.hessian_components(chart.rfft(phi_values))):
-            parts[k] = parts[k] + h
-        logdet = components_logdet(parts)
-    else:
-        Gp = problem.omega.values + chart.complex_hessian(phi_values)
-        logdet = herm_logdet(Gp)
-        parts = herm_components(Gp)
-    return logdet - problem._logdet - problem.F.values - b, parts
+    parts = chart.plus_hessian(herm_components(problem.omega.values), chart.rfft(phi_values))
+    return components_logdet(parts) - problem._logdet - problem.F.values - b, parts
 
 
 def _normalized(problem, phi_values, b):

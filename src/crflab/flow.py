@@ -21,15 +21,13 @@ new state's right side transforms its grid phi afresh, so a state depends
 only on its own values and a resumed run repeats an uninterrupted one
 bitwise.
 
-For n <= 2 the right side works on real components, in the order of
-`herm_components`: a scenario keeps g0's and chi's components as views,
-forms ghat_t's from them, adds the live Hessian components (a component
-that is zero by construction costs no transform), and takes det in closed
-form, a d - (Re b^2 + Im b^2), after `components_logdet`'s positivity test,
-det > 0 and tr > 0. It returns the metric's components, and only
-`state_at`, which needs omega for the eigenvalue bounds, the monitor row,
-samples and checkpoints, assembles the complex matrix. For n >= 3 a stage
-forms the matrix ghat_t + Hess phi and tests it with `herm_logdet`.
+The right side works on real components, in the order of `herm_components`,
+for every n: a scenario keeps g0's and chi's components as views, forms
+ghat_t's from them, adds the Hessian of the stage spectrum with
+`TorusChart.plus_hessian` and takes `components_logdet`, the one positivity
+test. It returns the metric's components, and only `state_at`, which needs
+omega for the eigenvalue bounds, the monitor row, samples and checkpoints,
+assembles the complex matrix.
 
 The right side splits as L phi + N(phi, t) with
 the diagonal operator L = (1/lambda_min) sum_i d_i d_ibar - d, where
@@ -82,7 +80,6 @@ from .geometry import (
     herm_det,
     herm_eig_bounds,
     herm_from_components,
-    herm_logdet,
     herm_pencil_eigvals,
     i_ddbar,
     require_positive,
@@ -218,7 +215,7 @@ class FlowScenario:
         for _ in range(53):
             width *= 0.5
             t = np.where(sum(m / (1.0 + (t + width) * m) for m in mu) > 0.0, t + width, t)
-        logdet = herm_logdet(g0.values + t[..., None, None] * chi.values)
+        logdet = components_logdet(self._reference_parts(t))
         self.monitor_A = float(np.max(logdet - self._log_density))
         # half-grid Fourier symbol of sum_i d_i d_ibar, the flat part of the
         # stiff operator
@@ -242,16 +239,9 @@ class FlowScenario:
         chart = self.chart
         if spec is None:
             spec = chart.rfft(np.asarray(phi))
+        parts = chart.plus_hessian(self._reference_parts(t), spec)
         try:
-            if chart.n <= 2:
-                parts = self._reference_parts(t)
-                for k, h in zip(chart.hessian_live, chart.hessian_components(spec)):
-                    parts[k] += h
-                logdet = components_logdet(parts)
-            else:
-                G = self.reference_metric(t) + chart.complex_hessian(None, spec)
-                logdet = herm_logdet(G)
-                parts = herm_components(G)
+            logdet = components_logdet(parts)
         except NotPositiveDefinite:
             raise PositivityLost("interior stage lost positivity", t=t) from None
         return logdet - self._log_density, parts

@@ -35,28 +35,29 @@ Of a real field each term keeps only the real or the imaginary part its
 exact derivative has, the other being rounding.
 
 This is the one module that transforms (on numpy, the only backend) and
-decides positivity: `herm_logdet` is the test that runs before every log det.
-Every other transform is of a real field, through the real-to-complex pair
-`TorusChart.rfft`/`irfft`, whose half spectrum halves the last active axis;
-`refine_field` zero-pads such half spectra, one real component of a
-Hermitian field at a time. `complex_hessian` works from a half spectrum,
-computed or given. Its n^2 real components (h_ii, Re h_ij, Im h_ij for
-i < j, the order of `herm_components`) each have a cached real half-grid
-multiplier. The chart flags, once, each multiplier that is identically
-zero: that component is zero by construction (Im h_12 on active axes
-(0, 2), where mu_1 conj(mu_2) is real), and `hessian_live` lists the
-others. Only a live component costs an inverse real transform of the
-spectrum times its multiplier; a dead one costs nothing, and
-`complex_hessian` writes exact zeros there.
-`hessian_trace_weights` turns a Hermitian matrix field, and
-`components_trace_weights` its real components, into the real weights that
-contract the live components, and `laplacian_symbol` and
-`laplacian_inverse` are the half-grid multipliers of the constant-coefficient
-Laplacians. `herm_components` and `herm_from_components` go between a
-Hermitian matrix field and its real components. On components,
-`components_logdet` is `herm_logdet` for n <= 2, and `components_inv` and
-`components_trace` are `herm_inv` and the trace of a product, in closed form
-for n <= 2, where they repeat the matrix results bitwise.
+decides positivity. Every other transform is of a real field, through the
+real-to-complex pair `TorusChart.rfft`/`irfft`, whose half spectrum halves the
+last active axis; `refine_field` zero-pads such half spectra, one real
+component of a Hermitian field at a time.
+
+Both solvers evaluate log det(A + i ddbar u) and build its argument with one
+recipe, `TorusChart.plus_hessian`, from A's n^2 real components (A_ii, Re A_ij,
+Im A_ij for i < j, the order of `herm_components`) and u's half spectrum. Each
+Hessian component has a cached real half-grid multiplier, and the chart flags
+once each that is identically zero: that component is zero by construction
+(Im h_12 on active axes (0, 2), where mu_1 conj(mu_2) is real), and
+`hessian_live` lists the others. Only a live component costs an `irfft`, into
+which A's component is added; `complex_hessian` is the recipe on A = 0.
+`hessian_trace_weights` and `components_trace_weights` turn a Hermitian field,
+as matrices or as components, into real weights that contract the live
+components; `laplacian_symbol` and `laplacian_inverse` are the half-grid
+multipliers of the constant-coefficient Laplacians.
+
+Per-node linear algebra works on components, in closed form for n <= 2 and
+through LAPACK beyond; `herm_det`, `herm_logdet` and, for n <= 2, `herm_inv`
+take a matrix field's components. `components_logdet` is the one positivity
+test before a log det: det > 0 and tr > 0 for n <= 2, and det > 0 with a
+positive smallest eigenvalue beyond.
 """
 
 import math
@@ -326,19 +327,26 @@ class TorusChart:
         inv[kernel] = 0.0
         return inv
 
-    def complex_hessian(self, values, spec=None):
-        """Matrix of second Wirtinger derivatives d_i d_jbar of a real field.
-
-        Returns an array of shape ``(*grid, n, n)``; it is Hermitian and
-        each component has exactly zero grid mean, and a component that is
-        zero by construction is exactly zero. ``spec``, when given, is the
-        half spectrum ``rfft(values)``, which then is not recomputed.
-        """
-        if spec is None:
-            spec = self.rfft(np.asarray(values))
-        parts = [None] * self.n ** 2
+    def plus_hessian(self, parts, spec):
+        """The real components of A + (d_i d_jbar u), in the order of
+        `herm_components`: ``parts`` are the components of a Hermitian field
+        A (a None part is zero) and ``spec`` is the half spectrum of the real
+        field u. A is added into each live component's fresh `irfft` in
+        place, so its arrays, which may be views, are never written; a
+        component that is zero by construction is A's part itself."""
+        out = list(parts)
         for k, h in zip(self.hessian_live, self.hessian_components(spec)):
-            parts[k] = h
+            if out[k] is not None:
+                h += out[k]
+            out[k] = h
+        return out
+
+    def complex_hessian(self, values):
+        """Matrix field, of shape ``(*grid, n, n)``, of the second Wirtinger
+        derivatives d_i d_jbar of a real field: `plus_hessian` of A = 0. It is
+        Hermitian, each component has exactly zero grid mean, and one that is
+        zero by construction is exactly zero."""
+        parts = self.plus_hessian([None] * self.n ** 2, self.rfft(np.asarray(values)))
         return herm_from_components(parts, self.shape)
 
     def strip_invisible(self, values):
@@ -410,30 +418,14 @@ def herm_from_components(parts, shape):
 
 def herm_det(values):
     """Determinant of a Hermitian matrix field, returned as a real array."""
-    n = values.shape[-1]
-    if n == 1:
-        return values[..., 0, 0].real.copy()
-    if n == 2:
-        a = values[..., 0, 0].real
-        d = values[..., 1, 1].real
-        b = values[..., 0, 1]
-        return a * d - (b.real ** 2 + b.imag ** 2)
-    return np.linalg.det(values).real
+    return components_det(herm_components(values))
 
 
 def herm_inv(values):
-    """Inverse of a Hermitian matrix field (adjugate form for n <= 2)."""
-    n = values.shape[-1]
-    if n == 1:
-        return 1.0 / values
-    if n == 2:
-        det = herm_det(values)
-        out = np.empty_like(values)
-        out[..., 0, 0] = values[..., 1, 1] / det
-        out[..., 1, 1] = values[..., 0, 0] / det
-        out[..., 0, 1] = -values[..., 0, 1] / det
-        out[..., 1, 0] = -values[..., 1, 0] / det
-        return out
+    """Inverse of a Hermitian matrix field: `components_inv` for n <= 2,
+    LAPACK's beyond."""
+    if values.shape[-1] <= 2:
+        return herm_from_components(components_inv(herm_components(values)), values.shape[:-2])
     return np.linalg.inv(values)
 
 
@@ -482,27 +474,21 @@ def herm_pencil_eigvals(a, b):
 def herm_logdet(values):
     """log det of a Hermitian matrix field; raises NotPositiveDefinite unless
     every node is positive definite (NaN fails)."""
-    if values.shape[-1] <= 2:
-        return components_logdet(herm_components(values))
-    det = herm_det(values)
-    if not (np.isfinite(det).all() and herm_eig_bounds(values)[0] > 0.0):
-        raise NotPositiveDefinite("log det of a non-positive matrix field")
-    return np.log(det)
+    return components_logdet(herm_components(values))
 
 
 def components_inv(parts):
     """The real components of the inverse of the Hermitian field whose
-    components are ``parts``, in the order of `herm_components`. For n <= 2
-    it is the closed form, dividing as `herm_inv` does (numpy divides a
-    complex entry by the real det as a product with 1/det), so the result is
-    bitwise ``herm_components(herm_inv(...))``."""
+    components are ``parts``, in the order of `herm_components`: the closed
+    form for n <= 2, multiplying by 1/det as numpy does when it divides a
+    complex entry by a real det, and LAPACK's inverse beyond."""
     if len(parts) == 1:
         return [1.0 / parts[0]]
     if len(parts) == 4:
         a, re, im, d = parts
-        r = 1.0 / (a * d - (re ** 2 + im ** 2))  # 1 / herm_det
+        r = 1.0 / components_det(parts)
         return [d * r, -re * r, -im * r, a * r]
-    return herm_components(herm_inv(herm_from_components(parts, np.shape(parts[0]))))
+    return herm_components(np.linalg.inv(herm_from_components(parts, np.shape(parts[0]))))
 
 
 def components_trace(a, b):
@@ -518,17 +504,31 @@ def components_trace(a, b):
     return sum((1.0 if i == j else 2.0) * x * y for (i, j, _), x, y in zip(entries, a, b))
 
 
-def components_logdet(parts):
-    """`herm_logdet` of the n x n Hermitian field, n <= 2, whose real
-    components, in the order of `herm_components`, are ``parts``."""
+def components_det(parts):
+    """Determinant, as a new real array, of the Hermitian field whose real
+    components, in the order of `herm_components`, are ``parts``; in closed
+    form for n <= 2."""
     if len(parts) == 1:
-        det = tr = parts[0]
-    else:
+        return np.array(parts[0], dtype=float)
+    if len(parts) == 4:
         a, re, im, d = parts
-        det = a * d - (re ** 2 + im ** 2)  # herm_det's closed form
-        tr = a + d
-    # det > 0 and tr > 0 force every eigenvalue positive only for n <= 2
-    if not (det.min() > 0.0 and tr.min() > 0.0):
+        return a * d - (re ** 2 + im ** 2)
+    return np.linalg.det(herm_from_components(parts, np.shape(parts[0]))).real
+
+
+def components_logdet(parts):
+    """log det of the Hermitian field whose real components, in the order of
+    `herm_components`, are ``parts``; raises NotPositiveDefinite unless every
+    node is positive definite (NaN fails): det > 0 and tr > 0 for n <= 2, and
+    beyond det > 0 and the smallest eigenvalue of the matrix, built once."""
+    if len(parts) <= 4:
+        det = components_det(parts)
+        low = (parts[0] if len(parts) == 1 else parts[0] + parts[3]).min()
+    else:
+        values = herm_from_components(parts, np.shape(parts[0]))
+        det = np.linalg.det(values).real
+        low = herm_eig_bounds(values)[0]
+    if not (det.min() > 0.0 and low > 0.0):
         raise NotPositiveDefinite("log det of a non-positive matrix field")
     return np.log(det)
 

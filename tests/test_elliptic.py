@@ -1,3 +1,4 @@
+import dataclasses
 import re
 
 import numpy as np
@@ -113,7 +114,7 @@ class TestSolve:
 
     def test_sup_normalization(self, chart1):
         prob, _ = manufactured_problem(chart1, np.array([[1.2]]), 10, 0.15)
-        prob.normalization = "sup"
+        prob = dataclasses.replace(prob, normalization="sup")
         sol = solve_elliptic(prob, "newton-continuation")
         assert abs(sol.phi.values.max()) <= 1e-12
 
@@ -166,15 +167,28 @@ class TestSolve:
             solve_elliptic(prob, "gill-flow", max_steps=10)
 
     def test_residual_rejects_negative_definite_metric(self, chart2):
-        # diag(-1, -1) has det = 1 > 0; the line search must see it fail
+        # phi = 8 (cos x_0 + cos x_2) puts diag(-1, -1), of det 1 > 0, at the
+        # origin; the line search must see it fail
         problem = EllipticProblem(
             HermitianMatrixField.identity(chart2), ScalarField.zeros(chart2)
         )
-        vals = problem.omega.values.copy()
-        vals[3, 0, 5, 0] = -np.eye(2)
-        problem.omega = HermitianMatrixField(chart2, vals)
+        phi = 8.0 * (np.cos(chart2.axis_coordinates(0)) + np.cos(chart2.axis_coordinates(2)))
+        phi = phi * np.ones(chart2.shape)
+        origin = (0,) * chart2.naxes
+        at_origin = (problem.omega.values + chart2.complex_hessian(phi))[origin]
+        assert np.max(np.abs(at_origin + np.eye(2))) <= 1e-13
         with pytest.raises(NotPositiveDefinite):
-            _residual_field(problem, np.zeros(chart2.shape), 0.0)
+            _residual_field(problem, phi, 0.0)
+
+    def test_problem_is_frozen(self, chart2):
+        # a replaced metric or normalization goes through the checks again
+        problem = EllipticProblem(
+            HermitianMatrixField.identity(chart2), ScalarField.zeros(chart2)
+        )
+        with pytest.raises(ValueError, match="normalization"):
+            dataclasses.replace(problem, normalization="maybe")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            problem.omega = HermitianMatrixField.identity(chart2)
 
     def test_problem_rejects_n3_background_with_two_negative_eigenvalues(self):
         # det = 3 > 0 and tr = 1 > 0, yet the background is indefinite
@@ -283,17 +297,22 @@ class TestSolve:
             solve_elliptic(prob, "simplex")
 
 
+RESIDUAL_BASES = {
+    1: np.array([[1.3]]),
+    2: np.array([[1.2, 0.1 + 0.05j], [0.1 - 0.05j, 1.0]]),
+    3: np.array([[1.2, 0.1 + 0.05j, 0.0], [0.1 - 0.05j, 1.0, 0.05j], [0.0, -0.05j, 1.1]]),
+}
+
+
 class TestComponentResidual:
     @pytest.mark.parametrize("chart", [
         TorusChart(1, 32, active_axes=(0,)),
         TorusChart(2, 32, active_axes=(0, 2)),
         TorusChart(2, 8),
-    ], ids=["n1", "n2_axes_0_2", "n2_all"])
+        TorusChart(3, 8, active_axes=(0, 2, 4)),
+    ], ids=["n1", "n2_axes_0_2", "n2_all", "n3_axes_0_2_4"])
     def test_repeats_the_matrix_residual_bitwise(self, chart):
-        base = np.array([[1.3]]) if chart.n == 1 else np.array(
-            [[1.2, 0.1 + 0.05j], [0.1 - 0.05j, 1.0]]
-        )
-        problem, _ = manufactured_problem(chart, base, 21, 0.1)
+        problem, _ = manufactured_problem(chart, RESIDUAL_BASES[chart.n], 21, 0.1)
         phi = bandlimited_scalar(chart, 22, amplitude=0.05).values
         res, parts = _residual_field(problem, phi, 0.3)
         Gp = problem.omega.values + chart.complex_hessian(phi)
@@ -301,8 +320,8 @@ class TestComponentResidual:
         assert np.array_equal(res, expected)
         assert all(np.array_equal(p, q) for p, q in zip(parts, herm_components(Gp)))
 
-    @pytest.mark.parametrize("n, hessians", [(1, 0), (2, 0), (3, 1)])
-    def test_only_n3_builds_the_matrix(self, n, hessians, monkeypatch):
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_no_n_builds_the_matrix(self, n, monkeypatch):
         chart = TorusChart(n, 8, active_axes=(0,))
         problem, _ = manufactured_problem(chart, np.eye(n), 23, 0.05)
         built = []
@@ -315,7 +334,7 @@ class TestComponentResidual:
         monkeypatch.setattr(TorusChart, "complex_hessian", counted)
         phi = bandlimited_scalar(chart, 24, amplitude=0.05).values
         res, parts = _residual_field(problem, phi, 0.0)
-        assert len(built) == hessians and len(parts) == n * n
+        assert len(built) == 0 and len(parts) == n * n
         monkeypatch.undo()
         Gp = problem.omega.values + chart.complex_hessian(phi)
         assert np.array_equal(res, herm_logdet(Gp) - problem._logdet - problem.F.values)

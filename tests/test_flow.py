@@ -207,15 +207,14 @@ class TestStepping:
     def test_interior_stage_guard_beyond_n2(self):
         chart3 = TorusChart(3, 8, active_axes=(0,))
         g0 = HermitianMatrixField.identity(chart3)
-        chi = HermitianMatrixField.constant(chart3, np.zeros((3, 3)))
-        sc = FlowScenario(g0, 1.0, chi, VolumeField(chart3, 1.0))
+        chi = HermitianMatrixField.constant(chart3, np.diag([-1.0, -1.0, 1.0]))
+        sc = FlowScenario(g0, 0.5, chi, VolumeField(chart3, 1.0))
         phi = np.zeros(chart3.shape)
         assert np.all(sc.rhs(phi, 0.0)[0] == 0.0)
-        # det > 0 and tr > 0, yet two eigenvalues are negative
-        bad = np.diag([-1.0, -1.0, 5.0]).astype(complex)
-        sc.reference_metric = lambda t: np.broadcast_to(bad, chart3.shape + (3, 3))
+        # ghat_2 = diag(-1, -1, 3): det 3 > 0 and tr 1 > 0, yet two
+        # eigenvalues are negative
         with pytest.raises(PositivityLost):
-            sc.rhs(phi, 0.0)
+            sc.rhs(phi, 2.0)
 
     def test_non_finite_potential_loses_positivity(self, chart1, n1_metric):
         sc = scenario_from_metric(n1_metric, 50.0)
@@ -230,8 +229,9 @@ STAGE_CHARTS = [
     TorusChart(1, 32, active_axes=(0,)),
     TorusChart(2, 32, active_axes=(0, 2)),
     TorusChart(2, 16),
+    TorusChart(3, 8, active_axes=(0, 2, 4)),
 ]
-STAGE_IDS = ["n1", "n2_axes_0_2", "n2_all"]
+STAGE_IDS = ["n1", "n2_axes_0_2", "n2_all", "n3_axes_0_2_4"]
 
 
 def _stage_scenario(chart, normalized):
@@ -246,7 +246,7 @@ def _stage_scenario(chart, normalized):
 
 
 class TestComponentStage:
-    """The n <= 2 stage right side works on the metric's real components."""
+    """The stage right side works on the metric's real components, for every n."""
 
     @pytest.mark.parametrize("normalized", [False, True], ids=["plain", "normalized"])
     @pytest.mark.parametrize("chart", STAGE_CHARTS, ids=STAGE_IDS)

@@ -10,6 +10,7 @@ from crflab.geometry import (
     VolumeField,
     coarsen_chart,
     coarsen_field,
+    components_det,
     components_inv,
     components_trace,
     herm_det,
@@ -283,9 +284,18 @@ class TestHalfSpectrumHessian:
         got = chart.complex_hessian(u)
         assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
         assert np.array_equal(got, np.conj(np.swapaxes(got, -1, -2)))
-        half = chart.rfft(u)
-        assert half.shape == chart.half_shape
-        assert np.array_equal(chart.complex_hessian(None, spec=half), got)
+        assert chart.rfft(u).shape == chart.half_shape
+
+    @pytest.mark.parametrize("chart", HESSIAN_CHARTS, ids=HESSIAN_IDS)
+    def test_plus_hessian_adds_without_writing_into_A(self, chart):
+        A = _positive_field(chart, 6).values
+        before = A.copy()
+        u = np.random.default_rng(7).standard_normal(chart.shape)
+        got = chart.plus_hessian(herm_components(A), chart.rfft(u))
+        assert np.array_equal(A, before)
+        expected = herm_components(A + chart.complex_hessian(u))
+        assert len(got) == chart.n ** 2
+        assert all(np.array_equal(p, q) for p, q in zip(got, expected))
 
     @pytest.mark.parametrize("chart", HESSIAN_CHARTS, ids=HESSIAN_IDS)
     def test_trace_weights_contract_the_components(self, chart):
@@ -529,6 +539,14 @@ class TestComponentKernels:
         B = _positive_field(chart, 3).values
         got = components_trace(herm_components(A), herm_components(B))
         assert np.array_equal(got, np.einsum("...ji,...ij->...", A, B).real)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_det_is_a_new_array(self, n):
+        a = _random_hermitian(np.random.default_rng(9), n) + 8.0 * np.eye(n)
+        det = components_det(herm_components(a))
+        assert not np.shares_memory(det, a)
+        ref = np.linalg.det(a).real
+        assert np.max(np.abs(det - ref)) <= 1e-13 * np.max(np.abs(ref))
 
     def test_n3_inverse_and_trace(self):
         rng = np.random.default_rng(4)

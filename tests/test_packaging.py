@@ -35,3 +35,22 @@ def test_geometry_is_the_one_transform_layer():
             if isinstance(node, (ast.Import, ast.ImportFrom)):
                 modules = [a.name for a in node.names] + [getattr(node, "module", None) or ""]
                 assert not any("fft" in m for m in modules), name
+
+
+def test_solvers_form_the_metric_only_through_plus_hessian():
+    # omega + i ddbar phi has one recipe: neither solver names complex_hessian
+    for name in ("flow.py", "elliptic.py"):
+        with open(os.path.join(SRC, "crflab", name), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        names = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.alias):
+                names.add(node.asname or node.name)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                names.add(node.value)
+        assert "complex_hessian" not in names, name
+        assert "plus_hessian" in names, name
