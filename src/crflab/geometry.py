@@ -56,8 +56,9 @@ multipliers of the constant-coefficient Laplacians.
 Per-node linear algebra works on components, in closed form for n <= 2 and
 through LAPACK beyond; `herm_det`, `herm_logdet` and, for n <= 2, `herm_inv`
 take a matrix field's components. `components_logdet` is the one positivity
-test before a log det: det > 0 and tr > 0 for n <= 2, and det > 0 with a
-positive smallest eigenvalue beyond.
+test before a log det: det > 0 and tr > 0 for n <= 2, and beyond a finite
+det > 0 with a Cholesky factor, cheaper than eigenvalues. `herm_eig_bounds`
+is left to the callers that need the bounds, such as `FlowScenario.state_at`.
 """
 
 import math
@@ -516,19 +517,30 @@ def components_det(parts):
     return np.linalg.det(herm_from_components(parts, np.shape(parts[0]))).real
 
 
+def _has_cholesky(values):
+    # a Hermitian matrix has a Cholesky factor exactly when it is positive
+    # definite; LAPACK stops at the first pivot that is not positive
+    try:
+        np.linalg.cholesky(values)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
 def components_logdet(parts):
     """log det of the Hermitian field whose real components, in the order of
     `herm_components`, are ``parts``; raises NotPositiveDefinite unless every
     node is positive definite (NaN fails): det > 0 and tr > 0 for n <= 2, and
-    beyond det > 0 and the smallest eigenvalue of the matrix, built once."""
+    beyond a finite det > 0 and a Cholesky factor of the matrix, built once."""
     if len(parts) <= 4:
         det = components_det(parts)
-        low = (parts[0] if len(parts) == 1 else parts[0] + parts[3]).min()
+        positive = (parts[0] if len(parts) == 1 else parts[0] + parts[3]).min() > 0.0
     else:
         values = herm_from_components(parts, np.shape(parts[0]))
         det = np.linalg.det(values).real
-        low = herm_eig_bounds(values)[0]
-    if not (det.min() > 0.0 and low > 0.0):
+        # det is not finite at a node with an entry that is not
+        positive = det.max() < math.inf and _has_cholesky(values)
+    if not (det.min() > 0.0 and positive):
         raise NotPositiveDefinite("log det of a non-positive matrix field")
     return np.log(det)
 

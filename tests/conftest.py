@@ -169,3 +169,30 @@ def refine_values_complex(chart, values):
         padded[half] = padded[-half] = 0.5 * src[half]
         spec = np.moveaxis(padded, 0, a)
     return np.fft.ifftn(spec * (fine.grid_count / chart.grid_count), axes=chart.active_axes)
+
+
+# -- test-only identity: the curvature as a commutator of covariant derivatives --
+
+
+def commutator_residual(g, X):
+    """Max residual of [nabla_k, nabla_lbar] X^i = R_{k lbar j}^{   i} X^j
+    for a vector field X (values [..., i]), from the tensors module's
+    tensor-first Chern data of ``g``."""
+    from crflab.tensors import _chern, _curvature, _tensor_first
+
+    chart = g.chart
+    G, _, Gamma = _chern(g)
+    X = _tensor_first(chart, X)
+    DbarGamma, _ = _curvature(chart, Gamma, G)
+
+    # nabla_k X^i = d_k X^i + Gamma^i_{kj} X^j; barred slots are inert under
+    # nabla_k of the Chern connection and unbarred ones under nabla_lbar
+    covX = chart.grad(X) + np.einsum("ikj...,j...->ki...", Gamma, X)
+    after = chart.grad(covX, conj=True)  # nabla_lbar nabla_k; [l, k, i]
+    dbarX = chart.grad(X, conj=True)  # [l, i]
+    before = chart.grad(dbarX)  # nabla_k nabla_lbar; [k, l, i]
+    before += np.einsum("ikj...,lj...->kli...", Gamma, dbarX)
+    lhs = before - np.swapaxes(after, 0, 1)
+    # R_{k lbar j}^i X^j = -dbar_l Gamma^i_{kj} X^j
+    rhs = -np.einsum("likj...,j...->kli...", DbarGamma, X)
+    return float(np.max(np.abs(lhs - rhs)))

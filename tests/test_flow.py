@@ -4,6 +4,7 @@ import os
 import numpy as np
 import pytest
 
+from crflab import flow, geometry
 from crflab.errors import (
     DegenerateReference,
     NotPositiveDefinite,
@@ -266,6 +267,23 @@ class TestComponentStage:
             assert np.array_equal(got, expected - seen if normalized else expected)
         omega = sc.state_at(t, phi).omega
         assert np.array_equal(omega, G)
+
+    @pytest.mark.parametrize("chart", STAGE_CHARTS, ids=STAGE_IDS)
+    def test_a_state_takes_one_eigenvalue_pass(self, chart, monkeypatch):
+        # state_at's bounds are the one pass: the stage's positivity test is
+        # det > 0 and tr > 0 for n <= 2 and a Cholesky factor beyond
+        sc = _stage_scenario(chart, False)
+        calls = []
+        bounds = geometry.herm_eig_bounds
+
+        def counted(values):
+            calls.append(values.shape)
+            return bounds(values)
+
+        monkeypatch.setattr(geometry, "herm_eig_bounds", counted)
+        monkeypatch.setattr(flow, "herm_eig_bounds", counted)
+        FlowState.initial(sc)
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("normalized", [False, True], ids=["plain", "normalized"])
     @pytest.mark.parametrize("chart", STAGE_CHARTS[:2], ids=STAGE_IDS[:2])

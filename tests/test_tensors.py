@@ -1,5 +1,6 @@
 import ast
 import inspect
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,7 +23,6 @@ from crflab.models import (
 from crflab.tensors import (
     chern_ricci,
     closedness_residual,
-    commutator_residual,
     connection_torsion_curvature,
     ricci_from_curvature,
     trace_and_laplacian,
@@ -31,7 +31,7 @@ from crflab.tensors import (
     verify_trace_evolution,
 )
 
-from conftest import bandlimited_scalar, count_transforms
+from conftest import bandlimited_scalar, commutator_residual, count_transforms
 
 
 def seeded_triple(chart, seed):
@@ -203,6 +203,21 @@ class TestTraceEvolution:
             verify_trace_evolution(neg, nonkahler_metric, ScalarField.zeros(chart2),
                                    chi=HermitianMatrixField.constant(chart2, np.zeros((2, 2))))
 
+    def test_working_memory(self, chart2):
+        # liveness order (module docstring): the peak above the inputs stays
+        # below 6.5 complex n^4 tensors; in the order the terms are displayed
+        # it reaches 10.7
+        g0, ghat, phi = seeded_triple(chart2, 7)
+        verify_trace_evolution(g0, ghat, phi, t=0.1)  # the chart's caches
+        tracemalloc.start()
+        try:
+            verify_trace_evolution(g0, ghat, phi, t=0.1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        n4 = chart2.n ** 4 * chart2.grid_count * np.dtype(complex).itemsize
+        assert peak <= 6.5 * n4
+
 
 class TestTraceEvolutionDerivatives:
     """`verify_trace_evolution` takes three of its gradients from exact
@@ -348,8 +363,9 @@ class TestThreeDimensional:
         assert verify_bianchi_vanishing(ghat) <= 1e-9
 
     def test_trace_evolution_tests_omega_t_positive_once(self, chart3, monkeypatch):
-        # one eigenvalue pass each for the default chi's log det of g0,
-        # _chern(ghat) and omega(t); its log det takes no second pass
+        # one eigenvalue pass each for _chern(ghat) and omega(t); omega(t)'s
+        # log det takes no second pass, and the default chi's log det of g0
+        # tests positivity with a Cholesky factor, not with eigenvalues
         g0, ghat = self.metric(chart3, 1), self.metric(chart3, 2)
         phi = ScalarRecipe([Perturbation(0, 0, 0.006, (1, 0, 0, 0, 0, 0), 0.4)]).build(chart3)
         calls = []
@@ -362,7 +378,7 @@ class TestThreeDimensional:
         monkeypatch.setattr(tensors, "herm_eig_bounds", counted)
         monkeypatch.setattr(geometry, "herm_eig_bounds", counted)
         verify_trace_evolution(g0, ghat, phi, t=0.1)
-        assert len(calls) == 3
+        assert len(calls) == 2
 
     def test_ricci_from_curvature_on_an_aliased_chart(self, chart3):
         # waves up to wavenumber 3 on 8 nodes: the curvature trace is
