@@ -324,16 +324,21 @@ def _phi_functions(z):
     big = ~small
     zb = z[big]
     p = np.expm1(zb) / zb
-    for k in range(3):
+    out[0][big] = p
+    for k in (1, 2):
+        p = (p - 1.0 / math.factorial(k)) / zb
         out[k][big] = p
-        p = (p - 1.0 / math.factorial(k + 1)) / zb
     zs = z[small]
-    p = np.zeros_like(zs)
-    for coef in _PHI3_TAYLOR[::-1]:
-        p = p * zs + coef
-    for k in (3, 2, 1):
+    # Horner's first step, 0 * z + 1/19!, is 1/19! at every finite z
+    p = np.full_like(zs, _PHI3_TAYLOR[-1])
+    for coef in _PHI3_TAYLOR[-2::-1]:
+        p *= zs
+        p += coef
+    out[2][small] = p
+    for k in (2, 1):
+        p *= zs
+        p += 1.0 / math.factorial(k)
         out[k - 1][small] = p
-        p = p * zs + 1.0 / math.factorial(k - 1)
     return out
 
 
@@ -356,30 +361,34 @@ def _etdrk4(rhs, phi, t, dt, chart, symbol):
         return fft(rhs(None, s, spec)[0]) - symbol * spec
 
     z = dt * symbol
-    e, e2 = np.exp(z), np.exp(0.5 * z)
-    half, full = np.moveaxis(_phi_functions(np.stack([0.5 * z, z])), 1, 0)
-    q = 0.5 * dt * half[0]
-    p1, p2, p3 = dt * full
+    hz = 0.5 * z
+    e, e2 = np.exp(z), np.exp(hz)
+    # phis[k, 0] is phi_{k+1}(hL/2), phis[k, 1] is phi_{k+1}(hL)
+    phis = _phi_functions(np.stack([hz, z]))
+    q = 0.5 * dt * phis[0, 0]
+    p1, p2, p3 = dt * phis[:, 1]
+    p3x4 = 4.0 * p3
     t2 = t + 0.5 * dt
 
     u = fft(phi)
+    eu, e2u = e * u, e2 * u
     nu = fft(rhs(phi, t, u)[0]) - symbol * u
-    a = e2 * u + q * nu
+    a = e2u + q * nu
     na = nonlinear(a, t2)
-    b = e2 * u + q * na
+    b = e2u + q * na
     nb = nonlinear(b, t2)
     c = e2 * a + q * (2.0 * nb - nu)
     nc = nonlinear(c, t + dt)
     new = (
-        e * u
-        + (p1 - 3.0 * p2 + 4.0 * p3) * nu
+        eu
+        + (p1 - 3.0 * p2 + p3x4) * nu
         + 2.0 * (p2 - 2.0 * p3) * (na + nb)
-        + (4.0 * p3 - p2) * nc
+        + (p3x4 - p2) * nc
     )
 
     def trapezoid(rhs_new):
         n_new = fft(rhs_new) - symbol * new
-        return ifft(e * u + (p1 - p2) * nu + p2 * n_new)
+        return ifft(eu + (p1 - p2) * nu + p2 * n_new)
 
     return ifft(new), trapezoid
 

@@ -38,7 +38,13 @@ This is the one module that transforms (on numpy, the only backend) and
 decides positivity. Every other transform is of a real field, through the
 real-to-complex pair `TorusChart.rfft`/`irfft`, whose half spectrum halves the
 last active axis; `refine_field` zero-pads such half spectra, one real
-component of a Hermitian field at a time.
+component of a Hermitian field at a time. Each of the pair is one numpy pass
+per active axis, in the order `np.fft.rfftn`/`irfftn` take: `rfft` along the
+last active axis, then `fft` in place (`out=`) along the others in reverse;
+`ifft` along the leading axes in order, the first pass into a new array, then
+`irfft`. So they are bitwise rfftn's and irfftn's without those functions'
+per-call axis handling, which on a 32-node chart costs as much as the
+transform.
 
 Both solvers evaluate log det(A + i ddbar u) and build its argument with one
 recipe, `TorusChart.plus_hessian`, from A's n^2 real components (A_ii, Re A_ij,
@@ -56,7 +62,7 @@ multipliers of the constant-coefficient Laplacians.
 Per-node linear algebra works on components, in closed form for n <= 2 and
 through LAPACK beyond; `herm_det`, `herm_logdet` and, for n <= 2, `herm_inv`
 take a matrix field's components. `components_logdet` is the one positivity
-test before a log det: det > 0 and tr > 0 for n <= 2, and beyond a finite
+test before a log det: det > 0 and A_11 > 0 for n <= 2, and beyond a finite
 det > 0 with a Cholesky factor, cheaper than eigenvalues. `herm_eig_bounds`
 is left to the callers that need the bounds, such as `FlowScenario.state_at`.
 """
@@ -117,7 +123,7 @@ class TorusChart:
         self.shape = tuple(
             self.resolution[a] if a in self.active_axes else 1 for a in range(naxes)
         )
-        # rfftn halves the last active axis
+        # rfft halves the last active axis
         half = self.active_axes[-1]
         self.half_shape = tuple(
             m // 2 + 1 if a == half else m for a, m in enumerate(self.shape)
@@ -177,13 +183,26 @@ class TorusChart:
 
     def rfft(self, values):
         """Half spectrum of a real field over the active axes, of shape
-        ``half_shape``: the last active axis keeps wavenumbers 0..m/2."""
-        return np.fft.rfftn(values, axes=self.active_axes)
+        ``half_shape``: the last active axis keeps wavenumbers 0..m/2.
+
+        One numpy pass per active axis, in `np.fft.rfftn`'s order (the last
+        axis, then the others in reverse), so the result is bitwise rfftn's."""
+        *lead, last = self.active_axes
+        spec = np.fft.rfft(values, axis=last)
+        for a in reversed(lead):
+            np.fft.fft(spec, axis=a, out=spec)
+        return spec
 
     def irfft(self, spec):
-        """Inverse of `rfft`: the real field of a half spectrum."""
-        sizes = [self.shape[a] for a in self.active_axes]
-        return np.fft.irfftn(spec, s=sizes, axes=self.active_axes)
+        """Inverse of `rfft`: the real field of a half spectrum, bitwise
+        `np.fft.irfftn`'s (the leading axes in order, then the last). The
+        first pass writes a new array, so ``spec`` is never written."""
+        *lead, last = self.active_axes
+        if lead:
+            spec = np.fft.ifft(spec, axis=lead[0])
+            for a in lead[1:]:
+                np.fft.ifft(spec, axis=a, out=spec)
+        return np.fft.irfft(spec, n=self.shape[last], axis=last)
 
     def _derivative(self, values, pos, terms, out):
         # the one Fourier derivative kernel (module docstring): sets ``out``
@@ -530,11 +549,13 @@ def _has_cholesky(values):
 def components_logdet(parts):
     """log det of the Hermitian field whose real components, in the order of
     `herm_components`, are ``parts``; raises NotPositiveDefinite unless every
-    node is positive definite (NaN fails): det > 0 and tr > 0 for n <= 2, and
+    node is positive definite (NaN fails): det > 0 and A_11 > 0 for n <= 2, and
     beyond a finite det > 0 and a Cholesky factor of the matrix, built once."""
     if len(parts) <= 4:
         det = components_det(parts)
-        positive = (parts[0] if len(parts) == 1 else parts[0] + parts[3]).min() > 0.0
+        # with det > 0 the two eigenvalues share the sign of the corner A_11,
+        # which for n = 1 is the det itself
+        positive = len(parts) == 1 or parts[0].min() > 0.0
     else:
         values = herm_from_components(parts, np.shape(parts[0]))
         det = np.linalg.det(values).real

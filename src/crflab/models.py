@@ -22,7 +22,6 @@ Gauss-Legendre in log r along the ray z = (r, 0), the angles in closed form.
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .errors import NotPositiveDefinite, UnsupportedIntegrand
 from .geometry import (
@@ -178,22 +177,6 @@ class ReBilinear(_QuadraticPotential):
         return out
 
 
-class RadiusSquared(_QuadraticPotential):
-    """phi = c r^2."""
-
-    def __init__(self, c):
-        self.c = float(c)
-
-    def value(self, points):
-        return self.c * _r2(points)
-
-    def d2(self, points):
-        n = points.shape[-1]
-        return self.c * np.broadcast_to(
-            np.eye(n, dtype=complex), points.shape[:-1] + (n, n)
-        ).copy()
-
-
 class LogRadius(HopfPotential):
     """phi = c log r^2; the building block of the round Hopf geometry."""
 
@@ -250,66 +233,6 @@ class LogRadius(HopfPotential):
             + 2.0 * (d_kl * zbi * zj + d_il * zbk * zj + d_ij * zbk * zl + d_kj * zbi * zl) / r6
             - 6.0 * zbi * zbk * zj * zl / r8
         )
-
-
-class ModulusProduct(HopfPotential):
-    """phi = c |z_a|^2 |z_b|^2, a != b."""
-
-    def __init__(self, c, a=0, b=1):
-        if a == b:
-            raise ValueError("indices must differ")
-        self.c, self.a, self.b = float(c), a, b
-
-    def value(self, points):
-        return self.c * (np.abs(points[..., self.a]) ** 2 * np.abs(points[..., self.b]) ** 2)
-
-    def d2(self, points):
-        a, b = self.a, self.b
-        z, zb = points, np.conj(points)
-        out = _zero_stack(points, 2)
-        out[..., a, a] = np.abs(z[..., b]) ** 2
-        out[..., b, b] = np.abs(z[..., a]) ** 2
-        out[..., a, b] = zb[..., a] * z[..., b]
-        out[..., b, a] = z[..., a] * zb[..., b]
-        return self.c * out
-
-    def d3(self, points):
-        a, b = self.a, self.b
-        z, zb = points, np.conj(points)
-        out = _zero_stack(points, 3)
-        # d_i d_k phi = (delta_{ia} delta_{kb} + delta_{ib} delta_{ka}) zbar_a zbar_b
-        # then d_lbar gives (delta_{la} zbar_b + delta_{lb} zbar_a)
-        pref = np.ones(points.shape[:-1])
-        out[..., a, b, a] = pref * zb[..., b]
-        out[..., a, b, b] = zb[..., a] * pref
-        out[..., b, a, a] = pref * zb[..., b]
-        out[..., b, a, b] = zb[..., a] * pref
-        return self.c * out
-
-    def d4(self, points):
-        a, b = self.a, self.b
-        out = _zero_stack(points, 4)
-        for (i, k) in ((a, b), (b, a)):
-            for (l, j) in ((a, b), (b, a)):
-                out[..., i, j, k, l] = 1.0
-        return self.c * out
-
-
-class SumPotential(HopfPotential):
-    def __init__(self, parts):
-        self.parts = list(parts)
-
-    def value(self, points):
-        return sum(p.value(points) for p in self.parts)
-
-    def d2(self, points):
-        return sum(p.d2(points) for p in self.parts)
-
-    def d3(self, points):
-        return sum(p.d3(points) for p in self.parts)
-
-    def d4(self, points):
-        return sum(p.d4(points) for p in self.parts)
 
 
 # -- verification reports -------------------------------------------------------
@@ -494,6 +417,9 @@ def integrate_hopf(alpha_modulus, integrand):
     if not (np.isfinite(R) and R > 0.0 and R != 1.0):
         raise ValueError(f"alpha modulus must be finite, positive and not 1, got {R}")
     log_R = abs(np.log(R))
+    # imported here: numpy.polynomial costs every other caller about 5 ms
+    from numpy.polynomial.legendre import leggauss
+
     xs, ws = leggauss(_QUADRATURE_ORDER)
     u = 0.5 * log_R * (xs + 1.0)
     ray = np.exp(u)[:, None] * np.array([1.0, 0.0])

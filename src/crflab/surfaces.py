@@ -227,17 +227,3 @@ def classify(data, result):
     notes.append(_DIVISOR_CAVEAT)
     return ClassificationReport(result.case, tuple(notes), data.name)
 
-
-def scale_data(data, lam):
-    """Rescale the initial form by lambda > 0 (T scales by lambda)."""
-    return SurfaceClassData(
-        data.name,
-        lam * lam * data.vol0,
-        lam * data.pairing,
-        data.c1sq,
-        tuple(
-            Divisor(d.name, d.d_self, d.d_dot_K, lam * d.omega0_vol)
-            for d in data.divisors
-        ),
-        data.flags,
-    )

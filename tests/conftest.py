@@ -2,6 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
+from crflab.models import HopfPotential, _QuadraticPotential, _r2, _zero_stack
+from crflab.surfaces import Divisor, SurfaceClassData
+
 settings.register_profile(
     "ci",
     max_examples=25,
@@ -196,3 +199,98 @@ def commutator_residual(g, X):
     # R_{k lbar j}^i X^j = -dbar_l Gamma^i_{kj} X^j
     rhs = -np.einsum("likj...,j...->kli...", DbarGamma, X)
     return float(np.max(np.abs(lhs - rhs)))
+
+
+# -- test-only Hopf potentials and surface data ----------------------------------
+# inputs to the Hopf trace-chain checks and the maximal-time scaling law
+
+
+class RadiusSquared(_QuadraticPotential):
+    """phi = c r^2."""
+
+    def __init__(self, c):
+        self.c = float(c)
+
+    def value(self, points):
+        return self.c * _r2(points)
+
+    def d2(self, points):
+        n = points.shape[-1]
+        return self.c * np.broadcast_to(
+            np.eye(n, dtype=complex), points.shape[:-1] + (n, n)
+        ).copy()
+
+
+class ModulusProduct(HopfPotential):
+    """phi = c |z_a|^2 |z_b|^2, a != b."""
+
+    def __init__(self, c, a=0, b=1):
+        if a == b:
+            raise ValueError("indices must differ")
+        self.c, self.a, self.b = float(c), a, b
+
+    def value(self, points):
+        return self.c * (np.abs(points[..., self.a]) ** 2 * np.abs(points[..., self.b]) ** 2)
+
+    def d2(self, points):
+        a, b = self.a, self.b
+        z, zb = points, np.conj(points)
+        out = _zero_stack(points, 2)
+        out[..., a, a] = np.abs(z[..., b]) ** 2
+        out[..., b, b] = np.abs(z[..., a]) ** 2
+        out[..., a, b] = zb[..., a] * z[..., b]
+        out[..., b, a] = z[..., a] * zb[..., b]
+        return self.c * out
+
+    def d3(self, points):
+        a, b = self.a, self.b
+        z, zb = points, np.conj(points)
+        out = _zero_stack(points, 3)
+        # d_i d_k phi = (delta_{ia} delta_{kb} + delta_{ib} delta_{ka}) zbar_a zbar_b
+        # then d_lbar gives (delta_{la} zbar_b + delta_{lb} zbar_a)
+        pref = np.ones(points.shape[:-1])
+        out[..., a, b, a] = pref * zb[..., b]
+        out[..., a, b, b] = zb[..., a] * pref
+        out[..., b, a, a] = pref * zb[..., b]
+        out[..., b, a, b] = zb[..., a] * pref
+        return self.c * out
+
+    def d4(self, points):
+        a, b = self.a, self.b
+        out = _zero_stack(points, 4)
+        for (i, k) in ((a, b), (b, a)):
+            for (l, j) in ((a, b), (b, a)):
+                out[..., i, j, k, l] = 1.0
+        return self.c * out
+
+
+class SumPotential(HopfPotential):
+    def __init__(self, parts):
+        self.parts = list(parts)
+
+    def value(self, points):
+        return sum(p.value(points) for p in self.parts)
+
+    def d2(self, points):
+        return sum(p.d2(points) for p in self.parts)
+
+    def d3(self, points):
+        return sum(p.d3(points) for p in self.parts)
+
+    def d4(self, points):
+        return sum(p.d4(points) for p in self.parts)
+
+
+def scale_data(data, lam):
+    """Rescale the initial form by lambda > 0 (T scales by lambda)."""
+    return SurfaceClassData(
+        data.name,
+        lam * lam * data.vol0,
+        lam * data.pairing,
+        data.c1sq,
+        tuple(
+            Divisor(d.name, d.d_self, d.d_dot_K, lam * d.omega0_vol)
+            for d in data.divisors
+        ),
+        data.flags,
+    )

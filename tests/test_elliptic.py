@@ -401,16 +401,20 @@ class TestKrylov:
     ):
         # right preconditioning: the Krylov vector goes to the half spectrum
         # once, and each live real Hessian component comes back once; on
-        # active axes (0, 2) Im h_12 is zero by construction, so 3 of n^2 = 4
+        # active axes (0, 2) Im h_12 is zero by construction, so 3 of n^2 = 4.
+        # Each chart transform is one numpy pass per active axis: rfft and
+        # fft forward, ifft and irfft back
         calls = self._apply_transforms(wave_problem(32), monkeypatch)
-        assert calls == {"rfftn": 1, "irfftn": 3}
+        assert calls == {"rfft": 1, "fft": 1, "ifft": 3, "irfft": 3}
 
     def test_operator_apply_on_all_axes_transforms_all_n2_components(self, monkeypatch):
         chart = TorusChart(2, 8)
         base = np.array([[1.2, 0.15 + 0.05j], [0.15 - 0.05j, 1.0]])
         problem, _ = manufactured_problem(chart, base, 6, 0.05)
         calls = self._apply_transforms(problem, monkeypatch)
-        assert calls == {"rfftn": 1, "irfftn": 4}
+        # four active axes: one rfft and three fft forward; each of the 4
+        # components costs three ifft and one irfft back
+        assert calls == {"rfft": 1, "fft": 3, "ifft": 4 * 3, "irfft": 4}
 
     def test_stalled_line_search_names_the_krylov_solve(self, chart1, monkeypatch):
         prob, _ = manufactured_problem(chart1, np.eye(1), 3, 0.05)
@@ -449,10 +453,12 @@ class TestEstimates:
         assert certify_estimates(sol, grid).C_coarse == expected
 
     def test_certify_transforms_real_fields_only(self, chart2, monkeypatch):
-        # refining omega costs one rfftn and one irfftn per real component
-        # (4), F and phi one each; the 128^2 re-solve starts converged, so
-        # it makes two residuals (rfftn and 3 live irfftn each) and one
-        # strip_invisible (rfftn and irfftn); stats transforms nothing
+        # refining omega costs one forward and one inverse chart transform
+        # per real component (4), F and phi one each; the 128^2 re-solve
+        # starts converged, so it makes two residuals (one forward and 3
+        # live inverse each) and one strip_invisible (one of each); stats
+        # transforms nothing. On active axes (0, 2) a forward transform is
+        # one rfft and one fft, an inverse one ifft and one irfft
         base = np.array([[1.2, 0.1], [0.1, 1.0]])
         prob, _ = manufactured_problem(chart2, base, 13, 0.12)
         sol = solve_elliptic(prob)
@@ -460,7 +466,8 @@ class TestEstimates:
         calls = count_transforms(monkeypatch)
         certify_estimates(sol, (0.0, 1.0, 4.0))
         assert [s.iterations for _, s in solves] == [0]
-        assert calls == {"rfftn": 4 + 1 + 1 + 3, "irfftn": 4 + 1 + 1 + 7}
+        forward, inverse = 4 + 1 + 1 + 3, 4 + 1 + 1 + 7
+        assert calls == {"rfft": forward, "fft": forward, "ifft": inverse, "irfft": inverse}
 
     def test_manufactured_statistics_stable(self, chart2):
         base = np.array([[1.2, 0.1], [0.1, 1.0]])

@@ -271,7 +271,7 @@ class TestComponentStage:
     @pytest.mark.parametrize("chart", STAGE_CHARTS, ids=STAGE_IDS)
     def test_a_state_takes_one_eigenvalue_pass(self, chart, monkeypatch):
         # state_at's bounds are the one pass: the stage's positivity test is
-        # det > 0 and tr > 0 for n <= 2 and a Cholesky factor beyond
+        # det > 0 and A_11 > 0 for n <= 2 and a Cholesky factor beyond
         sc = _stage_scenario(chart, False)
         calls = []
         bounds = geometry.herm_eig_bounds
@@ -340,6 +340,30 @@ class TestExponentialStepper:
                     exact = (math.exp(zi) - head) / zi ** k
                 assert abs(value - exact) <= 1e-15 * abs(exact)
 
+    def test_phi_functions_are_bitwise_the_plain_recurrences(self):
+        # the recurrence from expm1(z)/z for |z| >= 1, and below it phi_3's
+        # 17-term Horner sum from zero, then phi_k = z phi_{k+1} + 1/k!
+        import math
+
+        from crflab.flow import _phi_functions
+
+        z = -np.geomspace(1e-9, 60.0, 257)
+        z[::7] = -1.0
+        expected = np.empty((3,) + z.shape)
+        big = np.abs(z) >= 1.0
+        zb, zs = z[big], z[~big]
+        p = np.expm1(zb) / zb
+        for k in range(3):
+            expected[k][big] = p
+            p = (p - 1.0 / math.factorial(k + 1)) / zb
+        p = np.zeros_like(zs)
+        for j in range(16, -1, -1):
+            p = p * zs + 1.0 / math.factorial(j + 3)
+        for k in (3, 2, 1):
+            expected[k - 1][~big] = p
+            p = p * zs + 1.0 / math.factorial(k - 1)
+        assert np.array_equal(_phi_functions(z), expected)
+
     def test_phi_functions_are_elementwise(self):
         # a step evaluates hL/2 and hL in one stacked call
         from crflab.flow import _phi_functions
@@ -390,12 +414,14 @@ class TestExponentialStepper:
         # costs one inverse transform per live component, 3 of n^2 = 4 on
         # active axes (0, 2), where Im h_12 is zero by construction, and the
         # new phi and the trapezoid one each; no stage goes to the grid,
-        # since this right side does not read phi
+        # since this right side does not read phi. On active axes (0, 2) a
+        # forward transform is one rfft and one fft, an inverse one ifft
+        # and one irfft
         sc = scenario_from_metric(n2_metric, 50.0)
         state = FlowState.initial(sc)
         calls = count_transforms(monkeypatch)
         step(state, sc)
-        assert calls == {"rfftn": 7, "irfftn": 17}
+        assert calls == {"rfft": 7, "fft": 7, "ifft": 17, "irfft": 17}
 
     def test_step_far_beyond_rk4_stability(self, n2_metric):
         from crflab.flow import _RK4_STABILITY

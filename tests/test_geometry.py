@@ -275,6 +275,44 @@ HESSIAN_IDS = ["n1_all", "n1_axis_1", "n2_all", "n2_axes_0_2", "n2_axes_1_2_3",
                "n3_all", "n3_axes_0_3_5"]
 
 
+# charts on which TorusChart.rfft / irfft, one numpy pass per active axis,
+# are checked bitwise against np.fft.rfftn / irfftn
+TRANSFORM_CHARTS = [
+    TorusChart(1, 32, active_axes=(0,)),
+    TorusChart(2, 64, active_axes=(0, 2)),
+    TorusChart(1, 16),
+    TorusChart(3, 16, active_axes=(0, 2, 4)),
+    TorusChart(2, 8),
+    TorusChart(2, (8, 16, 8, 8), active_axes=(0, 1, 2)),
+    TorusChart(2, (8, 8, 32, 8), active_axes=(2,)),
+    TorusChart(1, (8, 32), active_axes=(1,)),
+]
+TRANSFORM_IDS = ["n1_32_axis_0", "n2_64_axes_0_2", "n1_16_all", "n3_16_axes_0_2_4",
+                 "n2_8_all", "n2_axes_0_1_2", "n2_axis_2", "n1_axis_1"]
+
+
+class TestRealTransforms:
+    @pytest.mark.parametrize("chart", TRANSFORM_CHARTS, ids=TRANSFORM_IDS)
+    def test_rfft_is_bitwise_rfftn(self, chart):
+        u = np.random.default_rng(5).standard_normal(chart.shape)
+        got = chart.rfft(u)
+        ref = np.fft.rfftn(u, axes=chart.active_axes)
+        assert got.shape == ref.shape == chart.half_shape
+        assert np.array_equal(got.view(float), ref.view(float))
+
+    @pytest.mark.parametrize("chart", TRANSFORM_CHARTS, ids=TRANSFORM_IDS)
+    def test_irfft_is_bitwise_irfftn_and_leaves_its_argument(self, chart):
+        rng = np.random.default_rng(6)
+        spec = rng.standard_normal(chart.half_shape) + 1j * rng.standard_normal(chart.half_shape)
+        before = spec.copy()
+        got = chart.irfft(spec)
+        sizes = [chart.shape[a] for a in chart.active_axes]
+        ref = np.fft.irfftn(before, s=sizes, axes=chart.active_axes)
+        assert got.shape == chart.shape
+        assert np.array_equal(got, ref)
+        assert np.array_equal(spec.view(float), before.view(float))
+
+
 class TestHalfSpectrumHessian:
     @pytest.mark.parametrize("chart", HESSIAN_CHARTS, ids=HESSIAN_IDS)
     def test_matches_full_complex_reference(self, chart):

@@ -5,11 +5,8 @@ from crflab.errors import NotPositiveDefinite, UnsupportedIntegrand
 from crflab.geometry import HopfSampleSet, TorusChart, herm_mixed_det, min_eigenvalue
 from crflab.models import (
     LogRadius,
-    ModulusProduct,
     Perturbation,
-    RadiusSquared,
     ReBilinear,
-    SumPotential,
     TorusMetricRecipe,
     ZeroPotential,
     hopf_det,
@@ -25,7 +22,14 @@ from crflab.models import (
     verify_hopf_trace_chain,
 )
 
-from conftest import fd_dz, fd_dzbar, fd_hessian
+from conftest import (
+    ModulusProduct,
+    RadiusSquared,
+    SumPotential,
+    fd_dz,
+    fd_dzbar,
+    fd_hessian,
+)
 
 
 @pytest.fixture(scope="module")

@@ -24,6 +24,24 @@ def test_package_loads_no_scipy():
     assert out.stdout.strip() == "[]"
 
 
+SOLVER_IMPORTS = """
+import sys
+import crflab, crflab.flow, crflab.elliptic, crflab.models, crflab.tensors, crflab.io
+print(sorted(m for m in sys.modules if m.startswith("numpy.polynomial")))
+"""
+
+
+def test_solver_modules_load_no_numpy_polynomial():
+    # only models.integrate_hopf takes Gauss-Legendre nodes, and it imports
+    # them itself; numpy.polynomial would add about 5 ms to every set-up
+    env = dict(os.environ, PYTHONPATH=SRC)
+    out = subprocess.run(
+        [sys.executable, "-c", SOLVER_IMPORTS], capture_output=True, text=True, env=env,
+        check=True,
+    )
+    assert out.stdout.strip() == "[]"
+
+
 def test_geometry_is_the_one_transform_layer():
     # flow and elliptic transform only through TorusChart
     for name in ("flow.py", "elliptic.py"):

@@ -12,9 +12,10 @@ from crflab.surfaces import (
     classify,
     divisor_volume,
     maximal_time,
-    scale_data,
     volume_polynomial,
 )
+
+from conftest import scale_data
 
 INF = math.inf
 TWO_PI = 2.0 * math.pi
