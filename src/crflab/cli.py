@@ -27,6 +27,13 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _count(text):
+    """A count option: an integer that is not negative."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"{text!r} is not a count (an integer >= 0)")
+    return int(text)
+
+
 # -- config -> objects ------------------------------------------------------------
 # The sections arrive checked by io.load_config; keys a file leaves out keep
 # the defaults of the constructors they feed.
@@ -111,6 +118,9 @@ def _cmd_verify_identities(args):
     from .io import write_manifest
     from .tensors import IdentityReport
 
+    tol = args.tolerance
+    if not (np.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"tolerance must be finite and positive, got {tol!r}")
     chart = _preset_chart(args.chart, args.resolution)
     write_manifest(
         args.out, "verify-identities", __version__, seed=args.seed,
@@ -122,7 +132,6 @@ def _cmd_verify_identities(args):
     ghat = r_gh.build(chart)
     phi = r_phi.build(chart)
 
-    tol = args.tolerance
     rep = T.verify_trace_evolution(g0, ghat, phi, t=args.t)
     reports = rep.as_identity_reports(tol, 1e-8)
     grid = reports[0].grid
@@ -328,7 +337,7 @@ def _build_parser():
     p.add_argument("--scenario", required=True)
     p.add_argument("--out", default="out-flow")
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--checkpoint-every", type=int, default=0)
+    p.add_argument("--checkpoint-every", type=_count, default=0)
     p.add_argument("--resume", default=None)
     p.set_defaults(func=_cmd_run_flow)
 

@@ -27,8 +27,9 @@ The residual forms the updated metric's real components, in the order of
 components plus the Hessian of phi's half spectrum (`TorusChart.plus_hessian`),
 with `components_logdet` as the positivity test. Everything downstream reads
 those components: the Krylov weights tr(G'^-1 H) are
-`components_trace_weights` of `components_inv`, and the preconditioner's mean
-metric is the grid mean of the stacked components. `EllipticProblem` is
+`components_trace_weights` of `components_inv`, and the preconditioner is
+`laplacian_inverse` of `components_inv` of their grid mean: for n <= 2 no
+matrix is built or inverted. `EllipticProblem` is
 frozen and takes the background's log det once, as its positivity test, for
 every residual to read.
 
@@ -87,7 +88,6 @@ from .geometry import (
     components_trace,
     herm_components,
     herm_det,
-    herm_from_components,
     herm_logdet,
     refine_field,
 )
@@ -403,8 +403,8 @@ def _solve_newton(problem, tol, max_steps, phi, b, krylov_cap=None):
         # tr(Gbar^-1 H) of the mean metric Gbar, as a half-spectrum
         # multiplier; the Krylov solve runs on y with dphi = M^-1 y. The
         # stacked components reduce node by node, as the matrix field did
-        Gbar = herm_from_components(list(chart.mean(np.stack(parts, axis=-1))), ())
-        inverse = chart.laplacian_inverse(np.linalg.inv(Gbar))
+        Gbar_inv = components_inv(list(chart.mean(np.stack(parts, axis=-1))))
+        inverse = chart.laplacian_inverse(Gbar_inv)
         proj = lambda v: v - v.mean()
         rhs = -proj(res_field)
         # forcing term: tighter as res falls, but no tighter than the

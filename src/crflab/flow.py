@@ -94,16 +94,17 @@ _STEP_TOL = 1e-6
 # Taylor coefficients 1/(j + 3)! of phi_3 at |z| < 1; the remainder is below
 # 1/20!, under 1e-17 relative to phi_3 >= 0.11 there
 _PHI3_TAYLOR = tuple(1.0 / math.factorial(j + 3) for j in range(17))
+# a proposed step shorter than this raises StepUnderflow
+_DT_MIN = 1e-12
 
 
 @dataclass
 class StepControl:
     safety: float = 0.8
     eps_pd: float = 1e-8
-    dt_min: float = 1e-12
 
     def __post_init__(self):
-        for name in ("safety", "eps_pd", "dt_min"):
+        for name in ("safety", "eps_pd"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0.0):
                 raise ValueError(f"control {name} = {value!r} must be positive and finite")
@@ -219,7 +220,7 @@ class FlowScenario:
         self.monitor_A = float(np.max(logdet - self._log_density))
         # half-grid Fourier symbol of sum_i d_i d_ibar, the flat part of the
         # stiff operator
-        self._laplacian = chart.laplacian_symbol(np.eye(chart.n))
+        self._laplacian = chart.laplacian_symbol(herm_components(np.eye(chart.n)))
 
     def reference_metric(self, t):
         return herm_from_components(self._reference_parts(t), self.chart.shape)
@@ -298,7 +299,8 @@ def scenario_from_metric(g0, T0, f_T0=None, **kwargs):
     if f_T0 is None:
         target = T0 * ric0
         trace = np.einsum("...ii->...", target).real
-        f_vals = chart.irfft(chart.laplacian_inverse(np.eye(chart.n)) * chart.rfft(trace))
+        flat = chart.laplacian_inverse(herm_components(np.eye(chart.n)))
+        f_vals = chart.irfft(flat * chart.rfft(trace))
         f_T0 = ScalarField(chart, f_vals)
     else:
         chart.require_same(f_T0.chart)
@@ -411,7 +413,7 @@ def step(state, scenario, dt_max=None):
     symbol = scenario._laplacian / state.eig_min - scenario.phi_decay
     wanted = state.dt_next or control.safety * _RK4_STABILITY / -symbol.min()
     dt = wanted if dt_max is None else min(wanted, dt_max)
-    if dt < control.dt_min:
+    if dt < _DT_MIN:
         raise StepUnderflow(f"dt = {dt:.3e} underflow at t = {state.t:.6g}")
     t_new = state.t + dt
     phi, trapezoid = _etdrk4(scenario.rhs, state.phi, state.t, dt, scenario.chart, symbol)
@@ -614,14 +616,14 @@ def write_checkpoint(path, state, dt_hint):
 
 
 def read_checkpoint(path, scenario):
-    """The stored state, continuing with the footer's step; raises
-    PositivityLost below the eigenvalue floor."""
+    """The stored state, continuing with the footer's step; raises ValueError
+    off [0, T0] (to 1e-12) and PositivityLost below the eigenvalue floor."""
     from .io import read_snapshot
 
     phi, footer = read_snapshot(path, chart=scenario.chart, want_footer=True)
     t, dt = footer
-    if not math.isfinite(t):
-        raise ValueError(f"{path}: checkpoint time {t} is not finite")
+    if not -1e-12 <= t <= scenario.T0 + 1e-12:
+        raise ValueError(f"{path}: checkpoint time {t} is not in [0, T0 = {scenario.T0:g}]")
     state = scenario.state_at(t, phi.values)
     if not state.eig_min >= scenario.control.eps_pd:
         raise PositivityLost(

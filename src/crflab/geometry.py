@@ -54,10 +54,10 @@ once each that is identically zero: that component is zero by construction
 (Im h_12 on active axes (0, 2), where mu_1 conj(mu_2) is real), and
 `hessian_live` lists the others. Only a live component costs an `irfft`, into
 which A's component is added; `complex_hessian` is the recipe on A = 0.
-`hessian_trace_weights` and `components_trace_weights` turn a Hermitian field,
-as matrices or as components, into real weights that contract the live
-components; `laplacian_symbol` and `laplacian_inverse` are the half-grid
-multipliers of the constant-coefficient Laplacians.
+A Hermitian coefficient enters only as real components, which
+`components_trace_weights` turns into weights that contract the live
+components; `laplacian_symbol` and `laplacian_inverse`, the half-grid
+multipliers of the constant-coefficient Laplacians, are built from them.
 
 Per-node linear algebra works on components, in closed form for n <= 2 and
 through LAPACK beyond; `herm_det`, `herm_logdet` and, for n <= 2, `herm_inv`
@@ -303,45 +303,31 @@ class TorusChart:
         mult = self._hessian_multipliers()
         return [self.irfft(mult[k] * spec) for k in self._hessian_live]
 
-    def hessian_trace_weights(self, A):
-        """Real weights w, aligned with `hessian_components`, with
-        sum_k w_k h_k = sum_ij A_ji d_i d_jbar for a Hermitian (field of)
-        matrices A, so a trace against A costs no complex arithmetic."""
-        A = np.asarray(A)
-        entries = _component_entries(self.n)
-        w = []
-        for i, j, imag in (entries[k] for k in self.hessian_live):
-            if i == j:
-                w.append(A[..., i, i].real)
-            else:
-                # A_ji h_ij + A_ij h_ji = 2 Re(A_ji h_ij)
-                w.append(-2.0 * A[..., j, i].imag if imag else 2.0 * A[..., j, i].real)
-        return w
-
     def components_trace_weights(self, parts):
-        """`hessian_trace_weights` of the Hermitian field A whose real
-        components are ``parts``: a diagonal one as it is, an off-diagonal one
-        doubled (A_ji h_ij + A_ij h_ji = 2 Re A_ij Re h_ij + 2 Im A_ij Im h_ij)."""
+        """Real weights w, aligned with `hessian_components`, with sum_k w_k h_k
+        = sum_ij A_ji d_i d_jbar for the Hermitian field A whose components are
+        ``parts``: a diagonal one as it is, an off-diagonal one doubled
+        (A_ji h_ij + A_ij h_ji = 2 Re A_ij Re h_ij + 2 Im A_ij Im h_ij)."""
         entries = _component_entries(self.n)
         return [
             parts[k] if entries[k][0] == entries[k][1] else 2.0 * parts[k]
             for k in self.hessian_live
         ]
 
-    def laplacian_symbol(self, A):
+    def laplacian_symbol(self, parts):
         """Real Fourier symbol, on the half grid, of the constant-coefficient
-        operator sum_ij A_ji d_i d_jbar for a Hermitian n x n matrix A."""
-        w = self.hessian_trace_weights(A)
+        operator sum_ij A_ji d_i d_jbar, A having the components ``parts``."""
+        w = self.components_trace_weights(parts)
         mult = self._hessian_multipliers()
         sym = sum(wk * mult[k] for wk, k in zip(w, self._hessian_live))
         return np.broadcast_to(sym, self.half_shape).copy()
 
-    def laplacian_inverse(self, A):
-        """The inverse of sum_ij A_ji d_i d_jbar (A positive Hermitian) as a
-        real half-grid multiplier of `rfft` spectra; it is zero on the modes
-        the symbol annihilates, the mean and those whose every wavenumber
-        is zero or Nyquist, which no Wirtinger operator sees."""
-        sym = self.laplacian_symbol(A)
+    def laplacian_inverse(self, parts):
+        """The inverse of sum_ij A_ji d_i d_jbar (A positive, of components
+        ``parts``) as a real half-grid multiplier of `rfft` spectra; it is
+        zero on the modes the symbol annihilates, the mean and those whose
+        every wavenumber is zero or Nyquist, which no Wirtinger operator sees."""
+        sym = self.laplacian_symbol(parts)
         kernel = sym == 0.0
         inv = 1.0 / np.where(kernel, 1.0, sym)
         inv[kernel] = 0.0
@@ -376,7 +362,7 @@ class TorusChart:
         through derivatives; stripping them picks the canonical
         representative."""
         spec = self.rfft(np.asarray(values, dtype=float))
-        spec[self.laplacian_symbol(np.eye(self.n)) == 0.0] = 0.0
+        spec[self.laplacian_symbol(herm_components(np.eye(self.n))) == 0.0] = 0.0
         return self.irfft(spec)
 
     # -- reductions ----------------------------------------------------------

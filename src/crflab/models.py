@@ -535,7 +535,7 @@ class ScalarRecipe:
         return ScalarField(chart, vals)
 
 
-def random_verification_triple(rng, n=2, scale=0.1, sharpness=1.18, axes=None):
+def random_verification_triple(rng, n=2, axes=None):
     """Seeded (g0, ghat, phi) recipes for identity-certification runs.
 
     Each metric mixes a few low cosine modes with one peaked hump whose
@@ -544,6 +544,7 @@ def random_verification_triple(rng, n=2, scale=0.1, sharpness=1.18, axes=None):
     small band-limited potential plus a weak hump, scaled to keep
     omega = omega_0 + i ddbar phi positive.
     """
+    scale, sharpness = 0.1, 1.18  # every triple's amplitude scale and hump sharpness
     if axes is None:
         axes = tuple(2 * i for i in range(n))
     naxes = 2 * n

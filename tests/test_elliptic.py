@@ -339,6 +339,18 @@ class TestComponentResidual:
         Gp = problem.omega.values + chart.complex_hessian(phi)
         assert np.array_equal(res, herm_logdet(Gp) - problem._logdet - problem.F.values)
 
+    def test_newton_inverts_no_matrix(self, monkeypatch):
+        # the Krylov weights and the preconditioner invert components in
+        # closed form for n <= 2, so no LAPACK inverse runs; on all four
+        # axes every component of the mean metric is live
+        chart = TorusChart(2, 8)
+        problem, _ = manufactured_problem(chart, RESIDUAL_BASES[2], 25, 0.01)
+        calls = []
+        inv = np.linalg.inv
+        monkeypatch.setattr(np.linalg, "inv", lambda a: calls.append(a) or inv(a))
+        sol = solve_elliptic(problem, "newton-continuation")
+        assert sol.iterations > 0 and not calls
+
     def test_solution_keeps_the_updated_metric(self, chart2):
         base = np.array([[1.2, 0.1], [0.1, 1.0]])
         prob, _ = manufactured_problem(chart2, base, 13, 0.12)

@@ -175,12 +175,11 @@ class TestStepping:
         diff = state.omega - sc.reference_metric(state.t)
         assert np.max(np.abs(state.chart.mean(diff))) <= 1e-13
 
-    def test_step_underflow(self, chart1, n1_metric):
+    def test_step_underflow(self, chart1, n1_metric, monkeypatch):
         from crflab.errors import StepUnderflow
 
-        sc = scenario_from_metric(
-            n1_metric, 50.0, control=StepControl(dt_min=1.0)
-        )
+        monkeypatch.setattr(flow, "_DT_MIN", 1.0)
+        sc = scenario_from_metric(n1_metric, 50.0)
         with pytest.raises(StepUnderflow):
             step(FlowState.initial(sc), sc)
 

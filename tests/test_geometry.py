@@ -342,7 +342,8 @@ class TestHalfSpectrumHessian:
         B = rng.standard_normal(chart.shape + (chart.n, chart.n)) * (1 + 1j)
         A = B + np.conj(np.swapaxes(B, -1, -2))
         parts = chart.hessian_components(chart.rfft(u))
-        traced = sum(w * h for w, h in zip(chart.hessian_trace_weights(A), parts))
+        weights = chart.components_trace_weights(herm_components(A))
+        traced = sum(w * h for w, h in zip(weights, parts))
         ref = np.einsum("...ji,...ij->...", A, full_complex_hessian(chart, u)).real
         assert np.max(np.abs(traced - ref)) <= 1e-12 * np.max(np.abs(ref))
 
@@ -360,7 +361,7 @@ class TestHalfSpectrumHessian:
         assert chart.hessian_live == live
         spec = chart.rfft(np.random.default_rng(2).standard_normal(chart.shape))
         assert len(chart.hessian_components(spec)) == len(live)
-        assert len(chart.hessian_trace_weights(np.eye(chart.n))) == len(live)
+        assert len(chart.components_trace_weights(herm_components(np.eye(chart.n)))) == len(live)
 
     @pytest.mark.parametrize("chart", HESSIAN_CHARTS, ids=HESSIAN_IDS)
     def test_dead_components_are_exact_zeros(self, chart):
@@ -552,6 +553,25 @@ def _positive_field(chart, seed):
     )
 
 
+def _matrix_trace_weights(chart, A):
+    """The weights of sum_ij A_ji d_i d_jbar, aligned with `hessian_live`, read
+    off the entries of the Hermitian matrix (field) A: A_ii, 2 Re A_ji and
+    -2 Im A_ji (A_ji h_ij + A_ij h_ji = 2 Re(A_ji h_ij)). The reference the
+    component weights repeat."""
+    entries = []
+    for i in range(chart.n):
+        entries.append((i, i, False))
+        for j in range(i + 1, chart.n):
+            entries += [(i, j, False), (i, j, True)]
+    w = []
+    for i, j, imag in (entries[k] for k in chart.hessian_live):
+        if i == j:
+            w.append(A[..., i, i].real)
+        else:
+            w.append(-2.0 * A[..., j, i].imag if imag else 2.0 * A[..., j, i].real)
+    return w
+
+
 COMPONENT_CHARTS = [
     TorusChart(1, 32, active_axes=(0,)),
     TorusChart(2, 16, active_axes=(0, 2)),
@@ -567,7 +587,7 @@ class TestComponentKernels:
         inv = components_inv(herm_components(G))
         assert all(np.array_equal(p, q) for p, q in zip(inv, herm_components(herm_inv(G))))
         weights = chart.components_trace_weights(inv)
-        expected = chart.hessian_trace_weights(herm_inv(G))
+        expected = _matrix_trace_weights(chart, herm_inv(G))
         assert len(weights) == len(expected) == len(chart.hessian_live)
         assert all(np.array_equal(w, e) for w, e in zip(weights, expected))
 
@@ -619,6 +639,17 @@ class TestHermPencil:
 
 
 class TestLaplacianInverse:
+    @pytest.mark.parametrize("chart", HESSIAN_CHARTS, ids=HESSIAN_IDS)
+    def test_symbol_repeats_the_matrix_weights(self, chart):
+        # exactly Hermitian A, where -2 Im A_ji is 2 Im A_ij bitwise
+        B = np.random.default_rng(11).standard_normal((chart.n, chart.n, 2)) @ [1.0, 1j]
+        mult = chart._hessian_multipliers()
+        for A in (B + np.conj(B.T), np.eye(chart.n)):
+            w = _matrix_trace_weights(chart, A)
+            sym = sum(wk * mult[k] for wk, k in zip(w, chart.hessian_live))
+            expected = np.broadcast_to(sym, chart.half_shape)
+            assert np.array_equal(chart.laplacian_symbol(herm_components(A)), expected)
+
     @pytest.mark.parametrize(
         "chart, A",
         [
@@ -632,7 +663,7 @@ class TestLaplacianInverse:
         u = bandlimited_scalar(chart, 4, modes=3).values
         u = u - u.mean()
         f = np.einsum("ji,...ij->...", A, chart.complex_hessian(u)).real
-        v = chart.irfft(chart.laplacian_inverse(A) * chart.rfft(f))
+        v = chart.irfft(chart.laplacian_inverse(herm_components(A)) * chart.rfft(f))
         assert np.max(np.abs(v - u)) <= 1e-12
         assert abs(v.mean()) <= 1e-12
 

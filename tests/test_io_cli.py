@@ -585,6 +585,13 @@ class TestCli:
         assert rc == 2
         assert "tolerance must be finite and positive" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("tolerance", ["nan", "inf", "0", "-1"])
+    def test_verify_identities_invalid_tolerance_exits_2(self, tmp_path, capsys, tolerance):
+        rc = main(["verify-identities", "--resolution", "16", "--out", str(tmp_path / "v"),
+                   "--tolerance", tolerance])
+        assert rc == 2
+        assert "tolerance must be finite and positive" in capsys.readouterr().err
+
     def test_plot_and_errors(self, tmp_path, capsys):
         scen = _write(tmp_path, "s.cfg", FLOW_N1)
         out = str(tmp_path / "p")
@@ -660,6 +667,26 @@ class TestCli:
                    "--resume", snap])
         assert rc == 2
         assert snap in capsys.readouterr().err
+
+    @pytest.mark.parametrize("t", [-3.0, 200.0 + 1e-9, 1e9])
+    def test_checkpoint_time_outside_the_horizon_exits_2(self, tmp_path, capsys, t):
+        # FLOW_N1 has T0 = 200; a resume must start inside [0, T0]
+        scen = _write(tmp_path, "s.cfg", FLOW_N1)
+        chart = TorusChart(1, 64, active_axes=(0,))
+        snap = str(tmp_path / "ckpt.snap")
+        write_snapshot(snap, ScalarField.zeros(chart), footer=(t, 1e-3))
+        rc = main(["run-flow", "--scenario", scen, "--out", str(tmp_path / "t"),
+                   "--resume", snap])
+        assert rc == 2
+        assert snap in capsys.readouterr().err
+
+    def test_negative_checkpoint_every_is_a_usage_error(self, tmp_path, capsys):
+        scen = _write(tmp_path, "s.cfg", FLOW_N1)
+        rc = main(["run-flow", "--scenario", scen, "--out", str(tmp_path / "n"),
+                   "--checkpoint-every", "-2"])
+        assert rc == 64
+        assert "usage error" in capsys.readouterr().err
+        assert not (tmp_path / "n").exists()
 
     @pytest.mark.parametrize("cut", [8, 20, 40, -4])
     def test_truncated_checkpoint_exits_2(self, tmp_path, capsys, cut):
