@@ -193,9 +193,9 @@ def _cmd_hopf_explicit(args):
     from .io import write_csv, write_manifest
     from .models import hopf_metric_at
 
+    sample = HopfSampleSet.random(args.n, args.alpha, args.points, args.seed)
     write_manifest(args.out, "hopf-explicit", __version__, seed=args.seed,
                    extra={"n": args.n, "t": args.t, "points": args.points})
-    sample = HopfSampleSet.random(args.n, args.alpha, args.points, args.seed)
     metric = hopf_metric_at(sample.points, args.t)
     r2 = np.sum(np.abs(sample.points) ** 2, axis=-1)
     eigs = np.linalg.eigvalsh(metric * r2[:, None, None])
@@ -226,9 +226,9 @@ def _cmd_hopf_verify(args):
     )
     from .tensors import IdentityReport
 
+    sample = HopfSampleSet.random(args.n, args.alpha, args.points, args.seed)
     write_manifest(args.out, "hopf-verify", __version__, seed=args.seed,
                    extra={"n": args.n, "points": args.points})
-    sample = HopfSampleSet.random(args.n, args.alpha, args.points, args.seed)
     times = args.times or [0.0, 0.1, 0.2, 0.3 * (2.0 / args.n)]
     flow = verify_hopf_flow(sample, times)
     grid = f"{args.points}pts"

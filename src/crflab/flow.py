@@ -49,13 +49,13 @@ be stable on L; the tests keep classical RK4 as the reference.
 Positivity of omega is asserted after every accepted step; dropping below
 the eigenvalue floor signals the approach to the maximal existence time.
 
-`step` alone picks dt, runs ETDRK4 and checks the floor; one loop drives it
-for `run`, `run_normalized` and `equivalence_check`, landing on t_end and on
-sample times and writing one monitor row per state, whose ``dt`` is
-t_k - t_{k-1}. A `FlowState` holds raw arrays (phi, d_t phi, omega), the
-chart, omega's eigenvalue bounds, computed once per state, and the
-controller's next step; fields are validated only where data enters or
-leaves the engine.
+`step` alone picks dt, runs ETDRK4 and checks the floor; one loop,
+`_integrate`, drives it for `run`, `run_normalized`, `equivalence_check` and
+gill-flow, landing on t_end and on sample times, with one monitor row per
+state (``dt`` = t_k - t_{k-1}) if given a record. A `FlowState` holds raw
+arrays (phi, d_t phi, omega), the chart, omega's eigenvalue bounds, computed
+once per state, and the controller's next step; fields are validated only
+where data enters or leaves the engine.
 """
 
 import math
@@ -456,13 +456,14 @@ def _monitor_row(state, scenario, dt):
     )
 
 
-def _integrate(scenario, state, t_end, record, samples=None):
-    """Yield each accepted state after ``state`` up to t_end, each state
-    adding a monitor row to ``record``. Steps land on t_end and on each key
-    of ``samples`` (to 1e-12), which is set to the metric there; keys never
-    reached are dropped."""
+def _integrate(scenario, state, t_end, record=None, samples=None):
+    """Yield each accepted state after ``state`` up to t_end, adding a monitor
+    row to ``record`` unless it is None; a caller stops early by leaving its
+    loop. Steps land on t_end and on each key of ``samples`` (to 1e-12), which
+    is set to the metric there; keys never reached are dropped."""
     stops = sorted(samples or ())
-    record.append(**_monitor_row(state, scenario, 0.0))
+    if record is not None:
+        record.append(**_monitor_row(state, scenario, 0.0))
     while True:
         while stops and state.t >= stops[0] - 1e-12:
             samples[stops.pop(0)] = state.omega
@@ -474,7 +475,8 @@ def _integrate(scenario, state, t_end, record, samples=None):
         except PositivityLost as err:
             err.record, err.last_state = record, prev
             raise
-        record.append(**_monitor_row(state, scenario, state.t - prev.t))
+        if record is not None:
+            record.append(**_monitor_row(state, scenario, state.t - prev.t))
         yield state
     for s in stops:
         del samples[s]
@@ -492,6 +494,8 @@ def run(scenario, t_end, state=None, callback=None):
     if t_end > scenario.T0 + 1e-12:
         raise ValueError("t_end exceeds the scenario horizon T0")
     state = state or FlowState.initial(scenario)
+    if t_end < state.t - 1e-12:
+        raise ValueError(f"t_end = {t_end:.6g} is behind the start state's t = {state.t:.6g}")
     record = TrajectoryRecord(meta={"mode": "unnormalized"})
     quiet_since = None
     prev = state
@@ -591,8 +595,7 @@ def equivalence_check(scenario, s_end=5.0, samples=21):
     s_samples = np.expm1(t_samples)
 
     stored = dict.fromkeys(float(s) for s in s_samples)
-    state = FlowState.initial(scenario)
-    for _ in _integrate(scenario, state, s_samples[-1], TrajectoryRecord(), stored):
+    for _ in _integrate(scenario, FlowState.initial(scenario), s_samples[-1], samples=stored):
         pass
 
     record, _, nsamples = run_normalized(

@@ -770,6 +770,8 @@ class HopfSampleSet:
         """Log-uniform radii, uniform directions, random phases for alpha."""
         if not (math.isfinite(alpha_modulus) and alpha_modulus > 0.0):
             raise ValueError(f"|alpha| must be finite and positive, got {alpha_modulus!r}")
+        if count < 1:
+            raise ValueError(f"the point count must be at least 1, got {count}")
         rng = np.random.default_rng(seed)
         alpha = np.full(n, alpha_modulus) * np.exp(
             2j * np.pi * rng.random(n)

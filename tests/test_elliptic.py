@@ -166,6 +166,59 @@ class TestSolve:
         with pytest.raises(NonConvergence):
             solve_elliptic(prob, "gill-flow", max_steps=10)
 
+    def test_gill_flow_repeats_its_loop_over_step_bitwise(self):
+        # gill-flow steps in the flow engine's loop; the loop it had of its
+        # own, over flow.step, is the reference
+        from crflab.flow import FlowScenario, FlowState, step
+        from crflab.geometry import VolumeField
+
+        problem, tol, max_steps = gill_problem(32), 1e-8, 2_000_000
+        chart = problem.chart
+        density = VolumeField(
+            chart, herm_det(problem.omega.values) * np.exp(problem.F.values)
+        )
+        chi = HermitianMatrixField(chart, np.zeros(chart.shape + (chart.n, chart.n)))
+        scenario = FlowScenario(problem.omega, 1e12, chi, density)
+        state = FlowState.initial(scenario, np.zeros(chart.shape))
+        osc = best = np.inf
+        steps = since_best = 0
+        while steps < max_steps:
+            state = step(state, scenario)
+            steps += 1
+            pd = state.phidot
+            osc = float(pd.max() - pd.min())
+            if osc <= 0.5 * tol:
+                break
+            if osc < best:
+                best, since_best = osc, 0
+            else:
+                since_best += 1
+                assert since_best < elliptic._GILL_STALL_STEPS
+        else:
+            raise AssertionError(f"reference loop: {osc:.3e} after {steps} steps")
+        ref = elliptic._solution(problem, state.phi, 0.0, "gill-flow", steps, {"t_end": state.t})
+
+        sol = solve_elliptic(problem, "gill-flow", tol=tol)
+        assert np.array_equal(sol.phi.values, ref.phi.values)
+        assert sol.b == ref.b
+        assert sol.iterations == ref.iterations == steps
+        assert sol.extras["t_end"] == ref.extras["t_end"]
+
+    def test_gill_flow_makes_no_monitor_rows(self, monkeypatch):
+        from crflab import flow
+
+        rows = []
+        monkeypatch.setattr(flow, "_monitor_row", lambda *a: rows.append(a))
+        assert solve_elliptic(gill_problem(16), "gill-flow", tol=1e-4).iterations > 0
+        assert rows == []
+
+    @pytest.mark.parametrize("method", ["gill-flow", "newton-continuation"])
+    @pytest.mark.parametrize("max_steps", [0, -1, 2.5, "10"])
+    def test_max_steps_must_be_a_positive_integer(self, chart1, method, max_steps):
+        prob, _ = manufactured_problem(chart1, np.array([[1.2]]), 11, 0.2)
+        with pytest.raises(ValueError, match="max_steps must be a positive integer"):
+            solve_elliptic(prob, method, max_steps=max_steps)
+
     def test_residual_rejects_negative_definite_metric(self, chart2):
         # phi = 8 (cos x_0 + cos x_2) puts diag(-1, -1), of det 1 > 0, at the
         # origin; the line search must see it fail

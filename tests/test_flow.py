@@ -575,6 +575,16 @@ class TestNormalized:
         out = equivalence_check(sc, s_end=2.0, samples=9)
         assert out["max_discrepancy"] <= 1e-5
 
+    def test_equivalence_makes_rows_for_the_normalized_pass_only(self, n1_metric, monkeypatch):
+        # the unnormalized pass stores samples and builds no monitor row
+        from crflab import flow
+
+        rows = []
+        monitor = flow._monitor_row
+        monkeypatch.setattr(flow, "_monitor_row", lambda *a: rows.append(a) or monitor(*a))
+        out = equivalence_check(scenario_from_metric(n1_metric, 100.0), s_end=2.0, samples=9)
+        assert len(rows) == len(out["normalized_record"].rows)
+
 
 class TestTrajectoryRecord:
     def test_rows_strictly_increasing(self):

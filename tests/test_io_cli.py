@@ -427,6 +427,16 @@ class TestCli:
         assert main(argv) == 2
         assert "|alpha| must be finite and positive" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["hopf-explicit", "hopf-verify"])
+    @pytest.mark.parametrize("points", ["0", "-3"])
+    def test_hopf_point_count_below_one_exits_2_and_writes_nothing(
+        self, tmp_path, capsys, command, points
+    ):
+        out = tmp_path / "h"
+        assert main([command, "--points", points, "--out", str(out)]) == 2
+        assert f"point count must be at least 1, got {points}" in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
+
     def test_hopf_explicit_samples_inside_the_unit_sphere_below_one(self, tmp_path, capsys):
         out = tmp_path / "h"
         assert main(["hopf-explicit", "--alpha", "0.5", "--out", str(out)]) == 0
@@ -492,6 +502,20 @@ class TestCli:
         assert main(["run-flow", "--scenario", scen, "--out", out2,
                      "--resume", ckpt]) == 0
         capsys.readouterr()
+
+    def test_resume_behind_t_end_exits_2(self, tmp_path, capsys):
+        # the scenario ends at t = 1 and the checkpoint is at t = 60: the
+        # run refuses, rather than write zero steps and report t_end = 60
+        scen = _write(tmp_path, "s.cfg", FLOW_N1)
+        snap = str(tmp_path / "late.snap")
+        write_snapshot(snap, ScalarField.zeros(TorusChart(1, 64, active_axes=(0,))),
+                       footer=(60.0, 1e-3))
+        rc = main(["run-flow", "--scenario", scen, "--out", str(tmp_path / "f"),
+                   "--resume", snap])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "t_end = 1 is behind the start state's t = 60" in err
+        assert not (tmp_path / "f" / "trajectory.csv").exists()
 
     def test_manifest_covers_the_resumed_snapshot(self, tmp_path, capsys):
         scen = _write(tmp_path, "s.cfg", FLOW_N1)
