@@ -145,6 +145,7 @@ def _cmd_verify_identities(args):
 
 
 def _cmd_run_flow(args):
+    from .errors import PositivityLost
     from .flow import read_checkpoint, ricci_sup_norm, run, write_checkpoint
 
     scenario, cfg = _scenario_from_config(
@@ -162,8 +163,14 @@ def _cmd_run_flow(args):
         if args.checkpoint_every and steps % args.checkpoint_every == 0:
             write_checkpoint(ckpt_path, st, st.dt_next)
 
-    record, state = run(scenario, t_end, state=state, callback=callback)
-    record.to_csv(os.path.join(args.out, "trajectory.csv"))
+    csv_path = os.path.join(args.out, "trajectory.csv")
+    try:
+        record, state = run(scenario, t_end, state=state, callback=callback)
+    except PositivityLost as err:
+        if getattr(err, "record", None) is not None:
+            err.record.to_csv(csv_path)  # the rows up to the last good state
+        raise
+    record.to_csv(csv_path)
     # the controller's next step, so a resumed run continues with it
     write_checkpoint(ckpt_path, state, state.dt_next or record.rows[-1][1])
     ric = ricci_sup_norm(state.chart, state.omega)
@@ -194,9 +201,9 @@ def _cmd_hopf_explicit(args):
     from .models import hopf_metric_at
 
     sample = HopfSampleSet.random(args.n, args.alpha, args.points, args.seed)
+    metric = hopf_metric_at(sample.points, args.t)
     write_manifest(args.out, "hopf-explicit", __version__, seed=args.seed,
                    extra={"n": args.n, "t": args.t, "points": args.points})
-    metric = hopf_metric_at(sample.points, args.t)
     r2 = np.sum(np.abs(sample.points) ** 2, axis=-1)
     eigs = np.linalg.eigvalsh(metric * r2[:, None, None])
     rows = [
@@ -220,6 +227,7 @@ def _cmd_hopf_verify(args):
     from .io import write_manifest
     from .models import (
         ReBilinear,
+        hopf_metric_at,
         verify_deck_invariance,
         verify_hopf_flow,
         verify_hopf_trace_chain,
@@ -227,9 +235,11 @@ def _cmd_hopf_verify(args):
     from .tensors import IdentityReport
 
     sample = HopfSampleSet.random(args.n, args.alpha, args.points, args.seed)
+    times = args.times or [0.0, 0.1, 0.2, 0.3 * (2.0 / args.n)]
+    for t in times:
+        hopf_metric_at(sample.points[:1], t)  # the existence interval, before any file
     write_manifest(args.out, "hopf-verify", __version__, seed=args.seed,
                    extra={"n": args.n, "points": args.points})
-    times = args.times or [0.0, 0.1, 0.2, 0.3 * (2.0 / args.n)]
     flow = verify_hopf_flow(sample, times)
     grid = f"{args.points}pts"
     reports = [

@@ -25,9 +25,9 @@ The right side works on real components, in the order of `herm_components`,
 for every n: a scenario keeps g0's and chi's components as views, forms
 ghat_t's from them, adds the Hessian of the stage spectrum with
 `TorusChart.plus_hessian` and takes `components_logdet`, the one positivity
-test. It returns the metric's components, and only `state_at`, which needs
-omega for the eigenvalue bounds, the monitor row, samples and checkpoints,
-assembles the complex matrix.
+test. It returns the metric's components; a state keeps them, its eigenvalue
+bounds and its monitor row's det read them, and only `FlowState.omega`, for a
+sample or a certificate, assembles the complex matrix.
 
 The right side splits as L phi + N(phi, t) with
 the diagonal operator L = (1/lambda_min) sum_i d_i d_ibar - d, where
@@ -53,9 +53,9 @@ the eigenvalue floor signals the approach to the maximal existence time.
 `_integrate`, drives it for `run`, `run_normalized`, `equivalence_check` and
 gill-flow, landing on t_end and on sample times, with one monitor row per
 state (``dt`` = t_k - t_{k-1}) if given a record. A `FlowState` holds raw
-arrays (phi, d_t phi, omega), the chart, omega's eigenvalue bounds, computed
-once per state, and the controller's next step; fields are validated only
-where data enters or leaves the engine.
+arrays (phi, d_t phi and omega's real components), the chart, omega's
+eigenvalue bounds, computed once per state, and the controller's next step;
+fields are validated only where data enters or leaves the engine.
 """
 
 import math
@@ -75,12 +75,15 @@ from .geometry import (
     ScalarField,
     TorusChart,
     VolumeField,
+    components_det,
+    components_eig_bounds,
+    components_inv,
     components_logdet,
+    components_trace,
     herm_components,
     herm_det,
     herm_eig_bounds,
     herm_from_components,
-    herm_pencil_eigvals,
     i_ddbar,
     require_positive,
 )
@@ -202,20 +205,20 @@ class FlowScenario:
         self._det_g0 = herm_det(g0.values)
         # lambda_min(g0 + t chi) is concave in t, so the endpoints decide
         for ts in (0.0, self.T0):
-            lo, _ = herm_eig_bounds(self.reference_metric(ts))
+            lo, _ = components_eig_bounds(self._reference_parts(ts))
             if not lo > 0.0:
                 raise PositivityUnreachable(
                     f"reference family loses positivity at t = {ts:.4g}"
                 )
         # constant A of the drift monitor max_M(phi - A t): the maximum over nodes and
         # [0, T0] of log det(g0 + t chi) - log Omega0. That log det is concave in t, so
-        # bisecting on the sign of its slope sum_k mu_k / (1 + t mu_k), mu = eig(g0^-1 chi),
-        # brings each node's maximizer t within T0's rounding in 53 halvings.
-        mu = np.moveaxis(herm_pencil_eigvals(g0.values, chi.values), -1, 0)
+        # bisecting on the sign of its slope tr((g0 + t chi)^-1 chi) brings each node's
+        # maximizer t within T0's rounding in 53 halvings.
         t, width = np.zeros(chart.shape), self.T0
         for _ in range(53):
             width *= 0.5
-            t = np.where(sum(m / (1.0 + (t + width) * m) for m in mu) > 0.0, t + width, t)
+            inv = components_inv(self._reference_parts(t + width))
+            t = np.where(components_trace(inv, self._chi_parts) > 0.0, t + width, t)
         logdet = components_logdet(self._reference_parts(t))
         self.monitor_A = float(np.max(logdet - self._log_density))
         # half-grid Fourier symbol of sum_i d_i d_ibar, the flat part of the
@@ -250,25 +253,28 @@ class FlowScenario:
     def state_at(self, t, phi):
         """The FlowState of potential values ``phi`` at time ``t``."""
         phidot, parts = self.rhs(phi, t)
-        omega = herm_from_components(parts, self.chart.shape)
-        lo, hi = herm_eig_bounds(omega)
-        return FlowState(t, phi, phidot, omega, self.chart, lo, hi)
+        return FlowState(t, phi, phidot, parts, self.chart, *components_eig_bounds(parts))
 
 
 @dataclass
 class FlowState:
-    """phi, d_t phi and omega as raw arrays on ``chart``, with omega's
-    smallest and largest eigenvalue over all nodes, and the step size the
-    controller proposes from here (None before the first step)."""
+    """phi, d_t phi and omega's real components as raw arrays on ``chart``,
+    with omega's smallest and largest eigenvalue over all nodes, and the step
+    size the controller proposes from here (None before the first step)."""
 
     t: float
     phi: np.ndarray
     phidot: np.ndarray
-    omega: np.ndarray
+    parts: list
     chart: TorusChart
     eig_min: float
     eig_max: float
     dt_next: float | None = None
+
+    @property
+    def omega(self):
+        """omega as a new matrix array, from ``parts`` in `herm_components` order."""
+        return herm_from_components(self.parts, self.chart.shape)
 
     @staticmethod
     def initial(scenario, phi=None):
@@ -435,7 +441,7 @@ def _monitor_row(state, scenario, dt):
     pd = state.phidot
     t = state.t
     n = state.chart.n
-    det = herm_det(state.omega)
+    det = components_det(state.parts)
     q0 = (scenario.T0 - t) * pd + phi + n * t
     q1 = t * pd - phi - n * t
     u = scenario._det_g0 / det

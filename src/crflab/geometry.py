@@ -61,10 +61,10 @@ multipliers of the constant-coefficient Laplacians, are built from them.
 
 Per-node linear algebra works on components, in closed form for n <= 2 and
 through LAPACK beyond; `herm_det`, `herm_logdet` and, for n <= 2, `herm_inv`
-take a matrix field's components. `components_logdet` is the one positivity
-test before a log det: det > 0 and A_11 > 0 for n <= 2, and beyond a finite
-det > 0 with a Cholesky factor, cheaper than eigenvalues. `herm_eig_bounds`
-is left to the callers that need the bounds, such as `FlowScenario.state_at`.
+and `herm_eig_bounds` take a matrix field's components. `components_logdet`
+is the one positivity test before a log det: det > 0 and A_11 > 0 for n <= 2,
+and beyond a finite det > 0 with a Cholesky factor, cheaper than eigenvalues;
+`components_eig_bounds` serves the callers that need the bounds.
 """
 
 import math
@@ -438,17 +438,8 @@ def herm_inv(values):
 def herm_eig_bounds(values):
     """(min, max) eigenvalue over all nodes of a Hermitian matrix field;
     NaN propagates, so ``not lo > 0`` rejects a field with a NaN entry."""
-    n = values.shape[-1]
-    if n == 1:
-        d = values[..., 0, 0].real
-        return float(d.min()), float(d.max())
-    if n == 2:
-        a = values[..., 0, 0].real
-        d = values[..., 1, 1].real
-        b = values[..., 0, 1]
-        s = 0.5 * (a + d)
-        r = np.sqrt(0.25 * (a - d) ** 2 + b.real ** 2 + b.imag ** 2)
-        return float((s - r).min()), float((s + r).max())
+    if values.shape[-1] <= 2:
+        return components_eig_bounds(herm_components(values))
     if not np.isfinite(values).all():
         # LAPACK returns arbitrary finite eigenvalues for non-finite input
         return math.nan, math.nan
@@ -461,20 +452,6 @@ def herm_mixed_det(a, b):
     det(a + b) = det(a) + m(a, b) + det(b)."""
     m = (a[..., 0, 0] * b[..., 1, 1] + a[..., 1, 1] * b[..., 0, 0]).real
     return m - 2.0 * (a[..., 0, 1] * b[..., 1, 0]).real
-
-
-def herm_pencil_eigvals(a, b):
-    """Eigenvalues of a^-1 b along a new last axis, for Hermitian fields a > 0
-    and b (closed form for n <= 2)."""
-    n = a.shape[-1]
-    if n == 1:
-        return (b[..., 0] / a[..., 0]).real
-    if n == 2:
-        # roots of det(b - mu a) = det(a) mu^2 - m(a, b) mu + det(b)
-        m, det_a = herm_mixed_det(a, b), herm_det(a)
-        root = np.sqrt(np.maximum(m ** 2 - 4.0 * det_a * herm_det(b), 0.0))
-        return np.stack([m - root, m + root], axis=-1) / (2.0 * det_a[..., None])
-    return np.linalg.eigvals(np.linalg.solve(a, b)).real
 
 
 def herm_logdet(values):
@@ -508,6 +485,21 @@ def components_trace(a, b):
         return (a[0] * b[0] + cross) + (cross + a[3] * b[3])
     entries = _component_entries(math.isqrt(len(a)))
     return sum((1.0 if i == j else 2.0) * x * y for (i, j, _), x, y in zip(entries, a, b))
+
+
+def components_eig_bounds(parts):
+    """(min, max) eigenvalue over all nodes of the Hermitian field of real
+    components ``parts``: the closed form for n <= 2, `herm_eig_bounds` of
+    the matrix beyond; NaN propagates."""
+    if len(parts) == 1:
+        d = parts[0]
+        return float(d.min()), float(d.max())
+    if len(parts) == 4:
+        a, re, im, d = parts
+        s = 0.5 * (a + d)
+        r = np.sqrt(0.25 * (a - d) ** 2 + re ** 2 + im ** 2)
+        return float((s - r).min()), float((s + r).max())
+    return herm_eig_bounds(herm_from_components(parts, np.shape(parts[0])))
 
 
 def components_det(parts):

@@ -212,6 +212,22 @@ class TestSolve:
         assert solve_elliptic(gill_problem(16), "gill-flow", tol=1e-4).iterations > 0
         assert rows == []
 
+    def test_gill_flow_assembles_no_matrix(self, monkeypatch):
+        # the relaxation's states keep the metric as real components
+        from crflab import flow, geometry
+
+        calls = []
+        assemble = geometry.herm_from_components
+
+        def counted(parts, shape):
+            calls.append(shape)
+            return assemble(parts, shape)
+
+        monkeypatch.setattr(geometry, "herm_from_components", counted)
+        monkeypatch.setattr(flow, "herm_from_components", counted)
+        assert solve_elliptic(gill_problem(16), "gill-flow", tol=1e-4).iterations > 0
+        assert calls == []
+
     @pytest.mark.parametrize("method", ["gill-flow", "newton-continuation"])
     @pytest.mark.parametrize("max_steps", [0, -1, 2.5, "10"])
     def test_max_steps_must_be_a_positive_integer(self, chart1, method, max_steps):

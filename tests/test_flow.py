@@ -273,15 +273,34 @@ class TestComponentStage:
         # det > 0 and A_11 > 0 for n <= 2 and a Cholesky factor beyond
         sc = _stage_scenario(chart, False)
         calls = []
-        bounds = geometry.herm_eig_bounds
+        bounds = geometry.components_eig_bounds
 
-        def counted(values):
-            calls.append(values.shape)
-            return bounds(values)
+        def counted(parts):
+            calls.append(len(parts))
+            return bounds(parts)
 
-        monkeypatch.setattr(geometry, "herm_eig_bounds", counted)
-        monkeypatch.setattr(flow, "herm_eig_bounds", counted)
+        monkeypatch.setattr(geometry, "components_eig_bounds", counted)
+        monkeypatch.setattr(flow, "components_eig_bounds", counted)
         FlowState.initial(sc)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("chart", STAGE_CHARTS[:3], ids=STAGE_IDS[:3])
+    def test_a_run_assembles_no_matrix_until_omega_is_read(self, chart, monkeypatch):
+        # a state keeps omega's components; for n <= 2 only FlowState.omega
+        # builds the complex matrix
+        sc = _stage_scenario(chart, False)
+        calls = []
+        assemble = geometry.herm_from_components
+
+        def counted(parts, shape):
+            calls.append(shape)
+            return assemble(parts, shape)
+
+        monkeypatch.setattr(geometry, "herm_from_components", counted)
+        monkeypatch.setattr(flow, "herm_from_components", counted)
+        record, state = run(sc, 0.02)
+        assert len(record.rows) >= 2 and calls == []
+        assert state.omega.shape == chart.shape + (chart.n, chart.n)
         assert len(calls) == 1
 
     @pytest.mark.parametrize("normalized", [False, True], ids=["plain", "normalized"])

@@ -11,6 +11,7 @@ from crflab.geometry import (
     coarsen_chart,
     coarsen_field,
     components_det,
+    components_eig_bounds,
     components_inv,
     components_trace,
     herm_det,
@@ -20,7 +21,6 @@ from crflab.geometry import (
     herm_inv,
     herm_logdet,
     herm_mixed_det,
-    herm_pencil_eigvals,
     i_ddbar,
     min_eigenvalue,
     refine_chart,
@@ -617,25 +617,47 @@ class TestComponentKernels:
         assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
+    @pytest.mark.parametrize("nan", [False, True], ids=["finite", "nan"])
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_eig_bounds_repeat_the_matrix_closed_form_bitwise(self, n, nan):
+        a = _random_hermitian(np.random.default_rng(30 + n), n, nodes=64) + 3.0 * np.eye(n)
+        if nan:
+            # in the last component: Im a_01 for n = 2, a_00 for n = 1
+            (a.imag if n == 2 else a.real)[17, 0, -1] = np.nan
+        expected = _matrix_eig_bounds(a)
+        for got in (components_eig_bounds(herm_components(a)), herm_eig_bounds(a)):
+            assert np.array_equal(got, expected, equal_nan=True)
+        assert np.isnan(expected[0]) == nan
+
+    def test_n3_eig_bounds(self):
+        a = _random_hermitian(np.random.default_rng(5), 3, nodes=64)
+        w = np.linalg.eigvalsh(a)
+        lo, hi = components_eig_bounds(herm_components(a))
+        assert abs(lo - w[:, 0].min()) <= 1e-12 and abs(hi - w[:, -1].max()) <= 1e-12
+
+
+def _matrix_eig_bounds(values):
+    # the closed form of herm_eig_bounds on the matrix, for n <= 2, as it
+    # read before the component function held it
+    n = values.shape[-1]
+    if n == 1:
+        d = values[..., 0, 0].real
+        return float(d.min()), float(d.max())
+    a = values[..., 0, 0].real
+    d = values[..., 1, 1].real
+    b = values[..., 0, 1]
+    s = 0.5 * (a + d)
+    r = np.sqrt(0.25 * (a - d) ** 2 + b.real ** 2 + b.imag ** 2)
+    return float((s - r).min()), float((s + r).max())
+
+
+
 class TestHermPencil:
     def test_mixed_det_is_the_cross_term_of_det(self):
         rng = np.random.default_rng(4)
         a, b = _random_hermitian(rng, 2), _random_hermitian(rng, 2)
         expected = herm_det(a + b) - herm_det(a) - herm_det(b)
         assert np.max(np.abs(herm_mixed_det(a, b) - expected)) <= 1e-12
-
-    @pytest.mark.parametrize("n", [1, 2, 3])
-    def test_eigenvalues_of_a_inverse_b(self, n):
-        rng = np.random.default_rng(20 + n)
-        root = _random_hermitian(rng, n)
-        a = np.einsum("...ab,...cb->...ac", root, np.conj(root)) + np.eye(n)
-        b = _random_hermitian(rng, n)
-        # the Hermitian problem L^-1 b L^-H, with a = L L^H, has the same spectrum
-        li = np.linalg.inv(np.linalg.cholesky(a))
-        expected = np.linalg.eigvalsh(li @ b @ np.conj(np.swapaxes(li, -1, -2)))
-        mu = np.sort(herm_pencil_eigvals(a, b), axis=-1)
-        assert mu.shape == (6, n)
-        assert np.max(np.abs(mu - expected)) <= 1e-12
 
 
 class TestLaplacianInverse:

@@ -437,6 +437,18 @@ class TestCli:
         assert f"point count must be at least 1, got {points}" in capsys.readouterr().err
         assert not out.exists() or not any(out.iterdir())
 
+    @pytest.mark.parametrize("command", ["hopf-explicit", "hopf-verify"])
+    @pytest.mark.parametrize("t", ["0.7", "0.5", "-0.1", "nan"])
+    def test_hopf_time_off_the_existence_interval_exits_2_and_writes_nothing(
+        self, tmp_path, capsys, command, t
+    ):
+        # n = 2: the explicit solution exists for 0 <= t < 1/2
+        out = tmp_path / "h"
+        flag = ["--t", t] if command == "hopf-explicit" else ["--times", "0.1", t]
+        assert main([command, *flag, "--out", str(out)]) == 2
+        assert "outside the existence interval [0, 1/2)" in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
+
     def test_hopf_explicit_samples_inside_the_unit_sphere_below_one(self, tmp_path, capsys):
         out = tmp_path / "h"
         assert main(["hopf-explicit", "--alpha", "0.5", "--out", str(out)]) == 0
@@ -540,6 +552,31 @@ class TestCli:
         other = run("r3", "--resume", snap)
         assert other[0] != resumed[0] and other[1] != resumed[1]
         capsys.readouterr()
+
+    def test_positivity_loss_keeps_the_rows_up_to_the_last_good_state(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        import crflab.flow
+        from crflab.errors import PositivityLost
+
+        step, taken = crflab.flow.step, []
+
+        def failing(state, scenario, dt_max=None):
+            if len(taken) == 3:
+                raise PositivityLost("injected", t=state.t)
+            taken.append(state.t)
+            return step(state, scenario, dt_max)
+
+        monkeypatch.setattr(crflab.flow, "step", failing)
+        out = tmp_path / "f"
+        scen = os.path.join(CONFIGS, "flow_n1.cfg")
+        assert main(["run-flow", "--scenario", scen, "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "numerical failure: injected" in err
+        rows = np.loadtxt(out / "trajectory.csv", delimiter=",", skiprows=1)
+        assert rows.shape[0] == 4
+        assert f"last good state at t = {rows[-1, 0]:.6g}\n" in err
+        assert not (out / "checkpoint.snap").exists()
 
     def test_solve_ma_tolerance_reaches_the_doubled_grid(self, tmp_path, capsys, monkeypatch):
         import crflab.elliptic
