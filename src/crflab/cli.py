@@ -145,7 +145,7 @@ def _cmd_verify_identities(args):
 
 
 def _cmd_run_flow(args):
-    from .errors import PositivityLost
+    from .errors import PositivityLost, StepUnderflow
     from .flow import read_checkpoint, ricci_sup_norm, run, write_checkpoint
 
     scenario, cfg = _scenario_from_config(
@@ -166,7 +166,7 @@ def _cmd_run_flow(args):
     csv_path = os.path.join(args.out, "trajectory.csv")
     try:
         record, state = run(scenario, t_end, state=state, callback=callback)
-    except PositivityLost as err:
+    except (PositivityLost, StepUnderflow) as err:
         if getattr(err, "record", None) is not None:
             err.record.to_csv(csv_path)  # the rows up to the last good state
         raise
@@ -414,11 +414,9 @@ def main(argv=None):
 
     try:
         return args.func(args)
-    except (NonConvergence, StepUnderflow) as err:
+    except (NonConvergence, PositivityLost, StepUnderflow) as err:
         print(f"numerical failure: {err}", file=sys.stderr)
-        return 3
-    except PositivityLost as err:
-        print(f"numerical failure: {err}", file=sys.stderr)
+        # the flow's loop attaches the last accepted state to its step errors
         if getattr(err, "last_state", None) is not None:
             print(f"last good state at t = {err.last_state.t:.6g}", file=sys.stderr)
         return 3

@@ -34,6 +34,13 @@ matrix is built or inverted. `EllipticProblem` is
 frozen and takes the background's log det once, as its positivity test, for
 every residual to read.
 
+Gill-flow's limit does not depend on the path to it, so its steps need to
+be stable and keep the metric positive, not to be accurate in time: it sets
+its scenario's step tolerance to 1e-3, where the flows keep 1e-6. A 32-node
+n = 1 problem at tol 1e-8 then relaxes in 26 steps rather than 202, and the
+n = 2 recipe of the newton_n2 benchmark workload, on 64^2 at tol 1e-6, in 69
+rather than 550, with phi within 4e-7 of Newton's.
+
 Both start from phi = 0 unless given a start phi0 (Newton also takes b0)
 and share one ending: phi loses the modes no Wirtinger operator sees, which
 leaves its residual unchanged, and b moves to the residual's mean. Near a
@@ -107,6 +114,14 @@ _COARSE_KRYLOV_CAP = 25
 # gill-flow stops after this many steps without a new oscillation minimum:
 # on 16 nodes at tol 1e-6 it stalls at 1.48e-5; converging runs set one each step
 _GILL_STALL_STEPS = 100
+# gill-flow's step tolerance: its limit does not depend on the path, so its
+# steps need stability and positivity, not time accuracy. Against the flows'
+# 1e-6 it cut a 32-node n = 1 solve at tol 1e-8 from 202 to 26 steps and the
+# newton_n2 recipe on 32^2/64^2 at 1e-6 from 546/550 to 67/69, with
+# |phi - Newton| 4.7e-9, 1.4e-7 and 3.6e-7. At 1e-2 phi's drift b t passed
+# t ~ 3e6, and the Hessian's rounding of |phi| ~ 1.5e6 stalled the 64^2 solve
+# at 7.9e-7; at 1e-3 t_end stays <= 6.4e5
+_GILL_STEP_TOL = 1e-3
 
 
 @dataclass(frozen=True)
@@ -286,6 +301,7 @@ def _solve_gill_flow(problem, tol, max_steps, phi0):
     )
     chi = HermitianMatrixField(chart, np.zeros(chart.shape + (chart.n, chart.n)))
     scenario = FlowScenario(problem.omega, 1e12, chi, density)
+    scenario.step_tol = _GILL_STEP_TOL
     osc = best = np.inf
     steps = since_best = 0
     # the loop body holds the stop rules: tolerance, stall and step budget

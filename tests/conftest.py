@@ -201,6 +201,17 @@ def commutator_residual(g, X):
     return float(np.max(np.abs(lhs - rhs)))
 
 
+# -- test-only flow view: the reference metric the flow keeps as components ------
+
+
+def reference_metric(scenario, t):
+    """A flow scenario's reference metric ghat_t as a new matrix array, from
+    the real components the scenario's stages combine."""
+    from crflab.geometry import herm_from_components
+
+    return herm_from_components(scenario._reference_parts(t), scenario.chart.shape)
+
+
 # -- test-only Hopf potentials and surface data ----------------------------------
 # inputs to the Hopf trace-chain checks and the maximal-time scaling law
 

@@ -179,6 +179,7 @@ class TestSolve:
         )
         chi = HermitianMatrixField(chart, np.zeros(chart.shape + (chart.n, chart.n)))
         scenario = FlowScenario(problem.omega, 1e12, chi, density)
+        scenario.step_tol = elliptic._GILL_STEP_TOL
         state = FlowState.initial(scenario, np.zeros(chart.shape))
         osc = best = np.inf
         steps = since_best = 0
@@ -203,6 +204,40 @@ class TestSolve:
         assert sol.b == ref.b
         assert sol.iterations == ref.iterations == steps
         assert sol.extras["t_end"] == ref.extras["t_end"]
+
+    def test_gill_flow_relaxes_in_few_steps(self):
+        # stepping toward stationarity, not along the transient: 202 steps
+        # at the flows' step tolerance
+        sol = solve_elliptic(gill_problem(32), "gill-flow", tol=1e-8)
+        assert sol.iterations <= 30
+        assert sol.residual <= 1e-8
+
+    def test_gill_flow_matches_newton_n2(self):
+        problem, tol = wave_problem(32), 1e-6
+        relaxed = solve_elliptic(problem, "gill-flow", tol=tol)
+        newton = solve_elliptic(problem, tol=tol)
+        assert relaxed.residual <= tol
+        assert np.max(np.abs(relaxed.phi.values - newton.phi.values)) <= 1e-6
+        assert abs(relaxed.b - newton.b) <= 1e-6
+
+    def test_gill_flow_step_tolerance_is_no_option(self, monkeypatch):
+        # the flows keep their tolerance; gill-flow's is set on its own
+        # scenario, not in the StepControl a cfg's [control] section builds
+        from crflab import flow
+
+        seen = []
+        step = flow.step
+
+        def spy(state, scenario, dt_max=None):
+            seen.append(scenario.step_tol)
+            return step(state, scenario, dt_max)
+
+        monkeypatch.setattr(flow, "step", spy)
+        assert solve_elliptic(gill_problem(16), "gill-flow", tol=1e-4).iterations > 0
+        assert set(seen) == {elliptic._GILL_STEP_TOL}
+        assert flow.FlowScenario.step_tol == 1e-6
+        assert flow.NormalizedScenario.step_tol == 1e-6
+        assert "step_tol" not in {f.name for f in dataclasses.fields(flow.StepControl)}
 
     def test_gill_flow_makes_no_monitor_rows(self, monkeypatch):
         from crflab import flow

@@ -578,6 +578,31 @@ class TestCli:
         assert f"last good state at t = {rows[-1, 0]:.6g}\n" in err
         assert not (out / "checkpoint.snap").exists()
 
+    def test_step_underflow_keeps_the_rows_up_to_the_last_good_state(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        import crflab.flow
+        from crflab.errors import StepUnderflow
+
+        step, taken = crflab.flow.step, []
+
+        def failing(state, scenario, dt_max=None):
+            if len(taken) == 3:
+                raise StepUnderflow(f"injected at t = {state.t:.6g}")
+            taken.append(state.t)
+            return step(state, scenario, dt_max)
+
+        monkeypatch.setattr(crflab.flow, "step", failing)
+        out = tmp_path / "f"
+        scen = os.path.join(CONFIGS, "flow_n1.cfg")
+        assert main(["run-flow", "--scenario", scen, "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "numerical failure: injected" in err
+        rows = np.loadtxt(out / "trajectory.csv", delimiter=",", skiprows=1)
+        assert rows.shape[0] == 4
+        assert f"last good state at t = {rows[-1, 0]:.6g}\n" in err
+        assert not (out / "checkpoint.snap").exists()
+
     def test_solve_ma_tolerance_reaches_the_doubled_grid(self, tmp_path, capsys, monkeypatch):
         import crflab.elliptic
 
