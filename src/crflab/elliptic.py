@@ -7,13 +7,13 @@ Solves, on a torus chart with background metric omega,
 for the potential phi and the uniquely determined constant b, by either
 integrating the parabolic relaxation
 
-    d_t phi = log det(g + Hess phi)/det(g) - F
+    d_t phi = log det(g + Hess phi)/det(g) - F - (its grid mean)
 
-to stationarity in the flow engine's one time loop, `flow._integrate` (phi
-drifts linearly with slope b; the spatial oscillation of d_t phi bounds the
-residual), or by damped Newton on (phi, b) with the
-linearized operator Delta' (the complex Laplacian of the updated metric)
-applied matrix-free and inverted by BiCGStab on the mean-zero subspace,
+to stationarity in the flow engine's one time loop, `flow._integrate` (the
+spatial oscillation of d_t phi bounds the residual, and the mean taken off
+keeps phi from drifting with slope b on the grid), or by damped Newton on
+(phi, b) with the linearized operator Delta' (the complex Laplacian of the
+updated metric) applied matrix-free and inverted by BiCGStab on the mean-zero subspace,
 right-preconditioned: the Krylov solve runs on A M^-1 y = rhs, with M the
 flat Laplacian of the mean metric, and the step is M^-1 y. M^-1 is a
 half-spectrum multiplier, so one operator apply is one `rfft` of y, the
@@ -35,11 +35,12 @@ frozen and takes the background's log det once, as its positivity test, for
 every residual to read.
 
 Gill-flow's limit does not depend on the path to it, so its steps need to
-be stable and keep the metric positive, not to be accurate in time: it sets
-its scenario's step tolerance to 1e-3, where the flows keep 1e-6. A 32-node
-n = 1 problem at tol 1e-8 then relaxes in 26 steps rather than 202, and the
-n = 2 recipe of the newton_n2 benchmark workload, on 64^2 at tol 1e-6, in 69
-rather than 550, with phi within 4e-7 of Newton's.
+be stable and keep the metric positive, not to be accurate in time. Its
+scenario, `_Relaxation`, is only a relaxation: omega is the reference at
+every t, and its step tolerance is 1e-3, where the flows keep 1e-6. A 32-node
+n = 1 problem at tol 1e-8 then relaxes in 24 steps, and the n = 2 recipe of
+the newton_n2 benchmark workload at tol 1e-6 in 64, 67, 69 and 71 steps on
+32^2, 64^2, 128^2 and 256^2, with phi within 3.3e-7 of Newton's.
 
 Both start from phi = 0 unless given a start phi0 (Newton also takes b0)
 and share one ending: phi loses the modes no Wirtinger operator sees, which
@@ -80,23 +81,22 @@ spectra, one real component of omega at a time. The re-solve starts from the
 refined coarse solution and iterates to its own tolerance.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import NonConvergence, NotPositiveDefinite
 # step is unused here; perfbench's tests check that its tracer patches this binding too
-from .flow import FlowScenario, FlowState, _integrate, step
+from .flow import FlowScenario, FlowState, StepControl, _integrate, step
 from .geometry import (
     HermitianMatrixField,
     ScalarField,
-    VolumeField,
     coarsen_field,
     components_inv,
     components_logdet,
     components_trace,
     herm_components,
-    herm_det,
     herm_logdet,
     refine_field,
 )
@@ -116,11 +116,11 @@ _COARSE_KRYLOV_CAP = 25
 _GILL_STALL_STEPS = 100
 # gill-flow's step tolerance: its limit does not depend on the path, so its
 # steps need stability and positivity, not time accuracy. Against the flows'
-# 1e-6 it cut a 32-node n = 1 solve at tol 1e-8 from 202 to 26 steps and the
-# newton_n2 recipe on 32^2/64^2 at 1e-6 from 546/550 to 67/69, with
-# |phi - Newton| 4.7e-9, 1.4e-7 and 3.6e-7. At 1e-2 phi's drift b t passed
-# t ~ 3e6, and the Hessian's rounding of |phi| ~ 1.5e6 stalled the 64^2 solve
-# at 7.9e-7; at 1e-3 t_end stays <= 6.4e5
+# 1e-6 it cuts a 32-node n = 1 solve at tol 1e-8 from 202 to 24 steps and the
+# newton_n2 recipe on 32^2/64^2 at 1e-6 from 546/550 to 64/67, with
+# |phi - Newton| 4.5e-9, 1.8e-7 and 3.2e-7. With the mean-free right side
+# 1e-2 converged on these and on 128^2/256^2 too (17-54 steps), but no wider
+# sweep backs it yet
 _GILL_STEP_TOL = 1e-3
 
 
@@ -294,18 +294,37 @@ def _solve_newton_nested(problem, tol, max_steps, phi0, b0):
     return solution
 
 
+class _Relaxation(FlowScenario):
+    """Gill-flow's pseudo-time problem: d_t phi = log det(omega + i ddbar phi)
+    - log det omega - F, less its grid mean. The reference is omega at every
+    t, so there is no horizon, chi or drift monitor; a constant in d_t phi
+    moves neither the stationary phi nor the oscillation of d_t phi, and
+    without it phi's mean does not drift on the grid."""
+
+    step_tol = _GILL_STEP_TOL
+    control = StepControl()
+
+    def __init__(self, problem):
+        self.chart = chart = problem.chart
+        self._omega_parts = herm_components(problem.omega.values)
+        self._log_density = problem._logdet + problem.F.values
+        self._laplacian = chart.laplacian_symbol(herm_components(np.eye(chart.n)))
+
+    def _reference_parts(self, t):
+        # views of omega's components; plus_hessian never writes them
+        return self._omega_parts
+
+    def rhs(self, phi, t, spec=None):
+        phidot, parts = super().rhs(phi, t, spec)
+        return phidot - phidot.mean(), parts
+
+
 def _solve_gill_flow(problem, tol, max_steps, phi0):
-    chart = problem.chart
-    density = VolumeField(
-        chart, herm_det(problem.omega.values) * np.exp(problem.F.values)
-    )
-    chi = HermitianMatrixField(chart, np.zeros(chart.shape + (chart.n, chart.n)))
-    scenario = FlowScenario(problem.omega, 1e12, chi, density)
-    scenario.step_tol = _GILL_STEP_TOL
+    scenario = _Relaxation(problem)
     osc = best = np.inf
     steps = since_best = 0
     # the loop body holds the stop rules: tolerance, stall and step budget
-    for state in _integrate(scenario, FlowState.initial(scenario, phi0), scenario.T0):
+    for state in _integrate(scenario, FlowState.initial(scenario, phi0), math.inf):
         steps += 1
         pd = state.phidot
         osc = float(pd.max() - pd.min())
@@ -490,8 +509,12 @@ def certify_estimates(solution, A_grid, tol=None):
     is re-solved starting from the Fourier-refined solution (nested
     iteration); that solve still iterates until its own residual is <= tol,
     so a start that is not yet converged on the fine grid takes more steps.
-    It uses the method that found ``solution``.
+    It uses the method that found ``solution``. Every A must be finite;
+    a ValueError says so before anything is solved.
     """
+    A_grid = tuple(float(a) for a in A_grid)
+    if not all(map(math.isfinite, A_grid)):
+        raise ValueError(f"A values must be finite, got {A_grid}")
     problem = solution.problem
 
     def stats(sol):
@@ -520,7 +543,7 @@ def certify_estimates(solution, A_grid, tol=None):
             break
     return EstimateReport(
         oscillation=osc,
-        A_grid=tuple(float(a) for a in A_grid),
+        A_grid=A_grid,
         C_coarse=C1,
         C_fine=C2,
         stable_A=stable_A,

@@ -153,13 +153,16 @@ class TestSolve:
         assert np.min(np.diff(record.column("q0_min"))) >= -1e-8
 
     def test_gill_flow_stall_raises(self):
-        # on 16 nodes the oscillation floors near 1.5e-5, above tol, while
-        # t runs off: the solve stops on the stall, long before max_steps
-        with pytest.raises(
-            NonConvergence,
-            match=r"oscillation stalled at 1\.4\d*e-05: no new minimum in 100 steps",
-        ):
-            solve_elliptic(gill_problem(16), "gill-flow", tol=1e-6, max_steps=1000)
+        # the oscillation floors above tol (on 16 nodes near 1.5e-5, on the
+        # peaked 32^2 problem at 6.2e-7), whatever the step rule: the solve
+        # stops on the stall, long before max_steps
+        for problem, floor in ((gill_problem(16), r"1\.4\d*e-05"),
+                               (peaked_problem(32), r"6\.205e-07")):
+            with pytest.raises(
+                NonConvergence,
+                match=rf"oscillation stalled at {floor}: no new minimum in 100 steps",
+            ):
+                solve_elliptic(problem, "gill-flow", tol=1e-6, max_steps=1000)
 
     def test_budget_exhaustion_raises(self, chart1):
         prob, _ = manufactured_problem(chart1, np.array([[1.2]]), 11, 0.2)
@@ -169,17 +172,11 @@ class TestSolve:
     def test_gill_flow_repeats_its_loop_over_step_bitwise(self):
         # gill-flow steps in the flow engine's loop; the loop it had of its
         # own, over flow.step, is the reference
-        from crflab.flow import FlowScenario, FlowState, step
-        from crflab.geometry import VolumeField
+        from crflab.flow import FlowState, step
 
         problem, tol, max_steps = gill_problem(32), 1e-8, 2_000_000
         chart = problem.chart
-        density = VolumeField(
-            chart, herm_det(problem.omega.values) * np.exp(problem.F.values)
-        )
-        chi = HermitianMatrixField(chart, np.zeros(chart.shape + (chart.n, chart.n)))
-        scenario = FlowScenario(problem.omega, 1e12, chi, density)
-        scenario.step_tol = elliptic._GILL_STEP_TOL
+        scenario = elliptic._Relaxation(problem)
         state = FlowState.initial(scenario, np.zeros(chart.shape))
         osc = best = np.inf
         steps = since_best = 0
@@ -219,6 +216,39 @@ class TestSolve:
         assert relaxed.residual <= tol
         assert np.max(np.abs(relaxed.phi.values - newton.phi.values)) <= 1e-6
         assert abs(relaxed.b - newton.b) <= 1e-6
+
+    def test_gill_flow_converges_on_128(self):
+        # the newton_n2 recipe on 128^2 stalled at 5.226e-7 while phi's mean
+        # drifted with slope b on the grid
+        problem, tol = wave_problem(128), 1e-6
+        relaxed = solve_elliptic(problem, "gill-flow", tol=tol)
+        newton = solve_elliptic(problem, tol=tol)
+        assert relaxed.residual <= tol
+        assert np.max(np.abs(relaxed.phi.values - newton.phi.values)) <= 1e-6
+
+    def test_gill_flow_keeps_phi_mean_free(self, monkeypatch):
+        # with b t in phi the mean of phi reached 15.2 on this problem
+        means = []
+        integrate = elliptic._integrate
+
+        def spy(scenario, state, t_end, *args, **kwargs):
+            means.append(abs(float(state.phi.mean())))
+            for state in integrate(scenario, state, t_end, *args, **kwargs):
+                means.append(abs(float(state.phi.mean())))
+                yield state
+
+        monkeypatch.setattr(elliptic, "_integrate", spy)
+        assert solve_elliptic(gill_problem(32), "gill-flow", tol=1e-8).iterations > 0
+        assert len(means) > 1
+        assert max(means) <= 1e-12
+
+    def test_relaxation_rhs_is_the_mean_free_residual(self):
+        for problem in (gill_problem(32), wave_problem(32)):
+            phi = bandlimited_scalar(problem.chart, 3, amplitude=0.05).values
+            phidot, parts = elliptic._Relaxation(problem).rhs(phi, 7.0)
+            res, res_parts = _residual_field(problem, phi, 0.0)
+            assert np.max(np.abs(phidot - (res - res.mean()))) <= 1e-14
+            assert all(np.array_equal(u, v) for u, v in zip(parts, res_parts))
 
     def test_gill_flow_step_tolerance_is_no_option(self, monkeypatch):
         # the flows keep their tolerance; gill-flow's is set on its own
@@ -584,6 +614,17 @@ class TestEstimates:
         assert [s.iterations for _, s in solves] == [0]
         forward, inverse = 4 + 1 + 1 + 3, 4 + 1 + 1 + 7
         assert calls == {"rfft": forward, "fft": forward, "ifft": inverse, "irfft": inverse}
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_A_raises_before_resolving(self, chart2, monkeypatch, bad):
+        prob = EllipticProblem(
+            HermitianMatrixField.identity(chart2), ScalarField.zeros(chart2)
+        )
+        sol = solve_elliptic(prob)
+        solves = record_solves(monkeypatch)
+        with pytest.raises(ValueError, match="A values must be finite"):
+            certify_estimates(sol, (0.0, bad, 1.0))
+        assert solves == []
 
     def test_manufactured_statistics_stable(self, chart2):
         base = np.array([[1.2, 0.1], [0.1, 1.0]])

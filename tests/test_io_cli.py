@@ -671,6 +671,16 @@ class TestCli:
         assert rc == 2
         assert "tolerance must be finite and positive" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("a_grid", [["inf", "nan", "1"], ["0", "1", "nan"]])
+    def test_solve_ma_non_finite_a_grid_exits_2(self, tmp_path, capsys, a_grid):
+        scen = _write(tmp_path, "e.cfg", ELLIPTIC)
+        rc = main(["solve-ma", "--scenario", scen, "--out", str(tmp_path / "ma"),
+                   "--a-grid", *a_grid])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert "A values must be finite" in captured.err
+        assert "C(" not in captured.out
+
     @pytest.mark.parametrize("tolerance", ["nan", "inf", "0", "-1"])
     def test_verify_identities_invalid_tolerance_exits_2(self, tmp_path, capsys, tolerance):
         rc = main(["verify-identities", "--resolution", "16", "--out", str(tmp_path / "v"),
