@@ -259,11 +259,12 @@ def _cmd_hopf_verify(args):
 
 
 def _cmd_solve_ma(args):
-    from .elliptic import EllipticProblem, certify_estimates, solve_elliptic
+    from .elliptic import EllipticProblem, _A_values, certify_estimates, solve_elliptic
     from .geometry import TorusChart
     from .io import write_snapshot
     from .models import Perturbation, ScalarRecipe
 
+    a_grid = _A_values(args.a_grid) if args.a_grid else None  # before any solve or file
     cfg, seed = _load(args, "elliptic", "solve-ma")
     chart = TorusChart(**cfg["chart"])
     omega = _metric_from_config(cfg["recipe"], chart, seed)
@@ -275,8 +276,8 @@ def _cmd_solve_ma(args):
     write_snapshot(os.path.join(args.out, "phi.snap"), solution.phi)
     print(f"method = {solution.method}  residual = {solution.residual:.3e}  "
           f"b = {solution.b:.12g}")
-    if args.a_grid:
-        report = certify_estimates(solution, tuple(args.a_grid), tol=args.tolerance)
+    if a_grid:
+        report = certify_estimates(solution, a_grid, tol=args.tolerance)
         print(f"oscillation = {report.oscillation:.6g}")
         for A, c1, c2 in zip(report.A_grid, report.C_coarse, report.C_fine):
             print(f"C({A:g}) = {c1:.6g}  refined = {c2:.6g}")

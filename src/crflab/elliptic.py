@@ -13,15 +13,24 @@ to stationarity in the flow engine's one time loop, `flow._integrate` (the
 spatial oscillation of d_t phi bounds the residual, and the mean taken off
 keeps phi from drifting with slope b on the grid), or by damped Newton on
 (phi, b) with the linearized operator Delta' (the complex Laplacian of the
-updated metric) applied matrix-free and inverted by BiCGStab on the mean-zero subspace,
-right-preconditioned: the Krylov solve runs on A M^-1 y = rhs, with M the
-flat Laplacian of the mean metric, and the step is M^-1 y. M^-1 is a
-half-spectrum multiplier, so one operator apply is one `rfft` of y, the
-live real Hessian components of M^-1 y (at most n^2, one `irfft` each; see
+updated metric G') applied matrix-free and inverted by BiCGStab on the
+mean-zero subspace, right-preconditioned: the Krylov solve runs on
+A M^-1 y = rhs, and the step is M^-1 y = L^-1 (y / sigma). L is the flat
+Laplacian of the mean metric Gbar, whose inverse is a half-spectrum
+multiplier (`TorusChart.laplacian_inverse`), and sigma = tr(G'^-1 Gbar) / n
+is the local scale of Delta' against L, taken node by node from the inverse
+the Krylov weights already build: scale by the local coefficient, then invert
+the constant-coefficient operator (Concus & Golub, SIAM J. Numer. Anal. 10,
+1973). For n = 1 that makes A M^-1 the identity but for the invisible modes.
+One operator apply is one scaling and one `rfft` of y, the live real Hessian
+components of M^-1 y (at most n^2, one `irfft` each; see
 `TorusChart.hessian_live`), and their sum against real weights built once
-per Newton iteration. Everything spectral comes from `geometry`
-(this module makes no transform of its own), and the multiplier is
-`TorusChart.laplacian_inverse`.
+per Newton iteration. BiCGStab stops after `_KRYLOV_STALL` iterations
+without a new best residual; an uncapped solve that misses its tolerance
+is repeated with sigma = 1, whose best is kept when it is smaller: at an
+under-resolved grid's floor the scaled solve can stall with visible modes
+left. Everything spectral comes from `geometry` (this module makes no
+transform of its own).
 
 The residual forms the updated metric's real components, in the order of
 `herm_components`, with `FlowScenario`'s recipe for every n: omega's
@@ -30,9 +39,10 @@ with `components_logdet` as the positivity test. Everything downstream reads
 those components: the Krylov weights tr(G'^-1 H) are
 `components_trace_weights` of `components_inv`, and the preconditioner is
 `laplacian_inverse` of `components_inv` of their grid mean: for n <= 2 no
-matrix is built or inverted. `EllipticProblem` is
-frozen and takes the background's log det once, as its positivity test, for
-every residual to read.
+matrix is built or inverted. `EllipticProblem` is frozen; it reads omega's
+real components once into contiguous arrays (``omega_parts``; reading
+``omega`` assembles the matrix field from them) and takes the background's
+log det once, as its positivity test, for every residual to read.
 
 Gill-flow's limit does not depend on the path to it, so its steps need to
 be stable and keep the metric positive, not to be accurate in time. Its
@@ -43,30 +53,42 @@ the newton_n2 benchmark workload at tol 1e-6 in 64, 67, 69 and 71 steps on
 32^2, 64^2, 128^2 and 256^2, with phi within 3.3e-7 of Newton's.
 
 Both start from phi = 0 unless given a start phi0 (Newton also takes b0)
-and share one ending: phi loses the modes no Wirtinger operator sees, which
-leaves its residual unchanged, and b moves to the residual's mean. Near a
-grid's rounding floor that re-evaluation can round the residual above tol;
-Newton then steps on from the normalized (phi, b) within its step budget,
-and raises NonConvergence naming the floor rather than return a residual
-above tol.
+and share one ending, `_on_grid`: phi is a canonical half spectrum, zero on
+the modes no Wirtinger operator sees (the kernel of `laplacian_inverse`: the
+mean and the modes whose every wavenumber is zero or Nyquist), it goes to the
+grid once and is normalized there, and its grid residual, with the mean
+moved into b, is the returned residual. Gill-flow's final phi is
+canonicalized first; so is Newton's start, whose grid residual decides
+whether it already meets tol. Newton then iterates on the spectrum itself:
+its step is zero on those modes, so the iterate stays canonical, and each
+residual takes the spectrum, with no transform of phi. The grid re-rounds
+phi, and the Hessian multiplies that rounding by up to k^2 (about 7e-12 on
+the newton_n2 recipe at 128^2, 4e-11 at 256^2 and 2e-10 at 512^2). So once
+the spectral residual is within tol, phi goes to the grid once; should the
+grid residual be above tol, the spectrum steps on to half of tol and phi
+goes to the grid once more, and a grid residual still above tol raises
+NonConvergence naming the grid's rounding floor with both residuals. No
+residual above tol is returned, and phi is never taken back from the grid,
+so nothing ping-pongs between the two.
 
 Without a phi0, on a chart with at least 128 nodes on each active axis,
 Newton first solves a chain of coarser problems (nested iteration, the
 first leg of full multigrid): each level keeps every other node of each
-active axis of the one above (`EllipticProblem.coarsened`), down to 32
-nodes per axis, and the coarsest starts from (0, b0). A level solves to
-max(tol, its chart's default tol), with each Krylov solve capped at 25
-iterations; a tighter coarse target would only chase the residual floor of
-an under-resolved grid. Its Fourier-refined (phi, b) starts the next level.
-The gain rests on the problem being resolved on 32 nodes per axis, and the
-chain tests that as it goes: the first level that does not converge from
-its start (a Krylov miss, a stalled line search, or a start that is not
-positive definite) ends the chain, and the problem's own solve starts from
-(0, b0), exactly as without the chain; so does a refined start that is not
-positive definite on the full grid. The problem's own solve iterates to
-tol and is the only gate: `EllipticSolution.iterations` counts its steps,
-and extras["coarse_levels"] records the levels. Smaller charts and
-gill-flow have no chain.
+active axis of the one above (`EllipticProblem.coarsened`, which injects
+omega's components, so no level assembles a matrix), down to 32 nodes per
+axis, and the coarsest starts from (0, b0). A level solves to max(tol, its
+chart's default tol), with each Krylov solve capped at 25 iterations; a
+tighter coarse target would only chase the residual floor of an
+under-resolved grid. Its Fourier-refined (phi, b) starts the next level,
+which canonicalizes it like any start. The gain rests on the problem being
+resolved on 32 nodes per axis, and the chain tests that as it goes: the
+first level that does not converge from its start (a Krylov miss, a stalled
+line search, or a start that is not positive definite) ends the chain, and
+the problem's own solve starts from (0, b0), exactly as without the chain;
+so does a refined start that is not positive definite on the full grid.
+The problem's own solve iterates to tol and is the only gate:
+`EllipticSolution.iterations` counts its steps, and extras["coarse_levels"]
+records the levels. Smaller charts and gill-flow have no chain.
 
 An `EllipticSolution` keeps the metric components of its final residual
 (``metric_parts``), so `updated_metric` and the certificate need no further
@@ -76,9 +98,10 @@ residual in the modes no Wirtinger operator sees, a floor no step can lower.
 `certify_estimates` measures the oscillation bound and the second-order
 statistic C(A) = sup tr_g g' e^{-A(phi - inf phi)}, with tr_g g' from the
 kept components (`components_trace`), re-solving on a Fourier-refined grid
-to test stability under grid doubling. `refine_field` pads real half
-spectra, one real component of omega at a time. The re-solve starts from the
-refined coarse solution and iterates to its own tolerance.
+to test stability under grid doubling. `EllipticProblem.refined` pads the
+real half spectra of omega's components one at a time, so the refined
+problem assembles no matrix either. The re-solve starts from the refined
+coarse solution and iterates to its own tolerance.
 """
 
 import math
@@ -97,7 +120,7 @@ from .geometry import (
     components_logdet,
     components_trace,
     herm_components,
-    herm_logdet,
+    refine_components,
     refine_field,
 )
 
@@ -109,8 +132,14 @@ _COARSEST_NODES = 32
 # chains saved at most 21 %, 32-60 % and 64 %
 _NESTED_MIN_NODES = 4 * _COARSEST_NODES
 # BiCGStab cap per coarse Krylov solve: converging coarse levels used at most 13;
-# a 32^2 level that misses 1e-6 then wastes 79 operator applies, uncapped 829
+# a 32^2 level that misses 1e-6 then wastes 45 operator applies (79 without
+# the stall stop below), uncapped 829
 _COARSE_KRYLOV_CAP = 25
+# a BiCGStab solve stops after this many iterations with no new best
+# residual: converging solves set one every iteration or two, while at an
+# under-resolved grid's floor (32^2 at tol 1e-8) the best stays put after
+# 4-8 iterations, and the 400-iteration cap spent 800 applies a solve
+_KRYLOV_STALL = 5
 # gill-flow stops after this many steps without a new oscillation minimum:
 # on 16 nodes at tol 1e-6 it stalls at 1.48e-5; converging runs set one each step
 _GILL_STALL_STEPS = 100
@@ -124,38 +153,67 @@ _GILL_STALL_STEPS = 100
 _GILL_STEP_TOL = 1e-3
 
 
-@dataclass(frozen=True)
+class _AssembledOnRead:
+    """`EllipticProblem.omega`, a field kept as omega's contiguous real
+    components, ``omega_parts``, in the order of `herm_components`: setting
+    it (only the constructor can: the problem is frozen) reads them once, and
+    reading it assembles the matrix field from them."""
+
+    def __get__(self, problem, owner=None):
+        if problem is None:
+            raise AttributeError("omega")  # the field has no default
+        return HermitianMatrixField.from_components(problem.chart, problem.omega_parts)
+
+    def __set__(self, problem, omega):
+        object.__setattr__(problem, "chart", omega.chart)
+        object.__setattr__(
+            problem, "omega_parts", [p.copy() for p in herm_components(omega.values)]
+        )
+
+
+# eq=False: each read of omega assembles a new field, so field-wise equality
+# and hashing would not even hold a problem equal to itself
+@dataclass(frozen=True, eq=False)
 class EllipticProblem:
-    omega: HermitianMatrixField
+    omega: HermitianMatrixField = _AssembledOnRead()
     F: ScalarField
     normalization: str = "mean"  # "mean" or "sup"
 
     def __post_init__(self):
-        self.omega.chart.require_same(self.F.chart)
+        self.chart.require_same(self.F.chart)
         try:
             # the problem is frozen, so this stays the log det of its omega
-            object.__setattr__(self, "_logdet", herm_logdet(self.omega.values))
+            object.__setattr__(self, "_logdet", components_logdet(self.omega_parts))
         except NotPositiveDefinite:
             raise NotPositiveDefinite("background metric is not positive definite") from None
         if self.normalization not in ("mean", "sup"):
             raise ValueError("normalization must be 'mean' or 'sup'")
 
-    @property
-    def chart(self):
-        return self.omega.chart
+    @classmethod
+    def _from_parts(cls, chart, omega_parts, F, normalization):
+        # the problem of omega's components on ``chart``, with no matrix built
+        problem = cls.__new__(cls)
+        for name, value in (("chart", chart), ("omega_parts", omega_parts),
+                            ("F", F), ("normalization", normalization)):
+            object.__setattr__(problem, name, value)
+        problem.__post_init__()
+        return problem
 
     def refined(self):
-        """The problem on the Fourier-doubled grid."""
-        return EllipticProblem(
-            refine_field(self.omega), refine_field(self.F), self.normalization
-        )
+        """The problem on the Fourier-doubled grid, omega refined one real
+        component at a time."""
+        F = refine_field(self.F)
+        parts = refine_components(self.chart, self.omega_parts)
+        return EllipticProblem._from_parts(F.chart, parts, F, self.normalization)
 
     def coarsened(self):
-        """The problem on every other node of each active axis; its metric
+        """The problem on every other node of each active axis, as
+        `coarsen_field` keeps them (an inactive axis has one); its metric
         samples this one's, so it is positive definite too."""
-        return EllipticProblem(
-            coarsen_field(self.omega), coarsen_field(self.F), self.normalization
-        )
+        F = coarsen_field(self.F)
+        every_other = (slice(None, None, 2),) * self.chart.naxes
+        parts = [np.ascontiguousarray(p[every_other]) for p in self.omega_parts]
+        return EllipticProblem._from_parts(F.chart, parts, F, self.normalization)
 
 
 @dataclass
@@ -175,35 +233,44 @@ class EllipticSolution:
         return HermitianMatrixField.from_components(self.problem.chart, self.metric_parts)
 
 
-def _normalize(problem, phi_values):
-    # strip the modes the discrete Hessian cannot see, so both solution
-    # routes return the same canonical representative
-    phi_values = problem.chart.strip_invisible(phi_values)
-    if problem.normalization == "mean":
-        return phi_values - phi_values.mean()
-    return phi_values - phi_values.max()
+def _canonical_spec(problem, phi_values):
+    # phi's half spectrum less the modes no Wirtinger operator sees, the
+    # kernel of `laplacian_inverse` (the mean and the modes whose every
+    # wavenumber is zero or Nyquist): the canonical representative both
+    # solution routes return
+    chart = problem.chart
+    spec = chart.rfft(phi_values)
+    spec[chart.laplacian_symbol(herm_components(np.eye(chart.n))) == 0.0] = 0.0
+    return spec
 
 
-def _residual_field(problem, phi_values, b):
+def _residual_field(problem, phi_values, b, spec=None):
     """(residual field, real components of the updated metric omega + i ddbar
     phi in the order of `herm_components`) of (phi, b); raises
-    NotPositiveDefinite unless that metric is positive definite."""
+    NotPositiveDefinite unless that metric is positive definite. ``spec``,
+    when given, is phi's half spectrum, and then ``phi_values`` may be None."""
     chart = problem.chart
-    parts = chart.plus_hessian(herm_components(problem.omega.values), chart.rfft(phi_values))
+    if spec is None:
+        spec = chart.rfft(phi_values)
+    parts = chart.plus_hessian(problem.omega_parts, spec)
     return components_logdet(parts) - problem._logdet - problem.F.values - b, parts
 
 
-def _normalized(problem, phi_values, b):
-    """Both routes end here: normalize phi, then move b to the residual's
-    mean. Returns (phi, b, residual field, updated metric's components)."""
-    phi_values = _normalize(problem, phi_values)
+def _on_grid(problem, spec, b):
+    """Both routes end here: the normalized grid phi of a canonical half
+    spectrum, and its residual with the mean moved into b. Returns (phi, b,
+    residual field, updated metric's components)."""
+    phi_values = problem.chart.irfft(spec)
+    phi_values -= phi_values.mean() if problem.normalization == "mean" else phi_values.max()
     res_field, parts = _residual_field(problem, phi_values, b)
     mean = float(res_field.mean())
     return phi_values, b + mean, res_field - mean, parts
 
 
 def _solution(problem, phi_values, b, method, iterations, extras=None):
-    phi_values, b, res_field, parts = _normalized(problem, phi_values, b)
+    phi_values, b, res_field, parts = _on_grid(
+        problem, _canonical_spec(problem, phi_values), b
+    )
     return EllipticSolution(
         problem, ScalarField(problem.chart, phi_values), b,
         float(np.max(np.abs(res_field))), method, iterations, parts, extras or {},
@@ -306,12 +373,12 @@ class _Relaxation(FlowScenario):
 
     def __init__(self, problem):
         self.chart = chart = problem.chart
-        self._omega_parts = herm_components(problem.omega.values)
+        self._omega_parts = problem.omega_parts
         self._log_density = problem._logdet + problem.F.values
         self._laplacian = chart.laplacian_symbol(herm_components(np.eye(chart.n)))
 
     def _reference_parts(self, t):
-        # views of omega's components; plus_hessian never writes them
+        # omega's components; plus_hessian never writes them
         return self._omega_parts
 
     def rhs(self, phi, t, spec=None):
@@ -351,7 +418,8 @@ def _bicgstab(op, rhs, tol, max_iter=400):
     with the smallest residual seen, x = 0 included, so a solve that
     diverges or stagnates hands back its best iterate, not its last one,
     and never one worse than no step; a converged solve stops at its first
-    residual <= tol.
+    residual <= tol, and one that finds no smaller residual in
+    `_KRYLOV_STALL` iterations stops there.
     """
     norm0 = max(float(np.max(np.abs(rhs))), 1e-300)
     best_x, best = np.zeros_like(rhs), norm0
@@ -364,7 +432,10 @@ def _bicgstab(op, rhs, tol, max_iter=400):
     res = float(np.max(np.abs(r)))
     if res < best:
         best_x, best = x, res
+    last_best = 0
     for it in range(max_iter):
+        if it - last_best > _KRYLOV_STALL:
+            break
         rho_new = float(np.vdot(r0, r).real)
         if abs(rho_new) < 1e-300:
             break
@@ -383,7 +454,7 @@ def _bicgstab(op, rhs, tol, max_iter=400):
         x = x + alpha * p
         res = float(np.max(np.abs(s)))
         if res < best:
-            best_x, best = x, res
+            best_x, best, last_best = x, res, it
         if res <= tol * norm0:
             break
         t = op(s)
@@ -395,99 +466,122 @@ def _bicgstab(op, rhs, tol, max_iter=400):
         r = s - omega_c * t
         res = float(np.max(np.abs(r)))
         if res < best:
-            best_x, best = x, res
+            best_x, best, last_best = x, res, it
         if res <= tol * norm0:
             break
     return best_x, best / norm0
 
 
 def _solve_newton(problem, tol, max_steps, phi, b, krylov_cap=None):
-    """Damped Newton from (phi, b); with ``krylov_cap`` every Krylov solve
-    runs at most that many iterations, and one that misses its tolerance
-    raises NonConvergence. Near the grid's rounding floor the residual of the
-    normalized (phi, b) can round above tol although the last iterate's was
-    below it; Newton then goes on from the normalized pair, within
-    ``max_steps``, and never returns a residual above tol."""
-    chart = problem.chart
-    res_field, parts = _residual_field(problem, phi, b)
-    res = float(np.max(np.abs(res_field)))
+    """Damped Newton from (phi, b) on phi's canonical half spectrum; with
+    ``krylov_cap`` every Krylov solve runs at most that many iterations, and
+    one that misses its tolerance raises NonConvergence.
+
+    The start is canonicalized once, and its grid residual decides whether
+    it already meets tol. Otherwise the spectrum steps until its residual is
+    within tol, and phi goes to the grid once. Should the rounding of phi on
+    the grid lift the residual above tol, the spectrum steps on to half of
+    tol and phi goes to the grid once more; a grid residual still above tol
+    raises NonConvergence naming the grid's rounding floor, so no residual
+    above tol is returned."""
+    spec = _canonical_spec(problem, phi)
+    grid = _on_grid(problem, spec, b)
+    _, b, res_field, parts = grid
+    res = grid_res = float(np.max(np.abs(res_field)))
     iterations = 0
-    floor = ""
-    while True:
-        if res <= tol:
-            phi, b, res_field, parts = _normalized(problem, phi, b)
-            res = float(np.max(np.abs(res_field)))
-            if res <= tol:
-                return EllipticSolution(
-                    problem, ScalarField(chart, phi), b, res, "newton-continuation",
-                    iterations, parts,
+    for target in (tol, 0.5 * tol):
+        if res > target:
+            while res > target:
+                if iterations >= max_steps:
+                    raise NonConvergence(f"newton residual {res:.3e} after {iterations} steps")
+                spec, b, res_field, parts, res = _newton_step(
+                    problem, spec, b, res_field, parts, res, target, krylov_cap
                 )
-            floor = (
-                f"; normalizing phi last rounded a residual below tol up to {res:.3e}: "
-                f"tol {tol:.1e} is at this grid's rounding floor"
+                iterations += 1
+            grid = _on_grid(problem, spec, b)
+            grid_res = float(np.max(np.abs(grid[2])))
+        if grid_res <= tol:
+            phi, b, _, parts = grid
+            return EllipticSolution(
+                problem, ScalarField(problem.chart, phi), b, grid_res,
+                "newton-continuation", iterations, parts,
             )
-        if iterations >= max_steps:
-            raise NonConvergence(
-                f"newton residual {res:.3e} after {iterations} steps" + floor
-            )
-        # tr(Gp^-1 H) as real weights times the Hessian's live real components
-        weights = chart.components_trace_weights(components_inv(parts))
+    raise NonConvergence(
+        f"newton residual {res:.3e} on phi's half spectrum is {grid_res:.3e} on the "
+        f"grid after {iterations} steps: tol {tol:.1e} is below this grid's rounding floor"
+    )
 
-        def lap(spec):
-            # Delta' of the field with half spectrum spec
-            return sum(w * h for w, h in zip(weights, chart.hessian_components(spec)))
 
-        # right preconditioner M^-1: the inverse flat Laplacian
-        # tr(Gbar^-1 H) of the mean metric Gbar, as a half-spectrum
-        # multiplier; the Krylov solve runs on y with dphi = M^-1 y. The
-        # stacked components reduce node by node, as the matrix field did
-        Gbar_inv = components_inv(list(chart.mean(np.stack(parts, axis=-1))))
-        inverse = chart.laplacian_inverse(Gbar_inv)
-        proj = lambda v: v - v.mean()
-        rhs = -proj(res_field)
-        # forcing term: tighter as res falls, but no tighter than the
-        # accuracy that brings the next residual to tol (Eisenstat-Walker)
-        lin_tol = max(1e-12, 0.5 * tol / res, min(1e-2, 0.05 * res))
-        op = lambda v: proj(lap(chart.rfft(v) * inverse))
-        cap = {} if krylov_cap is None else {"max_iter": krylov_cap}
-        y, lin_res = _bicgstab(op, rhs, lin_tol, **cap)
-        if krylov_cap and lin_res > lin_tol:
-            raise NonConvergence(
-                f"Krylov solve reached {lin_res:.3e} against tolerance "
-                f"{lin_tol:.3e} in {krylov_cap} iterations"
-            )
-        dspec = chart.rfft(y) * inverse
-        dphi = chart.irfft(dspec)
-        db = float((res_field + lap(dspec)).mean())
+def _newton_step(problem, spec, b, res_field, parts, res, target, krylov_cap):
+    """One damped Newton step from the half spectrum ``spec`` and b, whose
+    residual field and updated metric's components are given; returns the
+    new (spec, b, residual field, components, residual)."""
+    chart = problem.chart
+    # tr(Gp^-1 H) as real weights times the Hessian's live real components
+    Gp_inv = components_inv(parts)
+    weights = chart.components_trace_weights(Gp_inv)
 
-        s = 1.0
-        while s >= 2.0 ** -24:
-            try:
-                trial_field, trial_parts = _residual_field(
-                    problem, phi + s * dphi, b + s * db
-                )
-            except NotPositiveDefinite:
-                s *= 0.5  # positivity lost inside the line search
-                continue
-            trial_res = float(np.max(np.abs(trial_field)))
-            if trial_res <= (1.0 - 0.25 * s) * res or trial_res <= tol:
-                phi = phi + s * dphi
-                b = b + s * db
-                res_field, parts, res = trial_field, trial_parts, trial_res
-                break
-            s *= 0.5
-        else:
-            # the part of the residual in the modes no Wirtinger operator
-            # sees, which no Newton step can move: the modes strip_invisible
-            # removes, less the mean, which b absorbs
-            invisible = res_field - chart.strip_invisible(res_field) - res_field.mean()
-            raise NonConvergence(
-                f"newton line search stalled at residual {res:.3e}, "
-                f"{float(np.max(np.abs(invisible))):.3e} of it in modes no Wirtinger "
-                f"operator sees; the last Krylov solve reached {lin_res:.3e} against "
-                f"tolerance {lin_tol:.3e}" + floor
-            )
-        iterations += 1
+    def lap(spec):
+        # Delta' of the field with half spectrum spec
+        return sum(w * h for w, h in zip(weights, chart.hessian_components(spec)))
+
+    # right preconditioner M^-1 y = L^-1 (y / sigma): L is the flat
+    # Laplacian tr(Gbar^-1 H) of the mean metric Gbar, a half-spectrum
+    # multiplier, and sigma = tr(Gp^-1 Gbar) / n the local scale of Delta'
+    # against L (Concus-Golub); the Krylov solve runs on y, and the step is
+    # M^-1 y
+    Gbar = [float(p.mean()) for p in parts]
+    inverse = chart.laplacian_inverse(components_inv(Gbar))
+    proj = lambda v: v - v.mean()
+    rhs = -proj(res_field)
+    # forcing term: tighter as res falls, but no tighter than the
+    # accuracy that brings the next residual to target (Eisenstat-Walker)
+    lin_tol = max(1e-12, 0.5 * target / res, min(1e-2, 0.05 * res))
+    cap = {} if krylov_cap is None else {"max_iter": krylov_cap}
+
+    def krylov(scale):
+        # (y, relative residual, scale) of the solve preconditioned with 1/sigma = scale
+        op = lambda v: proj(lap(chart.rfft(v * scale) * inverse))
+        return _bicgstab(op, rhs, lin_tol, **cap) + (scale,)
+
+    y, lin_res, scale = krylov(chart.n / components_trace(Gp_inv, Gbar))
+    if krylov_cap and lin_res > lin_tol:
+        raise NonConvergence(
+            f"Krylov solve reached {lin_res:.3e} against tolerance "
+            f"{lin_tol:.3e} in {krylov_cap} iterations"
+        )
+    if lin_res > lin_tol:
+        # at an under-resolved grid's floor the scaled solve can stall with
+        # visible modes left (32^2 at tol 1e-8: 4.3e-8, a quarter of it
+        # invisible); the flat one's best leaves mostly the invisible part
+        y, lin_res, scale = min((y, lin_res, scale), krylov(1.0), key=lambda out: out[1])
+    # zero on the kernel of L, so the iterate stays canonical
+    dspec = chart.rfft(y * scale) * inverse
+    db = float((res_field + lap(dspec)).mean())
+
+    # a Krylov solve that beat no step (lin_res 1) leaves nothing to search
+    s = 1.0 if lin_res < 1.0 else 0.0
+    while s >= 2.0 ** -24:
+        trial = spec + s * dspec
+        try:
+            trial_field, trial_parts = _residual_field(problem, None, b + s * db, trial)
+        except NotPositiveDefinite:
+            s *= 0.5  # positivity lost inside the line search
+            continue
+        trial_res = float(np.max(np.abs(trial_field)))
+        if trial_res <= (1.0 - 0.25 * s) * res or trial_res <= target:
+            return trial, b + s * db, trial_field, trial_parts, trial_res
+        s *= 0.5
+    # the part of the residual in the modes no Wirtinger operator sees,
+    # which no Newton step can move: the modes strip_invisible removes, less
+    # the mean, which b absorbs
+    invisible = res_field - chart.strip_invisible(res_field) - res_field.mean()
+    raise NonConvergence(
+        f"newton line search stalled at residual {res:.3e}, "
+        f"{float(np.max(np.abs(invisible))):.3e} of it in modes no Wirtinger "
+        f"operator sees; the last Krylov solve reached {lin_res:.3e} against "
+        f"tolerance {lin_tol:.3e}"
+    )
 
 
 @dataclass
@@ -498,6 +592,15 @@ class EstimateReport:
     C_fine: tuple
     stable_A: object
     stability_ratio: tuple
+
+
+def _A_values(A_grid):
+    """The A values of a certificate as floats; raises ValueError unless
+    every one is finite."""
+    A_grid = tuple(float(a) for a in A_grid)
+    if not all(map(math.isfinite, A_grid)):
+        raise ValueError(f"A values must be finite, got {A_grid}")
+    return A_grid
 
 
 def certify_estimates(solution, A_grid, tol=None):
@@ -512,14 +615,12 @@ def certify_estimates(solution, A_grid, tol=None):
     It uses the method that found ``solution``. Every A must be finite;
     a ValueError says so before anything is solved.
     """
-    A_grid = tuple(float(a) for a in A_grid)
-    if not all(map(math.isfinite, A_grid)):
-        raise ValueError(f"A values must be finite, got {A_grid}")
+    A_grid = _A_values(A_grid)
     problem = solution.problem
 
     def stats(sol):
         # tr_g g' from the updated metric the solution kept
-        omega_inv = components_inv(herm_components(sol.problem.omega.values))
+        omega_inv = components_inv(sol.problem.omega_parts)
         tr = components_trace(omega_inv, sol.metric_parts)
         phi = sol.phi.values
         shifted = phi - phi.min()

@@ -683,9 +683,17 @@ def refine_field(field):
     chart = field.chart
     fine = refine_chart(chart)
     if isinstance(field, HermitianMatrixField):
-        parts = [_refine_real(chart, fine, p) for p in herm_components(field.values)]
+        parts = refine_components(chart, herm_components(field.values))
         return HermitianMatrixField.from_components(fine, parts)
     return type(field)(fine, _refine_real(chart, fine, field.values))
+
+
+def refine_components(chart, parts):
+    """The real fields ``parts`` on ``chart`` (a Hermitian field's
+    components, say), each Fourier-interpolated onto `refine_chart`'s grid
+    as `refine_field` does, with no field built around them."""
+    fine = refine_chart(chart)
+    return [_refine_real(chart, fine, p) for p in parts]
 
 
 def _refine_real(chart, fine, values):

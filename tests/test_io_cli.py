@@ -681,6 +681,23 @@ class TestCli:
         assert "A values must be finite" in captured.err
         assert "C(" not in captured.out
 
+    @pytest.mark.parametrize("a_grid, code", [(["0", "inf"], 2), (["0", "-inf"], 64)])
+    def test_solve_ma_checks_a_grid_before_solving(self, tmp_path, capsys, monkeypatch,
+                                                   a_grid, code):
+        # inf exits 2 before the primary solve; -inf reads as an option, a
+        # usage error. Neither solves or writes phi.snap
+        import crflab.elliptic
+
+        solves = []
+        monkeypatch.setattr(crflab.elliptic, "solve_elliptic", lambda *a, **k: solves.append(a))
+        scen = _write(tmp_path, "e.cfg", ELLIPTIC)
+        out = tmp_path / "ma"
+        assert main(["solve-ma", "--scenario", scen, "--out", str(out),
+                     "--a-grid", *a_grid]) == code
+        err = capsys.readouterr().err
+        assert ("A values must be finite" if code == 2 else "usage error") in err
+        assert solves == [] and not (out / "phi.snap").exists()
+
     @pytest.mark.parametrize("tolerance", ["nan", "inf", "0", "-1"])
     def test_verify_identities_invalid_tolerance_exits_2(self, tmp_path, capsys, tolerance):
         rc = main(["verify-identities", "--resolution", "16", "--out", str(tmp_path / "v"),
