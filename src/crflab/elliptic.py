@@ -47,10 +47,12 @@ log det once, as its positivity test, for every residual to read.
 Gill-flow's limit does not depend on the path to it, so its steps need to
 be stable and keep the metric positive, not to be accurate in time. Its
 scenario, `_Relaxation`, is only a relaxation: omega is the reference at
-every t, and its step tolerance is 1e-3, where the flows keep 1e-6. A 32-node
-n = 1 problem at tol 1e-8 then relaxes in 24 steps, and the n = 2 recipe of
-the newton_n2 benchmark workload at tol 1e-6 in 64, 67, 69 and 71 steps on
-32^2, 64^2, 128^2 and 256^2, with phi within 3.3e-7 of Newton's.
+every t, and its step tolerance is 1e-2, where the flows keep 1e-6. A 32-node
+n = 1 problem at tol 1e-8 then relaxes in 17 steps, and the n = 2 recipe of
+the newton_n2 benchmark workload at tol 1e-6 from phi = 0 in 48, 50, 52 and
+54 steps on 32^2, 64^2, 128^2 and 256^2, with phi within 2.4e-7 of Newton's.
+A step that loses positivity or underflows raises NonConvergence: the limit
+is positive definite, so only the grid can fail to reach it.
 
 Both start from phi = 0 unless given a start phi0 (Newton also takes b0)
 and share one ending, `_on_grid`: phi is a canonical half spectrum, zero on
@@ -72,23 +74,26 @@ residual above tol is returned, and phi is never taken back from the grid,
 so nothing ping-pongs between the two.
 
 Without a phi0, on a chart with at least 128 nodes on each active axis,
-Newton first solves a chain of coarser problems (nested iteration, the
-first leg of full multigrid): each level keeps every other node of each
-active axis of the one above (`EllipticProblem.coarsened`, which injects
-omega's components, so no level assembles a matrix), down to 32 nodes per
-axis, and the coarsest starts from (0, b0). A level solves to max(tol, its
-chart's default tol), with each Krylov solve capped at 25 iterations; a
-tighter coarse target would only chase the residual floor of an
+both methods first solve a chain of coarser problems (nested iteration, the
+first leg of full multigrid; `_solve_nested`, which takes the method's level
+solve): each level keeps every other node of each active axis of the one
+above (`EllipticProblem.coarsened`, which injects omega's components, so no
+level assembles a matrix), down to 32 nodes per axis, and the coarsest
+starts from (0, b0). A level solves to max(tol, its chart's default tol),
+with each Krylov solve capped at 25 iterations, or with at most 64 gill-flow
+steps; a tighter coarse target would only chase the residual floor of an
 under-resolved grid. Its Fourier-refined (phi, b) starts the next level,
 which canonicalizes it like any start. The gain rests on the problem being
 resolved on 32 nodes per axis, and the chain tests that as it goes: the
 first level that does not converge from its start (a Krylov miss, a stalled
-line search, or a start that is not positive definite) ends the chain, and
-the problem's own solve starts from (0, b0), exactly as without the chain;
-so does a refined start that is not positive definite on the full grid.
-The problem's own solve iterates to tol and is the only gate:
-`EllipticSolution.iterations` counts its steps, and extras["coarse_levels"]
-records the levels. Smaller charts and gill-flow have no chain.
+line search or relaxation, a spent step cap, or a start that is not positive
+definite) ends the chain, and the problem's own solve starts from (0, b0),
+exactly as without the chain; so does a refined start that is not positive
+definite on the full grid. The problem's own solve iterates to tol and is
+the only gate: `EllipticSolution.iterations` counts its steps, and
+extras["coarse_levels"] records the levels. On the newton_n2 recipe at 256^2
+gill-flow takes 48, 10 and 1 steps on 32^2, 64^2 and 128^2, then one step,
+in about 0.1 s against 1.2 s from phi = 0. Smaller charts have no chain.
 
 An `EllipticSolution` keeps the metric components of its final residual
 (``metric_parts``), so `updated_metric` and the certificate need no further
@@ -109,7 +114,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NonConvergence, NotPositiveDefinite
+from .errors import NonConvergence, NotPositiveDefinite, PositivityLost, StepUnderflow
 # step is unused here; perfbench's tests check that its tracer patches this binding too
 from .flow import FlowScenario, FlowState, StepControl, _integrate, step
 from .geometry import (
@@ -144,13 +149,18 @@ _KRYLOV_STALL = 5
 # on 16 nodes at tol 1e-6 it stalls at 1.48e-5; converging runs set one each step
 _GILL_STALL_STEPS = 100
 # gill-flow's step tolerance: its limit does not depend on the path, so its
-# steps need stability and positivity, not time accuracy. Against the flows'
-# 1e-6 it cuts a 32-node n = 1 solve at tol 1e-8 from 202 to 24 steps and the
-# newton_n2 recipe on 32^2/64^2 at 1e-6 from 546/550 to 64/67, with
-# |phi - Newton| 4.5e-9, 1.8e-7 and 3.2e-7. With the mean-free right side
-# 1e-2 converged on these and on 128^2/256^2 too (17-54 steps), but no wider
-# sweep backs it yet
-_GILL_STEP_TOL = 1e-3
+# steps need stability and positivity, not time accuracy. Against 1e-3 it
+# cuts a 32-node n = 1 solve at tol 1e-8 from 24 to 17 steps (202 at the
+# flows' 1e-6) and the newton_n2 recipe at 1e-6 on 32^2-256^2 from 64-71 to
+# 48-54, within 2.4e-7 of Newton. In random sweeps of 820 recipes (n = 1, 2;
+# 16-64 nodes; cos and peaked waves) every one that converged at 1e-3 did at
+# 1e-2, within 0.95 tol, in 22 % fewer steps; 3e-2 and 1e-1 saved at most
+# 5 more a solve
+_GILL_STEP_TOL = 1e-2
+# step cap per coarse gill-flow level: converging 32^2 levels took at most 53
+# steps in 1145 random 32-node recipes (n = 1 levels: 4 of 157 took 72-127
+# and fall back); the failing 32^2 level of missed_level_problem(128) ran 150 steps
+_COARSE_GILL_STEPS = 64
 
 
 class _AssembledOnRead:
@@ -287,10 +297,10 @@ def solve_elliptic(
     ``max_steps`` (default 40 Newton iterations, 2,000,000 gill-flow steps)
     must be a positive integer. ``phi0`` (values on the problem's chart,
     default 0) is the start of both methods; ``b0`` (default -mean F) is
-    Newton's starting constant. Without phi0, Newton on a chart of 128 or
-    more nodes per active axis starts from a chain of coarser solves (see the
-    module docstring). A start only shortens the path: the solve still
-    iterates to its own tol.
+    Newton's starting constant. Without phi0, either method on a chart of
+    128 or more nodes per active axis starts from a chain of coarser solves
+    by the same method (see the module docstring). A start only shortens the
+    path: the solve still iterates to its own tol.
     """
     tol = _default_tol(problem.chart) if tol is None else float(tol)
     if not (np.isfinite(tol) and tol > 0.0):
@@ -312,12 +322,14 @@ def solve_elliptic(
     if not np.isfinite(b0):
         raise ValueError(f"b0 must be finite, got {b0!r}")
     if method == "gill-flow":
-        return _solve_gill_flow(problem, tol, max_steps or 2_000_000, phi0)
-    if method == "newton-continuation":
-        if nested:
-            return _solve_newton_nested(problem, tol, max_steps or 40, phi0, b0)
-        return _solve_newton(problem, tol, max_steps or 40, phi0, b0)
-    raise ValueError(f"unknown method {method!r}")
+        solve, max_steps = _solve_gill_flow, max_steps or 2_000_000
+    elif method == "newton-continuation":
+        solve, max_steps = _solve_newton, max_steps or 40
+    else:
+        raise ValueError(f"unknown method {method!r}")
+    if nested:
+        return _solve_nested(problem, tol, max_steps, phi0, b0, solve)
+    return solve(problem, tol, max_steps, phi0, b0, coarse=False)
 
 
 def _default_tol(chart):
@@ -328,35 +340,36 @@ def _active_nodes(chart):
     return tuple(chart.shape[a] for a in chart.active_axes)
 
 
-def _solve_newton_nested(problem, tol, max_steps, phi0, b0):
-    """Newton on ``problem`` started from its coarsened problems, solved
-    from the coarsest up. The first level that fails from its start ends the
-    chain, and ``problem`` then starts from (phi0, b0), as it does when the
-    refined start is not positive definite. extras["coarse_levels"] gets
-    (nodes per active axis, iterations) per level, coarsest first, with
-    iterations None for the level that failed."""
+def _solve_nested(problem, tol, max_steps, phi0, b0, solve):
+    """``problem`` solved by ``solve`` (`_solve_newton` or
+    `_solve_gill_flow`, whose ``coarse`` caps a coarse level's work) started
+    from its coarsened problems, solved from the coarsest up. The first level
+    that fails from its start ends the chain, and ``problem`` then starts
+    from (phi0, b0), as it does when the refined start is not positive
+    definite. extras["coarse_levels"] gets (nodes per active axis,
+    iterations) per level, coarsest first, with iterations None for the
+    level that failed."""
     chain = [problem]
     while min(_active_nodes(chain[-1].chart)) >= 2 * _COARSEST_NODES:
         chain.append(chain[-1].coarsened())
     phi, b = np.zeros(chain[-1].chart.shape), b0
     levels = []
-    for coarse in chain[:0:-1]:
+    for level in chain[:0:-1]:
+        level_tol = max(tol, _default_tol(level.chart))
         try:
-            sol = _solve_newton(
-                coarse, max(tol, _default_tol(coarse.chart)), max_steps, phi, b,
-                _COARSE_KRYLOV_CAP,
-            )
+            sol = solve(level, level_tol, max_steps, phi, b, coarse=True)
         except (NonConvergence, NotPositiveDefinite):
-            levels.append((_active_nodes(coarse.chart), None))
+            levels.append((_active_nodes(level.chart), None))
             phi, b = phi0, b0
             break
-        levels.append((_active_nodes(coarse.chart), sol.iterations))
+        levels.append((_active_nodes(level.chart), sol.iterations))
         phi, b = refine_field(sol.phi).values, sol.b
     try:
-        solution = _solve_newton(problem, tol, max_steps, phi, b)
+        solution = solve(problem, tol, max_steps, phi, b, coarse=False)
     except NotPositiveDefinite:
-        # only a start can fail this way: the line search backtracks
-        solution = _solve_newton(problem, tol, max_steps, phi0, b0)
+        # only a start can fail this way: Newton's line search backtracks,
+        # and gill-flow's steps fail as NonConvergence
+        solution = solve(problem, tol, max_steps, phi0, b0, coarse=False)
     solution.extras["coarse_levels"] = levels
     return solution
 
@@ -386,28 +399,46 @@ class _Relaxation(FlowScenario):
         return phidot - phidot.mean(), parts
 
 
-def _solve_gill_flow(problem, tol, max_steps, phi0):
+def _solve_gill_flow(problem, tol, max_steps, phi0, b0, coarse=False):
+    """Gill-flow from phi0, with at most `_COARSE_GILL_STEPS` steps on a
+    ``coarse`` level. b0, Newton's starting constant, plays no part: the
+    returned b is the final residual's mean."""
+    if coarse:
+        max_steps = min(max_steps, _COARSE_GILL_STEPS)
     scenario = _Relaxation(problem)
-    osc = best = np.inf
+    try:
+        state = FlowState.initial(scenario, phi0)
+    except PositivityLost:
+        # the right side names a start outside the positive cone a loss of positivity
+        raise NotPositiveDefinite("gill-flow start is not positive definite") from None
+    osc = float(state.phidot.max() - state.phidot.min())
+    best = np.inf
     steps = since_best = 0
-    # the loop body holds the stop rules: tolerance, stall and step budget
-    for state in _integrate(scenario, FlowState.initial(scenario, phi0), math.inf):
-        steps += 1
-        pd = state.phidot
-        osc = float(pd.max() - pd.min())
-        if osc <= 0.5 * tol:
-            return _solution(problem, state.phi, 0.0, "gill-flow", steps, {"t_end": state.t})
-        if osc < best:
-            best, since_best = osc, 0
-        else:
-            since_best += 1
-            if since_best >= _GILL_STALL_STEPS:
-                raise NonConvergence(
-                    f"gill-flow oscillation stalled at {best:.3e}: no new minimum "
-                    f"in {since_best} steps (tol {tol:.1e})"
-                )
-        if steps >= max_steps:
-            break
+    try:
+        # the loop body holds the stop rules: tolerance, stall and step budget
+        for state in _integrate(scenario, state, math.inf):
+            steps += 1
+            pd = state.phidot
+            osc = float(pd.max() - pd.min())
+            if osc <= 0.5 * tol:
+                return _solution(problem, state.phi, 0.0, "gill-flow", steps, {"t_end": state.t})
+            if osc < best:
+                best, since_best = osc, 0
+            else:
+                since_best += 1
+                if since_best >= _GILL_STALL_STEPS:
+                    raise NonConvergence(
+                        f"gill-flow oscillation stalled at {best:.3e}: no new minimum "
+                        f"in {since_best} steps (tol {tol:.1e})"
+                    )
+            if steps >= max_steps:
+                break
+    except (PositivityLost, StepUnderflow) as err:
+        # the relaxation's limit is positive definite, so a step that leaves
+        # the cone or underflows is the grid's failure to reach it
+        raise NonConvergence(
+            f"gill-flow step {steps + 1} failed at oscillation {osc:.3e}: {err} (tol {tol:.1e})"
+        ) from err
     raise NonConvergence(f"gill-flow oscillation {osc:.3e} after {steps} steps (tol {tol:.1e})")
 
 
@@ -472,10 +503,10 @@ def _bicgstab(op, rhs, tol, max_iter=400):
     return best_x, best / norm0
 
 
-def _solve_newton(problem, tol, max_steps, phi, b, krylov_cap=None):
-    """Damped Newton from (phi, b) on phi's canonical half spectrum; with
-    ``krylov_cap`` every Krylov solve runs at most that many iterations, and
-    one that misses its tolerance raises NonConvergence.
+def _solve_newton(problem, tol, max_steps, phi, b, coarse=False):
+    """Damped Newton from (phi, b) on phi's canonical half spectrum; on a
+    ``coarse`` level every Krylov solve runs at most `_COARSE_KRYLOV_CAP`
+    iterations, and one that misses its tolerance raises NonConvergence.
 
     The start is canonicalized once, and its grid residual decides whether
     it already meets tol. Otherwise the spectrum steps until its residual is
@@ -484,6 +515,7 @@ def _solve_newton(problem, tol, max_steps, phi, b, krylov_cap=None):
     tol and phi goes to the grid once more; a grid residual still above tol
     raises NonConvergence naming the grid's rounding floor, so no residual
     above tol is returned."""
+    krylov_cap = _COARSE_KRYLOV_CAP if coarse else None
     spec = _canonical_spec(problem, phi)
     grid = _on_grid(problem, spec, b)
     _, b, res_field, parts = grid

@@ -3,6 +3,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from crflab import elliptic
 from crflab.errors import NonConvergence, NotPositiveDefinite
@@ -164,6 +166,36 @@ class TestSolve:
             ):
                 solve_elliptic(problem, "gill-flow", tol=1e-6, max_steps=1000)
 
+    @pytest.mark.parametrize("error", ["PositivityLost", "StepUnderflow"])
+    def test_gill_flow_step_failure_is_nonconvergence(self, monkeypatch, error):
+        # the relaxation's limit is positive definite, so a step that fails is
+        # the grid's failure to reach it: on one 32^2 n = 2 recipe of a random
+        # sweep (metric near the positivity edge, stalling at 2e-3 at step
+        # tolerance 1e-3) the 7th step lost positivity in a stage
+        from crflab import errors, flow
+
+        step, calls = flow.step, []
+
+        def failing(state, scenario, dt_max=None):
+            calls.append(state)
+            if len(calls) > 3:
+                raise getattr(errors, error)("injected")
+            return step(state, scenario, dt_max)
+
+        monkeypatch.setattr(flow, "step", failing)
+        failed = r"gill-flow step 4 failed at oscillation \S+: injected"
+        with pytest.raises(NonConvergence, match=failed):
+            solve_elliptic(gill_problem(32), "gill-flow")
+
+    def test_gill_flow_start_outside_the_cone_is_not_positive_definite(self, chart2):
+        # phi = 8 (cos x_0 + cos x_2) puts diag(-1, -1) at the origin: a start
+        # outside the positive cone is the same error for both methods
+        problem = EllipticProblem(HermitianMatrixField.identity(chart2), ScalarField.zeros(chart2))
+        phi = 8.0 * (np.cos(chart2.axis_coordinates(0)) + np.cos(chart2.axis_coordinates(2)))
+        for method in ("gill-flow", "newton-continuation"):
+            with pytest.raises(NotPositiveDefinite):
+                solve_elliptic(problem, method, phi0=phi * np.ones(chart2.shape))
+
     def test_budget_exhaustion_raises(self, chart1):
         prob, _ = manufactured_problem(chart1, np.array([[1.2]]), 11, 0.2)
         with pytest.raises(NonConvergence):
@@ -204,9 +236,9 @@ class TestSolve:
 
     def test_gill_flow_relaxes_in_few_steps(self):
         # stepping toward stationarity, not along the transient: 202 steps
-        # at the flows' step tolerance
+        # at the flows' step tolerance, 24 at 1e-3 and 17 at 1e-2
         sol = solve_elliptic(gill_problem(32), "gill-flow", tol=1e-8)
-        assert sol.iterations <= 30
+        assert sol.iterations <= 20
         assert sol.residual <= 1e-8
 
     def test_gill_flow_matches_newton_n2(self):
@@ -223,6 +255,16 @@ class TestSolve:
         problem, tol = wave_problem(128), 1e-6
         relaxed = solve_elliptic(problem, "gill-flow", tol=tol)
         newton = solve_elliptic(problem, tol=tol)
+        assert relaxed.residual <= tol
+        assert np.max(np.abs(relaxed.phi.values - newton.phi.values)) <= 1e-6
+
+    def test_gill_flow_converges_cold_on_128(self):
+        # the solve above chains: phi0 = 0 keeps the full grid's own
+        # relaxation from the zero start covered (52 steps)
+        problem, tol = wave_problem(128), 1e-6
+        relaxed = solve_elliptic(problem, "gill-flow", tol=tol, phi0=np.zeros(problem.chart.shape))
+        newton = solve_elliptic(problem, tol=tol)
+        assert "coarse_levels" not in relaxed.extras
         assert relaxed.residual <= tol
         assert np.max(np.abs(relaxed.phi.values - newton.phi.values)) <= 1e-6
 
@@ -815,6 +857,38 @@ def missed_level_problem(resolution):
     return EllipticProblem(omega, F)
 
 
+@st.composite
+def random_problems(draw, nodes=(16, 32)):
+    """Small random problems: n = 1 or 2, active axes 0 (and 2), cos and
+    peaked waves. No wave is constant and no F wave is zero: either only
+    moves b or adds nothing. The metric's waves are scaled so that each
+    row's absolute sum off the identity is at most an edge drawn up to 0.9:
+    Gershgorin keeps the background positive, with a margin as small as 0.1."""
+    n = draw(st.sampled_from([1, 2]))
+    chart = TorusChart(n, draw(st.sampled_from(nodes)), active_axes=tuple(range(0, 2 * n, 2)))
+
+    def wave(i, j, amplitude, kmax):
+        wavenumbers = draw(st.lists(st.integers(0, kmax), min_size=n, max_size=n).filter(any))
+        return Perturbation(
+            i, j, amplitude, tuple(x for k in wavenumbers for x in (k, 0)),
+            draw(st.floats(0.0, 2.0 * np.pi)), draw(st.sampled_from(["cos", "peaked"])),
+            draw(st.floats(1.2, 2.0)),
+        )
+
+    pairs = [(i, j) for i in range(n) for j in range(i, n)]
+    weights = [draw(st.floats(-1.0, 1.0)) for _ in pairs]
+    rows = [sum(abs(w) for (i, j), w in zip(pairs, weights) if r in (i, j)) for r in range(n)]
+    scale = draw(st.floats(0.05, 0.9)) / max(max(rows), 1e-3)
+    omega = TorusMetricRecipe(
+        np.eye(n), [wave(i, j, scale * w, 2) for (i, j), w in zip(pairs, weights)]
+    ).build(chart)
+    F = ScalarRecipe([
+        wave(0, 0, draw(st.sampled_from([-1.0, 1.0])) * draw(st.floats(0.05, 1.0)), 3)
+        for _ in range(draw(st.integers(1, 3)))
+    ]).build(chart)
+    return EllipticProblem(omega, F)
+
+
 def record_solves(monkeypatch, cold=False):
     """Record (started warm, solution) for every solve certify_estimates makes;
     with ``cold`` the start it passes is dropped."""
@@ -986,6 +1060,50 @@ class TestCoarseToFine:
         assert sol.extras["coarse_levels"] == levels
         assert_same_solution(sol, cold, exact=True)
 
+    def test_gill_flow_chains(self):
+        # the newton_n2 recipe at tol 1e-6: 48 and 10 steps on 32^2 and 64^2,
+        # then one on 128^2, where the cold relaxation takes 52
+        problem, tol = wave_problem(128), 1e-6
+        sol = solve_elliptic(problem, "gill-flow", tol=tol)
+        levels = sol.extras["coarse_levels"]
+        assert [nodes for nodes, _ in levels] == [(32, 32), (64, 64)]
+        assert all(steps is not None for _, steps in levels)
+        assert 1 <= sol.iterations <= 2
+        assert sol.residual <= tol
+        newton = solve_elliptic(problem, tol=tol)
+        assert np.max(np.abs(sol.phi.values - newton.phi.values)) <= 1e-6
+
+    def test_gill_flow_missed_level_stops_at_the_cap(self, monkeypatch):
+        # the 32^2 level stalls above 1e-6 (after 150 steps without the cap);
+        # the full grid then relaxes from phi = 0, as without the chain
+        problem = missed_level_problem(128)
+        cold = solve_elliptic(problem, "gill-flow", phi0=np.zeros(problem.chart.shape))
+        steps = {}
+        integrate = elliptic._integrate
+
+        def counted(scenario, *args, **kwargs):
+            for state in integrate(scenario, *args, **kwargs):
+                steps[state.phi.shape] = steps.get(state.phi.shape, 0) + 1
+                yield state
+
+        monkeypatch.setattr(elliptic, "_integrate", counted)
+        sol = solve_elliptic(problem, "gill-flow")
+        assert sol.extras["coarse_levels"] == [((32, 32), None)]
+        assert steps[(32, 1, 32, 1)] == elliptic._COARSE_GILL_STEPS
+        assert (64, 1, 64, 1) not in steps
+        assert_same_solution(sol, cold, exact=True)
+
+    @pytest.mark.parametrize("wavenumber, levels", [
+        (32, [((32,), 18), ((64,), None)]),  # the 64-node level's start fails
+        (64, [((32,), 18), ((64,), 1)]),  # the full grid's start fails
+    ])
+    def test_gill_flow_start_outside_the_positive_cone_restarts_cold(self, wavenumber, levels):
+        problem = cone_problem(128, wavenumber)
+        sol = solve_elliptic(problem, "gill-flow", tol=1e-10)
+        cold = solve_elliptic(problem, "gill-flow", tol=1e-10, phi0=np.zeros(problem.chart.shape))
+        assert sol.extras["coarse_levels"] == levels
+        assert_same_solution(sol, cold, exact=True)
+
     @pytest.mark.parametrize("make", [wave_problem, missed_level_problem])
     def test_no_chain_below_128_nodes(self, make):
         # at 64 nodes a missed 32-node level costs more than a converged one
@@ -996,6 +1114,14 @@ class TestCoarseToFine:
         assert_same_solution(
             sol, solve_elliptic(problem, phi0=np.zeros(problem.chart.shape)), exact=True
         )
+
+    def test_gill_flow_has_no_chain_below_128_nodes(self):
+        # the size gate is the chain's, so both methods share it
+        problem = wave_problem(64)
+        sol = solve_elliptic(problem, "gill-flow")
+        assert "coarse_levels" not in sol.extras
+        cold = solve_elliptic(problem, "gill-flow", phi0=np.zeros(problem.chart.shape))
+        assert_same_solution(sol, cold, exact=True)
 
     def test_levels_are_not_separate_solves(self, monkeypatch):
         # tracing and spies wrap the module attribute: one call, one solve
@@ -1009,3 +1135,29 @@ class TestCoarseToFine:
         monkeypatch.setattr(elliptic, "solve_elliptic", spy)
         sol = elliptic.solve_elliptic(wave_problem(128))
         assert len(calls) == 1 and len(sol.extras["coarse_levels"]) == 2
+
+
+class TestGillFlowSweep:
+    @given(random_problems())
+    def test_converges_or_raises_nonconvergence(self, problem):
+        # every drawn problem: a residual within tol or NonConvergence, never
+        # another error; where step tolerance 1e-3 converges, gill-flow's own
+        # converges too, to the same phi and b within 10 tol
+        tol = elliptic._default_tol(problem.chart)
+
+        def relax():
+            try:
+                sol = solve_elliptic(problem, "gill-flow")
+            except NonConvergence:
+                return None
+            assert sol.residual <= tol
+            return sol
+
+        relaxed = relax()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(elliptic._Relaxation, "step_tol", 1e-3)
+            tight = relax()
+        if tight is not None:
+            assert relaxed is not None
+            assert np.max(np.abs(relaxed.phi.values - tight.phi.values)) <= 10 * tol
+            assert abs(relaxed.b - tight.b) <= 10 * tol
