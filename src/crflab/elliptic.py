@@ -56,22 +56,22 @@ is positive definite, so only the grid can fail to reach it.
 
 Both start from phi = 0 unless given a start phi0 (Newton also takes b0)
 and share one ending, `_on_grid`: phi is a canonical half spectrum, zero on
-the modes no Wirtinger operator sees (the kernel of `laplacian_inverse`: the
-mean and the modes whose every wavenumber is zero or Nyquist), it goes to the
-grid once and is normalized there, and its grid residual, with the mean
-moved into b, is the returned residual. Gill-flow's final phi is
-canonicalized first; so is Newton's start, whose grid residual decides
-whether it already meets tol. Newton then iterates on the spectrum itself:
-its step is zero on those modes, so the iterate stays canonical, and each
-residual takes the spectrum, with no transform of phi. The grid re-rounds
-phi, and the Hessian multiplies that rounding by up to k^2 (about 7e-12 on
-the newton_n2 recipe at 128^2, 4e-11 at 256^2 and 2e-10 at 512^2). So once
-the spectral residual is within tol, phi goes to the grid once; should the
-grid residual be above tol, the spectrum steps on to half of tol and phi
-goes to the grid once more, and a grid residual still above tol raises
-NonConvergence naming the grid's rounding floor with both residuals. No
-residual above tol is returned, and phi is never taken back from the grid,
-so nothing ping-pongs between the two.
+the modes no Wirtinger operator sees (the chart's `invisible` modes, which
+`laplacian_inverse` zeroes: the mean and the modes whose every wavenumber is
+zero or Nyquist), it goes to the grid once and is normalized there, and its
+grid residual, with the mean moved into b, is the returned residual.
+Gill-flow's final phi is canonicalized first; so is Newton's start, whose
+grid residual decides whether it already meets tol. Newton then iterates on
+the spectrum itself: its step is zero on those modes, so the iterate stays
+canonical, and each residual takes the spectrum, with no transform of phi.
+The grid re-rounds phi, and the Hessian multiplies that rounding by up to
+k^2 (about 7e-12 on the newton_n2 recipe at 128^2, 4e-11 at 256^2 and 2e-10
+at 512^2). So once the spectral residual is within tol, phi goes to the grid
+once; should the grid residual be above tol, the spectrum steps on to half
+of tol and phi goes to the grid once more, and a grid residual still above
+tol raises NonConvergence naming the grid's rounding floor with both
+residuals. No residual above tol is returned, and phi is never taken back
+from the grid, so nothing ping-pongs between the two.
 
 Without a phi0, on a chart with at least 128 nodes on each active axis,
 both methods first solve a chain of coarser problems (nested iteration, the
@@ -244,13 +244,10 @@ class EllipticSolution:
 
 
 def _canonical_spec(problem, phi_values):
-    # phi's half spectrum less the modes no Wirtinger operator sees, the
-    # kernel of `laplacian_inverse` (the mean and the modes whose every
-    # wavenumber is zero or Nyquist): the canonical representative both
-    # solution routes return
-    chart = problem.chart
-    spec = chart.rfft(phi_values)
-    spec[chart.laplacian_symbol(herm_components(np.eye(chart.n))) == 0.0] = 0.0
+    # phi's half spectrum less the chart's `invisible` modes: the canonical
+    # representative both solution routes return
+    spec = problem.chart.rfft(phi_values)
+    spec[problem.chart.invisible] = 0.0
     return spec
 
 
@@ -385,10 +382,9 @@ class _Relaxation(FlowScenario):
     control = StepControl()
 
     def __init__(self, problem):
-        self.chart = chart = problem.chart
+        self.chart = problem.chart
         self._omega_parts = problem.omega_parts
         self._log_density = problem._logdet + problem.F.values
-        self._laplacian = chart.laplacian_symbol(herm_components(np.eye(chart.n)))
 
     def _reference_parts(self, t):
         # omega's components; plus_hessian never writes them
@@ -587,7 +583,7 @@ def _newton_step(problem, spec, b, res_field, parts, res, target, krylov_cap):
         # visible modes left (32^2 at tol 1e-8: 4.3e-8, a quarter of it
         # invisible); the flat one's best leaves mostly the invisible part
         y, lin_res, scale = min((y, lin_res, scale), krylov(1.0), key=lambda out: out[1])
-    # zero on the kernel of L, so the iterate stays canonical
+    # zero on the invisible modes, so the iterate stays canonical
     dspec = chart.rfft(y * scale) * inverse
     db = float((res_field + lap(dspec)).mean())
 

@@ -25,11 +25,6 @@ class PositivityLost(CrflabError):
     """The evolving metric dropped below the eigenvalue floor (approach to the
     maximal existence time)."""
 
-    def __init__(self, message, t=None, last_state=None):
-        super().__init__(message)
-        self.t = t
-        self.last_state = last_state
-
 
 class StepUnderflow(CrflabError):
     """Adaptive time step shrank below the hard floor."""

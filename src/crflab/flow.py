@@ -223,9 +223,6 @@ class FlowScenario:
             t = np.where(components_trace(inv, self._chi_parts) > 0.0, t + width, t)
         logdet = components_logdet(self._reference_parts(t))
         self.monitor_A = float(np.max(logdet - self._log_density))
-        # half-grid Fourier symbol of sum_i d_i d_ibar, the flat part of the
-        # stiff operator
-        self._laplacian = chart.laplacian_symbol(herm_components(np.eye(chart.n)))
 
     def _reference_parts(self, t):
         # the real components of ghat_t = g0 + t chi, as new arrays
@@ -246,7 +243,7 @@ class FlowScenario:
         try:
             logdet = components_logdet(parts)
         except NotPositiveDefinite:
-            raise PositivityLost("interior stage lost positivity", t=t) from None
+            raise PositivityLost("interior stage lost positivity") from None
         return logdet - self._log_density, parts
 
     def state_at(self, t, phi):
@@ -414,9 +411,9 @@ def step(state, scenario, dt_max=None):
     than it was given.
     """
     if not state.eig_min > 0.0:
-        raise PositivityLost("metric not positive at step start", t=state.t)
+        raise PositivityLost("metric not positive at step start")
     control = scenario.control
-    symbol = scenario._laplacian / state.eig_min - scenario.phi_decay
+    symbol = scenario.chart.flat_laplacian / state.eig_min - scenario.phi_decay
     wanted = state.dt_next or control.safety * _RK4_STABILITY / -symbol.min()
     dt = wanted if dt_max is None else min(wanted, dt_max)
     if dt < _DT_MIN:
@@ -426,9 +423,7 @@ def step(state, scenario, dt_max=None):
     new = scenario.state_at(t_new, phi)
     if not new.eig_min >= control.eps_pd:
         raise PositivityLost(
-            f"metric eigenvalue {new.eig_min:.3e} below floor at t = {t_new:.6g}",
-            t=t_new,
-            last_state=state,
+            f"metric eigenvalue {new.eig_min:.3e} below floor at t = {t_new:.6g}"
         )
     err = max(float(np.max(np.abs(phi - trapezoid(new.phidot)))), 1e-300)
     cap = 2.0 * dt if dt == wanted else wanted
@@ -626,7 +621,9 @@ def write_checkpoint(path, state, dt_hint):
 
 def read_checkpoint(path, scenario):
     """The stored state, continuing with the footer's step; raises ValueError
-    off [0, T0] (to 1e-12) and PositivityLost below the eigenvalue floor."""
+    for a file that is not a scalar snapshot on the scenario's chart with a
+    footer, or whose time is off [0, T0] (to 1e-12), and PositivityLost below
+    the eigenvalue floor."""
     from .io import read_snapshot
 
     phi, footer = read_snapshot(path, chart=scenario.chart, want_footer=True)
@@ -636,8 +633,7 @@ def read_checkpoint(path, scenario):
     state = scenario.state_at(t, phi.values)
     if not state.eig_min >= scenario.control.eps_pd:
         raise PositivityLost(
-            f"checkpoint metric eigenvalue {state.eig_min:.3e} below floor at t = {t:.6g}",
-            t=t,
+            f"checkpoint metric eigenvalue {state.eig_min:.3e} below floor at t = {t:.6g}"
         )
     if math.isfinite(dt) and dt > 0.0:
         state.dt_next = dt

@@ -58,6 +58,9 @@ A Hermitian coefficient enters only as real components, which
 `components_trace_weights` turns into weights that contract the live
 components; `laplacian_symbol` and `laplacian_inverse`, the half-grid
 multipliers of the constant-coefficient Laplacians, are built from them.
+The chart builds the flat Laplacian's symbol once (`flat_laplacian`), and its
+zeros decide the modes no Wirtinger operator sees (`invisible`), which
+`laplacian_inverse` and `strip_invisible` zero.
 
 Per-node linear algebra works on components, in closed form for n <= 2 and
 through LAPACK beyond; `herm_det`, `herm_logdet` and, for n <= 2, `herm_inv`
@@ -130,7 +133,7 @@ class TorusChart:
         )
         self._k = [self._wavenumbers(a) for a in range(naxes)]
         self._k_half = [self._wavenumbers(a, a == half) for a in range(naxes)]
-        self._hessian_mult = self._hessian_live = None
+        self._hessian_mult = self._hessian_live = self._flat_pair = None
 
     # -- basic structure ---------------------------------------------------
 
@@ -322,15 +325,35 @@ class TorusChart:
         sym = sum(wk * mult[k] for wk, k in zip(w, self._hessian_live))
         return np.broadcast_to(sym, self.half_shape).copy()
 
+    def _flat(self):
+        # the flat Laplacian's symbol and its zero set, built once, read-only
+        if self._flat_pair is None:
+            sym = self.laplacian_symbol(herm_components(np.eye(self.n)))
+            zero = sym == 0.0
+            sym.flags.writeable = zero.flags.writeable = False
+            self._flat_pair = sym, zero
+        return self._flat_pair
+
+    @property
+    def flat_laplacian(self):
+        """Real half-grid symbol of the flat Laplacian sum_i d_i d_ibar."""
+        return self._flat()[0]
+
+    @property
+    def invisible(self):
+        """Half-grid mask of the modes no Wirtinger operator sees, the zeros of
+        `flat_laplacian`: the mean and those whose every wavenumber is zero or
+        Nyquist. With the zeroed-Nyquist derivative convention they are gauge
+        for any field that only enters through derivatives."""
+        return self._flat()[1]
+
     def laplacian_inverse(self, parts):
         """The inverse of sum_ij A_ji d_i d_jbar (A positive, of components
         ``parts``) as a real half-grid multiplier of `rfft` spectra; it is
-        zero on the modes the symbol annihilates, the mean and those whose
-        every wavenumber is zero or Nyquist, which no Wirtinger operator sees."""
+        zero on the `invisible` modes, which the symbol annihilates."""
         sym = self.laplacian_symbol(parts)
-        kernel = sym == 0.0
-        inv = 1.0 / np.where(kernel, 1.0, sym)
-        inv[kernel] = 0.0
+        inv = 1.0 / np.where(self.invisible, 1.0, sym)
+        inv[self.invisible] = 0.0
         return inv
 
     def plus_hessian(self, parts, spec):
@@ -356,13 +379,10 @@ class TorusChart:
         return herm_from_components(parts, self.shape)
 
     def strip_invisible(self, values):
-        """Remove the modes no Wirtinger operator sees: the mean and those
-        whose every wavenumber is zero or Nyquist. With the zeroed-Nyquist
-        derivative convention they are gauge for any field that only enters
-        through derivatives; stripping them picks the canonical
-        representative."""
+        """Remove the `invisible` modes, which picks the canonical
+        representative of a field that only enters through derivatives."""
         spec = self.rfft(np.asarray(values, dtype=float))
-        spec[self.laplacian_symbol(herm_components(np.eye(self.n))) == 0.0] = 0.0
+        spec[self.invisible] = 0.0
         return self.irfft(spec)
 
     # -- reductions ----------------------------------------------------------

@@ -1,15 +1,16 @@
 """File formats: field snapshots, nested key-value configs, CSV, manifests.
 
-Snapshot layout (all little-endian):
+A snapshot holds one real scalar field, the flow's and the elliptic
+solver's potential phi (omega = ghat_t + i ddbar phi is the whole state).
+Its layout (all little-endian):
 
     bytes 0..15   fixed header: magic b"CRFS", version u16, kind u16
-                  (0 scalar, 1 hermitian, 2 volume), n u16, naxes u16,
+                  (always 0, a scalar field), n u16, naxes u16,
                   flags u32 (bit 0: trailing footer present)
     descriptor    naxes * u32 per-axis resolution, naxes * f64 periods,
                   u32 active-axis bitmask
     payload       float64 values in C order on the storage grid (axes
-                  outside the active mask carry one node); complex data is
-                  interleaved (real, imag)
+                  outside the active mask carry one node)
     footer        two f64 (t, dt), only when flags bit 0 is set
 
 Config files are a line-oriented nested key-value format:
@@ -32,12 +33,12 @@ import struct
 import numpy as np
 
 from .errors import ChartMismatch
-from .geometry import HermitianMatrixField, ScalarField, TorusChart, VolumeField
+from .geometry import ScalarField, TorusChart
 
 _MAGIC = b"CRFS"
 _VERSION = 1
-_KINDS = {ScalarField: 0, HermitianMatrixField: 1, VolumeField: 2}
-_KIND_CLASSES = {0: ScalarField, 1: HermitianMatrixField, 2: VolumeField}
+# the one snapshot kind, a real scalar field
+_SCALAR = 0
 
 
 def _atomic_write(path, payload):
@@ -48,11 +49,14 @@ def _atomic_write(path, payload):
 
 
 def write_snapshot(path, field, footer=None):
+    """Write the ScalarField ``field``, with the footer (t, dt) if given;
+    any other field is a TypeError."""
+    if type(field) is not ScalarField:
+        raise TypeError(f"a snapshot holds a ScalarField, not {type(field).__name__}")
     chart = field.chart
-    kind = _KINDS[type(field)]
     flags = 1 if footer is not None else 0
     head = struct.pack(
-        "<4sHHHHI", _MAGIC, _VERSION, kind, chart.n, chart.naxes, flags
+        "<4sHHHHI", _MAGIC, _VERSION, _SCALAR, chart.n, chart.naxes, flags
     )
     desc = struct.pack(f"<{chart.naxes}I", *chart.resolution)
     desc += struct.pack(f"<{chart.naxes}d", *chart.periods)
@@ -60,27 +64,20 @@ def write_snapshot(path, field, footer=None):
     for a in chart.active_axes:
         mask |= 1 << a
     desc += struct.pack("<I", mask)
-    vals = field.values
-    if np.iscomplexobj(vals):
-        payload = np.empty(vals.shape + (2,))
-        payload[..., 0] = vals.real
-        payload[..., 1] = vals.imag
-    else:
-        payload = vals
-    body = payload.astype("<f8").tobytes(order="C")
+    body = field.values.astype("<f8").tobytes(order="C")
     if footer is not None:
         body += struct.pack("<dd", *footer)
     _atomic_write(path, head + desc + body)
 
 
 def read_snapshot(path, chart=None, want_footer=False):
-    """The field stored at ``path`` (and its footer with ``want_footer``).
+    """The ScalarField stored at ``path`` (and its footer with ``want_footer``).
 
     Every malformed file raises ValueError naming the path: a cut, a bad
-    magic, version or kind, a header whose sizes disagree with the file's
-    length, a chart other than ``chart`` (ChartMismatch) and a non-finite
-    payload. Sizes are checked against the file before anything is
-    allocated from them.
+    magic or version, a kind other than the scalar one, a header whose sizes
+    disagree with the file's length, a chart other than ``chart``
+    (ChartMismatch) and a non-finite payload. Sizes are checked against the
+    file before anything is allocated from them.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -98,7 +95,7 @@ def read_snapshot(path, chart=None, want_footer=False):
         raise ValueError(f"{path}: not a field snapshot")
     if version != _VERSION:
         raise ValueError(f"{path}: unsupported snapshot version {version}")
-    if kind not in _KIND_CLASSES:
+    if kind != _SCALAR:
         raise ValueError(f"{path}: unknown snapshot kind {kind}")
     if naxes != 2 * n:
         raise ValueError(f"{path}: {naxes} axes for complex dimension {n}")
@@ -110,10 +107,7 @@ def read_snapshot(path, chart=None, want_footer=False):
     (mask,) = unpack("<I", off)
     off += 4
     active = tuple(a for a in range(naxes) if mask & (1 << a))
-    cls = _KIND_CLASSES[kind]
     count = math.prod(resolution[a] for a in active)
-    if cls is HermitianMatrixField:
-        count *= n * n * 2
     size = off + 8 * count + (16 if flags & 1 else 0)
     if len(raw) != size:
         raise ValueError(f"{path}: snapshot is {len(raw)} bytes, its header needs {size}")
@@ -129,12 +123,7 @@ def read_snapshot(path, chart=None, want_footer=False):
     off += 8 * count
     if not np.isfinite(arr).all():
         raise ValueError(f"{path}: snapshot payload is not finite")
-    shape = file_chart.shape
-    if cls is HermitianMatrixField:
-        arr = arr.reshape(shape + (n, n, 2))
-        field = cls(file_chart, arr[..., 0] + 1j * arr[..., 1])
-    else:
-        field = cls(file_chart, arr.reshape(shape).copy())
+    field = ScalarField(file_chart, arr.reshape(file_chart.shape).copy())
     if want_footer:
         if not flags & 1:
             raise ValueError(f"{path}: snapshot has no footer")

@@ -1161,3 +1161,26 @@ class TestGillFlowSweep:
             assert relaxed is not None
             assert np.max(np.abs(relaxed.phi.values - tight.phi.values)) <= 10 * tol
             assert abs(relaxed.b - tight.b) <= 10 * tol
+
+
+class TestNewtonSweep:
+    @given(random_problems())
+    def test_converges_or_raises_nonconvergence_and_agrees_with_gill_flow(self, problem):
+        # every drawn problem: Newton returns a residual within tol or raises
+        # NonConvergence, never another error; where Newton and gill-flow both
+        # converge, their phi and b agree within 10 tol
+        tol = elliptic._default_tol(problem.chart)
+
+        def solve(method):
+            try:
+                sol = solve_elliptic(problem, method)
+            except NonConvergence:
+                return None
+            assert sol.residual <= tol
+            return sol
+
+        newton = solve("newton-continuation")
+        gill = solve("gill-flow")
+        if newton is not None and gill is not None:
+            assert np.max(np.abs(newton.phi.values - gill.phi.values)) <= 10 * tol
+            assert abs(newton.b - gill.b) <= 10 * tol

@@ -396,7 +396,7 @@ class TestExponentialStepper:
 
         sc = scenario_from_metric(n2_metric, 50.0)
         state = step(FlowState.initial(sc), sc)
-        symbol = sc._laplacian / state.eig_min
+        symbol = sc.chart.flat_laplacian / state.eig_min
         etd, _ = _etdrk4(sc.rhs, state.phi, state.t, 1e-3, sc.chart, symbol)
         ref = rk4(sc.rhs, state.phi, state.t, 1e-3)
         assert np.max(np.abs(etd - ref)) <= 1e-14
@@ -408,7 +408,7 @@ class TestExponentialStepper:
 
         sc = scenario_from_metric(n2_metric, 50.0)
         state = FlowState.initial(sc)
-        symbol = sc._laplacian / state.eig_min
+        symbol = sc.chart.flat_laplacian / state.eig_min
         gaps = []
         for dt in (0.1, 0.05, 0.025):
             phi, trapezoid = _etdrk4(sc.rhs, state.phi, 0.0, dt, sc.chart, symbol)
@@ -446,7 +446,7 @@ class TestExponentialStepper:
 
         sc = scenario_from_metric(n2_metric, 50.0)
         state = FlowState.initial(sc)
-        rate = -np.min(sc._laplacian) / state.eig_min
+        rate = -np.min(sc.chart.flat_laplacian) / state.eig_min
         assert 0.2 >= 45.0 * sc.control.safety * _RK4_STABILITY / rate
         new = self._fixed_steps(sc, 0.2, 0.2)
         assert new.eig_min >= sc.control.eps_pd

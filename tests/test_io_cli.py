@@ -9,12 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from crflab.cli import main
-from crflab.geometry import (
-    HermitianMatrixField,
-    ScalarField,
-    TorusChart,
-    VolumeField,
-)
+from crflab.geometry import ScalarField, TorusChart, VolumeField
 from crflab.io import (
     SCHEMA,
     dump_config,
@@ -90,20 +85,21 @@ class TestSnapshot:
         assert g.chart == chart2
         assert np.array_equal(g.values, f.values)
 
-    def test_hermitian_roundtrip(self, tmp_path, nonkahler_metric):
-        path = str(tmp_path / "h.snap")
-        write_snapshot(path, nonkahler_metric)
-        g = read_snapshot(path)
-        assert isinstance(g, HermitianMatrixField)
-        assert np.array_equal(g.values, nonkahler_metric.values)
-
-    def test_volume_roundtrip_and_footer(self, tmp_path, chart1):
-        v = VolumeField(chart1, np.full(chart1.shape, 2.5))
+    def test_scalar_roundtrip_and_footer(self, tmp_path, chart1):
+        v = ScalarField(chart1, np.full(chart1.shape, 2.5))
         path = str(tmp_path / "v.snap")
         write_snapshot(path, v, footer=(1.25, 1e-3))
         g, footer = read_snapshot(path, want_footer=True)
         assert footer == (1.25, 1e-3)
         assert np.array_equal(g.values, v.values)
+
+    def test_only_a_scalar_field_is_written(self, tmp_path, chart1, nonkahler_metric):
+        # a snapshot holds the potential phi; a metric or a density is refused
+        path = tmp_path / "h.snap"
+        for field in (nonkahler_metric, VolumeField(chart1, np.full(chart1.shape, 2.5))):
+            with pytest.raises(TypeError, match="a snapshot holds a ScalarField"):
+                write_snapshot(str(path), field)
+        assert not path.exists()
 
     def test_chart_mismatch_on_read(self, tmp_path, chart1, chart2):
         f = bandlimited_scalar(chart1, 4)
@@ -273,11 +269,10 @@ def _snapshot_fields():
     c1 = TorusChart(1, 8, active_axes=(0,))
     c2 = TorusChart(2, 8, active_axes=(0, 2))
     x = c1.axis_coordinates(0)
-    herm = np.broadcast_to(np.eye(2), c2.shape + (2, 2)).astype(complex)
     return [
         ScalarField(c1, np.cos(x)),
-        VolumeField(c1, 2.0 + np.sin(x)),
-        HermitianMatrixField(c2, herm + 0.1 * np.cos(c2.axis_coordinates(2))[..., None, None]),
+        ScalarField(c1, 2.0 + np.sin(x)),
+        ScalarField(c2, 0.1 * np.cos(c2.axis_coordinates(2)) * np.ones(c2.shape)),
     ]
 
 
@@ -328,7 +323,7 @@ class TestSnapshotFuzz:
         with pytest.raises(ValueError, match="not a field snapshot"):
             _read_bytes(magic + raw[4:], None)
 
-    @given(_FIELD_INDEX, st.integers(3, 2 ** 16 - 1))
+    @given(_FIELD_INDEX, st.integers(1, 2 ** 16 - 1))
     def test_bad_kind(self, index, kind):
         raw = bytearray(_snapshot_bytes(_snapshot_fields()[index], None))
         struct.pack_into("<H", raw, 6, kind)
@@ -563,7 +558,7 @@ class TestCli:
 
         def failing(state, scenario, dt_max=None):
             if len(taken) == 3:
-                raise PositivityLost("injected", t=state.t)
+                raise PositivityLost("injected")
             taken.append(state.t)
             return step(state, scenario, dt_max)
 
@@ -780,6 +775,26 @@ class TestCli:
                    "--resume", snap])
         assert rc == 2
         assert snap in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind,per_node", [(1, [1.0, 0.0]), (2, [1.0])],
+                             ids=["metric", "density"])
+    def test_resume_from_a_foreign_snapshot_exits_2(self, tmp_path, capsys, kind, per_node):
+        # only the potential phi is snapshotted: a metric (kind 1, its complex
+        # entries interleaved) or a density (kind 2) on FLOW_N1's chart, packed
+        # by hand, is refused before any step
+        scen = _write(tmp_path, "s.cfg", FLOW_N1)
+        snap = tmp_path / "foreign.snap"
+        snap.write_bytes(
+            struct.pack("<4sHHHHI", b"CRFS", 1, kind, 1, 2, 1)
+            + struct.pack("<2I2dI", 64, 64, 2 * math.pi, 2 * math.pi, 0b01)
+            + struct.pack(f"<{64 * len(per_node)}d", *(per_node * 64))
+            + struct.pack("<dd", 0.0, 1e-3)
+        )
+        out = tmp_path / "f"
+        rc = main(["run-flow", "--scenario", scen, "--out", str(out), "--resume", str(snap)])
+        assert rc == 2
+        assert f"unknown snapshot kind {kind}" in capsys.readouterr().err
+        assert not (out / "trajectory.csv").exists()
 
     @pytest.mark.parametrize("t", [-3.0, 200.0 + 1e-9, 1e9])
     def test_checkpoint_time_outside_the_horizon_exits_2(self, tmp_path, capsys, t):
