@@ -286,9 +286,7 @@ def _cmd_solve_ma(args):
 
 
 def _cmd_max_time(args):
-    import json
-
-    from .io import load_config, write_manifest
+    from .io import load_config, write_json, write_manifest
     from .surfaces import Divisor, SurfaceClassData, SurfaceFlags, classify, maximal_time
 
     cfg = load_config(args.data, "surface")
@@ -308,9 +306,7 @@ def _cmd_max_time(args):
         "binding": result.binding,
         "volume_poly": list(result.volume_poly),
     }
-    with open(os.path.join(args.out, "maxtime.json"), "w", encoding="utf-8") as fh:
-        json.dump(record, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    write_json(os.path.join(args.out, "maxtime.json"), record)
     print(f"T = {'inf' if not result.finite else format(result.T, '.12g')}  "
           f"case = ({result.case})  binding = {result.binding}")
     for line in report.narrative:

@@ -39,10 +39,10 @@ with `components_logdet` as the positivity test. Everything downstream reads
 those components: the Krylov weights tr(G'^-1 H) are
 `components_trace_weights` of `components_inv`, and the preconditioner is
 `laplacian_inverse` of `components_inv` of their grid mean: for n <= 2 no
-matrix is built or inverted. `EllipticProblem` is frozen; it reads omega's
-real components once into contiguous arrays (``omega_parts``; reading
-``omega`` assembles the matrix field from them) and takes the background's
-log det once, as its positivity test, for every residual to read.
+matrix is built or inverted. `EllipticProblem` is frozen; it keeps omega as
+a field of its real components (``omega.parts``), so it holds no matrix
+until ``omega.values`` is read, and takes the background's log det once, as
+its positivity test, for every residual to read.
 
 Gill-flow's limit does not depend on the path to it, so its steps need to
 be stable and keep the metric positive, not to be accurate in time. Its
@@ -73,27 +73,28 @@ tol raises NonConvergence naming the grid's rounding floor with both
 residuals. No residual above tol is returned, and phi is never taken back
 from the grid, so nothing ping-pongs between the two.
 
-Without a phi0, on a chart with at least 128 nodes on each active axis,
-both methods first solve a chain of coarser problems (nested iteration, the
-first leg of full multigrid; `_solve_nested`, which takes the method's level
+Without a phi0, on a chart with at least 128 nodes on each active axis, both
+methods first solve a chain of coarser problems (nested iteration, the first
+leg of full multigrid; `_solve_nested`, which takes the method's level
 solve): each level keeps every other node of each active axis of the one
-above (`EllipticProblem.coarsened`, which injects omega's components, so no
-level assembles a matrix), down to 32 nodes per axis, and the coarsest
-starts from (0, b0). A level solves to max(tol, its chart's default tol),
-with each Krylov solve capped at 25 iterations, or with at most 64 gill-flow
-steps; a tighter coarse target would only chase the residual floor of an
-under-resolved grid. Its Fourier-refined (phi, b) starts the next level,
-which canonicalizes it like any start. The gain rests on the problem being
-resolved on 32 nodes per axis, and the chain tests that as it goes: the
-first level that does not converge from its start (a Krylov miss, a stalled
-line search or relaxation, a spent step cap, or a start that is not positive
-definite) ends the chain, and the problem's own solve starts from (0, b0),
-exactly as without the chain; so does a refined start that is not positive
-definite on the full grid. The problem's own solve iterates to tol and is
-the only gate: `EllipticSolution.iterations` counts its steps, and
-extras["coarse_levels"] records the levels. On the newton_n2 recipe at 256^2
-gill-flow takes 48, 10 and 1 steps on 32^2, 64^2 and 128^2, then one step,
-in about 0.1 s against 1.2 s from phi = 0. Smaller charts have no chain.
+above (`EllipticProblem.coarsened`, whose `coarsen_field` injects omega's
+components, so no level assembles a matrix), down to 32 nodes per axis, and
+the coarsest starts from (0, b0). A level solves to max(tol, its chart's
+default tol), with each Krylov solve capped at 25 iterations, or with at
+most 64 gill-flow steps; a tighter coarse target would only chase the
+residual floor of an under-resolved grid. Its Fourier-refined (phi, b)
+starts the next level, which canonicalizes it like any start. The gain rests
+on the problem being resolved on 32 nodes per axis, and the chain tests that
+as it goes: the first level that does not converge from its start (a Krylov
+miss, a stalled line search or relaxation, a spent step cap, or a start that
+is not positive definite) ends the chain, and the problem's own solve starts
+from (0, b0), exactly as without the chain; so does a refined start that is
+not positive definite on the full grid. The problem's own solve iterates to
+tol and is the only gate: `EllipticSolution.iterations` counts its steps,
+and extras["coarse_levels"] records the levels. On the newton_n2 recipe at
+256^2 gill-flow takes 48, 10 and 1 steps on 32^2, 64^2 and 128^2, then one
+step, in about 0.1 s against 1.2 s from phi = 0. Smaller charts have no
+chain.
 
 An `EllipticSolution` keeps the metric components of its final residual
 (``metric_parts``), so `updated_metric` and the certificate need no further
@@ -103,10 +104,10 @@ residual in the modes no Wirtinger operator sees, a floor no step can lower.
 `certify_estimates` measures the oscillation bound and the second-order
 statistic C(A) = sup tr_g g' e^{-A(phi - inf phi)}, with tr_g g' from the
 kept components (`components_trace`), re-solving on a Fourier-refined grid
-to test stability under grid doubling. `EllipticProblem.refined` pads the
-real half spectra of omega's components one at a time, so the refined
-problem assembles no matrix either. The re-solve starts from the refined
-coarse solution and iterates to its own tolerance.
+to test stability under grid doubling. `EllipticProblem.refined`, through
+`refine_field`, pads the real half spectra of omega's components one at a
+time, so the refined problem assembles no matrix either. The re-solve
+starts from the refined coarse solution and iterates to its own tolerance.
 """
 
 import math
@@ -124,8 +125,6 @@ from .geometry import (
     components_inv,
     components_logdet,
     components_trace,
-    herm_components,
-    refine_components,
     refine_field,
 )
 
@@ -163,67 +162,41 @@ _GILL_STEP_TOL = 1e-2
 _COARSE_GILL_STEPS = 64
 
 
-class _AssembledOnRead:
-    """`EllipticProblem.omega`, a field kept as omega's contiguous real
-    components, ``omega_parts``, in the order of `herm_components`: setting
-    it (only the constructor can: the problem is frozen) reads them once, and
-    reading it assembles the matrix field from them."""
-
-    def __get__(self, problem, owner=None):
-        if problem is None:
-            raise AttributeError("omega")  # the field has no default
-        return HermitianMatrixField.from_components(problem.chart, problem.omega_parts)
-
-    def __set__(self, problem, omega):
-        object.__setattr__(problem, "chart", omega.chart)
-        object.__setattr__(
-            problem, "omega_parts", [p.copy() for p in herm_components(omega.values)]
-        )
-
-
-# eq=False: each read of omega assembles a new field, so field-wise equality
-# and hashing would not even hold a problem equal to itself
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class EllipticProblem:
-    omega: HermitianMatrixField = _AssembledOnRead()
+    omega: HermitianMatrixField
     F: ScalarField
     normalization: str = "mean"  # "mean" or "sup"
 
     def __post_init__(self):
         self.chart.require_same(self.F.chart)
+        # keep omega's components, not the caller's matrix
+        omega = HermitianMatrixField.from_components(self.chart, self.omega.parts)
+        object.__setattr__(self, "omega", omega)
         try:
             # the problem is frozen, so this stays the log det of its omega
-            object.__setattr__(self, "_logdet", components_logdet(self.omega_parts))
+            object.__setattr__(self, "_logdet", components_logdet(omega.parts))
         except NotPositiveDefinite:
             raise NotPositiveDefinite("background metric is not positive definite") from None
         if self.normalization not in ("mean", "sup"):
             raise ValueError("normalization must be 'mean' or 'sup'")
 
-    @classmethod
-    def _from_parts(cls, chart, omega_parts, F, normalization):
-        # the problem of omega's components on ``chart``, with no matrix built
-        problem = cls.__new__(cls)
-        for name, value in (("chart", chart), ("omega_parts", omega_parts),
-                            ("F", F), ("normalization", normalization)):
-            object.__setattr__(problem, name, value)
-        problem.__post_init__()
-        return problem
+    @property
+    def chart(self):
+        return self.omega.chart
 
     def refined(self):
         """The problem on the Fourier-doubled grid, omega refined one real
         component at a time."""
-        F = refine_field(self.F)
-        parts = refine_components(self.chart, self.omega_parts)
-        return EllipticProblem._from_parts(F.chart, parts, F, self.normalization)
+        return EllipticProblem(refine_field(self.omega), refine_field(self.F), self.normalization)
 
     def coarsened(self):
         """The problem on every other node of each active axis, as
         `coarsen_field` keeps them (an inactive axis has one); its metric
         samples this one's, so it is positive definite too."""
-        F = coarsen_field(self.F)
-        every_other = (slice(None, None, 2),) * self.chart.naxes
-        parts = [np.ascontiguousarray(p[every_other]) for p in self.omega_parts]
-        return EllipticProblem._from_parts(F.chart, parts, F, self.normalization)
+        return EllipticProblem(
+            coarsen_field(self.omega), coarsen_field(self.F), self.normalization
+        )
 
 
 @dataclass
@@ -259,7 +232,7 @@ def _residual_field(problem, phi_values, b, spec=None):
     chart = problem.chart
     if spec is None:
         spec = chart.rfft(phi_values)
-    parts = chart.plus_hessian(problem.omega_parts, spec)
+    parts = chart.plus_hessian(problem.omega.parts, spec)
     return components_logdet(parts) - problem._logdet - problem.F.values - b, parts
 
 
@@ -383,12 +356,12 @@ class _Relaxation(FlowScenario):
 
     def __init__(self, problem):
         self.chart = problem.chart
-        self._omega_parts = problem.omega_parts
+        self.omega = problem.omega
         self._log_density = problem._logdet + problem.F.values
 
     def _reference_parts(self, t):
         # omega's components; plus_hessian never writes them
-        return self._omega_parts
+        return self.omega.parts
 
     def rhs(self, phi, t, spec=None):
         phidot, parts = super().rhs(phi, t, spec)
@@ -648,7 +621,7 @@ def certify_estimates(solution, A_grid, tol=None):
 
     def stats(sol):
         # tr_g g' from the updated metric the solution kept
-        omega_inv = components_inv(sol.problem.omega_parts)
+        omega_inv = components_inv(sol.problem.omega.parts)
         tr = components_trace(omega_inv, sol.metric_parts)
         phi = sol.phi.values
         shifted = phi - phi.min()

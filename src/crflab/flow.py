@@ -22,12 +22,13 @@ only on its own values and a resumed run repeats an uninterrupted one
 bitwise.
 
 The right side works on real components, in the order of `herm_components`,
-for every n: a scenario keeps g0's and chi's components as views, forms
-ghat_t's from them, adds the Hessian of the stage spectrum with
-`TorusChart.plus_hessian` and takes `components_logdet`, the one positivity
-test. It returns the metric's components; a state keeps them, its eigenvalue
-bounds and its monitor row's det read them, and only `FlowState.omega`, for a
-sample or a certificate, assembles the complex matrix.
+for every n: a scenario reads g0's and chi's contiguous components
+(`HermitianMatrixField.parts`), forms ghat_t's from them, adds the Hessian
+of the stage spectrum with `TorusChart.plus_hessian` and takes
+`components_logdet`, the one positivity test. It returns the metric's
+components; a state keeps them, its eigenvalue bounds and its monitor row's
+det read them, and only `FlowState.omega`, for a sample or a certificate,
+assembles the complex matrix.
 
 The right side splits as L phi + N(phi, t) with
 the diagonal operator L = (1/lambda_min) sum_i d_i d_ibar - d, where
@@ -83,7 +84,6 @@ from .geometry import (
     components_logdet,
     components_trace,
     herm_components,
-    herm_det,
     herm_eig_bounds,
     herm_from_components,
     i_ddbar,
@@ -199,12 +199,9 @@ class FlowScenario:
         self.convergence_patience = int(convergence_patience)
 
         _check_closed(chart, chi.values, "chi")
-        # g0's and chi's real components, views for the stages to combine
-        self._g0_parts = herm_components(g0.values)
-        self._chi_parts = herm_components(chi.values)
         self._log_density = np.log(omega_density.values)
         # det g0, the numerator of every monitor row's volume-form ratio
-        self._det_g0 = herm_det(g0.values)
+        self._det_g0 = components_det(g0.parts)
         # lambda_min(g0 + t chi) is concave in t, so the endpoints decide
         for ts in (0.0, self.T0):
             lo, _ = components_eig_bounds(self._reference_parts(ts))
@@ -220,13 +217,13 @@ class FlowScenario:
         for _ in range(53):
             width *= 0.5
             inv = components_inv(self._reference_parts(t + width))
-            t = np.where(components_trace(inv, self._chi_parts) > 0.0, t + width, t)
+            t = np.where(components_trace(inv, self.chi.parts) > 0.0, t + width, t)
         logdet = components_logdet(self._reference_parts(t))
         self.monitor_A = float(np.max(logdet - self._log_density))
 
     def _reference_parts(self, t):
         # the real components of ghat_t = g0 + t chi, as new arrays
-        return [g + t * c for g, c in zip(self._g0_parts, self._chi_parts)]
+        return [g + t * c for g, c in zip(self.g0.parts, self.chi.parts)]
 
     def rhs(self, phi, t, spec=None):
         """(log(det(ghat_t + Hess phi)/Omega0), the metric's real components
@@ -308,9 +305,7 @@ def scenario_from_metric(g0, T0, f_T0=None, **kwargs):
         chart.require_same(f_T0.chart)
     # FlowScenario tests g0 + T0 chi = alpha_T0 + i ddbar f_T0 for positivity
     chi = HermitianMatrixField(chart, i_ddbar(f_T0).values / T0 - ric0)
-    density = VolumeField(
-        chart, herm_det(g0.values) * np.exp(f_T0.values / T0)
-    )
+    density = VolumeField(chart, components_det(g0.parts) * np.exp(f_T0.values / T0))
     return FlowScenario(g0, T0, chi, density, f_T0=f_T0, **kwargs)
 
 
@@ -560,7 +555,7 @@ class NormalizedScenario(FlowScenario):
         # ghat_t = chi + e^{-t} (g0 - chi)
         decay = math.exp(-t)
         return [
-            c * (1.0 - decay) + decay * g for g, c in zip(self._g0_parts, self._chi_parts)
+            c * (1.0 - decay) + decay * g for g, c in zip(self.g0.parts, self.chi.parts)
         ]
 
     def rhs(self, phi, t, spec=None):

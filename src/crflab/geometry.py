@@ -601,14 +601,32 @@ class VolumeField:
 _HERMITIAN_DRIFT = 1e-13
 
 
+def _frozen(a, shape):
+    # ``a`` as a read-only C-contiguous float array of ``shape`` that owns its
+    # memory: ``a`` itself if it is one (another field's component), else a copy
+    if not (isinstance(a, np.ndarray) and a.base is None and not a.flags.writeable
+            and a.flags.c_contiguous and a.dtype == float and a.shape == shape):
+        a = np.array(np.broadcast_to(a, shape), dtype=float, order="C")
+        a.flags.writeable = False
+    return a
+
+
 class HermitianMatrixField:
     """n x n complex matrix field, Hermitian at every node.
 
-    Construction symmetrizes with the conjugate transpose and asserts the
+    A field keeps the form it was built from: the constructor the matrix
+    (``values``, of shape ``(*grid, n, n)``), `from_components` its n^2 real
+    components (``parts``, contiguous, in the order of `herm_components`).
+    The other form is built on first read and kept. Both are read-only, so a
+    field never changes and its two forms always agree.
+
+    The constructor symmetrizes with the conjugate transpose and asserts the
     correction stays below 1e-13 relative to the field scale. That bound is
     the rule for data from outside the package; a producer inside it
-    returns the Hermitian part of what it computes.
+    returns the Hermitian part of what it computes, or its components.
     """
+
+    _values = _parts = None  # the form not yet built
 
     def __init__(self, chart, values):
         target = chart.shape + (chart.n, chart.n)
@@ -619,17 +637,34 @@ class HermitianMatrixField:
         if drift > _HERMITIAN_DRIFT * scale:
             raise ValueError(f"matrix field is not Hermitian (drift {drift:.3e})")
         self.chart = chart
-        self.values = 0.5 * (values + adj)
+        self._values = 0.5 * (values + adj)
+        self._values.flags.writeable = False
 
     @classmethod
     def from_components(cls, chart, parts):
         """The field whose real components, in the order of
-        `herm_components`, are ``parts``. It is Hermitian by construction,
-        so nothing is checked or symmetrized."""
+        `herm_components`, are ``parts``, kept as read-only contiguous copies
+        (another field's components are shared, not copied). It is Hermitian
+        by construction, so nothing is checked or symmetrized."""
         field = cls.__new__(cls)
         field.chart = chart
-        field.values = herm_from_components(parts, chart.shape)
+        field._parts = [_frozen(p, chart.shape) for p in parts]
         return field
+
+    @property
+    def values(self):
+        """The matrix field, assembled from ``parts`` on first read."""
+        if self._values is None:
+            self._values = herm_from_components(self._parts, self.chart.shape)
+            self._values.flags.writeable = False
+        return self._values
+
+    @property
+    def parts(self):
+        """The real components, copied out of ``values`` on first read."""
+        if self._parts is None:
+            self._parts = [_frozen(p, self.chart.shape) for p in herm_components(self._values)]
+        return self._parts
 
     @classmethod
     def constant(cls, chart, matrix):
@@ -638,9 +673,6 @@ class HermitianMatrixField:
     @classmethod
     def identity(cls, chart):
         return cls.constant(chart, np.eye(chart.n))
-
-    def copy(self):
-        return HermitianMatrixField(self.chart, self.values.copy())
 
 
 # -- geometry_kernel operations ----------------------------------------------
@@ -703,17 +735,9 @@ def refine_field(field):
     chart = field.chart
     fine = refine_chart(chart)
     if isinstance(field, HermitianMatrixField):
-        parts = refine_components(chart, herm_components(field.values))
-        return HermitianMatrixField.from_components(fine, parts)
+        parts = [_refine_real(chart, fine, p) for p in field.parts]
+        return type(field).from_components(fine, parts)
     return type(field)(fine, _refine_real(chart, fine, field.values))
-
-
-def refine_components(chart, parts):
-    """The real fields ``parts`` on ``chart`` (a Hermitian field's
-    components, say), each Fourier-interpolated onto `refine_chart`'s grid
-    as `refine_field` does, with no field built around them."""
-    fine = refine_chart(chart)
-    return [_refine_real(chart, fine, p) for p in parts]
 
 
 def _refine_real(chart, fine, values):
@@ -745,13 +769,17 @@ def coarsen_chart(chart):
 
 def coarsen_field(field):
     """Injection onto the grid of `coarsen_chart`: every other node along
-    each active axis, so ``coarsen_field(refine_field(f))`` is ``f``."""
+    each active axis, so ``coarsen_field(refine_field(f))`` is ``f``; a
+    Hermitian field keeps every other node of each real component."""
     chart = field.chart
+    coarse = coarsen_chart(chart)
     keep = tuple(
         slice(None, None, 2) if a in chart.active_axes else slice(None)
         for a in range(chart.naxes)
     )
-    return type(field)(coarsen_chart(chart), field.values[keep])
+    if isinstance(field, HermitianMatrixField):
+        return type(field).from_components(coarse, [p[keep] for p in field.parts])
+    return type(field)(coarse, field.values[keep])
 
 
 # -- Hopf sample sets ---------------------------------------------------------

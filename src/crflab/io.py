@@ -1,4 +1,4 @@
-"""File formats: field snapshots, nested key-value configs, CSV, manifests.
+"""File formats: field snapshots, nested key-value configs, CSV, JSON, manifests.
 
 A snapshot holds one real scalar field, the flow's and the elliptic
 solver's potential phi (omega = ghat_t + i ddbar phi is the whole state).
@@ -23,9 +23,14 @@ Config files are a line-oriented nested key-value format:
 with ``#`` comments; values parse as int, float, complex, true/false, or
 bare strings; repeated keys or sections collect into lists. Writes are
 deterministic (insertion order, 17 significant digits for floats).
+
+Every file, JSON records included, is written whole: to a temporary file
+beside it, then renamed over it. A write that fails leaves the old file and
+no temporary one.
 """
 
 import hashlib
+import json
 import math
 import os
 import struct
@@ -42,10 +47,21 @@ _SCALAR = 0
 
 
 def _atomic_write(path, payload):
+    # write beside ``path``, then rename over it; when either raises, ``path``
+    # keeps its old bytes and the temporary file goes
     tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "wb") as fh:
-        fh.write(payload)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(payload)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+
+
+def write_json(path, record):
+    """``record`` as indented JSON with sorted keys and a final newline."""
+    _atomic_write(path, (json.dumps(record, indent=1, sort_keys=True) + "\n").encode("utf-8"))
 
 
 def write_snapshot(path, field, footer=None):

@@ -1,5 +1,7 @@
 import dataclasses
+import gc
 import re
+import weakref
 
 import numpy as np
 import pytest
@@ -575,14 +577,22 @@ class TestComponentResidual:
 
     def test_problem_keeps_omega_as_contiguous_components(self):
         omega = wave_problem(32).omega
-        problem = EllipticProblem(omega, ScalarField.zeros(omega.chart))
-        assert all(p.flags.c_contiguous for p in problem.omega_parts)
-        assert all(np.array_equal(p, q)
-                   for p, q in zip(problem.omega_parts, herm_components(omega.values)))
-        # read, omega is assembled afresh from the components
-        assert problem.omega is not problem.omega
+        matrix = HermitianMatrixField(omega.chart, omega.values)
+        problem = EllipticProblem(matrix, ScalarField.zeros(omega.chart))
+        parts = problem.omega.parts
+        assert all(p.flags.c_contiguous and not p.flags.writeable for p in parts)
+        assert all(np.array_equal(p, q) for p, q in zip(parts, herm_components(omega.values)))
+        # the problem keeps the components, not the caller's matrix
+        held = weakref.ref(matrix)
+        del matrix
+        gc.collect()
+        assert held() is None
+        # read, omega is assembled once and kept
+        assert problem.omega.values is problem.omega.values
         assert np.array_equal(problem.omega.values, omega.values)
         again = dataclasses.replace(problem, normalization="sup")
+        # a replaced problem shares the read-only components
+        assert all(p is q for p, q in zip(again.omega.parts, parts))
         assert np.array_equal(again.omega.values, omega.values)
 
     def test_refined_and_coarsened_problems_build_no_matrix(self, monkeypatch):
@@ -601,7 +611,7 @@ class TestComponentResidual:
         monkeypatch.setattr(geometry, "herm_from_components",
                             lambda *args: calls.append(1) or assemble(*args))
         for made, expected in zip((problem.refined(), problem.coarsened()), refined):
-            assert all(np.array_equal(p, q) for p, q in zip(made.omega_parts, expected))
+            assert all(np.array_equal(p, q) for p, q in zip(made.omega.parts, expected))
         certify_estimates(sol, (0.0, 1.0))
         assert calls == []
 

@@ -16,7 +16,6 @@ from crflab.geometry import (
     ScalarField,
     TorusChart,
     VolumeField,
-    herm_components,
     herm_det,
     herm_logdet,
     i_ddbar,
@@ -319,7 +318,7 @@ class TestComponentStage:
     def test_negative_definite_stage_raises_though_det_is_positive(self, chart2, n2_metric):
         # ghat_0 = -g0 has det > 0 at every node: only the trace test sees it
         sc = scenario_from_metric(n2_metric, 50.0)
-        sc._g0_parts = herm_components(-n2_metric.values)
+        sc.g0 = HermitianMatrixField(chart2, -n2_metric.values)
         assert herm_det(-n2_metric.values).min() > 0.0
         with pytest.raises(PositivityLost):
             sc.rhs(np.zeros(chart2.shape), 0.0)

@@ -502,6 +502,62 @@ class TestFieldInvariants:
         assert np.all(det >= lo * lo - 1e-12)
 
 
+def _hermitian_on(chart, seed):
+    # an exactly Hermitian matrix array on ``chart``'s grid
+    rng = np.random.default_rng(seed)
+    a = _random_hermitian(rng, chart.n, nodes=chart.grid_count)
+    return a.reshape(chart.shape + (chart.n, chart.n))
+
+
+class TestFieldForms:
+    """A Hermitian field keeps the form it was built from (the matrix or its
+    real components) and builds the other once, read-only."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_constructor_and_components_agree_bitwise(self, n):
+        chart = TorusChart(n, 8, active_axes=(0, 2 * n - 1))
+        A = _hermitian_on(chart, n)
+        made = HermitianMatrixField(chart, A)
+        built = HermitianMatrixField.from_components(chart, herm_components(A))
+        assert np.array_equal(made.values, A) and np.array_equal(built.values, A)
+        assert len(made.parts) == len(built.parts) == n * n
+        assert all(np.array_equal(p, q) for p, q in zip(made.parts, built.parts))
+
+    def test_parts_are_contiguous_read_only_and_kept(self, nonkahler_metric):
+        chart = nonkahler_metric.chart
+        source = [p.copy() for p in herm_components(nonkahler_metric.values)]
+        built = HermitianMatrixField.from_components(chart, source)
+        for field in (nonkahler_metric, built):
+            parts = field.parts
+            assert field.parts is parts
+            assert all(p.flags.c_contiguous and not p.flags.writeable for p in parts)
+            assert field.values is field.values and not field.values.flags.writeable
+            with pytest.raises(ValueError):
+                parts[0][...] = 0.0
+        # the given components are copied; another field's are shared
+        source[0][...] = 0.0
+        assert built.parts[0].min() > 0.0
+        again = HermitianMatrixField.from_components(chart, built.parts)
+        assert all(p is q for p, q in zip(again.parts, built.parts))
+
+    def test_components_field_assembles_at_most_once(self, monkeypatch):
+        from crflab import geometry
+
+        chart = TorusChart(2, 8)
+        field = HermitianMatrixField.from_components(
+            chart, herm_components(_hermitian_on(chart, 5))
+        )
+        calls = []
+        assemble = geometry.herm_from_components
+        monkeypatch.setattr(geometry, "herm_from_components",
+                            lambda *args: calls.append(1) or assemble(*args))
+        field.parts
+        assert calls == []
+        for _ in range(3):
+            field.values
+        assert len(calls) == 1
+
+
 def _field_with_node(matrix, nodes=5, bad=2):
     """Identity at every node but ``bad``, which holds ``matrix``."""
     n = len(matrix)

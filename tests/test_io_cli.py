@@ -1,3 +1,5 @@
+import builtins
+import errno
 import math
 import os
 import struct
@@ -8,6 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import crflab.io
 from crflab.cli import main
 from crflab.geometry import ScalarField, TorusChart, VolumeField
 from crflab.io import (
@@ -401,6 +404,41 @@ class TestCsv:
             read_csv(path)
 
 
+# maxtime.json of configs/hopf_surface.cfg
+MAXTIME_HOPF = b"""{
+ "T": 0.5,
+ "binding": "volume-collapse",
+ "case": "b",
+ "name": "hopf",
+ "volume_poly": [
+  109.45741542171363,
+  -218.91483084342727,
+  0.0
+ ]
+}
+"""
+
+
+class _FullDisk:
+    # a file opened for writing on a full disk: every write raises ENOSPC
+    def __init__(self, fh):
+        self.fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, data):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+def _disk_full_open(path, mode="r", *args, **kwargs):
+    fh = builtins.open(path, mode, *args, **kwargs)
+    return _FullDisk(fh) if "w" in mode else fh
+
+
 def _write(tmp_path, name, text):
     path = str(tmp_path / name)
     with open(path, "w") as fh:
@@ -632,6 +670,35 @@ class TestCli:
         data = _write(tmp_path, "bad.cfg", bad)
         assert main(["max-time", "--data", data, "--out", str(tmp_path / "mb")]) == 2
         capsys.readouterr()
+
+    def test_max_time_writes_whole_files(self, tmp_path, capsys, monkeypatch):
+        # maxtime.json goes through the write-then-rename path, with the
+        # bytes json.dump(indent=1, sort_keys=True) and a newline give
+        written = []
+        atomic = crflab.io._atomic_write
+        monkeypatch.setattr(crflab.io, "_atomic_write",
+                            lambda path, payload: written.append(path) or atomic(path, payload))
+        out = tmp_path / "m"
+        data = os.path.join(CONFIGS, "hopf_surface.cfg")
+        assert main(["max-time", "--data", data, "--out", str(out)]) == 0
+        assert str(out / "maxtime.json") in written
+        assert (out / "maxtime.json").read_bytes() == MAXTIME_HOPF
+        capsys.readouterr()
+
+    def test_failed_write_keeps_the_old_file_and_no_temporary(self, tmp_path, capsys,
+                                                              monkeypatch):
+        out = tmp_path / "m"
+        data = os.path.join(CONFIGS, "hopf_surface.cfg")
+        assert main(["max-time", "--data", data, "--out", str(out)]) == 0
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        monkeypatch.setattr(crflab.io, "open", _disk_full_open, raising=False)
+        with pytest.raises(OSError) as err:
+            crflab.io._atomic_write(str(out / "maxtime.json"), b"new")
+        assert err.value.errno == errno.ENOSPC
+        assert main(["max-time", "--data", data, "--out", str(out)]) == 2
+        assert "No space left" in capsys.readouterr().err
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+        assert not list(out.glob("*.tmp.*"))
 
     def test_hopf_explicit_eigenvalues(self, tmp_path, capsys):
         out = str(tmp_path / "h")

@@ -72,3 +72,37 @@ def test_solvers_form_the_metric_only_through_plus_hessian():
                 names.add(node.value)
         assert "complex_hessian" not in names, name
         assert "plus_hessian" in names, name
+
+
+def _values_round_trips(source):
+    # lines of herm_components(<expr>.values) calls outside HermitianMatrixField
+    tree = ast.parse(source)
+    inside = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef) and node.name == "HermitianMatrixField":
+            inside.update(id(n) for n in ast.walk(node))
+    lines = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call) or id(node) in inside or not node.args:
+            continue
+        func = node.func
+        callee = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        arg = node.args[0]
+        if callee == "herm_components" and isinstance(arg, ast.Attribute) and arg.attr == "values":
+            lines.append(node.lineno)
+    return lines
+
+
+def test_only_the_field_takes_components_of_its_matrix():
+    # a Hermitian field's matrix <-> components round trip has one home,
+    # HermitianMatrixField: callers read the field's .parts instead
+    assert _values_round_trips("geometry.herm_components(g.values)\n") == [1]
+    assert _values_round_trips(
+        "class HermitianMatrixField:\n    p = herm_components(self.values)\n") == []
+    found = []
+    package = os.path.join(SRC, "crflab")
+    for name in sorted(os.listdir(package)):
+        if name.endswith(".py"):
+            with open(os.path.join(package, name), encoding="utf-8") as fh:
+                found += [f"{name}:{line}" for line in _values_round_trips(fh.read())]
+    assert found == []
