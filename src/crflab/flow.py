@@ -16,16 +16,21 @@ related by omega_norm(t) = omega(s)/(s+1) at t = log(s+1).
 Stepping is exponential time differencing (Cox-Matthews ETDRK4) in Fourier
 space over the active axes: the state and the stages are half spectra of
 `TorusChart.rfft`, and each stage's right side takes its complex Hessian
-from the stage spectrum instead of transforming the grid values back. The
-new state's right side transforms its grid phi afresh, so a state depends
-only on its own values and a resumed run repeats an uninterrupted one
-bitwise.
+from the stage spectrum instead of transforming the grid values back. A new
+state transforms its grid phi afresh for its right side and keeps that half
+spectrum, from which the next step starts. So a state depends only on its
+own values, and a resumed run, which transforms the checkpoint's phi the
+same way, repeats an uninterrupted one bitwise.
 
 The right side works on real components, in the order of `herm_components`,
 for every n: a scenario reads g0's and chi's contiguous components
 (`HermitianMatrixField.parts`), forms ghat_t's from them, adds the Hessian
-of the stage spectrum with `TorusChart.plus_hessian` and takes
-`components_logdet`, the one positivity test. It returns the metric's
+of the stage spectrum with `TorusChart.plus_hessian` (one batched inverse
+transform for all its live components) and takes `components_logdet`, the
+one positivity test. ghat_t's components are built once per distinct time
+and kept read-only until the next: a step's five right sides meet only two
+new times, t + dt/2 (twice) and t + dt (again in the new state), its first
+being at the previous state's time. The right side returns the metric's
 components; a state keeps them, its eigenvalue bounds and its monitor row's
 det read them, and only `FlowState.omega`, for a sample or a certificate,
 assembles the complex matrix.
@@ -56,9 +61,10 @@ the eigenvalue floor signals the approach to the maximal existence time.
 `_integrate`, drives it for `run`, `run_normalized`, `equivalence_check` and
 gill-flow, landing on t_end and on sample times, with one monitor row per
 state (``dt`` = t_k - t_{k-1}) if given a record. A `FlowState` holds raw
-arrays (phi, d_t phi and omega's real components), the chart, omega's
-eigenvalue bounds, computed once per state, and the controller's next step;
-fields are validated only where data enters or leaves the engine.
+arrays (phi, its half spectrum, d_t phi and omega's real components), the
+chart, omega's eigenvalue bounds, computed once per state, and the
+controller's next step; fields are validated only where data enters or
+leaves the engine.
 """
 
 import math
@@ -173,6 +179,8 @@ class FlowScenario:
     # error tolerance of the step-size controller: sup-norm distance between the
     # ETDRK4 update and the order-2 exponential trapezoid over one step
     step_tol = 1e-6
+    # (t, ghat_t's read-only components) of the last time a right side met
+    _ghat = (None, None)
 
     def __init__(
         self,
@@ -225,6 +233,17 @@ class FlowScenario:
         # the real components of ghat_t = g0 + t chi, as new arrays
         return [g + t * c for g, c in zip(self.g0.parts, self.chi.parts)]
 
+    def _reference_at(self, t):
+        # _reference_parts at the scalar time t, built only when t is not the
+        # last time asked, and read-only. The drift monitor's bisection, whose
+        # t is an array, calls _reference_parts itself
+        if self._ghat[0] != t:
+            parts = self._reference_parts(t)
+            for p in parts:
+                p.flags.writeable = False
+            self._ghat = t, parts
+        return self._ghat[1]
+
     def rhs(self, phi, t, spec=None):
         """(log(det(ghat_t + Hess phi)/Omega0), the metric's real components
         in the order of `herm_components`); raises on loss of positivity.
@@ -236,7 +255,7 @@ class FlowScenario:
         chart = self.chart
         if spec is None:
             spec = chart.rfft(np.asarray(phi))
-        parts = chart.plus_hessian(self._reference_parts(t), spec)
+        parts = chart.plus_hessian(self._reference_at(t), spec)
         try:
             logdet = components_logdet(parts)
         except NotPositiveDefinite:
@@ -245,18 +264,21 @@ class FlowScenario:
 
     def state_at(self, t, phi):
         """The FlowState of potential values ``phi`` at time ``t``."""
-        phidot, parts = self.rhs(phi, t)
-        return FlowState(t, phi, phidot, parts, self.chart, *components_eig_bounds(parts))
+        spec = self.chart.rfft(phi)
+        phidot, parts = self.rhs(phi, t, spec)
+        return FlowState(t, phi, spec, phidot, parts, self.chart, *components_eig_bounds(parts))
 
 
 @dataclass
 class FlowState:
-    """phi, d_t phi and omega's real components as raw arrays on ``chart``,
-    with omega's smallest and largest eigenvalue over all nodes, and the step
-    size the controller proposes from here (None before the first step)."""
+    """phi, its half spectrum (`TorusChart.rfft`), d_t phi and omega's real
+    components as raw arrays on ``chart``, with omega's smallest and largest
+    eigenvalue over all nodes, and the step size the controller proposes from
+    here (None before the first step)."""
 
     t: float
     phi: np.ndarray
+    spec: np.ndarray
     phidot: np.ndarray
     parts: list
     chart: TorusChart
@@ -341,8 +363,9 @@ def _phi_functions(z):
     return out
 
 
-def _etdrk4(rhs, phi, t, dt, chart, symbol):
-    """One Cox-Matthews ETDRK4 step of d_t phi = L phi + N(phi, t).
+def _etdrk4(rhs, state, dt, symbol):
+    """One Cox-Matthews ETDRK4 step of d_t phi = L phi + N(phi, t) from
+    ``state``, starting from the half spectrum it keeps.
 
     L is diagonal in Fourier space over the active axes with the real
     ``symbol`` (on the half grid of `TorusChart.rfft`), and N = rhs - L phi.
@@ -354,7 +377,8 @@ def _etdrk4(rhs, phi, t, dt, chart, symbol):
     e^{hL} phi + h (phi_1 - phi_2)(hL) N(phi, t) + h phi_2(hL) N(new, t + h),
     the embedded solution of the error estimate.
     """
-    fft, ifft = chart.rfft, chart.irfft
+    fft, ifft = state.chart.rfft, state.chart.irfft
+    t, u = state.t, state.spec
 
     def nonlinear(spec, s):
         return fft(rhs(None, s, spec)[0]) - symbol * spec
@@ -369,9 +393,8 @@ def _etdrk4(rhs, phi, t, dt, chart, symbol):
     p3x4 = 4.0 * p3
     t2 = t + 0.5 * dt
 
-    u = fft(phi)
     eu, e2u = e * u, e2 * u
-    nu = fft(rhs(phi, t, u)[0]) - symbol * u
+    nu = fft(rhs(state.phi, t, u)[0]) - symbol * u
     a = e2u + q * nu
     na = nonlinear(a, t2)
     b = e2u + q * na
@@ -414,7 +437,7 @@ def step(state, scenario, dt_max=None):
     if dt < _DT_MIN:
         raise StepUnderflow(f"dt = {dt:.3e} underflow at t = {state.t:.6g}")
     t_new = state.t + dt
-    phi, trapezoid = _etdrk4(scenario.rhs, state.phi, state.t, dt, scenario.chart, symbol)
+    phi, trapezoid = _etdrk4(scenario.rhs, state, dt, symbol)
     new = scenario.state_at(t_new, phi)
     if not new.eig_min >= control.eps_pd:
         raise PositivityLost(
@@ -537,6 +560,8 @@ class NormalizedScenario(FlowScenario):
 
     def __init__(self, base, target_form=None):
         vars(self).update(vars(base))
+        # the base's ghat_t is not this family's
+        self._ghat = (None, None)
         limit_lo, _ = herm_eig_bounds(base.chi.values)
         if limit_lo <= 0.0:
             if target_form is None:

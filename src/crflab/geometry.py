@@ -44,7 +44,8 @@ last active axis, then `fft` in place (`out=`) along the others in reverse;
 `ifft` along the leading axes in order, the first pass into a new array, then
 `irfft`. So they are bitwise rfftn's and irfftn's without those functions'
 per-call axis handling, which on a 32-node chart costs as much as the
-transform.
+transform. `irfft` takes the grid axes to be the trailing ones, so it inverts
+a stack of half spectra in the same passes, each bitwise as if alone.
 
 Both solvers evaluate log det(A + i ddbar u) and build its argument with one
 recipe, `TorusChart.plus_hessian`, from A's n^2 real components (A_ii, Re A_ij,
@@ -52,8 +53,9 @@ Im A_ij for i < j, the order of `herm_components`) and u's half spectrum. Each
 Hessian component has a cached real half-grid multiplier, and the chart flags
 once each that is identically zero: that component is zero by construction
 (Im h_12 on active axes (0, 2), where mu_1 conj(mu_2) is real), and
-`hessian_live` lists the others. Only a live component costs an `irfft`, into
-which A's component is added; `complex_hessian` is the recipe on A = 0.
+`hessian_live` lists the others. The live multipliers are kept stacked, and
+the live components come from one `irfft` of that stack times u's spectrum,
+into which A's components are added; `complex_hessian` is the recipe on A = 0.
 A Hermitian coefficient enters only as real components, which
 `components_trace_weights` turns into weights that contract the live
 components; `laplacian_symbol` and `laplacian_inverse`, the half-grid
@@ -133,7 +135,8 @@ class TorusChart:
         )
         self._k = [self._wavenumbers(a) for a in range(naxes)]
         self._k_half = [self._wavenumbers(a, a == half) for a in range(naxes)]
-        self._hessian_mult = self._hessian_live = self._flat_pair = None
+        self._hessian_mult = self._hessian_live = self._hessian_stack = None
+        self._flat_pair = None
 
     # -- basic structure ---------------------------------------------------
 
@@ -199,13 +202,17 @@ class TorusChart:
     def irfft(self, spec):
         """Inverse of `rfft`: the real field of a half spectrum, bitwise
         `np.fft.irfftn`'s (the leading axes in order, then the last). The
-        first pass writes a new array, so ``spec`` is never written."""
+        grid axes are the trailing ones, so ``spec`` may stack half spectra
+        on leading axes, each inverted as if alone, in one numpy pass per
+        active axis for the whole stack. The first pass writes a new array,
+        so ``spec`` is never written."""
+        pos = np.ndim(spec) - self.naxes
         *lead, last = self.active_axes
         if lead:
-            spec = np.fft.ifft(spec, axis=lead[0])
+            spec = np.fft.ifft(spec, axis=pos + lead[0])
             for a in lead[1:]:
-                np.fft.ifft(spec, axis=a, out=spec)
-        return np.fft.irfft(spec, n=self.shape[last], axis=last)
+                np.fft.ifft(spec, axis=pos + a, out=spec)
+        return np.fft.irfft(spec, n=self.shape[last], axis=pos + last)
 
     def _derivative(self, values, pos, terms, out):
         # the one Fourier derivative kernel (module docstring): sets ``out``
@@ -275,7 +282,8 @@ class TorusChart:
         # d_i d_jbar, cached in the order of `herm_components`; each
         # broadcasts over the axes its wavenumbers vary along. A multiplier
         # that is identically zero marks a component that is zero by
-        # construction, which no transform computes
+        # construction, which no transform computes. The live ones are also
+        # kept stacked on the half grid, read-only, for `hessian_components`
         if self._hessian_mult is None:
             # d/dz_i multiplies exp(sqrt(-1) k.x) by (sqrt(-1) kx + ky) / 2
             k = self._k_half
@@ -288,6 +296,10 @@ class TorusChart:
                     mult += [m.real, m.imag]
             self._hessian_mult = mult
             self._hessian_live = tuple(k for k, m in enumerate(mult) if m.any())
+            live = [np.broadcast_to(mult[k], self.half_shape) for k in self._hessian_live]
+            stack = np.stack(live)
+            stack.flags.writeable = False
+            self._hessian_stack = stack
         return self._hessian_mult
 
     @property
@@ -301,10 +313,13 @@ class TorusChart:
 
     def hessian_components(self, spec):
         """The live real components of the complex Hessian d_i d_jbar of the
-        real field whose half spectrum is ``spec``, one `irfft` each, in the
-        order of `hessian_live`; the other components are zero."""
-        mult = self._hessian_multipliers()
-        return [self.irfft(mult[k] * spec) for k in self._hessian_live]
+        real field whose half spectrum is ``spec``, stacked on a new leading
+        axis in the order of `hessian_live`; the other components are zero.
+        ``spec`` times the stacked multipliers goes through one `irfft`, one
+        numpy pass per active axis for all the components, each bitwise its
+        own `irfft`."""
+        self._hessian_multipliers()
+        return self.irfft(self._hessian_stack * spec)
 
     def components_trace_weights(self, parts):
         """Real weights w, aligned with `hessian_components`, with sum_k w_k h_k
@@ -360,9 +375,10 @@ class TorusChart:
         """The real components of A + (d_i d_jbar u), in the order of
         `herm_components`: ``parts`` are the components of a Hermitian field
         A (a None part is zero) and ``spec`` is the half spectrum of the real
-        field u. A is added into each live component's fresh `irfft` in
-        place, so its arrays, which may be views, are never written; a
-        component that is zero by construction is A's part itself."""
+        field u. A is added in place into the live components, fresh from
+        `hessian_components`, so its arrays, which may be views or read-only,
+        are never written; a component that is zero by construction is A's
+        part itself."""
         out = list(parts)
         for k, h in zip(self.hessian_live, self.hessian_components(spec)):
             if out[k] is not None:
@@ -568,13 +584,14 @@ def components_logdet(parts):
 
 
 class ScalarField:
-    """Real scalar field on a chart."""
+    """Real scalar field on a chart; its values are read-only."""
 
     def __init__(self, chart, values):
         values = np.asarray(values, dtype=float)
         values = np.broadcast_to(values, chart.shape).copy()
         if not np.all(np.isfinite(values)):
             raise ValueError("scalar field has non-finite values")
+        values.flags.writeable = False
         self.chart = chart
         self.values = values
 
@@ -582,18 +599,16 @@ class ScalarField:
     def zeros(cls, chart):
         return cls(chart, np.zeros(chart.shape))
 
-    def copy(self):
-        return ScalarField(self.chart, self.values.copy())
-
 
 class VolumeField:
-    """Strictly positive real density on a chart."""
+    """Strictly positive real density on a chart; its values are read-only."""
 
     def __init__(self, chart, values):
         values = np.asarray(values, dtype=float)
         values = np.broadcast_to(values, chart.shape).copy()
         if values.min() <= 0.0:
             raise ValueError("volume field must be strictly positive")
+        values.flags.writeable = False
         self.chart = chart
         self.values = values
 

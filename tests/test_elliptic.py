@@ -712,21 +712,21 @@ class TestKrylov:
         self, monkeypatch
     ):
         # right preconditioning: the Krylov vector goes to the half spectrum
-        # once, and each live real Hessian component comes back once; on
-        # active axes (0, 2) Im h_12 is zero by construction, so 3 of n^2 = 4.
-        # Each chart transform is one numpy pass per active axis: rfft and
-        # fft forward, ifft and irfft back
+        # once, and the live real Hessian components (on active axes (0, 2)
+        # Im h_12 is zero by construction, so 3 of n^2 = 4) come back in one
+        # batched transform. Each chart transform is one numpy pass per
+        # active axis: rfft and fft forward, ifft and irfft back
         calls = self._apply_transforms(wave_problem(32), monkeypatch)
-        assert calls == {"rfft": 1, "fft": 1, "ifft": 3, "irfft": 3}
+        assert calls == {"rfft": 1, "fft": 1, "ifft": 1, "irfft": 1}
 
     def test_operator_apply_on_all_axes_transforms_all_n2_components(self, monkeypatch):
         chart = TorusChart(2, 8)
         base = np.array([[1.2, 0.15 + 0.05j], [0.15 - 0.05j, 1.0]])
         problem, _ = manufactured_problem(chart, base, 6, 0.05)
         calls = self._apply_transforms(problem, monkeypatch)
-        # four active axes: one rfft and three fft forward; each of the 4
-        # components costs three ifft and one irfft back
-        assert calls == {"rfft": 1, "fft": 3, "ifft": 4 * 3, "irfft": 4}
+        # four active axes: one rfft and three fft forward; the 4 components
+        # come back together in three ifft and one irfft
+        assert calls == {"rfft": 1, "fft": 3, "ifft": 3, "irfft": 1}
 
     def test_stalled_line_search_names_the_krylov_solve(self, chart1, monkeypatch):
         prob, _ = manufactured_problem(chart1, np.eye(1), 3, 0.05)
@@ -768,9 +768,10 @@ class TestEstimates:
         # refining omega costs one forward and one inverse chart transform
         # per real component (4), F and phi one each; the 128^2 re-solve
         # starts converged, so it canonicalizes its start (one of each) and
-        # makes one grid residual (one forward and 3 live inverse); stats
-        # transforms nothing. On active axes (0, 2) a forward transform is
-        # one rfft and one fft, an inverse one ifft and one irfft
+        # makes one grid residual (one forward, and one inverse for its 3
+        # live Hessian components); stats transforms nothing. On active axes
+        # (0, 2) a forward transform is one rfft and one fft, an inverse one
+        # ifft and one irfft
         base = np.array([[1.2, 0.1], [0.1, 1.0]])
         prob, _ = manufactured_problem(chart2, base, 13, 0.12)
         sol = solve_elliptic(prob)
@@ -778,7 +779,7 @@ class TestEstimates:
         calls = count_transforms(monkeypatch)
         certify_estimates(sol, (0.0, 1.0, 4.0))
         assert [s.iterations for _, s in solves] == [0]
-        forward, inverse = 4 + 1 + 1 + 2, 4 + 1 + 1 + 4
+        forward, inverse = 4 + 1 + 1 + 2, 4 + 1 + 1 + 2
         assert calls == {"rfft": forward, "fft": forward, "ifft": inverse, "irfft": inverse}
 
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])

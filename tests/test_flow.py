@@ -221,7 +221,7 @@ class TestStepping:
         phi = state.phi.copy()
         phi[3] = np.nan
         with pytest.raises(PositivityLost):
-            step(dataclasses.replace(state, phi=phi), sc)
+            step(dataclasses.replace(state, phi=phi, spec=sc.chart.rfft(phi)), sc)
 
 
 STAGE_CHARTS = [
@@ -242,6 +242,20 @@ def _stage_scenario(chart, normalized):
     g0 = random_metric_recipe(rng, chart.n, scale=0.12, peaked=False, axes=axes).build(chart)
     sc = scenario_from_metric(g0, 20.0)
     return NormalizedScenario(sc, target_form=g0) if normalized else sc
+
+
+class TestReferenceMemo:
+    def test_construction_leaves_no_memo_and_a_state_leaves_read_only_parts(self, n2_metric):
+        # the scenario's drift-monitor bisection asks for an array of times,
+        # which the memo never serves
+        sc = scenario_from_metric(n2_metric, 50.0)
+        assert sc._ghat == (None, None)
+        sc.state_at(0.25, np.zeros(sc.chart.shape))
+        t, parts = sc._ghat
+        assert t == 0.25 and len(parts) == 4
+        for p in parts:
+            with pytest.raises(ValueError):
+                p[...] = 0.0
 
 
 class TestComponentStage:
@@ -396,7 +410,7 @@ class TestExponentialStepper:
         sc = scenario_from_metric(n2_metric, 50.0)
         state = step(FlowState.initial(sc), sc)
         symbol = sc.chart.flat_laplacian / state.eig_min
-        etd, _ = _etdrk4(sc.rhs, state.phi, state.t, 1e-3, sc.chart, symbol)
+        etd, _ = _etdrk4(sc.rhs, state, 1e-3, symbol)
         ref = rk4(sc.rhs, state.phi, state.t, 1e-3)
         assert np.max(np.abs(etd - ref)) <= 1e-14
 
@@ -410,7 +424,7 @@ class TestExponentialStepper:
         symbol = sc.chart.flat_laplacian / state.eig_min
         gaps = []
         for dt in (0.1, 0.05, 0.025):
-            phi, trapezoid = _etdrk4(sc.rhs, state.phi, 0.0, dt, sc.chart, symbol)
+            phi, trapezoid = _etdrk4(sc.rhs, state, dt, symbol)
             gaps.append(np.max(np.abs(phi - trapezoid(sc.rhs(phi, dt)[0]))))
         assert all(coarse >= 6.0 * fine for coarse, fine in zip(gaps, gaps[1:]))
 
@@ -425,10 +439,11 @@ class TestExponentialStepper:
         assert all(coarse >= 12.0 * fine for coarse, fine in zip(errors, errors[1:]))
 
     def test_step_transform_count(self, n2_metric, monkeypatch):
-        # the state and stages stay half spectra: per step, phi and the
-        # four right sides go forward (plus phi again in state_at and the
-        # new right side for the error estimate); each of the five Hessians
-        # costs one inverse transform per live component, 3 of n^2 = 4 on
+        # the state and stages stay half spectra: per step, the four right
+        # sides go forward (plus the new phi in state_at and the new right
+        # side for the error estimate), and the step starts from the
+        # spectrum the state keeps; each of the five Hessians costs one
+        # batched inverse transform of its live components, 3 of n^2 = 4 on
         # active axes (0, 2), where Im h_12 is zero by construction, and the
         # new phi and the trapezoid one each; no stage goes to the grid,
         # since this right side does not read phi. On active axes (0, 2) a
@@ -438,7 +453,24 @@ class TestExponentialStepper:
         state = FlowState.initial(sc)
         calls = count_transforms(monkeypatch)
         step(state, sc)
-        assert calls == {"rfft": 7, "fft": 7, "ifft": 17, "irfft": 17}
+        assert calls == {"rfft": 6, "fft": 6, "ifft": 7, "irfft": 7}
+
+    def test_step_builds_two_references_and_starts_from_the_kept_spectrum(
+        self, n2_metric, monkeypatch
+    ):
+        # a step meets two new times, t + dt/2 and t + dt; its first stage
+        # reuses the reference at t that the state was built with, and it
+        # never transforms state.phi, whose spectrum the state keeps
+        sc = scenario_from_metric(n2_metric, 50.0)
+        state = step(FlowState.initial(sc), sc)
+        assert np.array_equal(state.spec.view(float), sc.chart.rfft(state.phi).view(float))
+        times, forward = [], []
+        reference, rfft = sc._reference_parts, sc.chart.rfft
+        monkeypatch.setattr(sc, "_reference_parts", lambda t: times.append(t) or reference(t))
+        monkeypatch.setattr(sc.chart, "rfft", lambda v: forward.append(v) or rfft(v))
+        new = step(state, sc)
+        assert len(times) == 2 and state.t < times[0] < times[1] == new.t
+        assert not any(v is state.phi or np.array_equal(v, state.phi) for v in forward)
 
     def test_step_far_beyond_rk4_stability(self, n2_metric):
         from crflab.flow import _RK4_STABILITY
@@ -545,13 +577,15 @@ class TestRun:
         assert np.max(np.abs(loaded.phi - state.phi)) <= 1e-15
         assert np.max(np.abs(loaded.omega - state.omega)) <= 1e-13
 
-    def test_resume_matches_uninterrupted_run(self, tmp_path):
+    @pytest.mark.parametrize("config", ["flow_n1.cfg", "flow_n2.cfg"])
+    def test_resume_matches_uninterrupted_run(self, tmp_path, config):
         # the checkpoint carries the controller's next step, so a resumed
-        # run takes the same steps as one that never stopped
+        # run takes the same steps as one that never stopped; the resumed
+        # state's half spectrum is phi's, transformed as the run did
         from crflab.cli import _scenario_from_config
         from crflab.io import load_config
 
-        cfg = load_config(os.path.join(CONFIGS, "flow_n1.cfg"), "scenario")
+        cfg = load_config(os.path.join(CONFIGS, config), "scenario")
         sc, _ = _scenario_from_config(cfg, 0)
         path = str(tmp_path / "step20.snap")
 
@@ -559,9 +593,9 @@ class TestRun:
             if len(record.rows) - 1 == 20:
                 write_checkpoint(path, st, st.dt_next)
 
-        full, end = run(sc, 60.0, callback=callback)
+        full, end = run(sc, cfg["t_end"], callback=callback)
         assert len(full.rows) - 1 > 20
-        tail, resumed = run(sc, 60.0, state=read_checkpoint(path, sc))
+        tail, resumed = run(sc, cfg["t_end"], state=read_checkpoint(path, sc))
         assert np.array_equal(resumed.phi, end.phi)
         assert tail.rows[1:] == full.rows[21:]
 
@@ -587,6 +621,19 @@ class TestNormalized:
         for t, vals in samples.items():
             ratio = vals[..., 0, 0].real / 2.0
             assert np.max(np.abs(ratio - np.exp(-t))) <= 0.05 * np.exp(-t)
+
+    def test_reference_is_not_inherited_from_a_run_base(self, n1_metric):
+        # the plain run leaves ghat_t's components at t = 0.5 built for its
+        # own family; the normalized family starts without them
+        from crflab.flow import NormalizedScenario
+
+        used, fresh = (scenario_from_metric(n1_metric, 50.0) for _ in range(2))
+        _, end = run(used, 0.5)
+        assert used._ghat[0] == 0.5
+        rows = [run_normalized(sc, 0.5, target_form=n1_metric)[0].rows for sc in (used, fresh)]
+        assert rows[0] == rows[1]
+        states = [NormalizedScenario(sc, n1_metric).state_at(0.5, end.phi) for sc in (used, fresh)]
+        assert np.array_equal(states[0].phidot, states[1].phidot)
 
     def test_equivalence_small_grid(self, chart1, n1_metric):
         sc = scenario_from_metric(n1_metric, 100.0)

@@ -363,6 +363,23 @@ class TestHalfSpectrumHessian:
         assert len(chart.hessian_components(spec)) == len(live)
         assert len(chart.components_trace_weights(herm_components(np.eye(chart.n)))) == len(live)
 
+    @pytest.mark.parametrize("n, axes", [
+        (1, (0,)), (1, None),
+        (2, (0,)), (2, (0, 2)), (2, None),
+        (3, (0,)), (3, (0, 2)), (3, (0, 2, 4)), (3, None),
+    ])
+    def test_batched_components_are_bitwise_one_irfft_each(self, n, axes):
+        # one inverse transform of the stacked multipliers times the spectrum
+        # equals one irfft per live component; the stack is read-only
+        chart = TorusChart(n, 16 if n < 3 else 8, active_axes=axes)
+        spec = chart.rfft(np.random.default_rng(4).standard_normal(chart.shape))
+        got = chart.hessian_components(spec)
+        mult = chart._hessian_multipliers()
+        assert got.shape == (len(chart.hessian_live),) + chart.shape
+        for h, k in zip(got, chart.hessian_live):
+            assert np.array_equal(h, chart.irfft(mult[k] * spec))
+        assert not chart._hessian_stack.flags.writeable
+
     @pytest.mark.parametrize("chart", HESSIAN_CHARTS, ids=HESSIAN_IDS)
     def test_dead_components_are_exact_zeros(self, chart):
         # a component is dead exactly where the dense reference vanishes
@@ -482,6 +499,15 @@ class TestFieldInvariants:
     def test_scalar_field_finite(self, chart2):
         with pytest.raises(ValueError):
             ScalarField(chart2, np.full(chart2.shape, np.nan))
+
+    def test_scalar_and_volume_fields_are_read_only(self, chart2):
+        from crflab.geometry import VolumeField
+
+        source = np.ones(chart2.shape)
+        for field in (ScalarField(chart2, source), VolumeField(chart2, source)):
+            with pytest.raises(ValueError):
+                field.values[0] = 2.0
+            assert source.flags.writeable  # the field holds its own copy
 
     def test_band_limit_report(self, chart2):
         f = bandlimited_scalar(chart2, 6, modes=3)
