@@ -30,13 +30,20 @@ from .geometry import (
     VolumeField,
     i_ddbar,
     min_eigenvalue,
-    spectral_derivative,
 )
 from .tensors import (
     chern_ricci,
-    connection_torsion_curvature,
-    trace_and_laplacian,
     verify_bianchi_vanishing,
     verify_schwarz_identity,
     verify_trace_evolution,
 )
+
+__all__ = [
+    "ChartMismatch", "ClosednessViolated", "CrflabError", "DegenerateReference",
+    "FlagContradiction", "InconsistentData", "NonConvergence", "NotPositiveDefinite",
+    "PositivityLost", "PositivityUnreachable", "StepUnderflow", "UnsupportedIntegrand",
+    "HermitianMatrixField", "HopfSampleSet", "ScalarField", "TorusChart", "VolumeField",
+    "i_ddbar", "min_eigenvalue",
+    "chern_ricci", "verify_bianchi_vanishing", "verify_schwarz_identity",
+    "verify_trace_evolution",
+]

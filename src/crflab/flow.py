@@ -461,7 +461,7 @@ def _monitor_row(state, scenario, dt):
     return dict(
         t=t,
         dt=dt,
-        # omega^n = n! 2^n det(g) dLeb, as in geometry.metric_volume
+        # omega^n = n! det(g) (sqrt(-1) dz dzbar)^n = n! 2^n det(g) dLeb
         volume=math.factorial(n) * 2.0 ** n * state.chart.integral(det),
         eig_min=state.eig_min,
         eig_max=state.eig_max,

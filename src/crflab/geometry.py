@@ -21,14 +21,13 @@ Fields are stored grid-leading: the 2n grid axes come first and tensor
 indices last (``values[..., i, j]``). `TorusChart.grad` is the entry point
 for tensor-first arrays instead, with the tensor indices first and the grid
 last, which is how `tensors` holds its tensors; it returns the Wirtinger
-gradient as a new leading index. `deriv` keeps the grid-leading contract.
-Both run on one fused Fourier derivative kernel. Each active real axis of a
-derivative costs one `np.fft.fft` along it, one in-place multiply by a
-single multiplier and one `np.fft.ifft` written into the output (`out=`,
-which numpy has from 2.0 on),
-into which a second active axis adds. The multiplier carries the 1/2 and
-the sqrt(-1) of the Wirtinger combination: sqrt(-1) kx / 2 on x, +ky / 2 on
-y for d/dz and -ky / 2 for d/dzbar; `deriv` multiplies by (sqrt(-1) k)^order.
+gradient as a new leading index. It runs on one fused Fourier derivative
+kernel, `TorusChart._derivative`. Each active real axis of a derivative
+costs one `np.fft.fft` along it, one in-place multiply by a single
+multiplier and one `np.fft.ifft` written into the output (`out=`, which
+numpy has from 2.0 on), into which a second active axis adds. The
+multiplier carries the 1/2 and the sqrt(-1) of the Wirtinger combination:
+sqrt(-1) kx / 2 on x, +ky / 2 on y for d/dz and -ky / 2 for d/dzbar.
 Scaling by 1/2 is exact and sqrt(-1) times a spectrum is an exact swap and
 negation, so these are bitwise the transforms of the combinations above.
 Of a real field each term keeps only the real or the imaginary part its
@@ -248,19 +247,6 @@ class TorusChart:
         if self.shape[y] > 1:
             terms.append((y, (-0.5 if conj else 0.5) * self._k[y].ravel(), "imag"))
         return terms
-
-    def deriv(self, values, axis, order=1):
-        """Fourier derivative of ``values`` along one real axis.
-
-        ``values`` may carry trailing tensor indices; grid axes are the
-        leading ``2n`` array axes. Inactive axes differentiate to zero.
-        """
-        values = np.asarray(values)
-        out = np.empty(values.shape, dtype=float if np.isrealobj(values) else complex)
-        mult = (1j * self._k[axis].ravel()) ** order
-        terms = [(axis, mult, "real")] if self.shape[axis] > 1 else []
-        self._derivative(values, 0, terms, out)
-        return out
 
     def grad(self, values, conj=False):
         """Wirtinger gradient of a tensor-first field.
@@ -693,17 +679,6 @@ class HermitianMatrixField:
 # -- geometry_kernel operations ----------------------------------------------
 
 
-def spectral_derivative(field, axis, order=1):
-    """Exact derivative of the trigonometric interpolant along a real axis."""
-    chart = field.chart
-    if axis not in chart.active_axes:
-        raise ValueError(f"axis {axis} is not active on this chart")
-    out = chart.deriv(field.values, axis, order)
-    if isinstance(field, HermitianMatrixField):
-        return HermitianMatrixField(chart, out)
-    return ScalarField(chart, out)
-
-
 def i_ddbar(phi):
     """Matrix field (d_i d_jbar phi) of a real potential.
 
@@ -723,17 +698,6 @@ def require_positive(field, what="metric"):
     if not low > 0.0:
         raise NotPositiveDefinite(f"{what} has min eigenvalue {low:.3e}")
     return low
-
-
-def metric_volume(g):
-    """Total volume integral of omega^n for the metric field g.
-
-    omega^n = n! det(g) (sqrt(-1) dz dzbar)^n = n! 2^n det(g) dLeb.
-    """
-    chart = g.chart
-    n = chart.n
-    det = herm_det(g.values)
-    return float(math.factorial(n) * 2.0 ** n * chart.integral(det))
 
 
 def refine_chart(chart):

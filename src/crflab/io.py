@@ -26,7 +26,8 @@ deterministic (insertion order, 17 significant digits for floats).
 
 Every file, JSON records included, is written whole: to a temporary file
 beside it, then renamed over it. A write that fails leaves the old file and
-no temporary one.
+no temporary one. A process killed outright between the two (SIGKILL runs no
+cleanup) leaves the old file whole and its temporary ``<path>.tmp.<pid>``.
 """
 
 import hashlib
@@ -139,7 +140,8 @@ def read_snapshot(path, chart=None, want_footer=False):
     off += 8 * count
     if not np.isfinite(arr).all():
         raise ValueError(f"{path}: snapshot payload is not finite")
-    field = ScalarField(file_chart, arr.reshape(file_chart.shape).copy())
+    # the field copies the payload out of the file's bytes, once
+    field = ScalarField(file_chart, arr.reshape(file_chart.shape))
     if want_footer:
         if not flags & 1:
             raise ValueError(f"{path}: snapshot has no footer")

@@ -15,12 +15,12 @@ indices first and the 2n grid axes last (``G[a, b, *grid]``), so that each
 contraction runs its inner loop over the grid and not over indices of size
 n. Inputs enter as grid-leading fields and are moved once (`_tensor_first`);
 every derived tensor is created in that layout. `_chern` is the one builder
-of a metric's G, G^-1 and Christoffel symbols, and its one positivity test.
-Each contraction is a sequence of two-operand einsums in an order fixed
-here, with no intermediate larger than n^4 per node. The public fields
-(`ConnectionField`, `TorsionField`, `CurvatureField`) and
-`ricci_from_curvature` return the grid-leading layout,
-``values[..., k, i, j]``, like every other field.
+of a metric's G, G^-1 and Christoffel symbols, and its one positivity test;
+`_torsion` and `_curvature` build the rest from them, for the certifiers
+only. Each contraction is a sequence of two-operand einsums in an order
+fixed here, with no intermediate larger than n^4 per node. What leaves the
+module is a report of residuals or, from `chern_ricci`, a grid-leading
+field like every other.
 
 The verification operations assemble both sides of each identity through
 independent code paths (raw spectral derivatives of scalars on one side,
@@ -62,7 +62,6 @@ import numpy as np
 from .errors import ClosednessViolated, NotPositiveDefinite
 from .geometry import (
     HermitianMatrixField,
-    ScalarField,
     herm_det,
     herm_eig_bounds,
     herm_inv,
@@ -72,35 +71,6 @@ from .geometry import (
 
 # max-norm residual of d chi above which a reference form counts as not closed
 _CLOSEDNESS_TOL = 1e-10
-
-
-@dataclass
-class ConnectionField:
-    """Christoffel symbols Gamma^k_{ij}; values[..., k, i, j]."""
-
-    chart: object
-    values: np.ndarray
-
-
-@dataclass
-class TorsionField:
-    """Torsion T^k_{ij} = Gamma^k_{ij} - Gamma^k_{ji}; values[..., k, i, j]."""
-
-    chart: object
-    values: np.ndarray
-
-
-@dataclass
-class CurvatureField:
-    """Curvature with raised and lowered last index.
-
-    up[..., k, l, i, p] = R_{k lbar i}^{   p},
-    low[..., k, l, i, j] = R_{k lbar i jbar}.
-    """
-
-    chart: object
-    up: np.ndarray
-    low: np.ndarray
 
 
 @dataclass
@@ -152,13 +122,6 @@ def _tensor_first(chart, values):
     return np.ascontiguousarray(_tensor_first_view(chart, values))
 
 
-def _grid_leading(chart, values):
-    """Contiguous grid-leading copy of a tensor-first array (public layout)."""
-    return np.ascontiguousarray(
-        np.moveaxis(values, tuple(range(-chart.naxes, 0)), tuple(range(chart.naxes)))
-    )
-
-
 def _trace(A, B):
     """Pointwise sum_ij A[j, i] B[i, j] of tensor-first rank-2 arrays."""
     return np.einsum("ji...,ij...->...", A, B)
@@ -194,19 +157,6 @@ def _chern(g, what="metric"):
     return G, Gi, _christoffel(chart, G, Gi)
 
 
-def connection_torsion_curvature(g):
-    """Chern connection data of a positive metric field."""
-    chart = g.chart
-    G, _, Gamma = _chern(g)
-    DbarGamma, low = _curvature(chart, Gamma, G)
-    up = -np.einsum("lpki...->klip...", DbarGamma)
-    return (
-        ConnectionField(chart, _grid_leading(chart, Gamma)),
-        TorsionField(chart, _grid_leading(chart, _torsion(Gamma))),
-        CurvatureField(chart, _grid_leading(chart, up), _grid_leading(chart, low)),
-    )
-
-
 def chern_ricci(g):
     """Ricci form of the Chern connection, -d dbar log det g."""
     return HermitianMatrixField(g.chart, ricci_form(g.chart, g.values))
@@ -216,29 +166,6 @@ def ricci_form(chart, values):
     """`chern_ricci` of the metric array ``values`` on ``chart``, as an array
     that is exactly Hermitian; herm_logdet tests the metric's positivity."""
     return -chart.complex_hessian(herm_logdet(values))
-
-
-def ricci_from_curvature(g):
-    """Hermitian part of the trace g^{jbar i} R_{k lbar i jbar}, which on an
-    aliased grid is not exactly Hermitian; cross-check path for chern_ricci."""
-    chart = g.chart
-    G, Gi, Gamma = _chern(g)
-    _, low = _curvature(chart, Gamma, G)
-    ric = np.einsum("klij...,ji...->kl...", low, Gi)
-    ric = 0.5 * (ric + np.conj(np.swapaxes(ric, 0, 1)))
-    return HermitianMatrixField(chart, _grid_leading(chart, ric))
-
-
-def trace_and_laplacian(g, target):
-    """Pointwise trace tr_g(target) or complex Laplacian of a scalar."""
-    chart = g.chart
-    chart.require_same(target.chart)
-    Gi = _tensor_first_view(chart, herm_inv(g.values))
-    if isinstance(target, HermitianMatrixField):
-        other = target.values
-    else:
-        other = chart.complex_hessian(target.values)
-    return ScalarField(chart, _trace(Gi, _tensor_first_view(chart, other)).real)
 
 
 def closedness_residual(chart, values):
@@ -308,11 +235,11 @@ def _norm(value):
     return np.sqrt(np.maximum(value.real, 0.0))
 
 
-def verify_trace_evolution(g0, ghat, phi, t=0.0, chi=None):
+def verify_trace_evolution(g0, ghat, phi, t=0.0):
     """Certify the evolution identity for log tr_ghat g term by term.
 
-    The evolving metric is omega = omega_0 + t*chi + i ddbar phi for a closed
-    chi (default -Ric(omega_0)). The left side (d_t - Delta) log tr_ghat g is
+    The evolving metric is omega = omega_0 + t*chi + i ddbar phi with
+    chi = -Ric(omega_0), checked closed. The left side (d_t - Delta) log tr_ghat g is
     computed from raw spectral derivatives with d_t g_{i jbar} =
     d_i d_jbar log det g substituted; the right side is the sum of the three
     displayed tensor terms. Also checks the stated upper bounds on each term
@@ -327,9 +254,7 @@ def verify_trace_evolution(g0, ghat, phi, t=0.0, chi=None):
     chart.require_same(ghat.chart)
     chart.require_same(phi.chart)
 
-    if chi is not None:
-        chart.require_same(chi.chart)
-    chi = -ricci_form(chart, g0.values) if chi is None else chi.values
+    chi = -ricci_form(chart, g0.values)
     chi_res = _check_closed(chart, chi, "chi")
 
     # exactly Hermitian: a sum of exactly Hermitian arrays

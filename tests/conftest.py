@@ -201,7 +201,20 @@ def commutator_residual(g, X):
     return float(np.max(np.abs(lhs - rhs)))
 
 
-# -- test-only flow view: the reference metric the flow keeps as components ------
+def ricci_from_curvature(g):
+    """Hermitian part of the trace g^{jbar i} R_{k lbar i jbar} of the lowered
+    curvature, grid-leading: the curvature-side oracle of chern_ricci. On an
+    aliased grid the trace itself is Hermitian only up to aliasing."""
+    from crflab.tensors import _chern, _curvature
+
+    G, Gi, Gamma = _chern(g)
+    _, low = _curvature(g.chart, Gamma, G)
+    ric = np.einsum("klij...,ji...->kl...", low, Gi)
+    ric = 0.5 * (ric + np.conj(np.swapaxes(ric, 0, 1)))
+    return np.moveaxis(ric, (0, 1), (-2, -1))
+
+
+# -- test-only flow views: the reference metric and the volume -------------------
 
 
 def reference_metric(scenario, t):
@@ -210,6 +223,18 @@ def reference_metric(scenario, t):
     from crflab.geometry import herm_from_components
 
     return herm_from_components(scenario._reference_parts(t), scenario.chart.shape)
+
+
+def metric_volume(g):
+    """Total volume integral of omega^n for the metric field g, the oracle of
+    the flow monitor's volume column:
+    omega^n = n! det(g) (sqrt(-1) dz dzbar)^n = n! 2^n det(g) dLeb."""
+    from math import factorial
+
+    from crflab.geometry import herm_det
+
+    n = g.chart.n
+    return float(factorial(n) * 2.0 ** n * g.chart.integral(herm_det(g.values)))
 
 
 # -- test-only Hopf potentials and surface data ----------------------------------

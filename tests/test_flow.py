@@ -19,7 +19,6 @@ from crflab.geometry import (
     herm_det,
     herm_logdet,
     i_ddbar,
-    metric_volume,
 )
 from crflab.flow import (
     FlowScenario,
@@ -35,7 +34,13 @@ from crflab.flow import (
 )
 from crflab.tensors import chern_ricci, closedness_residual
 
-from conftest import bandlimited_scalar, count_transforms, reference_metric, rk4
+from conftest import (
+    bandlimited_scalar,
+    count_transforms,
+    metric_volume,
+    reference_metric,
+    rk4,
+)
 
 CONFIGS = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "configs")
 

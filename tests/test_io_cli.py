@@ -2,8 +2,12 @@ import builtins
 import errno
 import math
 import os
+import signal
 import struct
+import subprocess
+import sys
 import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -118,6 +122,24 @@ class TestSnapshot:
         open(path, "wb").write(b"JUNKJUNKJUNKJUNKJUNK")
         with pytest.raises(ValueError):
             read_snapshot(path)
+
+    def test_read_copies_the_payload_once(self, tmp_path):
+        # the file's bytes and the field's own read-only copy make 2x the
+        # payload at the peak; one more copy on the way would make it 3x
+        chart = TorusChart(2, 256, active_axes=(0, 2))
+        f = bandlimited_scalar(chart, 6)
+        path = str(tmp_path / "big.snap")
+        write_snapshot(path, f)
+        read_snapshot(path)
+        tracemalloc.start()
+        try:
+            g = read_snapshot(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(g.values, f.values)
+        assert g.values.flags.owndata and not g.values.flags.writeable
+        assert peak < 2.5 * f.values.nbytes
 
 
 class TestConfig:
@@ -895,3 +917,78 @@ class TestCli:
                    "--resume", snap])
         assert rc == 2
         assert snap in capsys.readouterr().err
+
+
+# a run-flow in a child process that sends itself SIGKILL from its checkpoint
+# writes: right after the WHEN-th whole one ("written"), or between that one's
+# temporary write and its rename ("rename")
+KILLED_RUN = """
+import os, signal, sys
+from crflab import io
+from crflab.cli import main
+
+point, when = sys.argv[1], int(sys.argv[2])
+atomic = io._atomic_write
+count = 0
+
+
+def die(*args):
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+def dying_write(path, payload):
+    global count
+    count += path.endswith("checkpoint.snap")
+    if count == when and point == "rename":
+        os.replace = die
+    atomic(path, payload)
+    if count == when:
+        die()
+
+
+io._atomic_write = dying_write
+sys.exit(main(sys.argv[3:]))
+"""
+
+
+class TestKilledRun:
+    def test_killed_run_leaves_whole_files_and_resumes_bitwise(self, tmp_path, capsys):
+        scen = os.path.join(CONFIGS, "flow_n1.cfg")
+        # flow_n1.cfg takes 50 steps with a checkpoint after each; a kill at
+        # the rename of the second or a later one leaves the one before it
+        rng = np.random.default_rng(33)
+        points = {"written": int(rng.integers(2, 50)), "rename": int(rng.integers(2, 50))}
+        src = os.path.dirname(os.path.dirname(os.path.abspath(crflab.io.__file__)))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+        children = {
+            point: subprocess.Popen(
+                [sys.executable, "-c", KILLED_RUN, point, str(when), "run-flow",
+                 "--scenario", scen, "--checkpoint-every", "1", "--out", str(tmp_path / point)],
+                env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
+            for point, when in points.items()
+        }
+        assert main(["run-flow", "--scenario", scen, "--out", str(tmp_path / "whole")]) == 0
+        final = (tmp_path / "whole" / "checkpoint.snap").read_bytes()
+        for point, child in children.items():
+            err = child.communicate(timeout=60)[1]
+            assert child.returncode == -signal.SIGKILL, (point, points[point], err)
+            out = tmp_path / point
+            # every file left is whole: the readers raise on a cut one, and
+            # trajectory.csv, written after the last step, is absent
+            ckpt = str(out / "checkpoint.snap")
+            read_snapshot(ckpt, want_footer=True)
+            load_config(str(out / "manifest.cfg"))
+            assert not (out / "trajectory.csv").exists()
+            # SIGKILL runs no cleanup: a kill before the rename leaves the
+            # (whole) temporary file beside the old checkpoint
+            temps = sorted(out.glob("*.tmp.*"))
+            assert len(temps) == (point == "rename"), temps
+            for temp in temps:
+                assert temp.name == f"checkpoint.snap.tmp.{child.pid}"
+                read_snapshot(str(temp), want_footer=True)
+            resumed = tmp_path / f"{point}-resumed"
+            assert main(["run-flow", "--scenario", scen, "--resume", ckpt,
+                         "--out", str(resumed)]) == 0
+            assert (resumed / "checkpoint.snap").read_bytes() == final
+        capsys.readouterr()

@@ -2,6 +2,7 @@ import ast
 import os
 import subprocess
 import sys
+import types
 
 SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
 
@@ -106,3 +107,69 @@ def test_only_the_field_takes_components_of_its_matrix():
             with open(os.path.join(package, name), encoding="utf-8") as fh:
                 found += [f"{name}:{line}" for line in _values_round_trips(fh.read())]
     assert found == []
+
+
+def _references(source, strings=False):
+    # names a module's code refers to: loaded names, attributes and imported
+    # names, and with ``strings`` each dotted piece of a string constant (the
+    # benchmark's tracer names the functions it patches in strings)
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
+        elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names.update(node.value.split("."))
+    return names
+
+
+def _python_sources(root, skip=()):
+    for folder, _, files in os.walk(root):
+        for name in sorted(files):
+            if name.endswith(".py") and name not in skip:
+                with open(os.path.join(folder, name), encoding="utf-8") as fh:
+                    yield name, fh.read()
+
+
+def test_every_exported_name_has_a_caller():
+    # crflab.__all__ lists what the package offers; a name that only tests
+    # call does not belong in it
+    import crflab
+
+    assert sorted(crflab.__all__) == sorted(
+        name for name, value in vars(crflab).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    )
+    assert "f" in _references("f(1)\n") and "g" not in _references("def g(): pass\n")
+    assert "step" in _references("patch('crflab.flow', 'step')\n", strings=True)
+    used = set()
+    for _, source in _python_sources(os.path.join(SRC, "crflab"), skip=("__init__.py",)):
+        used |= _references(source)
+    for _, source in _python_sources(os.path.join(SRC, os.pardir, "perfbench")):
+        used |= _references(source, strings=True)
+    assert sorted(set(crflab.__all__) - used) == []
+
+
+def _unused_imports(source):
+    # names a module imports and never loads
+    tree = ast.parse(source)
+    imported = {
+        (alias.asname or alias.name).split(".")[0]
+        for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+    }
+    return imported - {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+
+
+def test_no_module_imports_a_name_it_does_not_use():
+    # elliptic imports flow.step only so that the benchmark's tracer, which
+    # patches a function wherever it is looked up, finds it there too
+    assert _unused_imports("import os\nfrom a import b, c as d\nd(os.sep)\n") == {"b"}
+    found = {
+        name: sorted(_unused_imports(source))
+        for name, source in _python_sources(os.path.join(SRC, "crflab"), skip=("__init__.py",))
+    }
+    assert {name: unused for name, unused in found.items() if unused} == {"elliptic.py": ["step"]}

@@ -23,15 +23,17 @@ from crflab.models import (
 from crflab.tensors import (
     chern_ricci,
     closedness_residual,
-    connection_torsion_curvature,
-    ricci_from_curvature,
-    trace_and_laplacian,
     verify_bianchi_vanishing,
     verify_schwarz_identity,
     verify_trace_evolution,
 )
 
-from conftest import bandlimited_scalar, commutator_residual, count_transforms
+from conftest import (
+    bandlimited_scalar,
+    commutator_residual,
+    count_transforms,
+    ricci_from_curvature,
+)
 
 
 def seeded_triple(chart, seed):
@@ -68,7 +70,7 @@ class TestChernRicci:
 
     def test_equals_curvature_trace(self, chart2, nonkahler_metric):
         r1 = chern_ricci(nonkahler_metric).values
-        r2 = ricci_from_curvature(nonkahler_metric).values
+        r2 = ricci_from_curvature(nonkahler_metric)
         assert np.max(np.abs(r1 - r2)) <= 1e-8
 
     def test_rejects_indefinite_metric(self, chart2):
@@ -82,20 +84,22 @@ class TestChernRicci:
 
 
 class TestConnectionTorsionCurvature:
+    """The certifiers' kernels, in their tensor-first layout: Gamma and T as
+    [k, i, j, *grid], the lowered curvature as [k, l, i, j, *grid]."""
+
     def test_flat_metric_everything_vanishes(self, chart2):
-        g = HermitianMatrixField.identity(chart2)
-        conn, tor, curv = connection_torsion_curvature(g)
-        assert np.max(np.abs(conn.values)) == 0.0
-        assert np.max(np.abs(tor.values)) == 0.0
-        assert np.max(np.abs(curv.low)) == 0.0
+        G, _, Gamma = tensors._chern(HermitianMatrixField.identity(chart2))
+        assert np.max(np.abs(Gamma)) == 0.0
+        assert np.max(np.abs(tensors._torsion(Gamma))) == 0.0
+        assert np.max(np.abs(tensors._curvature(chart2, Gamma, G)[1])) == 0.0
 
     def test_conformal_one_dimensional_formulas(self, chart1):
         u = bandlimited_scalar(chart1, 3, amplitude=0.2)
         vals = np.exp(u.values)[..., None, None].astype(complex)
         g = HermitianMatrixField(chart1, vals)
-        conn, _, _ = connection_torsion_curvature(g)
+        _, _, Gamma = tensors._chern(g)
         du = chart1.grad(u.values)[0]
-        assert np.max(np.abs(conn.values[..., 0, 0, 0] - du)) <= 1e-10
+        assert np.max(np.abs(Gamma[0, 0, 0] - du)) <= 1e-10
         ric = chern_ricci(g).values[..., 0, 0]
         hess = chart1.complex_hessian(u.values)[..., 0, 0]
         assert np.max(np.abs(ric + hess)) <= 1e-10
@@ -105,16 +109,16 @@ class TestConnectionTorsionCurvature:
         g = HermitianMatrixField(
             chart2, np.eye(2) * 1.3 + i_ddbar(phi).values
         )
-        _, tor, _ = connection_torsion_curvature(g)
-        assert np.max(np.abs(tor.values)) <= 1e-10
+        assert np.max(np.abs(tensors._torsion(tensors._chern(g)[2]))) <= 1e-10
 
     def test_torsion_antisymmetry_exact(self, nonkahler_metric):
-        _, tor, _ = connection_torsion_curvature(nonkahler_metric)
-        assert np.max(np.abs(tor.values + np.swapaxes(tor.values, -1, -2))) == 0.0
+        tor = tensors._torsion(tensors._chern(nonkahler_metric)[2])
+        assert np.max(np.abs(tor + np.swapaxes(tor, 1, 2))) == 0.0
 
-    def test_curvature_conjugation_symmetry(self, nonkahler_metric):
-        _, _, curv = connection_torsion_curvature(nonkahler_metric)
-        sym = np.conj(curv.low) - np.einsum("...klij->...lkji", curv.low)
+    def test_curvature_conjugation_symmetry(self, chart2, nonkahler_metric):
+        G, _, Gamma = tensors._chern(nonkahler_metric)
+        _, low = tensors._curvature(chart2, Gamma, G)
+        sym = np.conj(low) - np.einsum("klij...->lkji...", low)
         assert np.max(np.abs(sym)) <= 1e-10
 
     def test_commutator_rejects_indefinite_metric(self, chart2):
@@ -132,22 +136,11 @@ class TestConnectionTorsionCurvature:
         assert commutator_residual(nonkahler_metric, X) <= 1e-7
 
     def test_metric_compatibility(self, chart2, nonkahler_metric):
-        conn, _, _ = connection_torsion_curvature(nonkahler_metric)
-        G = nonkahler_metric.values
-        Dg = tensors._grid_leading(chart2, chart2.grad(tensors._tensor_first(chart2, G)))
-        cov = Dg - np.einsum("...rki,...rj->...kij", conn.values, G)
+        # nabla_k g_{i jbar} = d_k g_{i jbar} - Gamma^r_{ki} g_{r jbar} = 0
+        _, _, Gamma = tensors._chern(nonkahler_metric)
+        G = tensors._tensor_first(chart2, nonkahler_metric.values)
+        cov = chart2.grad(G) - np.einsum("rki...,rj...->kij...", Gamma, G)
         assert np.max(np.abs(cov)) <= 1e-9
-
-
-class TestTraceAndLaplacian:
-    def test_self_trace_is_dimension(self, chart2, nonkahler_metric):
-        tr = trace_and_laplacian(nonkahler_metric, nonkahler_metric)
-        assert np.max(np.abs(tr.values - 2.0)) <= 1e-13
-
-    def test_laplacian_of_constant(self, chart2, nonkahler_metric):
-        f = ScalarField(chart2, np.full(chart2.shape, 4.2))
-        lap = trace_and_laplacian(nonkahler_metric, f)
-        assert np.max(np.abs(lap.values)) == 0.0
 
 
 class TestTraceEvolution:
@@ -178,15 +171,13 @@ class TestTraceEvolution:
         refined = verify_trace_evolution(g0f, ghf, pf, t=0.1).identity_residual
         assert coarse / max(refined, 1e-300) >= 100.0
 
-    def test_closedness_gate(self, chart2, nonkahler_metric):
-        bad = HermitianMatrixField(chart2, nonkahler_metric.values - np.eye(2))
+    def test_closedness_gate(self, chart2, nonkahler_metric, monkeypatch):
+        # chi = -Ric(g0) is closed up to rounding; a chi that is not (its
+        # (0, 0) entry varies along x_2) must stop the certifier
+        monkeypatch.setattr(tensors, "ricci_form", lambda chart, values: np.eye(2) - values)
         with pytest.raises(ClosednessViolated):
             verify_trace_evolution(
-                nonkahler_metric,
-                nonkahler_metric,
-                ScalarField.zeros(chart2),
-                t=0.5,
-                chi=bad,
+                nonkahler_metric, nonkahler_metric, ScalarField.zeros(chart2), t=0.5
             )
 
     def test_constants_are_finite_and_reported(self, chart2):
@@ -197,11 +188,12 @@ class TestTraceEvolution:
         assert rep.max_condition < 1e8
 
     def test_rejects_non_positive_omega(self, chart2, nonkahler_metric):
-        # omega(t) = g0 - t Ric(g0) is negative definite for g0 = -I, a flat metric
-        neg = HermitianMatrixField.constant(chart2, -np.eye(2))
-        with pytest.raises(NotPositiveDefinite):
-            verify_trace_evolution(neg, nonkahler_metric, ScalarField.zeros(chart2),
-                                   chi=HermitianMatrixField.constant(chart2, np.zeros((2, 2))))
+        # at t = 0, omega = g0 + i ddbar phi with d_1 d_1bar phi = -2 cos(x_1),
+        # so omega's (0, 0) entry reaches 1.4 - 0.2 - 2 < 0
+        x1 = chart2.axis_coordinates(0)
+        phi = ScalarField(chart2, 8.0 * np.cos(x1) * np.ones(chart2.shape))
+        with pytest.raises(NotPositiveDefinite, match=r"omega\(t\)"):
+            verify_trace_evolution(nonkahler_metric, nonkahler_metric, phi)
 
     def test_working_memory(self, chart2):
         # liveness order (module docstring): the peak above the inputs stays
@@ -365,7 +357,7 @@ class TestThreeDimensional:
         assert verify_bianchi_vanishing(ghat) <= 1e-9
 
     def test_trace_evolution_tests_omega_t_positive_once(self, chart3, monkeypatch):
-        # one eigenvalue pass each for _chern(ghat) and omega(t); omega(t)'s
+        # one eigenvalue pass each for tensors._chern(ghat) and omega(t); omega(t)'s
         # log det takes no second pass, and the default chi's log det of g0
         # tests positivity with a Cholesky factor, not with eigenvalues
         g0, ghat = self.metric(chart3, 1), self.metric(chart3, 2)
@@ -395,18 +387,20 @@ class TestThreeDimensional:
         gaps = []
         for chart in (chart3, refine_chart(chart3)):
             g = recipe.build(chart)
-            ric = ricci_from_curvature(g).values
+            ric = ricci_from_curvature(g)
             assert np.array_equal(ric, np.conj(np.swapaxes(ric, -1, -2)))
             gaps.append(np.max(np.abs(ric - chern_ricci(g).values)))
         assert gaps[1] <= 0.1 * gaps[0]
 
     def test_connection_symmetries(self, chart3):
         g = self.metric(chart3, 2, amplitude=0.01)
-        conn, tor, curv = connection_torsion_curvature(g)
-        assert conn.values.shape == chart3.shape + (3, 3, 3)
-        assert np.max(np.abs(tor.values)) > 1e-3
-        assert np.max(np.abs(tor.values + np.swapaxes(tor.values, -1, -2))) == 0.0
-        sym = np.conj(curv.low) - np.einsum("...klij->...lkji", curv.low)
+        G, _, Gamma = tensors._chern(g)
+        assert Gamma.shape == (3, 3, 3) + chart3.shape
+        tor = tensors._torsion(Gamma)
+        assert np.max(np.abs(tor)) > 1e-3
+        assert np.max(np.abs(tor + np.swapaxes(tor, 1, 2))) == 0.0
+        _, low = tensors._curvature(chart3, Gamma, G)
+        sym = np.conj(low) - np.einsum("klij...->lkji...", low)
         assert np.max(np.abs(sym)) <= 1e-10
 
 
