@@ -55,11 +55,12 @@ A step that loses positivity or underflows raises NonConvergence: the limit
 is positive definite, so only the grid can fail to reach it.
 
 Both start from phi = 0 unless given a start phi0 (Newton also takes b0)
-and share one ending, `_on_grid`: phi is a canonical half spectrum, zero on
-the modes no Wirtinger operator sees (the chart's `invisible` modes, which
-`laplacian_inverse` zeroes: the mean and the modes whose every wavenumber is
-zero or Nyquist), it goes to the grid once and is normalized there, and its
-grid residual, with the mean moved into b, is the returned residual.
+and share one ending, `_on_grid` and then `_solution`: phi is a canonical half
+spectrum (`TorusChart.canonical_spec`), zero on the modes no Wirtinger
+operator sees (the chart's `invisible` modes, which `laplacian_inverse`
+zeroes: the mean and the modes whose every wavenumber is zero or Nyquist), it
+goes to the grid once and is normalized there, and its grid residual, with
+the mean moved into b, is the returned residual.
 Gill-flow's final phi is canonicalized first; so is Newton's start, whose
 grid residual decides whether it already meets tol. Newton then iterates on
 the spectrum itself: its step is zero on those modes, so the iterate stays
@@ -216,14 +217,6 @@ class EllipticSolution:
         return HermitianMatrixField.from_components(self.problem.chart, self.metric_parts)
 
 
-def _canonical_spec(problem, phi_values):
-    # phi's half spectrum less the chart's `invisible` modes: the canonical
-    # representative both solution routes return
-    spec = problem.chart.rfft(phi_values)
-    spec[problem.chart.invisible] = 0.0
-    return spec
-
-
 def _residual_field(problem, phi_values, b, spec=None):
     """(residual field, real components of the updated metric omega + i ddbar
     phi in the order of `herm_components`) of (phi, b); raises
@@ -247,10 +240,9 @@ def _on_grid(problem, spec, b):
     return phi_values, b + mean, res_field - mean, parts
 
 
-def _solution(problem, phi_values, b, method, iterations, extras=None):
-    phi_values, b, res_field, parts = _on_grid(
-        problem, _canonical_spec(problem, phi_values), b
-    )
+def _solution(problem, grid, method, iterations, extras=None):
+    # the EllipticSolution of an `_on_grid` tuple
+    phi_values, b, res_field, parts = grid
     return EllipticSolution(
         problem, ScalarField(problem.chart, phi_values), b,
         float(np.max(np.abs(res_field))), method, iterations, parts, extras or {},
@@ -390,7 +382,8 @@ def _solve_gill_flow(problem, tol, max_steps, phi0, b0, coarse=False):
             pd = state.phidot
             osc = float(pd.max() - pd.min())
             if osc <= 0.5 * tol:
-                return _solution(problem, state.phi, 0.0, "gill-flow", steps, {"t_end": state.t})
+                grid = _on_grid(problem, problem.chart.canonical_spec(state.phi), 0.0)
+                return _solution(problem, grid, "gill-flow", steps, {"t_end": state.t})
             if osc < best:
                 best, since_best = osc, 0
             else:
@@ -485,7 +478,7 @@ def _solve_newton(problem, tol, max_steps, phi, b, coarse=False):
     raises NonConvergence naming the grid's rounding floor, so no residual
     above tol is returned."""
     krylov_cap = _COARSE_KRYLOV_CAP if coarse else None
-    spec = _canonical_spec(problem, phi)
+    spec = problem.chart.canonical_spec(phi)
     grid = _on_grid(problem, spec, b)
     _, b, res_field, parts = grid
     res = grid_res = float(np.max(np.abs(res_field)))
@@ -502,11 +495,7 @@ def _solve_newton(problem, tol, max_steps, phi, b, coarse=False):
             grid = _on_grid(problem, spec, b)
             grid_res = float(np.max(np.abs(grid[2])))
         if grid_res <= tol:
-            phi, b, _, parts = grid
-            return EllipticSolution(
-                problem, ScalarField(problem.chart, phi), b, grid_res,
-                "newton-continuation", iterations, parts,
-            )
+            return _solution(problem, grid, "newton-continuation", iterations)
     raise NonConvergence(
         f"newton residual {res:.3e} on phi's half spectrum is {grid_res:.3e} on the "
         f"grid after {iterations} steps: tol {tol:.1e} is below this grid's rounding floor"
@@ -574,9 +563,9 @@ def _newton_step(problem, spec, b, res_field, parts, res, target, krylov_cap):
             return trial, b + s * db, trial_field, trial_parts, trial_res
         s *= 0.5
     # the part of the residual in the modes no Wirtinger operator sees,
-    # which no Newton step can move: the modes strip_invisible removes, less
+    # which no Newton step can move: the modes canonical_spec zeroes, less
     # the mean, which b absorbs
-    invisible = res_field - chart.strip_invisible(res_field) - res_field.mean()
+    invisible = res_field - chart.irfft(chart.canonical_spec(res_field)) - res_field.mean()
     raise NonConvergence(
         f"newton line search stalled at residual {res:.3e}, "
         f"{float(np.max(np.abs(invisible))):.3e} of it in modes no Wirtinger "

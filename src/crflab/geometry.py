@@ -61,7 +61,7 @@ components; `laplacian_symbol` and `laplacian_inverse`, the half-grid
 multipliers of the constant-coefficient Laplacians, are built from them.
 The chart builds the flat Laplacian's symbol once (`flat_laplacian`), and its
 zeros decide the modes no Wirtinger operator sees (`invisible`), which
-`laplacian_inverse` and `strip_invisible` zero.
+`laplacian_inverse` and `canonical_spec` zero.
 
 Per-node linear algebra works on components, in closed form for n <= 2 and
 through LAPACK beyond; `herm_det`, `herm_logdet` and, for n <= 2, `herm_inv`
@@ -380,12 +380,13 @@ class TorusChart:
         parts = self.plus_hessian([None] * self.n ** 2, self.rfft(np.asarray(values)))
         return herm_from_components(parts, self.shape)
 
-    def strip_invisible(self, values):
-        """Remove the `invisible` modes, which picks the canonical
-        representative of a field that only enters through derivatives."""
-        spec = self.rfft(np.asarray(values, dtype=float))
+    def canonical_spec(self, values):
+        """The half spectrum of a real field less the `invisible` modes: the
+        canonical representative of a field that only enters through
+        derivatives."""
+        spec = self.rfft(values)
         spec[self.invisible] = 0.0
-        return self.irfft(spec)
+        return spec
 
     # -- reductions ----------------------------------------------------------
 
@@ -493,7 +494,7 @@ def components_inv(parts):
         a, re, im, d = parts
         r = 1.0 / components_det(parts)
         return [d * r, -re * r, -im * r, a * r]
-    return herm_components(np.linalg.inv(herm_from_components(parts, np.shape(parts[0]))))
+    return herm_components(herm_inv(herm_from_components(parts, np.shape(parts[0]))))
 
 
 def components_trace(a, b):
@@ -592,8 +593,9 @@ class VolumeField:
     def __init__(self, chart, values):
         values = np.asarray(values, dtype=float)
         values = np.broadcast_to(values, chart.shape).copy()
-        if values.min() <= 0.0:
-            raise ValueError("volume field must be strictly positive")
+        # NaN fails both tests, so a NaN node is rejected like +inf
+        if not (values.min() > 0.0 and values.max() < math.inf):
+            raise ValueError("volume field must be finite and strictly positive")
         values.flags.writeable = False
         self.chart = chart
         self.values = values
@@ -700,12 +702,25 @@ def require_positive(field, what="metric"):
     return low
 
 
-def refine_chart(chart):
-    """The chart with twice the nodes along each active axis."""
+def _resized_chart(chart, factor):
+    # the chart with ``factor`` (2 or 1/2) times the nodes along each active axis
     res = tuple(
-        2 * r if a in chart.active_axes else r for a, r in enumerate(chart.resolution)
+        int(r * factor) if a in chart.active_axes else r for a, r in enumerate(chart.resolution)
     )
     return TorusChart(chart.n, res, chart.periods, chart.active_axes)
+
+
+def _resized_field(field, chart, resize):
+    # ``field`` on ``chart``, each of its real arrays (a Hermitian field's
+    # components, any other field's values) mapped by ``resize``
+    if isinstance(field, HermitianMatrixField):
+        return type(field).from_components(chart, [resize(p) for p in field.parts])
+    return type(field)(chart, resize(field.values))
+
+
+def refine_chart(chart):
+    """The chart with twice the nodes along each active axis."""
+    return _resized_chart(chart, 2)
 
 
 def refine_field(field):
@@ -713,10 +728,7 @@ def refine_field(field):
     Hermitian field is refined one real component at a time."""
     chart = field.chart
     fine = refine_chart(chart)
-    if isinstance(field, HermitianMatrixField):
-        parts = [_refine_real(chart, fine, p) for p in field.parts]
-        return type(field).from_components(fine, parts)
-    return type(field)(fine, _refine_real(chart, fine, field.values))
+    return _resized_field(field, fine, lambda values: _refine_real(chart, fine, values))
 
 
 def _refine_real(chart, fine, values):
@@ -740,10 +752,7 @@ def _refine_real(chart, fine, values):
 
 def coarsen_chart(chart):
     """The chart with half the nodes along each active axis."""
-    res = tuple(
-        r // 2 if a in chart.active_axes else r for a, r in enumerate(chart.resolution)
-    )
-    return TorusChart(chart.n, res, chart.periods, chart.active_axes)
+    return _resized_chart(chart, 0.5)
 
 
 def coarsen_field(field):
@@ -751,14 +760,11 @@ def coarsen_field(field):
     each active axis, so ``coarsen_field(refine_field(f))`` is ``f``; a
     Hermitian field keeps every other node of each real component."""
     chart = field.chart
-    coarse = coarsen_chart(chart)
     keep = tuple(
         slice(None, None, 2) if a in chart.active_axes else slice(None)
         for a in range(chart.naxes)
     )
-    if isinstance(field, HermitianMatrixField):
-        return type(field).from_components(coarse, [p[keep] for p in field.parts])
-    return type(field)(coarse, field.values[keep])
+    return _resized_field(field, coarsen_chart(chart), lambda values: values[keep])
 
 
 # -- Hopf sample sets ---------------------------------------------------------

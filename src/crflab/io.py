@@ -138,10 +138,12 @@ def read_snapshot(path, chart=None, want_footer=False):
         file_chart = chart
     arr = np.frombuffer(raw, dtype="<f8", count=count, offset=off)
     off += 8 * count
-    if not np.isfinite(arr).all():
-        raise ValueError(f"{path}: snapshot payload is not finite")
-    # the field copies the payload out of the file's bytes, once
-    field = ScalarField(file_chart, arr.reshape(file_chart.shape))
+    # the field copies the payload out of the file's bytes, once, and tests
+    # the copy for finiteness
+    try:
+        field = ScalarField(file_chart, arr.reshape(file_chart.shape))
+    except ValueError:
+        raise ValueError(f"{path}: snapshot payload is not finite") from None
     if want_footer:
         if not flags & 1:
             raise ValueError(f"{path}: snapshot has no footer")

@@ -491,18 +491,12 @@ class TorusMetricRecipe:
     perturbations: list = field(default_factory=list)
     kahler: bool = False
 
-    def potential(self, chart):
-        phi = np.zeros(chart.shape)
-        for p in self.perturbations:
-            phi = phi + p.waveform(chart)
-        return ScalarField(chart, phi)
-
     def build(self, chart):
         base = np.asarray(self.base, dtype=complex)
         if self.kahler:
             g = HermitianMatrixField(
                 chart,
-                base + i_ddbar(self.potential(chart)).values,
+                base + i_ddbar(ScalarRecipe(self.perturbations).build(chart)).values,
             )
         else:
             values = np.broadcast_to(

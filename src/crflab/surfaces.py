@@ -39,7 +39,7 @@ class Divisor:
             raise InconsistentData(
                 f"divisor {self.name}: only D^2 < 0 divisors enter the criterion"
             )
-        if self.omega0_vol <= 0.0:
+        if not self.omega0_vol > 0.0:  # NaN fails
             raise InconsistentData(f"divisor {self.name}: initial volume must be > 0")
 
     def is_minus_one_curve(self):
@@ -54,8 +54,11 @@ class SurfaceFlags:
     kahler: bool = False
 
 
-@dataclass
+@dataclass(frozen=True)
 class SurfaceClassData:
+    """Intersection data of a surface; frozen, like `Divisor`, so the checks
+    made when it is built hold for as long as it lives."""
+
     name: str
     vol0: float
     pairing: float
@@ -64,9 +67,9 @@ class SurfaceClassData:
     flags: SurfaceFlags = None
 
     def __post_init__(self):
-        if self.vol0 <= 0.0:
+        if not self.vol0 > 0.0:  # NaN fails
             raise InconsistentData("vol0 must be strictly positive")
-        self.divisors = tuple(self.divisors)
+        object.__setattr__(self, "divisors", tuple(self.divisors))
 
 
 @dataclass
@@ -126,14 +129,9 @@ def maximal_time(data):
     Returns a MaxTimeResult with the binding constraint and the trichotomy
     label: (a) T infinite, (b) volume collapse, (c) divisor collapse with
     positive total volume. A simultaneous volume/divisor root counts as
-    volume collapse.
+    volume collapse. The volumes at t = 0 are positive: `SurfaceClassData`
+    and `Divisor` check them when they are built.
     """
-    if volume_polynomial(data, 0.0) <= 0.0:
-        raise InconsistentData("V(0) <= 0")
-    for d in data.divisors:
-        if divisor_volume(d, 0.0) <= 0.0:
-            raise InconsistentData(f"divisor {d.name} has nonpositive initial volume")
-
     t_vol = _volume_root(data)
     t_div = math.inf
     binding_divisor = None
@@ -158,12 +156,6 @@ def maximal_time(data):
 class ClassificationReport:
     case: str
     narrative: tuple
-    data_name: str
-
-    def lines(self):
-        out = [f"surface = {self.data_name}", f"case = {self.case}"]
-        out.extend(f"note = {line}" for line in self.narrative)
-        return out
 
 
 _DIVISOR_CAVEAT = (
@@ -225,5 +217,5 @@ def classify(data, result):
                 "check the input data"
             )
     notes.append(_DIVISOR_CAVEAT)
-    return ClassificationReport(result.case, tuple(notes), data.name)
+    return ClassificationReport(result.case, tuple(notes))
 

@@ -414,16 +414,23 @@ class TestHalfSpectrumHessian:
         u = np.random.default_rng(7).standard_normal(chart.shape)
         assert np.max(np.abs(chart.irfft(chart.rfft(u)) - u)) <= 1e-14
 
-    def test_strip_invisible_keeps_every_visible_mode(self):
+    def test_canonical_spec_keeps_every_visible_mode(self):
         # a mode with Nyquist along one axis and wavenumber 1 along another
-        # has a nonzero d_j d_jbar entry, so it must survive the strip
+        # has a nonzero d_j d_jbar entry, so it must be kept; only the mean
+        # and the modes every Wirtinger operator annihilates are dropped
         chart = TorusChart(2, 16, active_axes=(0, 2))
         x, y = chart.axis_coordinates(0), chart.axis_coordinates(2)
-        visible = np.cos(8 * x) * np.cos(y)
+        visible = np.cos(8 * x) * np.cos(y) + 0.5 * np.sin(x + y)
         invisible = np.cos(8 * x) * np.cos(8 * y) + np.cos(8 * x) + 0.5
-        out = chart.strip_invisible(visible + invisible)
-        assert np.max(np.abs(out - visible)) <= 1e-14
+        phi = visible + invisible
+        spec = chart.canonical_spec(phi)
+        assert np.max(np.abs(chart.irfft(spec) - visible)) <= 1e-14
         assert np.max(np.abs(chart.complex_hessian(invisible))) <= 1e-13
+        moved = chart.complex_hessian(chart.irfft(spec)) - chart.complex_hessian(phi)
+        assert np.max(np.abs(moved)) <= 1e-14
+        invisible_modes = chart.laplacian_inverse(herm_components(np.eye(2))) == 0.0
+        assert not spec[invisible_modes].any()
+        assert np.array_equal(spec[~invisible_modes], chart.rfft(phi)[~invisible_modes])
 
     def test_chart_needs_an_active_axis(self):
         with pytest.raises(ValueError):
@@ -493,6 +500,16 @@ class TestFieldInvariants:
 
         with pytest.raises(ValueError):
             VolumeField(chart2, np.zeros(chart2.shape))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_volume_field_finite(self, chart2, bad):
+        # min() of a grid with a NaN is NaN, which a "min <= 0" test lets through
+        values = np.ones(chart2.shape)
+        values.flat[5] = bad
+        with pytest.raises(ValueError, match="finite"):
+            VolumeField(chart2, values)
+        with pytest.raises(ValueError, match="finite"):
+            VolumeField(chart2, np.full(chart2.shape, bad))
 
     def test_scalar_field_finite(self, chart2):
         with pytest.raises(ValueError):

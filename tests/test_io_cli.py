@@ -922,6 +922,53 @@ class TestCli:
 # a run-flow in a child process that sends itself SIGKILL from its checkpoint
 # writes: right after the WHEN-th whole one ("written"), or between that one's
 # temporary write and its rename ("rename")
+_RANDOM_FLOW = """
+scenario {{
+  T0 = 10.0
+  t_end = {t_end!r}
+  seed = {seed}
+  chart {{ n = {n}  resolution = {nodes}  active_axes = {axes} }}
+  recipe {{ kind = random  scale = {scale!r}  peaked = {peaked} }}
+}}
+"""
+
+
+@st.composite
+def _random_flows(draw):
+    # n = 1 on 16 nodes or n = 2 on 8, on any non-empty set of active axes
+    n = draw(st.sampled_from([1, 2]))
+    axes = draw(st.sets(st.integers(0, 2 * n - 1), min_size=1))
+    return _RANDOM_FLOW.format(
+        n=n, nodes=16 if n == 1 else 8, axes=" ".join(map(str, sorted(axes))),
+        seed=draw(st.integers(0, 2 ** 16)), scale=draw(st.floats(0.05, 1.2)),
+        peaked=draw(st.sampled_from(["true", "false"])), t_end=draw(st.floats(0.2, 1.5)),
+    )
+
+
+class TestRunFlowFuzz:
+    @given(_random_flows())
+    def test_random_recipes_exit_cleanly_with_monotone_monitors(self, text):
+        # a recipe that is not positive exits 2 before any step, a numerical
+        # failure exits 3; nothing escapes main, and a run that finishes
+        # keeps the metric positive and its monitors monotone
+        with tempfile.TemporaryDirectory() as tmp:
+            scen, out = os.path.join(tmp, "s.cfg"), os.path.join(tmp, "o")
+            with open(scen, "w") as fh:
+                fh.write(text)
+            rc = main(["run-flow", "--scenario", scen, "--out", out])
+            assert rc in (0, 2, 3), text
+            csv = os.path.join(out, "trajectory.csv")
+            if rc == 2:
+                assert not os.path.exists(csv)
+            if rc == 0:
+                columns, rows = read_csv(csv)
+                rows = np.array(rows)
+                column = {name: rows[:, k] for k, name in enumerate(columns)}
+                assert column["eig_min"].min() >= 1e-8
+                assert np.max(np.diff(column["q1_max"]), initial=0.0) <= 1e-8
+                assert np.min(np.diff(column["q0_min"]), initial=0.0) >= -1e-8
+
+
 KILLED_RUN = """
 import os, signal, sys
 from crflab import io

@@ -173,3 +173,46 @@ def test_no_module_imports_a_name_it_does_not_use():
         for name, source in _python_sources(os.path.join(SRC, "crflab"), skip=("__init__.py",))
     }
     assert {name: unused for name, unused in found.items() if unused} == {"elliptic.py": ["step"]}
+
+
+def _writing_opens(source):
+    # the enclosing function (None at module level) of each open(...) call
+    # that may write: a mode with "w", "a", "x" or "+", a mode that is not a
+    # string literal, or os.open / os.fdopen, whose flags are not checked
+    found = []
+
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Call):
+                func = child.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                owner = getattr(func.value, "id", None) if isinstance(func, ast.Attribute) else None
+                if owner == "os" and name in ("open", "fdopen"):
+                    found.append(function)
+                elif name == "open" and owner in (None, "io", "builtins"):
+                    modes = child.args[1:2] + [k.value for k in child.keywords if k.arg == "mode"]
+                    for mode in modes:
+                        if not (isinstance(mode, ast.Constant) and isinstance(mode.value, str)
+                                and not set(mode.value) & set("wax+")):
+                            found.append(function)
+            visit(child, function)
+
+    visit(ast.parse(source), None)
+    return found
+
+
+def test_files_are_written_only_by_atomic_write():
+    # every output is written whole: write-then-rename in io._atomic_write
+    # is the one place that opens a file for writing
+    probe = "def f(p, m):\n    open(p)\n    open(p, 'rb')\n    open(p, mode='a')\n    open(p, m)\n"
+    assert _writing_opens(probe) == ["f", "f"]
+    assert _writing_opens("with open('x', 'w+') as fh: pass\nos.fdopen(3)\n") == [None, None]
+    found = [
+        (name, function)
+        for name, source in _python_sources(os.path.join(SRC, "crflab"))
+        for function in _writing_opens(source)
+    ]
+    assert found == [("io.py", "_atomic_write")]

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import pytest
@@ -125,9 +126,18 @@ class TestMaximalTime:
         r = maximal_time(data)
         assert r.case == "b"
 
-    def test_invalid_initial_volume(self):
+    @pytest.mark.parametrize("vol0", [-1.0, 0.0, math.nan])
+    def test_invalid_initial_volume(self, vol0):
         with pytest.raises(InconsistentData):
-            SurfaceClassData("bad", -1.0, 0.0, 0.0)
+            SurfaceClassData("bad", vol0, 0.0, 0.0)
+        with pytest.raises(InconsistentData):
+            Divisor("E", -1, -1, vol0)
+
+    def test_data_cannot_change_after_its_checks(self):
+        # maximal_time trusts the constructors' t = 0 checks
+        data = SurfaceClassData("ok", 1.0, 0.5, 0.0)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            data.vol0 = -1.0
 
     @given(
         lam=st.floats(0.1, 10.0),
