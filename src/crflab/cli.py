@@ -40,12 +40,17 @@ def _count(text):
 
 
 def _preset_chart(name, resolution):
+    """The preset chart ``name``, with ``resolution`` nodes per active axis or
+    by default 128 for torus1 and 64 for torus2. For n = 1 the trace-evolution
+    term (I) and its bound vanish identically, so bound (I) reads the seeded
+    triple's whole truncation error: up to 1.6e-8 at 64 nodes over seeds 0-11,
+    against its 1e-8 tolerance, and at most 9.1e-15 at 128."""
     from .geometry import TorusChart
 
     if name == "torus1":
-        return TorusChart(1, resolution, active_axes=(0,))
+        return TorusChart(1, 128 if resolution is None else resolution, active_axes=(0,))
     if name == "torus2":
-        return TorusChart(2, resolution, active_axes=(0, 2))
+        return TorusChart(2, 64 if resolution is None else resolution, active_axes=(0, 2))
     raise ValueError(f"unknown chart preset {name!r} (torus1 or torus2)")
 
 
@@ -124,7 +129,7 @@ def _cmd_verify_identities(args):
     chart = _preset_chart(args.chart, args.resolution)
     write_manifest(
         args.out, "verify-identities", __version__, seed=args.seed,
-        extra={"chart": args.chart, "resolution": args.resolution},
+        extra={"chart": args.chart, "resolution": chart.resolution[0]},
     )
     rng = np.random.default_rng(args.seed)
     r_g0, r_gh, r_phi = M.random_verification_triple(rng, chart.n, axes=chart.active_axes)
@@ -333,7 +338,7 @@ def _build_parser():
 
     p = sub.add_parser("verify-identities", help="certify tensor identities")
     p.add_argument("--chart", default="torus2")
-    p.add_argument("--resolution", type=int, default=64)
+    p.add_argument("--resolution", type=int, default=None)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--t", type=float, default=0.1)
     p.add_argument("--tolerance", type=float, default=1e-6)

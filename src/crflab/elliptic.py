@@ -161,6 +161,9 @@ _GILL_STEP_TOL = 1e-2
 # steps in 1145 random 32-node recipes (n = 1 levels: 4 of 157 took 72-127
 # and fall back); the failing 32^2 level of missed_level_problem(128) ran 150 steps
 _COARSE_GILL_STEPS = 64
+# step budgets of a solve on its own grid: Newton iterations and gill-flow steps
+_NEWTON_STEPS = 40
+_GILL_STEPS = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -249,15 +252,13 @@ def _solution(problem, grid, method, iterations, extras=None):
     )
 
 
-def solve_elliptic(
-    problem, method="newton-continuation", tol=None, max_steps=None, phi0=None, b0=None
-):
+def solve_elliptic(problem, method="newton-continuation", tol=None, phi0=None, b0=None):
     """Solve the elliptic equation; returns an EllipticSolution.
 
     tol defaults to 1e-8 for n = 1 charts and 1e-6 otherwise (max-norm of
-    the equation residual after fixing b) and must be finite and positive;
-    ``max_steps`` (default 40 Newton iterations, 2,000,000 gill-flow steps)
-    must be a positive integer. ``phi0`` (values on the problem's chart,
+    the equation residual after fixing b) and must be finite and positive.
+    A solve takes at most 40 Newton iterations or 2,000,000 gill-flow steps
+    on the problem's own grid. ``phi0`` (values on the problem's chart,
     default 0) is the start of both methods; ``b0`` (default -mean F) is
     Newton's starting constant. Without phi0, either method on a chart of
     128 or more nodes per active axis starts from a chain of coarser solves
@@ -267,8 +268,6 @@ def solve_elliptic(
     tol = _default_tol(problem.chart) if tol is None else float(tol)
     if not (np.isfinite(tol) and tol > 0.0):
         raise ValueError(f"tolerance must be finite and positive, got {tol!r}")
-    if max_steps is not None and not (isinstance(max_steps, (int, np.integer)) and max_steps > 0):
-        raise ValueError(f"max_steps must be a positive integer, got {max_steps!r}")
     nested = phi0 is None and min(_active_nodes(problem.chart)) >= _NESTED_MIN_NODES
     if phi0 is None:
         phi0 = np.zeros(problem.chart.shape)
@@ -284,14 +283,14 @@ def solve_elliptic(
     if not np.isfinite(b0):
         raise ValueError(f"b0 must be finite, got {b0!r}")
     if method == "gill-flow":
-        solve, max_steps = _solve_gill_flow, max_steps or 2_000_000
+        solve = _solve_gill_flow
     elif method == "newton-continuation":
-        solve, max_steps = _solve_newton, max_steps or 40
+        solve = _solve_newton
     else:
         raise ValueError(f"unknown method {method!r}")
     if nested:
-        return _solve_nested(problem, tol, max_steps, phi0, b0, solve)
-    return solve(problem, tol, max_steps, phi0, b0, coarse=False)
+        return _solve_nested(problem, tol, phi0, b0, solve)
+    return solve(problem, tol, phi0, b0, coarse=False)
 
 
 def _default_tol(chart):
@@ -302,7 +301,7 @@ def _active_nodes(chart):
     return tuple(chart.shape[a] for a in chart.active_axes)
 
 
-def _solve_nested(problem, tol, max_steps, phi0, b0, solve):
+def _solve_nested(problem, tol, phi0, b0, solve):
     """``problem`` solved by ``solve`` (`_solve_newton` or
     `_solve_gill_flow`, whose ``coarse`` caps a coarse level's work) started
     from its coarsened problems, solved from the coarsest up. The first level
@@ -319,7 +318,7 @@ def _solve_nested(problem, tol, max_steps, phi0, b0, solve):
     for level in chain[:0:-1]:
         level_tol = max(tol, _default_tol(level.chart))
         try:
-            sol = solve(level, level_tol, max_steps, phi, b, coarse=True)
+            sol = solve(level, level_tol, phi, b, coarse=True)
         except (NonConvergence, NotPositiveDefinite):
             levels.append((_active_nodes(level.chart), None))
             phi, b = phi0, b0
@@ -327,11 +326,11 @@ def _solve_nested(problem, tol, max_steps, phi0, b0, solve):
         levels.append((_active_nodes(level.chart), sol.iterations))
         phi, b = refine_field(sol.phi).values, sol.b
     try:
-        solution = solve(problem, tol, max_steps, phi, b, coarse=False)
+        solution = solve(problem, tol, phi, b, coarse=False)
     except NotPositiveDefinite:
         # only a start can fail this way: Newton's line search backtracks,
         # and gill-flow's steps fail as NonConvergence
-        solution = solve(problem, tol, max_steps, phi0, b0, coarse=False)
+        solution = solve(problem, tol, phi0, b0, coarse=False)
     solution.extras["coarse_levels"] = levels
     return solution
 
@@ -360,12 +359,11 @@ class _Relaxation(FlowScenario):
         return phidot - phidot.mean(), parts
 
 
-def _solve_gill_flow(problem, tol, max_steps, phi0, b0, coarse=False):
-    """Gill-flow from phi0, with at most `_COARSE_GILL_STEPS` steps on a
-    ``coarse`` level. b0, Newton's starting constant, plays no part: the
-    returned b is the final residual's mean."""
-    if coarse:
-        max_steps = min(max_steps, _COARSE_GILL_STEPS)
+def _solve_gill_flow(problem, tol, phi0, b0, coarse=False):
+    """Gill-flow from phi0, with at most `_GILL_STEPS` steps, or
+    `_COARSE_GILL_STEPS` on a ``coarse`` level. b0, Newton's starting
+    constant, plays no part: the returned b is the final residual's mean."""
+    max_steps = _COARSE_GILL_STEPS if coarse else _GILL_STEPS
     scenario = _Relaxation(problem)
     try:
         state = FlowState.initial(scenario, phi0)
@@ -465,10 +463,11 @@ def _bicgstab(op, rhs, tol, max_iter=400):
     return best_x, best / norm0
 
 
-def _solve_newton(problem, tol, max_steps, phi, b, coarse=False):
-    """Damped Newton from (phi, b) on phi's canonical half spectrum; on a
-    ``coarse`` level every Krylov solve runs at most `_COARSE_KRYLOV_CAP`
-    iterations, and one that misses its tolerance raises NonConvergence.
+def _solve_newton(problem, tol, phi, b, coarse=False):
+    """Damped Newton from (phi, b) on phi's canonical half spectrum, with at
+    most `_NEWTON_STEPS` iterations; on a ``coarse`` level every Krylov solve
+    runs at most `_COARSE_KRYLOV_CAP` iterations, and one that misses its
+    tolerance raises NonConvergence.
 
     The start is canonicalized once, and its grid residual decides whether
     it already meets tol. Otherwise the spectrum steps until its residual is
@@ -486,7 +485,7 @@ def _solve_newton(problem, tol, max_steps, phi, b, coarse=False):
     for target in (tol, 0.5 * tol):
         if res > target:
             while res > target:
-                if iterations >= max_steps:
+                if iterations >= _NEWTON_STEPS:
                     raise NonConvergence(f"newton residual {res:.3e} after {iterations} steps")
                 spec, b, res_field, parts, res = _newton_step(
                     problem, spec, b, res_field, parts, res, target, krylov_cap

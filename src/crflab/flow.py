@@ -118,26 +118,23 @@ class StepControl:
                 raise ValueError(f"control {name} = {value!r} must be positive and finite")
 
 
-TRAJECTORY_COLUMNS = (
-    "t",
-    "dt",
-    "volume",
-    "eig_min",
-    "eig_max",
-    "phi_sup",
-    "phi_inf",
-    "phidot_sup",
-    "phidot_inf",
-    "q1_max",
-    "q0_min",
-    "schwarz_u_sup",
-)
-
-
 class TrajectoryRecord:
     """Per-step monitor rows with a fixed column order."""
 
-    columns = TRAJECTORY_COLUMNS
+    columns = (
+        "t",
+        "dt",
+        "volume",
+        "eig_min",
+        "eig_max",
+        "phi_sup",
+        "phi_inf",
+        "phidot_sup",
+        "phidot_inf",
+        "q1_max",
+        "q0_min",
+        "schwarz_u_sup",
+    )
 
     def __init__(self, meta=None):
         self.rows = []
@@ -169,8 +166,6 @@ class FlowScenario:
     chi : closed (1,1) form with ghat_t = g0 + t*chi.
     omega_density : positive density Omega0; the equation's volume form is
         n! 2^n Omega0 dLeb, so the right side is log(det(g)/Omega0).
-    f_T0 : the potential used to build chi and Omega0 (None when chi given
-        directly).
     control : StepControl.
     """
 
@@ -188,7 +183,6 @@ class FlowScenario:
         T0,
         chi,
         omega_density,
-        f_T0=None,
         control=None,
         convergence_tol=1e-6,
         convergence_patience=50,
@@ -201,7 +195,6 @@ class FlowScenario:
         self.T0 = float(T0)
         self.chi = chi
         self.omega_density = omega_density
-        self.f_T0 = f_T0
         self.control = control or StepControl()
         self.convergence_tol = float(convergence_tol)
         self.convergence_patience = int(convergence_patience)
@@ -302,13 +295,13 @@ class FlowState:
         return state
 
 
-def scenario_from_metric(g0, T0, f_T0=None, **kwargs):
+def scenario_from_metric(g0, T0, **kwargs):
     """Build the reference family and volume density from an initial metric.
 
-    With ``f_T0`` omitted the potential is derived spectrally: the trace of
-    the target T0*Ric(omega_0) is inverted through the flat Laplacian, which
-    recovers the exact discrete potential because Ric(omega_0) is itself a
-    discrete complex Hessian. The resulting chi = (1/T0) i ddbar f - Ric(omega_0)
+    The potential f is derived spectrally: the trace of the target
+    T0*Ric(omega_0) is inverted through the flat Laplacian, which recovers
+    the exact discrete potential because Ric(omega_0) is itself a discrete
+    complex Hessian. The resulting chi = (1/T0) i ddbar f - Ric(omega_0)
     vanishes at rounding level and Omega0 = det(g0) e^{f/T0} is the
     corresponding flat density.
     """
@@ -317,18 +310,13 @@ def scenario_from_metric(g0, T0, f_T0=None, **kwargs):
     if T0 <= 0.0:
         raise ValueError("T0 must be positive")
     ric0 = ricci_form(chart, g0.values)
-    if f_T0 is None:
-        target = T0 * ric0
-        trace = np.einsum("...ii->...", target).real
-        flat = chart.laplacian_inverse(herm_components(np.eye(chart.n)))
-        f_vals = chart.irfft(flat * chart.rfft(trace))
-        f_T0 = ScalarField(chart, f_vals)
-    else:
-        chart.require_same(f_T0.chart)
-    # FlowScenario tests g0 + T0 chi = alpha_T0 + i ddbar f_T0 for positivity
-    chi = HermitianMatrixField(chart, i_ddbar(f_T0).values / T0 - ric0)
-    density = VolumeField(chart, components_det(g0.parts) * np.exp(f_T0.values / T0))
-    return FlowScenario(g0, T0, chi, density, f_T0=f_T0, **kwargs)
+    trace = np.einsum("...ii->...", T0 * ric0).real
+    flat = chart.laplacian_inverse(herm_components(np.eye(chart.n)))
+    f = ScalarField(chart, chart.irfft(flat * chart.rfft(trace)))
+    # FlowScenario tests g0 + T0 chi = alpha_T0 + i ddbar f for positivity
+    chi = HermitianMatrixField(chart, i_ddbar(f).values / T0 - ric0)
+    density = VolumeField(chart, components_det(g0.parts) * np.exp(f.values / T0))
+    return FlowScenario(g0, T0, chi, density, **kwargs)
 
 
 def _phi_functions(z):

@@ -49,19 +49,21 @@ a stack of half spectra in the same passes, each bitwise as if alone.
 Both solvers evaluate log det(A + i ddbar u) and build its argument with one
 recipe, `TorusChart.plus_hessian`, from A's n^2 real components (A_ii, Re A_ij,
 Im A_ij for i < j, the order of `herm_components`) and u's half spectrum. Each
-Hessian component has a cached real half-grid multiplier, and the chart flags
-once each that is identically zero: that component is zero by construction
-(Im h_12 on active axes (0, 2), where mu_1 conj(mu_2) is real), and
-`hessian_live` lists the others. The live multipliers are kept stacked, and
-the live components come from one `irfft` of that stack times u's spectrum,
-into which A's components are added; `complex_hessian` is the recipe on A = 0.
-A Hermitian coefficient enters only as real components, which
-`components_trace_weights` turns into weights that contract the live
-components; `laplacian_symbol` and `laplacian_inverse`, the half-grid
-multipliers of the constant-coefficient Laplacians, are built from them.
-The chart builds the flat Laplacian's symbol once (`flat_laplacian`), and its
-zeros decide the modes no Wirtinger operator sees (`invisible`), which
-`laplacian_inverse` and `canonical_spec` zero.
+Hessian component has a real half-grid multiplier, and the chart flags each
+that is identically zero: that component is zero by construction (Im h_12 on
+active axes (0, 2), where mu_1 conj(mu_2) is real), and `hessian_live` lists
+the others. The live multipliers are stacked, and the live components come
+from one `irfft` of that stack times u's spectrum, into which A's components
+are added; `complex_hessian` is the recipe on A = 0. A Hermitian coefficient
+enters only as real components, which `components_trace_weights` turns into
+weights that contract the live components; `laplacian_symbol` and
+`laplacian_inverse`, the half-grid multipliers of the constant-coefficient
+Laplacians, are built from them. The flat Laplacian's symbol
+(`flat_laplacian`) has zeros that decide the modes no Wirtinger operator sees
+(`invisible`), which `laplacian_inverse` and `canonical_spec` zero. These
+tables (the multipliers with their live indices and stack, the flat symbol,
+its zeros) are read-only cached properties of the chart, each built on first
+read and then kept, so a chart that is only compared or written builds none.
 
 Per-node linear algebra works on components, in closed form for n <= 2 and
 through LAPACK beyond; `herm_det`, `herm_logdet` and, for n <= 2, `herm_inv`
@@ -71,6 +73,7 @@ and beyond a finite det > 0 with a Cholesky factor, cheaper than eigenvalues;
 `components_eig_bounds` serves the callers that need the bounds.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -134,8 +137,6 @@ class TorusChart:
         )
         self._k = [self._wavenumbers(a) for a in range(naxes)]
         self._k_half = [self._wavenumbers(a, a == half) for a in range(naxes)]
-        self._hessian_mult = self._hessian_live = self._hessian_stack = None
-        self._flat_pair = None
 
     # -- basic structure ---------------------------------------------------
 
@@ -263,30 +264,28 @@ class TorusChart:
             self._derivative(values, pos, self._wirtinger_terms(i, conj), out[i])
         return out
 
-    def _hessian_multipliers(self):
-        # real half-grid multipliers of the n^2 real components of
-        # d_i d_jbar, cached in the order of `herm_components`; each
-        # broadcasts over the axes its wavenumbers vary along. A multiplier
-        # that is identically zero marks a component that is zero by
-        # construction, which no transform computes. The live ones are also
-        # kept stacked on the half grid, read-only, for `hessian_components`
-        if self._hessian_mult is None:
-            # d/dz_i multiplies exp(sqrt(-1) k.x) by (sqrt(-1) kx + ky) / 2
-            k = self._k_half
-            mu = [0.5 * (1j * k[2 * i] + k[2 * i + 1]) for i in range(self.n)]
-            mult = []
-            for i in range(self.n):
-                mult.append(-(mu[i].real ** 2 + mu[i].imag ** 2))
-                for j in range(i + 1, self.n):
-                    m = -mu[i] * np.conj(mu[j])
-                    mult += [m.real, m.imag]
-            self._hessian_mult = mult
-            self._hessian_live = tuple(k for k, m in enumerate(mult) if m.any())
-            live = [np.broadcast_to(mult[k], self.half_shape) for k in self._hessian_live]
-            stack = np.stack(live)
-            stack.flags.writeable = False
-            self._hessian_stack = stack
-        return self._hessian_mult
+    @functools.cached_property
+    def _hessian(self):
+        # (multipliers, live indices, live stack): the real half-grid
+        # multipliers of the n^2 real components of d_i d_jbar, in the order
+        # of `herm_components`, each broadcasting over the axes its
+        # wavenumbers vary along. A multiplier that is identically zero marks
+        # a component that is zero by construction, which no transform
+        # computes; the live ones are stacked on the half grid, read-only,
+        # for `hessian_components`
+        # d/dz_i multiplies exp(sqrt(-1) k.x) by (sqrt(-1) kx + ky) / 2
+        k = self._k_half
+        mu = [0.5 * (1j * k[2 * i] + k[2 * i + 1]) for i in range(self.n)]
+        mult = []
+        for i in range(self.n):
+            mult.append(-(mu[i].real ** 2 + mu[i].imag ** 2))
+            for j in range(i + 1, self.n):
+                m = -mu[i] * np.conj(mu[j])
+                mult += [m.real, m.imag]
+        live = tuple(k for k, m in enumerate(mult) if m.any())
+        stack = np.stack([np.broadcast_to(mult[k], self.half_shape) for k in live])
+        stack.flags.writeable = False
+        return mult, live, stack
 
     @property
     def hessian_live(self):
@@ -294,8 +293,7 @@ class TorusChart:
         components that are not zero by construction on this chart. On active
         axes (0, 2), for example, Im h_12 is dead: mu_1 conj(mu_2) = k_0 k_2 / 4
         is real."""
-        self._hessian_multipliers()
-        return self._hessian_live
+        return self._hessian[1]
 
     def hessian_components(self, spec):
         """The live real components of the complex Hessian d_i d_jbar of the
@@ -304,8 +302,7 @@ class TorusChart:
         ``spec`` times the stacked multipliers goes through one `irfft`, one
         numpy pass per active axis for all the components, each bitwise its
         own `irfft`."""
-        self._hessian_multipliers()
-        return self.irfft(self._hessian_stack * spec)
+        return self.irfft(self._hessian[2] * spec)
 
     def components_trace_weights(self, parts):
         """Real weights w, aligned with `hessian_components`, with sum_k w_k h_k
@@ -322,31 +319,28 @@ class TorusChart:
         """Real Fourier symbol, on the half grid, of the constant-coefficient
         operator sum_ij A_ji d_i d_jbar, A having the components ``parts``."""
         w = self.components_trace_weights(parts)
-        mult = self._hessian_multipliers()
-        sym = sum(wk * mult[k] for wk, k in zip(w, self._hessian_live))
+        mult, live, _ = self._hessian
+        sym = sum(wk * mult[k] for wk, k in zip(w, live))
         return np.broadcast_to(sym, self.half_shape).copy()
 
-    def _flat(self):
-        # the flat Laplacian's symbol and its zero set, built once, read-only
-        if self._flat_pair is None:
-            sym = self.laplacian_symbol(herm_components(np.eye(self.n)))
-            zero = sym == 0.0
-            sym.flags.writeable = zero.flags.writeable = False
-            self._flat_pair = sym, zero
-        return self._flat_pair
-
-    @property
+    @functools.cached_property
     def flat_laplacian(self):
-        """Real half-grid symbol of the flat Laplacian sum_i d_i d_ibar."""
-        return self._flat()[0]
+        """Real half-grid symbol of the flat Laplacian sum_i d_i d_ibar,
+        read-only."""
+        sym = self.laplacian_symbol(herm_components(np.eye(self.n)))
+        sym.flags.writeable = False
+        return sym
 
-    @property
+    @functools.cached_property
     def invisible(self):
-        """Half-grid mask of the modes no Wirtinger operator sees, the zeros of
-        `flat_laplacian`: the mean and those whose every wavenumber is zero or
-        Nyquist. With the zeroed-Nyquist derivative convention they are gauge
-        for any field that only enters through derivatives."""
-        return self._flat()[1]
+        """Read-only half-grid mask of the modes no Wirtinger operator sees,
+        the zeros of `flat_laplacian`: the mean and those whose every
+        wavenumber is zero or Nyquist. With the zeroed-Nyquist derivative
+        convention they are gauge for any field that only enters through
+        derivatives."""
+        zero = self.flat_laplacian == 0.0
+        zero.flags.writeable = False
+        return zero
 
     def laplacian_inverse(self, parts):
         """The inverse of sum_ij A_ji d_i d_jbar (A positive, of components
@@ -699,7 +693,6 @@ def require_positive(field, what="metric"):
     low = min_eigenvalue(field)
     if not low > 0.0:
         raise NotPositiveDefinite(f"{what} has min eigenvalue {low:.3e}")
-    return low
 
 
 def _resized_chart(chart, factor):

@@ -113,28 +113,11 @@ def hopf_reference_stacks(points, t):
 
 
 # -- test potentials with hand-coded derivatives -------------------------------
-
-
-class HopfPotential:
-    """Closed-form potential on C^n \\ 0 with derivatives through order four.
-
-    Derivative layouts:
-        d2[..., i, j]       = d_i d_jbar phi
-        d3[..., i, k, l]    = d_i d_k d_lbar phi   (symmetric in i, k)
-        d4[..., i, j, k, l] = d_i d_jbar d_k d_lbar phi
-    """
-
-    def value(self, points):
-        raise NotImplementedError
-
-    def d2(self, points):
-        raise NotImplementedError
-
-    def d3(self, points):
-        raise NotImplementedError
-
-    def d4(self, points):
-        raise NotImplementedError
+# A potential is a closed-form function on C^n \ 0 with ``value(points)`` and
+# derivatives through order four, in these layouts:
+#     d2[..., i, j]       = d_i d_jbar phi
+#     d3[..., i, k, l]    = d_i d_k d_lbar phi   (symmetric in i, k)
+#     d4[..., i, j, k, l] = d_i d_jbar d_k d_lbar phi
 
 
 def _zero_stack(points, rank):
@@ -143,7 +126,7 @@ def _zero_stack(points, rank):
     return np.zeros(points.shape[:-1] + (n,) * rank, dtype=complex)
 
 
-class _QuadraticPotential(HopfPotential):
+class _QuadraticPotential:
     """A potential of degree two in (z, zbar): its d3 and d4 vanish."""
 
     def d3(self, points):
@@ -177,7 +160,7 @@ class ReBilinear(_QuadraticPotential):
         return out
 
 
-class LogRadius(HopfPotential):
+class LogRadius:
     """phi = c log r^2; the building block of the round Hopf geometry."""
 
     def __init__(self, c):

@@ -105,8 +105,7 @@ class IdentityReport:
 
 
 def _grid_label(chart):
-    dims = [str(chart.resolution[a]) for a in chart.active_axes]
-    return "x".join(dims) if dims else "point"
+    return "x".join(str(chart.resolution[a]) for a in chart.active_axes)
 
 
 # -- layout --------------------------------------------------------------------

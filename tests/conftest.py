@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
-from crflab.models import HopfPotential, _QuadraticPotential, _r2, _zero_stack
+from crflab.models import _QuadraticPotential, _r2, _zero_stack
 from crflab.surfaces import Divisor, SurfaceClassData
 
 settings.register_profile(
@@ -257,7 +257,7 @@ class RadiusSquared(_QuadraticPotential):
         ).copy()
 
 
-class ModulusProduct(HopfPotential):
+class ModulusProduct:
     """phi = c |z_a|^2 |z_b|^2, a != b."""
 
     def __init__(self, c, a=0, b=1):
@@ -300,7 +300,7 @@ class ModulusProduct(HopfPotential):
         return self.c * out
 
 
-class SumPotential(HopfPotential):
+class SumPotential:
     def __init__(self, parts):
         self.parts = list(parts)
 

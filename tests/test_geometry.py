@@ -66,6 +66,19 @@ class TestChart:
         with pytest.raises(ChartMismatch):
             a.require_same(b)
 
+    def test_tables_are_built_on_first_read_and_kept(self):
+        # a fresh chart holds no table; each is then one read-only object
+        chart = TorusChart(2, 16, active_axes=(0, 2))
+        tables = ("_hessian", "flat_laplacian", "invisible")
+        assert not set(tables) & set(vars(chart))
+        for name in tables:
+            first = getattr(chart, name)
+            assert getattr(chart, name) is first
+            assert name in vars(chart)
+        assert not chart.flat_laplacian.flags.writeable
+        assert not chart.invisible.flags.writeable
+        assert not chart._hessian[2].flags.writeable
+
 
 def axis_derivative(chart, values, axis, order=1):
     """(d/dx_axis)^order of grid-leading ``values`` (tensor indices allowed)
@@ -372,11 +385,11 @@ class TestHalfSpectrumHessian:
         chart = TorusChart(n, 16 if n < 3 else 8, active_axes=axes)
         spec = chart.rfft(np.random.default_rng(4).standard_normal(chart.shape))
         got = chart.hessian_components(spec)
-        mult = chart._hessian_multipliers()
+        mult, _, stack = chart._hessian
         assert got.shape == (len(chart.hessian_live),) + chart.shape
         for h, k in zip(got, chart.hessian_live):
             assert np.array_equal(h, chart.irfft(mult[k] * spec))
-        assert not chart._hessian_stack.flags.writeable
+        assert not stack.flags.writeable
 
     @pytest.mark.parametrize("chart", HESSIAN_CHARTS, ids=HESSIAN_IDS)
     def test_dead_components_are_exact_zeros(self, chart):
@@ -762,7 +775,7 @@ class TestLaplacianInverse:
     def test_symbol_repeats_the_matrix_weights(self, chart):
         # exactly Hermitian A, where -2 Im A_ji is 2 Im A_ij bitwise
         B = np.random.default_rng(11).standard_normal((chart.n, chart.n, 2)) @ [1.0, 1j]
-        mult = chart._hessian_multipliers()
+        mult = chart._hessian[0]
         for A in (B + np.conj(B.T), np.eye(chart.n)):
             w = _matrix_trace_weights(chart, A)
             sym = sum(wk * mult[k] for wk, k in zip(w, chart.hessian_live))

@@ -533,6 +533,18 @@ class TestCli:
         assert rc == 3
         capsys.readouterr()
 
+    def test_verify_identities_torus1_default_resolves_its_hump(self, tmp_path, capsys):
+        # for n = 1 bound (I) reads the seeded triple's whole truncation
+        # error: 1.0e-8 at 64 nodes (seed 0), above its 1e-8 tolerance, and
+        # rounding at the torus1 default of 128, which the manifest records
+        out = tmp_path / "v"
+        assert main(["verify-identities", "--chart", "torus1", "--out", str(out)]) == 0
+        manifest = parse_config((out / "manifest.cfg").read_text())["manifest"]
+        assert manifest["resolution"] == 128
+        assert main(["verify-identities", "--chart", "torus1", "--resolution", "64",
+                     "--out", str(tmp_path / "v64")]) == 3
+        capsys.readouterr()
+
     @pytest.mark.parametrize("argv,code", [
         (["run-flow", "--scenario", "s.cfg"], 0),
         (["hopf-verify"], 0),
@@ -967,6 +979,29 @@ class TestRunFlowFuzz:
                 assert column["eig_min"].min() >= 1e-8
                 assert np.max(np.diff(column["q1_max"]), initial=0.0) <= 1e-8
                 assert np.min(np.diff(column["q0_min"]), initial=0.0) >= -1e-8
+
+    @given(_random_flows())
+    def test_random_recipes_run_normalized_to_t_end(self, text):
+        # the same exits as run-flow; a run that finishes keeps the metric
+        # positive and lands on the file's t_end. q1 and q0 are monitors of
+        # the unnormalized flow, so their monotonicity is not asked here
+        with tempfile.TemporaryDirectory() as tmp:
+            scen, out = os.path.join(tmp, "s.cfg"), os.path.join(tmp, "o")
+            with open(scen, "w") as fh:
+                fh.write(text)
+            rc = main(["run-normalized", "--scenario", scen, "--out", out])
+            assert rc in (0, 2, 3), text
+            csv = os.path.join(out, "trajectory.csv")
+            if rc == 2:
+                assert not os.path.exists(csv)
+            if rc == 0:
+                columns, rows = read_csv(csv)
+                rows = np.array(rows)
+                column = {name: rows[:, k] for k, name in enumerate(columns)}
+                assert column["eig_min"].min() >= 1e-8
+                assert np.all(np.diff(column["t"]) > 0.0)
+                t_end = parse_config(text)["scenario"]["t_end"]
+                assert abs(column["t"][-1] - t_end) <= 1e-12
 
 
 KILLED_RUN = """
