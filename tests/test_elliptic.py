@@ -207,6 +207,21 @@ class TestSolve:
         with pytest.raises(NonConvergence, match="after 10 steps"):
             solve_elliptic(prob, "gill-flow")
 
+    def test_gill_flow_budget_ends_an_unchained_solve(self, monkeypatch):
+        # 16 nodes build no chain, so only the full grid's budget applies:
+        # the solve takes 11 steps to tol 1e-4, one more than it allows
+        monkeypatch.setattr(elliptic, "_GILL_STEPS", 10)
+        with pytest.raises(NonConvergence, match="after 10 steps"):
+            solve_elliptic(gill_problem(16), "gill-flow", tol=1e-4)
+
+    def test_newton_budget_exhaustion_raises(self, chart1, monkeypatch):
+        # the 32-node level needs 4 iterations and fails within one, so the
+        # full grid starts from zero and meets the same budget
+        monkeypatch.setattr(elliptic, "_NEWTON_STEPS", 1)
+        prob, _ = manufactured_problem(chart1, np.array([[1.2]]), 11, 0.2)
+        with pytest.raises(NonConvergence, match=r"newton residual \S+ after 1 steps"):
+            solve_elliptic(prob, "newton-continuation")
+
     def test_gill_flow_repeats_its_loop_over_step_bitwise(self):
         # gill-flow steps in the flow engine's loop; the loop it had of its
         # own, over flow.step, is the reference

@@ -85,6 +85,22 @@ class TestScenarioConstruction:
         expected = np.exp(np.log(herm_det(g0.values)).mean())
         assert np.max(np.abs(sc.omega_density.values - expected)) <= 1e-12
 
+    @pytest.mark.parametrize("n,nodes", [(1, 64), (2, 32), (3, 8)])
+    def test_derived_reference_is_g0_at_every_time(self, n, nodes):
+        # Ric(g0) = -i ddbar log det g0 is a discrete complex Hessian for any
+        # g0, Kahler or not, so the derived chi = i ddbar f / T0 - Ric(g0)
+        # vanishes at rounding level; f, inverted through the flat
+        # Laplacian, has no mean, so neither has log(Omega0 / det g0)
+        from crflab.models import random_metric_recipe
+
+        chart = TorusChart(n, nodes)
+        g0 = random_metric_recipe(np.random.default_rng(5), n, scale=0.12, peaked=False).build(chart)
+        sc = scenario_from_metric(g0, 4.0)
+        f = 4.0 * np.log(sc.omega_density.values / herm_det(g0.values))
+        assert np.max(np.abs(sc.chi.values)) <= 1e-13
+        assert abs(f.mean()) <= 1e-14
+        assert np.max(np.abs(f)) >= 0.1
+
     def test_reference_family_checked_at_horizon(self, chart1):
         # g0 + t chi = 1 - t is positive at t = 0 and indefinite at T0 = 2
         g0 = HermitianMatrixField.constant(chart1, np.array([[1.0]]))

@@ -66,9 +66,10 @@ class TestChart:
         with pytest.raises(ChartMismatch):
             a.require_same(b)
 
-    def test_tables_are_built_on_first_read_and_kept(self):
+    @pytest.mark.parametrize("n,nodes,axes", [(1, 16, (1,)), (2, 16, (0, 2)), (3, 8, None)])
+    def test_tables_are_built_on_first_read_and_kept(self, n, nodes, axes):
         # a fresh chart holds no table; each is then one read-only object
-        chart = TorusChart(2, 16, active_axes=(0, 2))
+        chart = TorusChart(n, nodes, active_axes=axes)
         tables = ("_hessian", "flat_laplacian", "invisible")
         assert not set(tables) & set(vars(chart))
         for name in tables:
@@ -78,6 +79,8 @@ class TestChart:
         assert not chart.flat_laplacian.flags.writeable
         assert not chart.invisible.flags.writeable
         assert not chart._hessian[2].flags.writeable
+        assert chart.hessian_live is chart._hessian[1]
+        assert np.array_equal(chart.invisible, chart.flat_laplacian == 0.0)
 
 
 def axis_derivative(chart, values, axis, order=1):
