@@ -81,15 +81,14 @@ def _metric_from_config(cfg, chart, seed):
 
 
 def _scenario_from_config(cfg, seed):
-    from .flow import StepControl, scenario_from_metric
+    from .flow import scenario_from_metric
     from .geometry import TorusChart
 
     chart = TorusChart(**cfg["chart"])
     g0 = _metric_from_config(cfg["recipe"], chart, seed)
     names = {"tolerance": "convergence_tol", "patience": "convergence_patience"}
     monitors = {names[key]: value for key, value in cfg["monitors"].items()}
-    control = StepControl(**cfg["control"])
-    return scenario_from_metric(g0, cfg["T0"], control=control, **monitors), cfg
+    return scenario_from_metric(g0, cfg["T0"], **monitors), cfg
 
 
 def _given(**options):

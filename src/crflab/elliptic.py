@@ -98,7 +98,8 @@ step, in about 0.1 s against 1.2 s from phi = 0. Smaller charts have no
 chain.
 
 An `EllipticSolution` keeps the metric components of its final residual
-(``metric_parts``), so `updated_metric` and the certificate need no further
+(``metric_parts``), so the updated metric
+(`HermitianMatrixField.from_components`) and the certificate need no further
 Hessian. When Newton's line search stalls, its message gives the part of the
 residual in the modes no Wirtinger operator sees, a floor no step can lower.
 
@@ -118,7 +119,7 @@ import numpy as np
 
 from .errors import NonConvergence, NotPositiveDefinite, PositivityLost, StepUnderflow
 # step is unused here; perfbench's tests check that its tracer patches this binding too
-from .flow import FlowScenario, FlowState, StepControl, _integrate, step
+from .flow import FlowScenario, FlowState, _integrate, step
 from .geometry import (
     HermitianMatrixField,
     ScalarField,
@@ -216,9 +217,6 @@ class EllipticSolution:
     metric_parts: list = field(repr=False)
     extras: dict = field(default_factory=dict)
 
-    def updated_metric(self):
-        return HermitianMatrixField.from_components(self.problem.chart, self.metric_parts)
-
 
 def _residual_field(problem, phi_values, b, spec=None):
     """(residual field, real components of the updated metric omega + i ddbar
@@ -235,20 +233,21 @@ def _residual_field(problem, phi_values, b, spec=None):
 def _on_grid(problem, spec, b):
     """Both routes end here: the normalized grid phi of a canonical half
     spectrum, and its residual with the mean moved into b. Returns (phi, b,
-    residual field, updated metric's components)."""
+    residual field, updated metric's components, the field's max norm)."""
     phi_values = problem.chart.irfft(spec)
     phi_values -= phi_values.mean() if problem.normalization == "mean" else phi_values.max()
     res_field, parts = _residual_field(problem, phi_values, b)
     mean = float(res_field.mean())
-    return phi_values, b + mean, res_field - mean, parts
+    res_field = res_field - mean
+    return phi_values, b + mean, res_field, parts, float(np.max(np.abs(res_field)))
 
 
 def _solution(problem, grid, method, iterations, extras=None):
     # the EllipticSolution of an `_on_grid` tuple
-    phi_values, b, res_field, parts = grid
+    phi_values, b, _, parts, residual = grid
     return EllipticSolution(
         problem, ScalarField(problem.chart, phi_values), b,
-        float(np.max(np.abs(res_field))), method, iterations, parts, extras or {},
+        residual, method, iterations, parts, extras or {},
     )
 
 
@@ -343,7 +342,6 @@ class _Relaxation(FlowScenario):
     without it phi's mean does not drift on the grid."""
 
     step_tol = _GILL_STEP_TOL
-    control = StepControl()
 
     def __init__(self, problem):
         self.chart = problem.chart
@@ -479,8 +477,8 @@ def _solve_newton(problem, tol, phi, b, coarse=False):
     krylov_cap = _COARSE_KRYLOV_CAP if coarse else None
     spec = problem.chart.canonical_spec(phi)
     grid = _on_grid(problem, spec, b)
-    _, b, res_field, parts = grid
-    res = grid_res = float(np.max(np.abs(res_field)))
+    _, b, res_field, parts, res = grid
+    grid_res = res
     iterations = 0
     for target in (tol, 0.5 * tol):
         if res > target:
@@ -492,7 +490,7 @@ def _solve_newton(problem, tol, phi, b, coarse=False):
                 )
                 iterations += 1
             grid = _on_grid(problem, spec, b)
-            grid_res = float(np.max(np.abs(grid[2])))
+            grid_res = grid[4]
         if grid_res <= tol:
             return _solution(problem, grid, "newton-continuation", iterations)
     raise NonConvergence(

@@ -50,12 +50,15 @@ right side, so an interior stage that loses positivity raises.
 dt is error-controlled and no step is rejected: the embedded order-2
 exponential trapezoid, fed by the right side the new state evaluates anyway,
 gives err, and the next step is dt * min(2, safety * (tol/err)^(1/3)), with
-tol the scenario's `step_tol`: 1e-6 for the flows, which follow a transient,
-and looser for gill-flow, which only seeks the stationary limit. The
-first step of a run takes safety * 2.7 / max|L|, where classical RK4 would
-be stable on L; the tests keep classical RK4 as the reference.
-Positivity of omega is asserted after every accepted step; dropping below
-the eigenvalue floor signals the approach to the maximal existence time.
+the safety factor 0.8 (`_SAFETY`) and tol the scenario's `step_tol`: 1e-6
+for the flows, which follow a transient, and looser for gill-flow, which
+only seeks the stationary limit. The first step of a run takes
+safety * 2.7 / max|L|, where classical RK4 would be stable on L; the tests
+keep classical RK4 as the reference. Positivity of omega is asserted after
+every accepted step; dropping below the eigenvalue floor 1e-8 (`_EPS_PD`)
+signals the approach to the maximal existence time. The drift monitor's
+constant `FlowScenario.monitor_A` is built on first read, not with the
+scenario.
 
 `step` alone picks dt, runs ETDRK4 and checks the floor; one loop,
 `_integrate`, drives it for `run`, `run_normalized`, `equivalence_check` and
@@ -69,6 +72,7 @@ leaves the engine.
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -104,18 +108,10 @@ _RK4_STABILITY = 2.7
 _PHI3_TAYLOR = tuple(1.0 / math.factorial(j + 3) for j in range(17))
 # a proposed step shorter than this raises StepUnderflow
 _DT_MIN = 1e-12
-
-
-@dataclass
-class StepControl:
-    safety: float = 0.8
-    eps_pd: float = 1e-8
-
-    def __post_init__(self):
-        for name in ("safety", "eps_pd"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0.0):
-                raise ValueError(f"control {name} = {value!r} must be positive and finite")
+# the step controller's safety factor on its error-based proposal and first step
+_SAFETY = 0.8
+# eigenvalue floor of omega: a state below it raises PositivityLost
+_EPS_PD = 1e-8
 
 
 class TrajectoryRecord:
@@ -166,7 +162,6 @@ class FlowScenario:
     chi : closed (1,1) form with ghat_t = g0 + t*chi.
     omega_density : positive density Omega0; the equation's volume form is
         n! 2^n Omega0 dLeb, so the right side is log(det(g)/Omega0).
-    control : StepControl.
     """
 
     # coefficient of the -phi term on the right side; the stiff operator L carries it
@@ -183,7 +178,6 @@ class FlowScenario:
         T0,
         chi,
         omega_density,
-        control=None,
         convergence_tol=1e-6,
         convergence_patience=50,
     ):
@@ -195,7 +189,6 @@ class FlowScenario:
         self.T0 = float(T0)
         self.chi = chi
         self.omega_density = omega_density
-        self.control = control or StepControl()
         self.convergence_tol = float(convergence_tol)
         self.convergence_patience = int(convergence_patience)
 
@@ -210,17 +203,22 @@ class FlowScenario:
                 raise PositivityUnreachable(
                     f"reference family loses positivity at t = {ts:.4g}"
                 )
-        # constant A of the drift monitor max_M(phi - A t): the maximum over nodes and
-        # [0, T0] of log det(g0 + t chi) - log Omega0. That log det is concave in t, so
-        # bisecting on the sign of its slope tr((g0 + t chi)^-1 chi) brings each node's
-        # maximizer t within T0's rounding in 53 halvings.
-        t, width = np.zeros(chart.shape), self.T0
+
+    @cached_property
+    def monitor_A(self):
+        """Constant A of the drift monitor max_M(phi - A t), built on first
+        read: the maximum over nodes and [0, T0] of log det(g0 + t chi) -
+        log Omega0. That log det is concave in t, so bisecting on the sign of
+        its slope tr((g0 + t chi)^-1 chi) brings each node's maximizer t
+        within T0's rounding in 53 halvings. It bisects g0 + t chi in every
+        subclass, so a `NormalizedScenario` reports its base's A."""
+        t, width = np.zeros(self.chart.shape), self.T0
         for _ in range(53):
             width *= 0.5
-            inv = components_inv(self._reference_parts(t + width))
+            inv = components_inv(FlowScenario._reference_parts(self, t + width))
             t = np.where(components_trace(inv, self.chi.parts) > 0.0, t + width, t)
-        logdet = components_logdet(self._reference_parts(t))
-        self.monitor_A = float(np.max(logdet - self._log_density))
+        logdet = components_logdet(FlowScenario._reference_parts(self, t))
+        return float(np.max(logdet - self._log_density))
 
     def _reference_parts(self, t):
         # the real components of ghat_t = g0 + t chi, as new arrays
@@ -228,8 +226,8 @@ class FlowScenario:
 
     def _reference_at(self, t):
         # _reference_parts at the scalar time t, built only when t is not the
-        # last time asked, and read-only. The drift monitor's bisection, whose
-        # t is an array, calls _reference_parts itself
+        # last time asked, and read-only. monitor_A, built on first read and
+        # bisecting on an array t, calls _reference_parts itself
         if self._ghat[0] != t:
             parts = self._reference_parts(t)
             for p in parts:
@@ -290,7 +288,7 @@ class FlowState:
         if phi is None:
             phi = np.zeros(scenario.chart.shape)
         state = scenario.state_at(0.0, phi)
-        if not state.eig_min >= scenario.control.eps_pd:
+        if not state.eig_min >= _EPS_PD:
             raise NotPositiveDefinite(f"initial metric eigenvalue {state.eig_min:.3e}")
         return state
 
@@ -418,22 +416,21 @@ def step(state, scenario, dt_max=None):
     """
     if not state.eig_min > 0.0:
         raise PositivityLost("metric not positive at step start")
-    control = scenario.control
     symbol = scenario.chart.flat_laplacian / state.eig_min - scenario.phi_decay
-    wanted = state.dt_next or control.safety * _RK4_STABILITY / -symbol.min()
+    wanted = state.dt_next or _SAFETY * _RK4_STABILITY / -symbol.min()
     dt = wanted if dt_max is None else min(wanted, dt_max)
     if dt < _DT_MIN:
         raise StepUnderflow(f"dt = {dt:.3e} underflow at t = {state.t:.6g}")
     t_new = state.t + dt
     phi, trapezoid = _etdrk4(scenario.rhs, state, dt, symbol)
     new = scenario.state_at(t_new, phi)
-    if not new.eig_min >= control.eps_pd:
+    if not new.eig_min >= _EPS_PD:
         raise PositivityLost(
             f"metric eigenvalue {new.eig_min:.3e} below floor at t = {t_new:.6g}"
         )
     err = max(float(np.max(np.abs(phi - trapezoid(new.phidot)))), 1e-300)
     cap = 2.0 * dt if dt == wanted else wanted
-    new.dt_next = min(cap, dt * control.safety * (scenario.step_tol / err) ** (1.0 / 3.0))
+    new.dt_next = min(cap, dt * _SAFETY * (scenario.step_tol / err) ** (1.0 / 3.0))
     return new
 
 
@@ -639,7 +636,7 @@ def read_checkpoint(path, scenario):
     if not -1e-12 <= t <= scenario.T0 + 1e-12:
         raise ValueError(f"{path}: checkpoint time {t} is not in [0, T0 = {scenario.T0:g}]")
     state = scenario.state_at(t, phi.values)
-    if not state.eig_min >= scenario.control.eps_pd:
+    if not state.eig_min >= _EPS_PD:
         raise PositivityLost(
             f"checkpoint metric eigenvalue {state.eig_min:.3e} below floor at t = {t:.6g}"
         )

@@ -576,10 +576,6 @@ class ScalarField:
         self.chart = chart
         self.values = values
 
-    @classmethod
-    def zeros(cls, chart):
-        return cls(chart, np.zeros(chart.shape))
-
 
 class VolumeField:
     """Strictly positive real density on a chart; its values are read-only."""
@@ -612,8 +608,9 @@ class HermitianMatrixField:
     """n x n complex matrix field, Hermitian at every node.
 
     A field keeps the form it was built from: the constructor the matrix
-    (``values``, of shape ``(*grid, n, n)``), `from_components` its n^2 real
-    components (``parts``, contiguous, in the order of `herm_components`).
+    (``values``, of shape ``(*grid, n, n)``, or one n x n matrix for every
+    node), `from_components` its n^2 real components (``parts``,
+    contiguous, in the order of `herm_components`).
     The other form is built on first read and kept. Both are read-only, so a
     field never changes and its two forms always agree.
 
@@ -662,14 +659,6 @@ class HermitianMatrixField:
         if self._parts is None:
             self._parts = [_frozen(p, self.chart.shape) for p in herm_components(self._values)]
         return self._parts
-
-    @classmethod
-    def constant(cls, chart, matrix):
-        return cls(chart, np.asarray(matrix, dtype=complex))
-
-    @classmethod
-    def identity(cls, chart):
-        return cls.constant(chart, np.eye(chart.n))
 
 
 # -- geometry_kernel operations ----------------------------------------------

@@ -282,7 +282,7 @@ _REQUIRED, _REPEATED = "required", "repeated"
 SCHEMA = {
     "scenario": {"T0": (_POSITIVE, 100.0), "t_end": (_POSITIVE, None), "seed": (_INTEGER, 0),
                  "chart": ("chart", _REQUIRED), "recipe": ("recipe", {}),
-                 "control": ("control", {}), "monitors": ("monitors", {})},
+                 "monitors": ("monitors", {})},
     "chart": {"n": (_INTEGER, _REQUIRED), "resolution": (_tuple_of(_INTEGER, True), 64),
               "periods": (_tuple_of(_POSITIVE, True), None),
               "active_axes": (_tuple_of(_INTEGER), None)},
@@ -295,7 +295,6 @@ SCHEMA = {
     "perturbation": {"i": (_INTEGER, 0), "j": (_INTEGER, 0), "amplitude": (_NUMBER, _REQUIRED),
                      "wavevector": (_tuple_of(_INTEGER), _REQUIRED), "phase": (_NUMBER, None),
                      "profile": (_one_of("cos", "peaked"), None), "sharpness": (_NUMBER, None)},
-    "control": {"safety": (_POSITIVE, None), "eps_pd": (_POSITIVE, None)},
     "monitors": {"tolerance": (_POSITIVE, None),
                  "patience": (_rule("a positive integer", lambda v: type(v) is int and v > 0), None)},
     "elliptic": {"seed": (_INTEGER, 0), "normalization": (_one_of("mean", "sup"), None),

@@ -83,6 +83,11 @@ class IdentityReport:
     tolerance: float
     extras: dict = field(default_factory=dict)
 
+    def __post_init__(self):
+        # a signed zero reads as 0: x + 0.0 is +0.0 for x = -0.0 and x itself otherwise
+        self.residual += 0.0
+        self.extras = {k: v + 0.0 if isinstance(v, float) else v for k, v in self.extras.items()}
+
     @property
     def passed(self):
         return bool(self.residual <= self.tolerance)

@@ -234,7 +234,7 @@ def test_criterion_7_elliptic_monge_ampere(chart2):
                 theta = theta + 2 * np.pi * k * chart.axis_coordinates(a) / chart.periods[a]
             vals = vals + amplitude * rng.random() * np.cos(theta + rng.random())
         phistar = ScalarField(chart, vals)
-        g = HermitianMatrixField.constant(chart, base)
+        g = HermitianMatrixField(chart, base)
         Gp = g.values + chart.complex_hessian(phistar.values)
         F = ScalarField(chart, np.log(herm_det(Gp)) - np.log(herm_det(g.values)))
         return EllipticProblem(g, F), phistar
@@ -257,7 +257,7 @@ def test_criterion_7_elliptic_monge_ampere(chart2):
     x1 = chart2.axis_coordinates(0)
     x2 = chart2.axis_coordinates(2)
     Fv = 0.3 * np.sin(x1) * np.ones(chart2.shape) + 0.2 * np.cos(2 * x2 + 1.0) * np.ones(chart2.shape)
-    kprob = EllipticProblem(HermitianMatrixField.identity(chart2),
+    kprob = EllipticProblem(HermitianMatrixField(chart2, np.eye(2)),
                             ScalarField(chart2, Fv))
     ksol = solve_elliptic(kprob, "newton-continuation", tol=1e-10)
     num = chart2.integral(herm_det(kprob.omega.values))

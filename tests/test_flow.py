@@ -23,7 +23,6 @@ from crflab.geometry import (
 from crflab.flow import (
     FlowScenario,
     FlowState,
-    StepControl,
     equivalence_check,
     read_checkpoint,
     run,
@@ -62,7 +61,7 @@ def n2_metric(chart2):
 
 class TestScenarioConstruction:
     def test_flat_metric_trivial_references(self, chart2):
-        g0 = HermitianMatrixField.constant(chart2, 1.5 * np.eye(2))
+        g0 = HermitianMatrixField(chart2, 1.5 * np.eye(2))
         sc = scenario_from_metric(g0, 10.0)
         assert np.max(np.abs(sc.chi.values)) <= 1e-14
         assert np.max(np.abs(sc.omega_density.values - 1.5 ** 2)) <= 1e-12
@@ -103,8 +102,8 @@ class TestScenarioConstruction:
 
     def test_reference_family_checked_at_horizon(self, chart1):
         # g0 + t chi = 1 - t is positive at t = 0 and indefinite at T0 = 2
-        g0 = HermitianMatrixField.constant(chart1, np.array([[1.0]]))
-        chi = HermitianMatrixField.constant(chart1, np.array([[-1.0]]))
+        g0 = HermitianMatrixField(chart1, np.array([[1.0]]))
+        chi = HermitianMatrixField(chart1, np.array([[-1.0]]))
         with pytest.raises(PositivityUnreachable):
             FlowScenario(g0, 2.0, chi, VolumeField(chart1, 1.0))
 
@@ -143,6 +142,28 @@ class TestDriftMonitorConstant:
         else:
             assert 0.0 < ts[np.unravel_index(h.argmax(), h.shape)[0]] < 1.0
 
+    def test_built_on_first_read_and_kept(self, monkeypatch):
+        # the bisection's 53 inverses run at the first read of monitor_A, not
+        # in the constructor, and a second read recomputes nothing
+        from crflab.flow import NormalizedScenario
+
+        chart = TorusChart(2, 16, active_axes=(0,))
+        x = chart.axis_coordinates(0)[..., None, None]
+        g0 = HermitianMatrixField(chart, np.eye(2) * (1.0 + 0.2 * np.sin(x)))
+        chi = HermitianMatrixField(chart, np.diag([1.0, -0.5]))
+        inv, calls = flow.components_inv, []
+        monkeypatch.setattr(flow, "components_inv", lambda parts: calls.append(1) or inv(parts))
+        build = lambda: FlowScenario(g0, 1.0, chi, VolumeField(chart, 1.0))
+        sc = build()
+        assert calls == []
+        A = sc.monitor_A
+        assert len(calls) == 53
+        assert sc.monitor_A == A and len(calls) == 53
+        # a normalized scenario reports its base's constant, that of
+        # g0 + t chi, whether the base read it before or not
+        assert NormalizedScenario(sc, target_form=g0).monitor_A == A
+        assert NormalizedScenario(build(), target_form=g0).monitor_A == A
+
     def test_zero_chi_gives_the_initial_log_volume_ratio(self, chart2, n2_metric):
         # the gill-flow scenario: chi = 0 over an unbounded horizon
         density = VolumeField(chart2, 1.0 + 0.1 * np.cos(chart2.axis_coordinates(0)))
@@ -154,7 +175,7 @@ class TestDriftMonitorConstant:
 
 class TestStepping:
     def test_flat_scenario_is_stationary(self, chart2):
-        g0 = HermitianMatrixField.constant(chart2, np.eye(2))
+        g0 = HermitianMatrixField(chart2, np.eye(2))
         sc = scenario_from_metric(g0, 10.0)
         state = FlowState.initial(sc)
         for _ in range(3):
@@ -198,10 +219,11 @@ class TestStepping:
         with pytest.raises(StepUnderflow):
             step(FlowState.initial(sc), sc)
 
-    def test_positivity_floor_triggers(self, chart1):
+    def test_positivity_floor_triggers(self, chart1, monkeypatch):
         # hand-built state below the eigenvalue floor: step must refuse
-        g0 = HermitianMatrixField.constant(chart1, np.array([[1.0]]))
-        sc = scenario_from_metric(g0, 10.0, control=StepControl(eps_pd=1e-2))
+        monkeypatch.setattr(flow, "_EPS_PD", 1e-2)
+        g0 = HermitianMatrixField(chart1, np.array([[1.0]]))
+        sc = scenario_from_metric(g0, 10.0)
         x = chart1.axis_coordinates(0)
         phi_vals = -3.97 * np.cos(x) * np.ones(chart1.shape)
         omega = HermitianMatrixField(
@@ -213,7 +235,7 @@ class TestStepping:
             step(state, sc)
 
     def test_interior_stage_positivity_guard(self, chart1):
-        g0 = HermitianMatrixField.constant(chart1, np.array([[1.0]]))
+        g0 = HermitianMatrixField(chart1, np.array([[1.0]]))
         sc = scenario_from_metric(g0, 10.0)
         x = chart1.axis_coordinates(0)
         with pytest.raises(PositivityLost):
@@ -221,8 +243,8 @@ class TestStepping:
 
     def test_interior_stage_guard_beyond_n2(self):
         chart3 = TorusChart(3, 8, active_axes=(0,))
-        g0 = HermitianMatrixField.identity(chart3)
-        chi = HermitianMatrixField.constant(chart3, np.diag([-1.0, -1.0, 1.0]))
+        g0 = HermitianMatrixField(chart3, np.eye(3))
+        chi = HermitianMatrixField(chart3, np.diag([-1.0, -1.0, 1.0]))
         sc = FlowScenario(g0, 0.5, chi, VolumeField(chart3, 1.0))
         phi = np.zeros(chart3.shape)
         assert np.all(sc.rhs(phi, 0.0)[0] == 0.0)
@@ -489,14 +511,14 @@ class TestExponentialStepper:
         assert not any(v is state.phi or np.array_equal(v, state.phi) for v in forward)
 
     def test_step_far_beyond_rk4_stability(self, n2_metric):
-        from crflab.flow import _RK4_STABILITY
+        from crflab.flow import _EPS_PD, _RK4_STABILITY, _SAFETY
 
         sc = scenario_from_metric(n2_metric, 50.0)
         state = FlowState.initial(sc)
         rate = -np.min(sc.chart.flat_laplacian) / state.eig_min
-        assert 0.2 >= 45.0 * sc.control.safety * _RK4_STABILITY / rate
+        assert 0.2 >= 45.0 * _SAFETY * _RK4_STABILITY / rate
         new = self._fixed_steps(sc, 0.2, 0.2)
-        assert new.eig_min >= sc.control.eps_pd
+        assert new.eig_min >= _EPS_PD
         assert np.max(np.abs(new.phi - self._rk4_reference(sc, 0.2))) <= 1e-6
 
 
@@ -572,9 +594,10 @@ class TestRun:
         assert resumed.rows[1][0] == t_c
         assert resumed.meta["converged_at"] > t_c
 
-    def test_positivity_lost_propagates_with_state(self, chart1):
-        g0 = HermitianMatrixField.constant(chart1, np.array([[1.0]]))
-        sc = scenario_from_metric(g0, 10.0, control=StepControl(eps_pd=1e-2))
+    def test_positivity_lost_propagates_with_state(self, chart1, monkeypatch):
+        monkeypatch.setattr(flow, "_EPS_PD", 1e-2)
+        g0 = HermitianMatrixField(chart1, np.array([[1.0]]))
+        sc = scenario_from_metric(g0, 10.0)
         x = chart1.axis_coordinates(0)
         phi_vals = -3.97 * np.cos(x) * np.ones(chart1.shape)
         state = sc.state_at(0.0, phi_vals)
@@ -624,12 +647,12 @@ class TestNormalized:
 
     def test_target_must_be_positive(self, chart2, n2_metric):
         sc = scenario_from_metric(n2_metric, 10.0)
-        bad = HermitianMatrixField.constant(chart2, np.diag([1.0, -1.0]))
+        bad = HermitianMatrixField(chart2, np.diag([1.0, -1.0]))
         with pytest.raises(NotPositiveDefinite):
             run_normalized(sc, 1.0, target_form=bad)
 
     def test_flat_exponential_decay(self, chart1):
-        g0 = HermitianMatrixField.constant(chart1, np.array([[2.0]]))
+        g0 = HermitianMatrixField(chart1, np.array([[2.0]]))
         sc = scenario_from_metric(g0, 10.0)
         _, _, samples = run_normalized(
             sc, 2.0, target_form=g0, sample_times=[1.0, 2.0]

@@ -15,6 +15,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import crflab.io
+from crflab import flow
 from crflab.cli import main
 from crflab.geometry import ScalarField, TorusChart, VolumeField
 from crflab.io import (
@@ -186,7 +187,8 @@ PROBES = [
     ("run-flow", "flow_n1.cfg", "t_end = 60.0", "t_end = nan", "scenario.t_end"),
     ("run-flow", "flow_n1.cfg", "t_end = 60.0", "t_end = -5", "scenario.t_end"),
     ("run-flow", "flow_n1.cfg", "t_end = 60.0", "t_end = 1 2", "scenario.t_end"),
-    ("run-flow", "flow_n1.cfg", "safety = 0.8", "saftey = 0.1", "scenario.control.saftey"),
+    ("run-flow", "flow_n1.cfg", "tolerance = 1e-7", "tolerence = 1e-7",
+     "scenario.monitors.tolerence"),
     ("run-flow", "flow_n1.cfg", "seed = 0", "seed = 0  bogus { x = 1 }", "scenario.bogus"),
     ("run-flow", "flow_n1.cfg", "seed = 0", "seed = 1.5", "scenario.seed"),
     ("run-flow", "flow_n1.cfg", "seed = 0", "seed = 0  mode = normalized", "scenario.mode"),
@@ -230,7 +232,7 @@ class TestSchema:
 
     def test_defaults_fill_and_repeats_collect(self):
         cfg = validate_config(parse_config(FLOW_N1), "scenario")
-        assert cfg["seed"] == 0 and cfg["control"] == {}
+        assert cfg["seed"] == 0
         assert cfg["recipe"]["perturbation"][0]["wavevector"] == (1, 0)
         assert cfg["chart"]["active_axes"] == (0,)
 
@@ -541,6 +543,11 @@ class TestCli:
         assert main(["verify-identities", "--chart", "torus1", "--out", str(out)]) == 0
         manifest = parse_config((out / "manifest.cfg").read_text())["manifest"]
         assert manifest["resolution"] == 128
+        # bound (III) vanishes for n = 1; at seed 0 its residual is a signed
+        # zero, which the report writes and prints as 0
+        report = (out / "identities.txt").read_text()
+        assert "residual = 0\n" in report and "= -0\n" not in report
+        assert "PASS trace_evolution_bound_III: 0.000e+00" in capsys.readouterr().out
         assert main(["verify-identities", "--chart", "torus1", "--resolution", "64",
                      "--out", str(tmp_path / "v64")]) == 3
         capsys.readouterr()
@@ -587,7 +594,7 @@ class TestCli:
         # run refuses, rather than write zero steps and report t_end = 60
         scen = _write(tmp_path, "s.cfg", FLOW_N1)
         snap = str(tmp_path / "late.snap")
-        write_snapshot(snap, ScalarField.zeros(TorusChart(1, 64, active_axes=(0,))),
+        write_snapshot(snap, ScalarField(TorusChart(1, 64, active_axes=(0,)), 0.0),
                        footer=(60.0, 1e-3))
         rc = main(["run-flow", "--scenario", scen, "--out", str(tmp_path / "f"),
                    "--resume", snap])
@@ -600,7 +607,7 @@ class TestCli:
         scen = _write(tmp_path, "s.cfg", FLOW_N1)
         snap = str(tmp_path / "mid.snap")
         chart = TorusChart(1, 64, active_axes=(0,))
-        write_snapshot(snap, ScalarField.zeros(chart), footer=(0.5, 1e-3))
+        write_snapshot(snap, ScalarField(chart, 0.0), footer=(0.5, 1e-3))
 
         def run(out, *extra):
             out = str(tmp_path / out)
@@ -825,18 +832,12 @@ class TestCli:
                      "--out", svg]) == 2
         capsys.readouterr()
 
-    def test_positivity_lost_exits_3(self, tmp_path, capsys):
+    def test_positivity_lost_exits_3(self, tmp_path, capsys, monkeypatch):
         # the exponential stepper keeps these charts positive at any step
         # size, so the numerical-failure path is reached by resuming from a
-        # metric whose smallest eigenvalue (5.0e-3) is below the floor
-        scen = _write(
-            tmp_path,
-            "s.cfg",
-            FLOW_N1.replace(
-                "monitors { tolerance = 1e-7  patience = 5 }",
-                "control { eps_pd = 1e-2 }",
-            ),
-        )
+        # metric whose smallest eigenvalue (5.0e-3) is below a raised floor
+        monkeypatch.setattr(flow, "_EPS_PD", 1e-2)
+        scen = _write(tmp_path, "s.cfg", FLOW_N1)
         chart = TorusChart(1, 64, active_axes=(0,))
         phi = 4.38 * np.cos(chart.axis_coordinates(0)) * np.ones(chart.shape)
         snap = str(tmp_path / "low.snap")
@@ -846,21 +847,21 @@ class TestCli:
         assert rc == 3
         assert "below floor" in capsys.readouterr().err
 
-    @pytest.mark.parametrize(
-        "control", ["safety = 0", "safety = -1", "safety = nan", "eps_pd = -1"]
-    )
-    def test_invalid_step_control_exits_2(self, tmp_path, capsys, control):
+    def test_control_section_exits_2(self, tmp_path, capsys):
+        # the step controller's safety factor and eigenvalue floor are
+        # constants, so a scenario's control section is an unknown one
         scen = _write(
             tmp_path,
             "s.cfg",
             FLOW_N1.replace(
                 "monitors { tolerance = 1e-7  patience = 5 }",
-                f"control {{ {control} }}",
+                "control { safety = 0.8  eps_pd = 1e-8 }",
             ),
         )
         rc = main(["run-flow", "--scenario", scen, "--out", str(tmp_path / "c")])
         assert rc == 2
-        assert "invalid input" in capsys.readouterr().err
+        assert "invalid input: scenario.control: unknown section" in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "c")
 
     @pytest.mark.parametrize(
         "how", ["truncated", "magic", "kind", "resolution", "payload", "time"]
@@ -869,7 +870,7 @@ class TestCli:
         scen = _write(tmp_path, "s.cfg", FLOW_N1)
         chart = TorusChart(1, 64, active_axes=(0,))
         snap = str(tmp_path / "ckpt.snap")
-        write_snapshot(snap, ScalarField.zeros(chart), footer=(0.0, 1e-3))
+        write_snapshot(snap, ScalarField(chart, 0.0), footer=(0.0, 1e-3))
         raw = open(snap, "rb").read()
         open(snap, "wb").write(_corrupt_checkpoint(raw, how))
         rc = main(["run-flow", "--scenario", scen, "--out", str(tmp_path / "t"),
@@ -903,7 +904,7 @@ class TestCli:
         scen = _write(tmp_path, "s.cfg", FLOW_N1)
         chart = TorusChart(1, 64, active_axes=(0,))
         snap = str(tmp_path / "ckpt.snap")
-        write_snapshot(snap, ScalarField.zeros(chart), footer=(t, 1e-3))
+        write_snapshot(snap, ScalarField(chart, 0.0), footer=(t, 1e-3))
         rc = main(["run-flow", "--scenario", scen, "--out", str(tmp_path / "t"),
                    "--resume", snap])
         assert rc == 2
@@ -922,7 +923,7 @@ class TestCli:
         scen = _write(tmp_path, "s.cfg", FLOW_N1)
         chart = TorusChart(1, 64, active_axes=(0,))
         snap = str(tmp_path / "ckpt.snap")
-        write_snapshot(snap, ScalarField.zeros(chart), footer=(0.0, 1e-3))
+        write_snapshot(snap, ScalarField(chart, 0.0), footer=(0.0, 1e-3))
         raw = open(snap, "rb").read()
         open(snap, "wb").write(raw[:cut])
         rc = main(["run-flow", "--scenario", scen, "--out", str(tmp_path / "t"),

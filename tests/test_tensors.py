@@ -44,7 +44,7 @@ def seeded_triple(chart, seed):
 
 class TestChernRicci:
     def test_constant_metric_is_flat(self, chart2):
-        g = HermitianMatrixField.constant(chart2, np.array([[2.0, 0.3], [0.3, 1.0]]))
+        g = HermitianMatrixField(chart2, np.array([[2.0, 0.3], [0.3, 1.0]]))
         assert np.max(np.abs(chern_ricci(g).values)) <= 1e-14
 
     def test_scale_invariance(self, chart2, nonkahler_metric):
@@ -75,12 +75,12 @@ class TestChernRicci:
 
     def test_rejects_indefinite_metric(self, chart2):
         with pytest.raises(NotPositiveDefinite):
-            chern_ricci(HermitianMatrixField.constant(chart2, np.diag([1.0, -1.0])))
+            chern_ricci(HermitianMatrixField(chart2, np.diag([1.0, -1.0])))
 
     def test_rejects_negative_definite_metric(self, chart2):
         # det = 1 > 0: herm_logdet's trace test is what rejects it
         with pytest.raises(NotPositiveDefinite):
-            chern_ricci(HermitianMatrixField.constant(chart2, np.diag([-1.0, -1.0])))
+            chern_ricci(HermitianMatrixField(chart2, np.diag([-1.0, -1.0])))
 
 
 class TestConnectionTorsionCurvature:
@@ -88,7 +88,7 @@ class TestConnectionTorsionCurvature:
     [k, i, j, *grid], the lowered curvature as [k, l, i, j, *grid]."""
 
     def test_flat_metric_everything_vanishes(self, chart2):
-        G, _, Gamma = tensors._chern(HermitianMatrixField.identity(chart2))
+        G, _, Gamma = tensors._chern(HermitianMatrixField(chart2, np.eye(2)))
         assert np.max(np.abs(Gamma)) == 0.0
         assert np.max(np.abs(tensors._torsion(Gamma))) == 0.0
         assert np.max(np.abs(tensors._curvature(chart2, Gamma, G)[1])) == 0.0
@@ -122,7 +122,7 @@ class TestConnectionTorsionCurvature:
         assert np.max(np.abs(sym)) <= 1e-10
 
     def test_commutator_rejects_indefinite_metric(self, chart2):
-        g = HermitianMatrixField.constant(chart2, np.diag([1.0, -1.0]))
+        g = HermitianMatrixField(chart2, np.diag([1.0, -1.0]))
         with pytest.raises(NotPositiveDefinite):
             commutator_residual(g, np.ones(chart2.shape + (2,), dtype=complex))
 
@@ -145,13 +145,13 @@ class TestConnectionTorsionCurvature:
 
 class TestTraceEvolution:
     def test_flat_everything_zero(self, chart2):
-        g = HermitianMatrixField.identity(chart2)
-        rep = verify_trace_evolution(g, g, ScalarField.zeros(chart2))
+        g = HermitianMatrixField(chart2, np.eye(2))
+        rep = verify_trace_evolution(g, g, ScalarField(chart2, 0.0))
         assert rep.identity_residual <= 1e-13
 
     def test_nonkahler_same_hat(self, chart2, nonkahler_metric):
         rep = verify_trace_evolution(
-            nonkahler_metric, nonkahler_metric, ScalarField.zeros(chart2), t=0.0
+            nonkahler_metric, nonkahler_metric, ScalarField(chart2, 0.0), t=0.0
         )
         assert rep.identity_residual <= 1e-6
         assert rep.imag_residual <= 1e-9
@@ -177,7 +177,7 @@ class TestTraceEvolution:
         monkeypatch.setattr(tensors, "ricci_form", lambda chart, values: np.eye(2) - values)
         with pytest.raises(ClosednessViolated):
             verify_trace_evolution(
-                nonkahler_metric, nonkahler_metric, ScalarField.zeros(chart2), t=0.5
+                nonkahler_metric, nonkahler_metric, ScalarField(chart2, 0.0), t=0.5
             )
 
     def test_constants_are_finite_and_reported(self, chart2):
@@ -209,6 +209,24 @@ class TestTraceEvolution:
             tracemalloc.stop()
         n4 = chart2.n ** 4 * chart2.grid_count * np.dtype(complex).itemsize
         assert peak <= 6.5 * n4
+
+
+class TestIdentityReport:
+    def test_signed_zero_reads_as_zero(self):
+        # for n = 1 term (III) vanishes, so its bound's residual can be -0.0
+        # (torus1 at seeds 0, 1, 2, 3, 5, 7 and 11); a report stores and
+        # writes it as 0, and every other value keeps its bits
+        rep = tensors.IdentityReport(
+            "trace_evolution_bound_III", -0.0, "128", 1e-8,
+            extras={"c": -0.0, "tiny": -5e-324, "label": "-0", "count": 0},
+        )
+        assert not np.signbit(rep.residual)
+        assert f"{rep.residual:.3e}" == "0.000e+00"
+        lines = rep.lines()
+        assert "residual = 0" in lines and "c = 0" in lines
+        assert "tiny = -4.9406564584124654e-324" in lines
+        assert "label = -0" in lines and "count = 0" in lines
+        assert rep.passed
 
 
 class TestTraceEvolutionDerivatives:
@@ -285,7 +303,7 @@ class TestTraceEvolutionDerivatives:
 
 class TestBianchiVanishing:
     def test_flat(self, chart2):
-        assert verify_bianchi_vanishing(HermitianMatrixField.identity(chart2)) <= 1e-15
+        assert verify_bianchi_vanishing(HermitianMatrixField(chart2, np.eye(2))) <= 1e-15
 
     def test_kahler_perturbation(self, chart2):
         phi = bandlimited_scalar(chart2, 13, amplitude=0.15)
@@ -303,7 +321,7 @@ class TestSchwarzIdentity:
 
     def test_flat_target_random_source(self, chart2):
         g, _, _ = seeded_triple(chart2, 15)
-        gN = HermitianMatrixField.identity(chart2)
+        gN = HermitianMatrixField(chart2, np.eye(2))
         assert verify_schwarz_identity(g, gN) <= 1e-7
 
     def test_scaling_target_leaves_residual(self, chart2):
@@ -316,7 +334,7 @@ class TestSchwarzIdentity:
 
     @pytest.mark.parametrize("diag", [(1.0, -1.0), (-1.0, -1.0)])
     def test_rejects_non_positive_metrics(self, chart2, nonkahler_metric, diag):
-        bad = HermitianMatrixField.constant(chart2, np.diag(diag))
+        bad = HermitianMatrixField(chart2, np.diag(diag))
         with pytest.raises(NotPositiveDefinite):
             verify_schwarz_identity(bad, nonkahler_metric)
         with pytest.raises(NotPositiveDefinite):
