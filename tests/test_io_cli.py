@@ -847,15 +847,20 @@ class TestCli:
         assert rc == 3
         assert "below floor" in capsys.readouterr().err
 
-    def test_control_section_exits_2(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "control",
+        ["safety = 0.8  eps_pd = 1e-8", "safety = 0.8", "eps_pd = 1e-8", ""],
+    )
+    def test_control_section_exits_2(self, tmp_path, capsys, control):
         # the step controller's safety factor and eigenvalue floor are
-        # constants, so a scenario's control section is an unknown one
+        # constants, so a scenario's control section is an unknown one,
+        # whichever of the former keys it holds, or none
         scen = _write(
             tmp_path,
             "s.cfg",
             FLOW_N1.replace(
                 "monitors { tolerance = 1e-7  patience = 5 }",
-                "control { safety = 0.8  eps_pd = 1e-8 }",
+                f"control {{ {control} }}",
             ),
         )
         rc = main(["run-flow", "--scenario", scen, "--out", str(tmp_path / "c")])
